@@ -26,7 +26,6 @@ from .geometry import (
     REFERENCE_VERTEX_1,
     REFERENCE_VERTEX_2,
     AdmissibilityReport,
-    CurveFamily,
     FanGeometry,
     ImageDomain,
     PairGeometry,
@@ -72,8 +71,6 @@ from .discrete import (
     ImageGrid,
     PairOperator,
     ProjectionData,
-    adjoint,
-    forward,
     rasterize,
     read_image,
     read_projection_csv,

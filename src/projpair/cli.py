@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -90,8 +89,28 @@ _DEFAULTS = {
 }
 
 
+class _Config(configparser.ConfigParser):
+    """Config whose typed reads report a malformed value as a ConfigurationError."""
+
+    def _typed(self, read, section: str, option: str, kwargs):
+        try:
+            return read(section, option, **kwargs)
+        except ValueError:
+            value = self.get(section, option, raw=True)
+            raise ConfigurationError(f"[{section}] {option} = {value!r} is not a valid value") from None
+
+    def getint(self, section, option, **kwargs):
+        return self._typed(super().getint, section, option, kwargs)
+
+    def getfloat(self, section, option, **kwargs):
+        return self._typed(super().getfloat, section, option, kwargs)
+
+    def getboolean(self, section, option, **kwargs):
+        return self._typed(super().getboolean, section, option, kwargs)
+
+
 def _load_config(path: str | None) -> tuple[configparser.ConfigParser, str]:
-    cp = configparser.ConfigParser()
+    cp = _Config()
     cp.read_dict(_DEFAULTS)
     raw = ""
     if path:
@@ -106,11 +125,19 @@ def _load_config(path: str | None) -> tuple[configparser.ConfigParser, str]:
     return cp, raw
 
 
+def _floats(text: str, what: str) -> list[float]:
+    """The numbers in a comma- or space-separated list."""
+    try:
+        return [float(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        raise ConfigurationError(f"{what} must be numbers, got {text!r}") from None
+
+
 def _parse_vec(text: str, what: str) -> tuple[float, float]:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 2:
+    vals = _floats(text, what)
+    if len(vals) != 2:
         raise ConfigurationError(f"{what} needs two numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return vals[0], vals[1]
 
 
 def _build_domain(cp: configparser.ConfigParser) -> ImageDomain:
@@ -125,7 +152,7 @@ def _build_domain(cp: configparser.ConfigParser) -> ImageDomain:
         cx, cy = _parse_vec(sec["center"], "domain center")
         return ImageDomain.disc((cx, cy), sec.getfloat("radius"))
     if kind == "polygon":
-        vals = [float(v) for v in sec["vertices"].replace(",", " ").split()]
+        vals = _floats(sec["vertices"], "polygon vertices")
         if len(vals) < 6 or len(vals) % 2:
             raise ConfigurationError("polygon vertices must be an even list of at least six numbers")
         return ImageDomain.polygon(np.array(vals).reshape(-1, 2))
@@ -204,7 +231,7 @@ def _build_phantom(cp: configparser.ConfigParser, pair: PairGeometry, seed: int)
         rows = [row.strip() for row in sec["bumps"].split(";") if row.strip()]
         bumps = []
         for row in rows:
-            vals = [float(v) for v in row.replace(",", " ").split()]
+            vals = _floats(row, "bump row")
             if len(vals) != 4:
                 raise ConfigurationError(f"bump row needs 'cx cy radius amplitude', got {row!r}")
             bumps.append(Bump(center=(vals[0], vals[1]), radius=vals[2], amplitude=vals[3]))
@@ -218,7 +245,7 @@ def _build_phantom(cp: configparser.ConfigParser, pair: PairGeometry, seed: int)
             line = line.split("#")[0].strip()
             if not line:
                 continue
-            vals = [float(v) for v in line.replace(",", " ").split()]
+            vals = _floats(line, "phantom file row")
             if len(vals) != 4:
                 raise ConfigurationError(f"phantom file row needs four numbers, got {line!r}")
             bumps.append(Bump(center=(vals[0], vals[1]), radius=vals[2], amplitude=vals[3]))
@@ -457,8 +484,8 @@ def cmd_solve(args) -> int:
     state = cgne_solve(op, g, max_iter=cp["solver"].getint("max_iter"), tol=cp["solver"].getfloat("tol"))
     write_image(outdir / "iterate.img", op.image, state.iterate)
     wsec = cp["output"]
-    window = float(wsec["pgm_window"]) if wsec["pgm_window"].strip() else None
-    level = float(wsec["pgm_level"]) if wsec["pgm_level"].strip() else None
+    window = wsec.getfloat("pgm_window") if wsec["pgm_window"].strip() else None
+    level = wsec.getfloat("pgm_level") if wsec["pgm_level"].strip() else None
     write_pgm(outdir / "iterate.pgm", op.image, state.iterate, window=window, level=level)
     hist_lines = ["iteration,relative_residual"]
     hist_lines += [f"{k},{format(v, '.17g')}" for k, v in enumerate(state.residual_history)]
@@ -637,12 +664,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="INI config file (all keys optional)")
     sub.add_argument("--out", default="out", help="output directory (default: ./out)")
     sub.add_argument("--seed", type=int, default=20240501, help="seed for generated phantoms")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="best-effort cap on numpy BLAS threads (results do not depend on it)",
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -677,10 +698,6 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    threads = getattr(args, "threads", None)
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
     try:
         return args.func(args)
     except ProjPairError as exc:

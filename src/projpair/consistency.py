@@ -59,19 +59,6 @@ class KernelPair:
     sign: int = 1
     label: str = ""
 
-    @staticmethod
-    def from_samples(r1, v1, r2, v2, sign: int = 1, label: str = "sampled") -> "KernelPair":
-        r1 = np.asarray(r1, float)
-        v1 = np.asarray(v1, float)
-        r2 = np.asarray(r2, float)
-        v2 = np.asarray(v2, float)
-        return KernelPair(
-            v1=lambda r: np.interp(r, r1, v1),
-            v2=lambda r: np.interp(r, r2, v2),
-            sign=sign,
-            label=label,
-        )
-
 
 def known_kernels(pair: PairGeometry, n_boundary: int = 1024) -> KernelPair | None:
     """Closed-form kernels for the pair, or None when none exist.

@@ -1,4 +1,4 @@
-"""Discrete image/detector grids and the matrix-free pixel-driven pair operator.
+"""Discrete image/detector grids and the pixel-driven pair operator.
 
 Images are flat float64 vectors of length ``nx * ny`` in row-major order with
 the x index fastest and the y index increasing upward: ``flat = iy * nx + ix``.
@@ -154,36 +154,47 @@ def rasterize(func: Callable, grid: ImageGrid) -> np.ndarray:
     return vals
 
 
-def _kernel_moment_fix(view: dict, r: np.ndarray, coeff: np.ndarray, kern: Callable) -> tuple[np.ndarray, np.ndarray]:
+def _window(a: np.ndarray, b: np.ndarray, n: int, pad: int, width=None):
+    """Place a window over each footprint ``[a, b)`` (bin units) and ``pad`` bins each side.
+
+    Footprints are clipped to the ``n`` bins and every window lies inside
+    ``[0, n)``.  ``width`` is one window length for all footprints or, when
+    None, each footprint's clipped length plus ``2 * pad``, capped at ``n``.
+    Returns ``(start, width)``: each window's first bin and its length.
+    """
+    first = np.clip(np.floor(a), 0, n - 1).astype(np.int64)
+    if width is None:
+        last = np.clip(np.ceil(b) - 1, 0, n - 1).astype(np.int64)
+        width = np.minimum(n, last - first + 1 + 2 * pad)
+    return np.clip(first - pad, 0, n - width), width
+
+
+def _kernel_moment_fix(
+    det: DetectorGrid, a, b, r, coeff, kern: Callable, start, weights
+) -> tuple[np.ndarray, np.ndarray]:
     """Signed per-pixel corrections making the sampled kernel annihilate a column.
 
     For each pixel whose ray angle ``r`` lies inside the detector range, finds
     the minimum-norm change of its deposit, over the footprint bins plus one
     neighbour on each side (two on one side at a range end), after which the
     deposit has mass ``coeff``, centroid ``r`` and kernel moment
-    ``sum_k A_k * V(c_k) * width = coeff * V(r)``.  Returns ``(bins, weights)``
-    of shape ``(n_masked, L)``; padding and pixels left untouched carry weight 0.
+    ``sum_k A_k * V(c_k) * width = coeff * V(r)``.  ``start`` and ``weights``
+    are the view's window table holding the plain deposits; every window
+    must cover the pixel's footprint plus one bin each side.  Returns
+    ``(sel, change)``: the table rows of the corrected pixels and the change
+    to add to their weights, shape ``(sel.size, width)``, zero outside each
+    pixel's support.
     """
-    det = view["det"]
     n = det.n_bins
     if n < 3:
         raise ConfigurationError(
             f"view {det.view} has {n} bins; the mu = 0 operator needs at least 3 to keep the range condition exact")
-    a, b = view["a"], view["b"]
     sel = np.flatnonzero((a + b >= 0.0) & (a + b <= 2.0 * n))
-    if sel.size == 0:
-        return np.zeros((a.size, 0), dtype=np.int64), np.zeros((a.size, 0))
-    a, b, r, coeff, density = a[sel], b[sel], r[sel], coeff[sel], view["density"][sel]
-    first = np.clip(np.floor(a), 0, n - 1).astype(np.int64)
-    last = np.clip(np.ceil(b) - 1, 0, n - 1).astype(np.int64)
-    length = np.minimum(n, last - first + 3)
-    start = np.clip(first - 1, 0, n - length)
-    offsets = np.arange(int(length.max()))
-    valid = offsets[None, :] < length[:, None]
-    sub_bins = np.minimum(start[:, None] + offsets[None, :], n - 1)
-    base = density[:, None] * np.clip(
-        np.minimum(b[:, None], sub_bins + 1.0) - np.maximum(a[:, None], sub_bins), 0.0, None) * valid
-    c = det.lo + det.width * (sub_bins + 0.5)
+    a, b, r, coeff = a[sel], b[sel], r[sel], coeff[sel]
+    bins = start[sel, None] + np.arange(weights.shape[1])
+    lo, length = _window(a, b, n, 1)
+    valid = (bins >= lo[:, None]) & (bins < (lo + length)[:, None])
+    c = det.lo + det.width * (bins + 0.5)
     vc = np.asarray(kern(c), float)
     vr = np.asarray(kern(r), float)
     if not (np.all(np.isfinite(vc)) and np.all(np.isfinite(vr))):
@@ -194,24 +205,14 @@ def _kernel_moment_fix(view: dict, r: np.ndarray, coeff: np.ndarray, kern: Calla
     cols = np.stack([np.ones_like(c), (c - r[:, None]) / det.width, vc / vr[:, None] - 1.0], axis=-1)
     cols *= valid[..., None]
     defect = np.stack([coeff / det.width, np.zeros_like(r), np.zeros_like(r)], axis=-1)
-    defect -= np.einsum("pk,pkm->pm", base, cols)
+    defect -= np.einsum("pk,pkm->pm", weights[sel], cols)
     q, rr = np.linalg.qr(cols)
     z = np.linalg.solve(np.swapaxes(rr, -1, -2), defect[..., None])
-    bins = np.zeros((view["a"].size, offsets.size), dtype=np.int64)
-    weights = np.zeros(bins.shape)
-    bins[sel] = sub_bins
-    weights[sel] = (q @ z)[..., 0] * valid
-    return bins, weights
+    return sel, (q @ z)[..., 0] * valid
 
 
 class PairOperator:
     """Pixel-driven discretization of two exponential fan projections.
-
-    Matrix-free: only O(image) arrays (per-pixel ray angle, distance to
-    vertex, weight, and at mu = 0 the deposit corrections below) are cached;
-    footprint/bin overlaps are recomputed on every application so forward
-    and adjoint use the exact same coefficients and are exact transposes of
-    each other.
 
     Each unmasked pixel j deposits the mass
     ``f_j * area * exp(mu * t_j) / t_j`` spread uniformly over the angular
@@ -219,6 +220,14 @@ class PairOperator:
     angle; a bin k receives the overlapping fraction divided by the bin
     width.  Row sums over a fine image therefore converge to bin averages of
     the continuous projection.
+
+    The columns are built once, at construction, into one window table per
+    view: ``start`` gives each masked pixel's first bin and ``weights``, of
+    shape ``(n_masked, width)``, its deposits into bins ``start + 0`` to
+    ``start + width - 1``.  Every window lies inside the detector, so the
+    part of a footprint that overhangs the range is simply dropped.  Forward
+    and adjoint read the same table, so they are exact transposes of each
+    other.
 
     When the pair admits kernels (``known_kernels(pair)`` is not None, the
     unweighted mu = 0 pair) each deposit is corrected so that the sampled,
@@ -234,10 +243,9 @@ class PairOperator:
     the footprint bins plus one neighbour on each side.  At desk scale
     (200^2, 2 x 100 bins) the most negative corrected entry is -15% of the
     pixel's total deposit, and -30% in an end bin, where both neighbours
-    lie on one side.  Forward and adjoint read the same stored
-    (bin, weight) arrays, so they stay exact transposes.  Each view then
-    needs at least three bins.  For mu != 0 no correction exists or is
-    added, and every result is bitwise that of the plain splat.
+    lie on one side.  The windows are then one bin wider on each side and
+    hold footprint plus correction.  Each view then needs at least three
+    bins.  For mu != 0 no correction exists or is added.
     """
 
     def __init__(self, pair: PairGeometry, image: ImageGrid, det1: DetectorGrid, det2: DetectorGrid):
@@ -261,19 +269,32 @@ class PairOperator:
         area = image.pixel_area
         kernels = known_kernels(pair)
         kerns = (None, None) if kernels is None else (kernels.v1, kernels.v2)
-        self._views = []
+        self._tables = []
         for geom, det, kern in zip((pair.first, pair.second), self.dets, kerns):
             r, t = fan_inverse(geom, centers)
             w = delta / t  # angular footprint width
             coeff = area * np.exp(geom.mu * t) / t  # projected mass per unit f
+            density = coeff / w
             a = (r - det.lo) / det.width - 0.5 * w / det.width
-            wb = w / det.width
-            k0 = np.floor(a).astype(np.int64)
-            span = int(np.max(np.ceil(a + wb) - np.floor(a))) + 1 if len(a) else 1
-            view = {"det": det, "density": coeff / w, "a": a, "b": a + wb, "k0": k0, "span": span}
+            b = a + w / det.width
+            n = det.n_bins
+            pad = 0 if kern is None else 1  # room for the correction's neighbour bins
+            width = min(n, int(np.max(np.ceil(b) - np.floor(a), initial=1)) + 2 * pad)
+            start, _ = _window(a, b, n, pad, width)
+            weights = np.empty((a.size, width))
+            # one column at a time, in place: a full (n_masked, width) bin
+            # array would raise peak memory at 1000^2 by about a third
+            for off in range(width):
+                k = start + off
+                col = weights[:, off]
+                np.minimum(b, k + 1.0, out=col)
+                col -= np.maximum(a, k)
+                np.clip(col, 0.0, None, out=col)
+                col *= density
             if kern is not None:
-                view["fix_bins"], view["fix_w"] = _kernel_moment_fix(view, r, coeff, kern)
-            self._views.append(view)
+                sel, change = _kernel_moment_fix(det, a, b, r, coeff, kern, start, weights)
+                weights[sel] += change
+            self._tables.append((start, weights))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -287,43 +308,23 @@ class PairOperator:
             raise ConfigurationError("image vector has the wrong length")
         fm = f[self._idx]
         out = []
-        for v in self._views:
-            det = v["det"]
+        for det, (start, weights) in zip(self.dets, self._tables):
             g = np.zeros(det.n_bins)
-            mass = fm * v["density"]
-            a, b, k0 = v["a"], v["b"], v["k0"]
-            for off in range(v["span"]):
-                k = k0 + off
-                ov = np.minimum(b, k + 1.0) - np.maximum(a, k)
-                np.clip(ov, 0.0, None, out=ov)
-                sel = (ov > 0) & (k >= 0) & (k < det.n_bins)
-                if np.any(sel):
-                    g += np.bincount(k[sel], weights=mass[sel] * ov[sel], minlength=det.n_bins)
-            if "fix_w" in v:
-                fix = fm[:, None] * v["fix_w"]
-                g += np.bincount(v["fix_bins"].ravel(), weights=fix.ravel(), minlength=det.n_bins)
+            for off in range(weights.shape[1]):
+                g += np.bincount(start + off, weights=fm * weights[:, off], minlength=det.n_bins)
             out.append(g)
         return out[0], out[1]
 
     def adjoint(self, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
         """Exact transpose of :meth:`forward`."""
-        f = np.zeros(self.image.n_pixels)
         acc = np.zeros(self._idx.size)
-        for v, g in zip(self._views, (g1, g2)):
-            det = v["det"]
+        for det, (start, weights), g in zip(self.dets, self._tables, (g1, g2)):
             g = np.asarray(g, dtype=float).ravel()
             if g.size != det.n_bins:
                 raise ConfigurationError("data vector has the wrong length")
-            a, b, k0 = v["a"], v["b"], v["k0"]
-            for off in range(v["span"]):
-                k = k0 + off
-                ov = np.minimum(b, k + 1.0) - np.maximum(a, k)
-                np.clip(ov, 0.0, None, out=ov)
-                sel = (ov > 0) & (k >= 0) & (k < det.n_bins)
-                if np.any(sel):
-                    acc[sel] += v["density"][sel] * ov[sel] * g[k[sel]]
-            if "fix_w" in v:
-                acc += np.sum(v["fix_w"] * g[v["fix_bins"]], axis=1)
+            for off in range(weights.shape[1]):
+                acc += weights[:, off] * g[start + off]
+        f = np.zeros(self.image.n_pixels)
         f[self._idx] = acc
         return f
 
@@ -337,16 +338,6 @@ class PairOperator:
         n1 = self.dets[0].n_bins
         g = np.asarray(g, dtype=float).ravel()
         return self.adjoint(g[:n1], g[n1:])
-
-
-def forward(op: PairOperator, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete forward projection; see :class:`PairOperator`."""
-    return op.forward(f)
-
-
-def adjoint(op: PairOperator, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """Discrete adjoint (exact transpose of :func:`forward`)."""
-    return op.adjoint(g1, g2)
 
 
 def reference_grids(n_bins: int = DEFAULT_BINS) -> tuple[DetectorGrid, DetectorGrid]:

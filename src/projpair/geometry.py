@@ -18,17 +18,13 @@ A fan family with vertex ``v`` indexed by absolute ray angle ``r``::
 
     point(r, t) = v + t * direction(r),   t > 0
 
-Fan angles live on the branch ``[theta0, theta0 + 2*pi)``.  Other curve
-families can be supplied by the caller: any object with ``point(r, t)``,
-``inverse(x)``, ``jacobian_inv(x)`` and ``weight(r, t)`` methods works
-wherever a geometry is accepted.
+Fan angles live on the branch ``[theta0, theta0 + 2*pi)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -69,19 +65,6 @@ def lift_angle(angle, theta0):
     """Shift ``angle`` by a multiple of 2*pi into ``[theta0, theta0 + 2*pi)``."""
     a = np.asarray(angle, dtype=float)
     return np.mod(a - theta0, 2.0 * math.pi) + theta0
-
-
-@runtime_checkable
-class CurveFamily(Protocol):
-    """Structural interface for user-supplied curve parametrizations."""
-
-    def point(self, r, t): ...
-
-    def inverse(self, x): ...
-
-    def jacobian_inv(self, x): ...
-
-    def weight(self, r, t): ...
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +494,11 @@ def check_fan_admissible(geom: FanGeometry, domain: ImageDomain, n_boundary: int
     """Admissibility of a single fan over a domain.
 
     Margins: ``vertex_clearance`` (distance from the vertex to the domain,
-    negative if the vertex is inside) and ``branch_clearance`` (angular
-    distance of the domain's ray angles from the branch cut).
+    negative if the vertex is inside) and ``branch_clearance`` (signed
+    angular distance of the branch cut from the arc of the domain's ray
+    angles, negative when the cut crosses the arc).  The arc is the
+    complement of the largest circular gap between the boundary samples'
+    ray angles, so it does not depend on where the cut splits them.
     """
     pts = domain.boundary_points(n_boundary)
     dist = float(np.min(np.hypot(*(pts - geom.vertex_xy).T)))
@@ -521,9 +507,13 @@ def check_fan_admissible(geom: FanGeometry, domain: ImageDomain, n_boundary: int
     margins = {"vertex_clearance": dist}
     if dist > 0:
         r, _ = fan_inverse(geom, pts)
-        margins["branch_clearance"] = float(
-            min(np.min(r) - geom.theta0, geom.theta0 + 2.0 * math.pi - np.max(r))
-        )
+        u = np.sort(r) - geom.theta0  # cut at 0 and 2*pi
+        gaps = np.diff(u, append=u[0] + 2.0 * math.pi)
+        i = int(np.argmax(gaps))
+        if i == u.size - 1:  # the largest gap holds the cut
+            margins["branch_clearance"] = float(min(u[0], 2.0 * math.pi - u[-1]))
+        else:
+            margins["branch_clearance"] = -float(min(u[i], 2.0 * math.pi - u[i + 1]))
     else:
         margins["branch_clearance"] = -math.inf
     passed = all(m > 0.0 for m in margins.values())

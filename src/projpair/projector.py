@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .discrete import DetectorGrid, ProjectionData
-from .errors import AccuracyError
+from .errors import AccuracyError, ConfigurationError
 from .geometry import FanGeometry, ImageDomain, ParGeometry, direction, perp, view_range
 from .phantom import Phantom, phantom_l2_norm
 
@@ -65,7 +65,7 @@ def _bump_line_integrals(geom, bump, r, spec: QuadratureSpec) -> np.ndarray:
         dirs = direction(r)
         t_floor = 0.0
     else:
-        origins, dirs, t_floor = geom.ray(r)  # user-supplied family hook
+        raise ConfigurationError(f"unsupported geometry type {type(geom).__name__}")
     c = np.asarray(bump.center, dtype=float)
     oc = origins - c
     b = np.sum(oc * dirs, axis=-1)

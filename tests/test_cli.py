@@ -181,6 +181,19 @@ def test_missing_and_malformed_config(tmp_path, capsys):
     assert err.count("error:") == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[geometry]\nmu = abc\n",
+    "[geometry]\nvertex1 = 0 x\n",
+    "[image]\nnx = ten\n",
+    "[detectors]\nbins1 = 1.5\n",
+], ids=["mu", "vertex1", "nx", "bins1"])
+def test_malformed_number_is_a_configuration_error(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, text, name="bad.ini")
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_battery_passes(tmp_path, capsys):
     code = run(["verify", "--out", str(tmp_path / "o")])
     assert code == 0

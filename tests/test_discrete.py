@@ -44,39 +44,51 @@ def brute_force_matrix(pair, image, det1, det2):
     return A
 
 
-def small_setup(mu=-0.2, bins=(9, 9)):
+def small_setup(mu=-0.2, bins=(9, 9), cover=1.0):
+    """Two fans over a disc; each detector spans the middle ``cover`` of its view range."""
     dom = pp.ImageDomain.disc((0.0, 0.0), 14.0)
     pair = pp.PairGeometry(
-        pp.FanGeometry((0.0, 60.0), theta0=-math.pi / 2, mu=mu),
+        pp.FanGeometry((0.0, 60.0), theta0=math.pi / 2, mu=mu),
         pp.FanGeometry((-65.0, 5.0), theta0=-math.pi / 2, mu=mu),
         dom,
     )
     image = pp.ImageGrid(12, 12, 32.0)
-    d1 = pp.DetectorGrid(1, bins[0], *pp.view_range(pair.first, dom))
-    d2 = pp.DetectorGrid(2, bins[1], *pp.view_range(pair.second, dom))
-    return pair, image, d1, d2
+    dets = []
+    for view, geom, n in ((1, pair.first, bins[0]), (2, pair.second, bins[1])):
+        lo, hi = pp.view_range(geom, dom)
+        trim = 0.5 * (1.0 - cover) * (hi - lo)
+        dets.append(pp.DetectorGrid(view, n, lo + trim, hi - trim))
+    return pair, image, dets[0], dets[1]
+
+
+# The full view ranges, detectors over the middle half (footprints overhang
+# an end or miss the detector), and bins narrow enough that each footprint
+# spans several of them.
+BRUTE_FORCE_SETUPS = ({}, {"cover": 0.5}, {"bins": (60, 64)})
 
 
 def test_forward_matches_brute_force():
-    pair, image, d1, d2 = small_setup()
-    op = pp.PairOperator(pair, image, d1, d2)
-    A = brute_force_matrix(pair, op.image, d1, d2)
     rng = np.random.default_rng(31)
-    for _ in range(5):
-        f = rng.normal(size=op.image.n_pixels)
-        g1, g2 = op.forward(f)
-        want = A @ np.where(op.image.mask, f, 0.0)
-        np.testing.assert_allclose(np.concatenate([g1, g2]), want, atol=1e-13)
+    for setup in BRUTE_FORCE_SETUPS:
+        pair, image, d1, d2 = small_setup(**setup)
+        op = pp.PairOperator(pair, image, d1, d2)
+        A = brute_force_matrix(pair, op.image, d1, d2)
+        for _ in range(5):
+            f = rng.normal(size=op.image.n_pixels)
+            g1, g2 = op.forward(f)
+            want = A @ np.where(op.image.mask, f, 0.0)
+            np.testing.assert_allclose(np.concatenate([g1, g2]), want, atol=1e-13)
 
 
 def test_adjoint_matches_brute_force():
-    pair, image, d1, d2 = small_setup()
-    op = pp.PairOperator(pair, image, d1, d2)
-    A = brute_force_matrix(pair, op.image, d1, d2)
     rng = np.random.default_rng(32)
-    g = rng.normal(size=d1.n_bins + d2.n_bins)
-    back = op.adjoint(g[:d1.n_bins], g[d1.n_bins:])
-    np.testing.assert_allclose(back, A.T @ g, atol=1e-13)
+    for setup in BRUTE_FORCE_SETUPS:
+        pair, image, d1, d2 = small_setup(**setup)
+        op = pp.PairOperator(pair, image, d1, d2)
+        A = brute_force_matrix(pair, op.image, d1, d2)
+        g = rng.normal(size=d1.n_bins + d2.n_bins)
+        back = op.adjoint(g[:d1.n_bins], g[d1.n_bins:])
+        np.testing.assert_allclose(back, A.T @ g, atol=1e-13)
 
 
 def test_adjoint_identity_64():

@@ -249,6 +249,23 @@ def test_admissibility_flags_vertex_inside_domain():
     assert not report.passed
 
 
+def test_admissibility_flags_branch_cut_through_domain():
+    """A fan looking straight along its branch cut splits the domain's ray
+    angles at the cut; the arc they cover still gives the clearance.  The
+    disc subtends 2*asin(14/60) from the vertex."""
+    dom = pp.ImageDomain.disc((0.0, 0.0), 14.0)
+    half = math.asin(14.0 / 60.0)
+    along = pp.FanGeometry((0.0, 60.0), theta0=-math.pi / 2)
+    report = pp.check_fan_admissible(along, dom)
+    assert not report.passed
+    assert abs(report.margins["branch_clearance"] + half) < 1e-3
+    pair = pp.PairGeometry(along, pp.FanGeometry((-65.0, 5.0), theta0=-math.pi / 2), dom)
+    assert not pp.check_pair_admissible(pair).passed
+    away = pp.check_fan_admissible(pp.FanGeometry((0.0, 60.0), theta0=math.pi / 2), dom)
+    assert away.passed
+    assert abs(away.margins["branch_clearance"] - (math.pi - half)) < 1e-3
+
+
 def test_lift_angle_window():
     theta0 = 0.75 * math.pi
     rng = np.random.default_rng(106)

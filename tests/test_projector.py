@@ -101,6 +101,11 @@ def test_projection_zero_off_support():
     np.testing.assert_array_equal(vals, 0.0)
 
 
+def test_projection_rejects_unsupported_geometry():
+    with pytest.raises(pp.ConfigurationError):
+        pp.project_values(object(), PHANTOM, np.array([0.0]))
+
+
 def test_batch_equals_single_bitwise():
     geom = pp.FanGeometry((-90.0, 5.0), theta0=-math.pi, mu=-0.1)
     base = math.atan2(-5.0, 90.0)
