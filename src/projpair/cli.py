@@ -2,12 +2,12 @@
 
 Subcommands: ``project`` (continuous or discrete forward projection),
 ``check`` (range-condition test on data), ``separability`` (exponential
-fan-fan surface test), ``solve`` (CGNE on the discrete pair), ``verify``
-(built-in invariant battery).  Configuration is an INI file; every key has a
-default reproducing the shipped reference experiment, so an empty (or
-absent) config is valid.  Angles in config files are degrees; the library
-works in radians.  Outputs are deterministic: rerunning a command with the
-same config and seed writes byte-identical artifacts.
+fan-fan surface test), ``solve`` (CGNE on the discrete pair).  Configuration
+is an INI file; every key has a default reproducing the shipped reference
+experiment, so an empty (or absent) config is valid.  Angles in config files
+are degrees; the library works in radians.  Outputs are deterministic:
+rerunning a command with the same config and seed writes byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from . import __version__
 from .consistency import (
     eval_G,
     expo_surface,
-    kernel_condition_residual,
     known_kernels,
     pprc_sides,
     separability_test,
@@ -56,7 +55,7 @@ from .geometry import (
     reference_domain,
     view_range,
 )
-from .phantom import Bump, Phantom, TargetData, inconceivable_g2, random_phantom, reference_target
+from .phantom import Bump, Phantom, TargetData, inconceivable_g2, random_phantom
 from .projector import project_view
 from .solver import cgne_solve, predicted_residual_floor
 
@@ -103,7 +102,10 @@ class _Config(configparser.ConfigParser):
         return self._typed(super().getint, section, option, kwargs)
 
     def getfloat(self, section, option, **kwargs):
-        return self._typed(super().getfloat, section, option, kwargs)
+        value = self._typed(super().getfloat, section, option, kwargs)
+        if not math.isfinite(value):
+            raise ConfigurationError(f"[{section}] {option} = {value!r} is not a finite number")
+        return value
 
     def getboolean(self, section, option, **kwargs):
         return self._typed(super().getboolean, section, option, kwargs)
@@ -126,11 +128,14 @@ def _load_config(path: str | None) -> tuple[configparser.ConfigParser, str]:
 
 
 def _floats(text: str, what: str) -> list[float]:
-    """The numbers in a comma- or space-separated list."""
+    """The finite numbers in a comma- or space-separated list."""
     try:
-        return [float(v) for v in text.replace(",", " ").split()]
+        vals = [float(v) for v in text.replace(",", " ").split()]
+        if all(map(math.isfinite, vals)):
+            return vals
     except ValueError:
-        raise ConfigurationError(f"{what} must be numbers, got {text!r}") from None
+        pass
+    raise ConfigurationError(f"{what} must be finite numbers, got {text!r}")
 
 
 def _parse_vec(text: str, what: str) -> tuple[float, float]:
@@ -228,49 +233,37 @@ def _build_phantom(cp: configparser.ConfigParser, pair: PairGeometry, seed: int)
         rng = np.random.default_rng(seed)
         return random_phantom(rng, pair.domain, n_bumps=sec.getint("count"))
     if kind == "list":
-        rows = [row.strip() for row in sec["bumps"].split(";") if row.strip()]
-        bumps = []
-        for row in rows:
-            vals = _floats(row, "bump row")
-            if len(vals) != 4:
-                raise ConfigurationError(f"bump row needs 'cx cy radius amplitude', got {row!r}")
-            bumps.append(Bump(center=(vals[0], vals[1]), radius=vals[2], amplitude=vals[3]))
-        return Phantom(bumps=tuple(bumps))
-    if kind == "file":
+        rows = sec["bumps"].split(";")
+    elif kind == "file":
         path = sec["file"].strip()
         if not path:
             raise ConfigurationError("phantom kind 'file' needs a file path")
-        bumps = []
-        for line in Path(path).read_text().splitlines():
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            vals = _floats(line, "phantom file row")
-            if len(vals) != 4:
-                raise ConfigurationError(f"phantom file row needs four numbers, got {line!r}")
-            bumps.append(Bump(center=(vals[0], vals[1]), radius=vals[2], amplitude=vals[3]))
-        return Phantom(bumps=tuple(bumps))
-    raise ConfigurationError(f"unknown phantom kind {kind!r}")
+        try:
+            text = Path(path).read_text()
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read phantom file {path}: {exc}") from None
+        rows = [line.split("#")[0] for line in text.splitlines()]
+    else:
+        raise ConfigurationError(f"unknown phantom kind {kind!r}")
+    bumps = []
+    for row in filter(None, map(str.strip, rows)):
+        vals = _floats(row, "bump row")
+        if len(vals) != 4:
+            raise ConfigurationError(f"bump row needs 'cx cy radius amplitude', got {row!r}")
+        bumps.append(Bump(center=(vals[0], vals[1]), radius=vals[2], amplitude=vals[3]))
+    return Phantom(bumps=tuple(bumps))
 
 
 def _build_target(cp, pair, dets, seed) -> TargetData:
     sec = cp["target"]
     kind = sec["kind"].strip().lower()
     if kind == "reference":
-        ref = reference_target(dets[0].n_bins)
-        same = (
-            dets[0].n_bins == dets[1].n_bins
-            and abs(ref.view1.grid.lo - dets[0].lo) < 1e-9
-            and abs(ref.view2.grid.lo - dets[1].lo) < 1e-9
+        # the profile of ``reference_target``, on the configured grids
+        g2 = inconceivable_g2(dets[1].centers - dets[1].center)
+        return TargetData(
+            view1=ProjectionData(grid=dets[0], values=np.zeros(dets[0].n_bins)),
+            view2=ProjectionData(grid=dets[1], values=g2),
         )
-        if not same:
-            # same profile, evaluated on the configured grids
-            g2 = inconceivable_g2(dets[1].centers - dets[1].center)
-            return TargetData(
-                view1=ProjectionData(grid=dets[0], values=np.zeros(dets[0].n_bins)),
-                view2=ProjectionData(grid=dets[1], values=g2),
-            )
-        return ref
     if kind == "files":
         f1, f2 = sec["file1"].strip(), sec["file2"].strip()
         if not f1 or not f2:
@@ -365,8 +358,9 @@ def cmd_check(args) -> int:
             "report.txt",
         )
         return 2
-    target = _build_target(cp, pair, dets, args.seed)
     admiss = check_pair_admissible(pair)
+    admiss.require()
+    target = _build_target(cp, pair, dets, args.seed)
     worst_name = min(admiss.margins, key=admiss.margins.get)
     left, right = pprc_sides(target, kernels)
     residual = left - right
@@ -510,153 +504,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _verify_lines() -> tuple[list[str], bool]:
-    from .geometry import fan_inverse, fan_jacobian_inv, fan_point, fanfan_X, fanfan_tau, par_inverse, par_point
-    from .geometry import reference_pair
-
-    lines: list[str] = []
-    ok_all = True
-
-    def record(name: str, ok: bool, detail: str) -> None:
-        nonlocal ok_all
-        ok_all &= ok
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-
-    rng = np.random.default_rng(20240817)
-
-    # round trips
-    worst = 0.0
-    for _ in range(200):
-        g = ParGeometry(theta=rng.uniform(-4, 4))
-        r, t = rng.uniform(-50, 50), rng.uniform(-50, 50)
-        rr, tt = par_inverse(g, par_point(g, r, t))
-        worst = max(worst, abs(rr - r), abs(tt - t))
-    record("parallel round trip", worst < 1e-12, f"worst {worst:.3e}")
-    worst = 0.0
-    for _ in range(200):
-        g = FanGeometry(vertex=(rng.uniform(-90, 90), rng.uniform(-90, 90)), theta0=rng.uniform(-7, 7))
-        r = g.theta0 + rng.uniform(0.01, 2 * math.pi - 0.01)
-        t = rng.uniform(0.1, 150)
-        rr, tt = fan_inverse(g, fan_point(g, np.array(r), np.array(t)))
-        worst = max(worst, abs(float(rr) - r), abs(float(tt) - t))
-    record("fan round trip", worst < 1e-12, f"worst {worst:.3e}")
-
-    # jacobian vs central differences
-    g = FanGeometry(vertex=(3.0, -2.0), theta0=0.0)
-    worst = 0.0
-    for _ in range(50):
-        x = np.array([rng.uniform(4, 40), rng.uniform(1, 40)])
-        h = 1e-5
-        j = np.zeros((2, 2))
-        for axis in range(2):
-            e = np.zeros(2)
-            e[axis] = h
-            rp, tp = fan_inverse(g, x + e)
-            rm, tm = fan_inverse(g, x - e)
-            j[0, axis] = (rp - rm) / (2 * h)
-            j[1, axis] = (tp - tm) / (2 * h)
-        det_fd = abs(j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0])
-        worst = max(worst, abs(det_fd - float(fan_jacobian_inv(g, x))))
-    record("fan inverse jacobian", worst < 1e-6, f"worst {worst:.3e}")
-
-    # intersection identities
-    worst = 0.0
-    for _ in range(100):
-        v1 = np.array([rng.uniform(-90, 90), rng.uniform(-90, 90)])
-        v2 = np.array([rng.uniform(-90, 90), rng.uniform(-90, 90)])
-        if np.hypot(*(v2 - v1)) < 1.0:
-            continue
-        r1 = rng.uniform(-math.pi, math.pi)
-        r2 = rng.uniform(-math.pi, math.pi)
-        try:
-            t1, t2 = fanfan_tau(r1, r2, v1, v2)
-        except ProjPairError:
-            continue
-        x = fanfan_X(r1, r2, v1, v2)
-        worst = max(worst, float(np.max(np.abs(v1 + float(t1) * direction(r1) - x))))
-        worst = max(worst, float(np.max(np.abs(v2 + float(t2) * direction(r2) - x))))
-    record("ray intersection identities", worst < 1e-10, f"worst {worst:.3e}")
-
-    # kernel conditions for the three closed forms
-    worst = 0.0
-    pair_ref = reference_pair(mu=0.0)
-    worst = max(worst, kernel_condition_residual(pair_ref, known_kernels(pair_ref), n=900))
-    dom = ImageDomain.disc((5.0, -3.0), 14.0)
-    pf = PairGeometry(ParGeometry(theta=0.3), FanGeometry(vertex=(-60.0, 4.0), theta0=-2.9), dom)
-    worst = max(worst, kernel_condition_residual(pf, known_kernels(pf), n=900))
-    pp = PairGeometry(ParGeometry(theta=0.1), ParGeometry(theta=1.4), dom)
-    worst = max(worst, kernel_condition_residual(pp, known_kernels(pp), n=900))
-    record("kernel conditions", worst < 1e-12, f"worst relative {worst:.3e}")
-
-    # adjoint dot test
-    from .discrete import reference_operator
-
-    op = reference_operator(nx=48, n_bins=32, mu=ATTENUATION_MU)
-    f = rng.standard_normal(op.image.n_pixels)
-    g1, g2 = op.forward(f)
-    y1 = rng.standard_normal(g1.size)
-    y2 = rng.standard_normal(g2.size)
-    lhs = float(g1 @ y1 + g2 @ y2)
-    rhs = float(f @ op.adjoint(y1, y2))
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    record("adjoint identity", rel < 1e-12, f"relative {rel:.3e}")
-
-    # small exact solves
-    state = cgne_solve(np.diag([1.0, 2.0]), np.array([1.0, 2.0]), max_iter=5, tol=1e-14)
-    ok = np.allclose(state.iterate, [1.0, 1.0], atol=1e-12) and state.iterations <= 2
-    state2 = cgne_solve(np.array([[1.0, 1.0]]), np.array([2.0]), max_iter=5, tol=1e-14)
-    ok &= np.allclose(state2.iterate, [1.0, 1.0], atol=1e-12)
-    record("cgne exact solves", bool(ok), "diagonal and minimum-norm cases")
-
-    # separability dichotomy
-    pairh = reference_pair()
-    th0 = pairh.first.theta0
-    s = pair_orientation(pairh)
-    r1_axis = np.linspace(th0 + math.pi + 0.02, th0 + 1.45 * math.pi, 60)
-    r2_axis = np.linspace(th0 + 0.55 * math.pi, th0 + math.pi - 0.02, 60)
-    L0, _ = expo_surface(r1_axis, r2_axis, 0.0, pairh.first.vertex_xy, pairh.second.vertex_xy, orientation=s)
-    rep0 = separability_test(L0, r1_axis, r2_axis)
-    Lm, _ = expo_surface(r1_axis, r2_axis, ATTENUATION_MU, pairh.first.vertex_xy, pairh.second.vertex_xy, orientation=s)
-    repm = separability_test(Lm, r1_axis, r2_axis)
-    ok = rep0.verdict == "separable" and repm.verdict == "non-separable"
-    record("separability dichotomy", ok, f"mu=0 {rep0.verdict}, mu={ATTENUATION_MU} {repm.verdict}")
-
-    # closed form G equals the double difference of the log surface
-    from .consistency import expo_lhs_log
-
-    worst = 0.0
-    v1 = pairh.first.vertex_xy
-    v2 = pairh.second.vertex_xy
-    for _ in range(500):
-        a = th0 + math.pi + rng.uniform(0.05, 0.45 * math.pi) * np.ones(2)
-        a[1] = th0 + math.pi + rng.uniform(0.05, 0.45 * math.pi)
-        b = th0 + math.pi - rng.uniform(0.05, 0.45 * math.pi) * np.ones(2)
-        b[1] = th0 + math.pi - rng.uniform(0.05, 0.45 * math.pi)
-        gval = float(eval_G(a[0], a[1], b[0], b[1], ATTENUATION_MU, v2 - v1))
-        terms = [
-            float(expo_lhs_log(x, y, ATTENUATION_MU, v1, v2))
-            for x, y in ((a[0], b[0]), (a[1], b[0]), (a[0], b[1]), (a[1], b[1]))
-        ]
-        dd = terms[0] - terms[1] - terms[2] + terms[3]
-        # cancellation scale: nearby angles make the difference tiny while
-        # the four terms stay order one
-        scale = max(1.0, abs(gval), sum(abs(t) for t in terms))
-        worst = max(worst, abs(gval - dd) / scale)
-    record("closed-form double difference", worst < 1e-12, f"worst relative {worst:.3e}")
-
-    return lines, ok_all
-
-
-def cmd_verify(args) -> int:
-    lines, ok = _verify_lines()
-    text = "\n".join(lines) + f"\nverify: {'ALL PASS' if ok else 'FAILURES PRESENT'}\n"
-    outdir = Path(args.out) if args.out else None
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
-    _emit(text, outdir, "verify.txt")
-    return 0 if ok else 1
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -692,10 +539,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_solve)
-
-    p = subs.add_parser("verify", help="run the built-in invariant battery")
-    p.add_argument("--out", default=None, help="optional output directory for verify.txt")
-    p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
     try:

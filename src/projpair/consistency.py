@@ -103,16 +103,9 @@ def known_kernels(pair: PairGeometry, n_boundary: int = 1024) -> KernelPair | No
     return KernelPair(v1=kernel, v2=kernel, sign=1, label="fan-fan unweighted")
 
 
-def _as_views(target):
-    if hasattr(target, "view1") and hasattr(target, "view2"):
-        return target.view1, target.view2
-    a, b = target
-    return a, b
-
-
 def pprc_sides(target, kernels: KernelPair) -> tuple[float, float]:
     """Trapezoid estimates of ``integral g1 V1`` and ``integral g2 V2``."""
-    d1, d2 = _as_views(target)
+    d1, d2 = target
     total = []
     for data, kern in ((d1, kernels.v1), (d2, kernels.v2)):
         r = data.grid.centers
@@ -253,7 +246,7 @@ def pv_hilbert_residual(target, pair: PairGeometry, eps_values) -> float:
     if any(e <= 0 for e in eps_values):
         raise ConfigurationError("eps values must be positive")
     eps_values = sorted(eps_values, reverse=True)
-    d1, d2 = _as_views(target)
+    d1, d2 = target
     theta = pair.first.theta
     fan = pair.second
     s0 = float(fan.vertex_xy @ direction(theta))

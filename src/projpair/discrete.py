@@ -8,6 +8,7 @@ Detector bins are midpoint-aligned: bin ``k`` has center ``lo + (k + 1/2) * widt
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -251,10 +252,7 @@ class PairOperator:
     def __init__(self, pair: PairGeometry, image: ImageGrid, det1: DetectorGrid, det2: DetectorGrid):
         if pair.kind != "fan-fan":
             raise ConfigurationError("the discrete pair operator supports fan-fan pairs")
-        report = check_pair_admissible(pair)
-        if not report.passed:
-            bad = {k: v for k, v in report.margins.items() if v <= 0}
-            raise ConfigurationError(f"pair geometry is not admissible; failing margins: {bad}")
+        check_pair_admissible(pair).require()
         dx, dy = image.pixel_size
         if abs(dx - dy) > 1e-12 * dx:
             raise ConfigurationError("pixel-driven operator requires square pixels")
@@ -264,6 +262,8 @@ class PairOperator:
         self.image = image
         self.dets = (det1, det2)
         self._idx = np.flatnonzero(image.mask)
+        if self._idx.size == 0:
+            raise ConfigurationError("the image mask keeps no pixel inside the domain")
         centers = image.pixel_centers()[self._idx]
         delta = dx
         area = image.pixel_area
@@ -369,8 +369,19 @@ def write_image(path, grid: ImageGrid, values: np.ndarray) -> None:
         fh.write(v.tobytes())
 
 
+@contextmanager
+def _reading(path):
+    """Report a file that cannot be opened or parsed as a ConfigurationError."""
+    try:
+        yield
+    except ConfigurationError:
+        raise
+    except (OSError, ValueError, IndexError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from None
+
+
 def read_image(path) -> tuple[ImageGrid, np.ndarray]:
-    with open(path, "rb") as fh:
+    with _reading(path), open(path, "rb") as fh:
         header = fh.readline().decode("ascii").split()
         if len(header) != 4 or header[0] != "PPIMG":
             raise ConfigurationError(f"not an image file: {path}")
@@ -414,11 +425,12 @@ def write_projection_csv(path, data: ProjectionData) -> None:
 
 
 def read_projection_csv(path) -> ProjectionData:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if len(lines) < 3 or not lines[1].startswith("# "):
-        raise ConfigurationError(f"not a projection file: {path}")
-    view, n_bins, lo, hi = lines[1][2:].split(",")
-    grid = DetectorGrid(int(view), int(n_bins), float(lo), float(hi))
-    vals = np.array([float(line.split(",")[1]) for line in lines[3:] if line])
+    with _reading(path):
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+        if len(lines) < 3 or not lines[1].startswith("# "):
+            raise ConfigurationError(f"not a projection file: {path}")
+        view, n_bins, lo, hi = lines[1][2:].split(",")
+        grid = DetectorGrid(int(view), int(n_bins), float(lo), float(hi))
+        vals = np.array([float(line.split(",")[1]) for line in lines[3:] if line])
     return ProjectionData(grid=grid, values=vals)

@@ -477,6 +477,12 @@ class AdmissibilityReport:
     margins: dict[str, float]
     orientation: int | None = None
 
+    def require(self) -> None:
+        """Raise ConfigurationError naming the failing margins unless passed."""
+        if not self.passed:
+            bad = {k: v for k, v in self.margins.items() if v <= 0}
+            raise ConfigurationError(f"pair geometry is not admissible; failing margins: {bad}")
+
 
 def view_range(geom, domain: ImageDomain, n_boundary: int = 1024) -> tuple[float, float]:
     """Range of the ray parameter over the domain, from boundary samples.

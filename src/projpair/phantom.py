@@ -192,6 +192,10 @@ class TargetData:
     view1: ProjectionData
     view2: ProjectionData
 
+    def __iter__(self):
+        """Unpack as ``view1, view2``."""
+        return iter((self.view1, self.view2))
+
     @property
     def g1(self) -> np.ndarray:
         return self.view1.values

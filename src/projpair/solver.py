@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -147,10 +147,7 @@ def predicted_residual_floor(target, kernels) -> float:
 
     A zero floor means the target is not obstructed by this condition.
     """
-    if hasattr(target, "view1") and hasattr(target, "view2"):
-        views: Sequence = (target.view1, target.view2)
-    else:
-        views = tuple(target)
+    views = tuple(target)
     g = np.concatenate([np.asarray(v.values, float).ravel() for v in views])
     w = np.concatenate(
         [

@@ -39,6 +39,9 @@ def test_check_reference_target_is_inconsistent(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "verdict = INCONSISTENT" in out
     assert "side1 = 0\n" in out
+    ref = pp.reference_target(100)
+    side2 = pp.pprc_sides(ref, pp.known_kernels(pp.reference_pair(0.0)))[1]
+    assert f"side2 = {format(side2, '.17g')}\n" in out
 
 
 def test_check_projected_phantom_is_consistent(tmp_path, capsys):
@@ -181,23 +184,39 @@ def test_missing_and_malformed_config(tmp_path, capsys):
     assert err.count("error:") == 2
 
 
-@pytest.mark.parametrize("text", [
-    "[geometry]\nmu = abc\n",
-    "[geometry]\nvertex1 = 0 x\n",
-    "[image]\nnx = ten\n",
-    "[detectors]\nbins1 = 1.5\n",
-], ids=["mu", "vertex1", "nx", "bins1"])
-def test_malformed_number_is_a_configuration_error(tmp_path, capsys, text):
+def assert_configuration_error(tmp_path, capsys, command, text):
     cfg = write_config(tmp_path, text, name="bad.ini")
-    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_verify_battery_passes(tmp_path, capsys):
-    code = run(["verify", "--out", str(tmp_path / "o")])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "verify: ALL PASS" in out
-    assert "[FAIL]" not in out
-    assert (tmp_path / "o" / "verify.txt").read_text() == out
+@pytest.mark.parametrize("command, text", [
+    ("solve", "[geometry]\nmu = abc\n"),
+    ("solve", "[geometry]\nvertex1 = 0 x\n"),
+    ("solve", "[image]\nnx = ten\n"),
+    ("solve", "[detectors]\nbins1 = 1.5\n"),
+    ("solve", "[image]\nextent = inf\n"),
+    ("solve", "[geometry]\nvertex1 = 0 inf\n"),
+    ("check", "[geometry]\nmu = nan\n"),
+], ids=["mu", "vertex1", "nx", "bins1", "extent-inf", "vertex1-inf", "check-mu-nan"])
+def test_malformed_number_is_a_configuration_error(tmp_path, capsys, command, text):
+    assert_configuration_error(tmp_path, capsys, command, text)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("project", "[phantom]\nkind = file\nfile = {missing}\n"),
+    ("check", "[geometry]\nmu = 0\n[target]\nkind = files\nfile1 = {missing}\nfile2 = {missing}\n"),
+    ("check", "[geometry]\nmu = 0\n[target]\nkind = files\nfile1 = {bad_csv}\nfile2 = {bad_csv}\n"),
+], ids=["phantom-file", "target-files", "csv-header"])
+def test_unreadable_input_file_is_a_configuration_error(tmp_path, capsys, command, text):
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("# view,n_bins,lo,hi\n# 1,x,0,1\nr,value\n0.5,1\n", encoding="ascii")
+    text = text.format(missing=tmp_path / "missing.txt", bad_csv=bad_csv)
+    assert_configuration_error(tmp_path, capsys, command, text)
+
+
+def test_check_rejects_inadmissible_pair(tmp_path, capsys):
+    # vertex 1 inside the domain: the range condition does not apply
+    text = "[geometry]\nmu = 0\nvertex1 = 0 20\n[target]\nkind = phantom\n"
+    assert_configuration_error(tmp_path, capsys, "check", text)

@@ -236,6 +236,8 @@ def test_operator_rejects_bad_configurations():
         pp.ImageDomain.disc((0.0, 0.0), 20.0))
     with pytest.raises(pp.ConfigurationError):
         pp.PairOperator(bad, pp.ImageGrid(32, 32, 50.0), d1, d2)
+    with pytest.raises(pp.ConfigurationError):
+        pp.PairOperator(pair, pp.ImageGrid(2, 2, 70.0), d1, d2)  # empty mask
 
 
 def test_detector_grid_centers():

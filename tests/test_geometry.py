@@ -149,6 +149,20 @@ def test_fanfan_vertex_order_agnostic():
         a = np.asarray(pp.fanfan_X(r1, r2, v1, v2), dtype=float)
         b = np.asarray(pp.fanfan_X(r2, r1, v2, v1), dtype=float)
         np.testing.assert_allclose(a, b, atol=1e-10)
+    # random vertex pairs and ray angles: X lies on both rays
+    drawn = 0
+    for _ in range(200):
+        v1, v2 = rng.uniform(-90.0, 90.0, size=(2, 2))
+        r1, r2 = rng.uniform(-math.pi, math.pi, size=2)
+        if np.hypot(*(v2 - v1)) < 1.0 or abs(math.sin(r2 - r1)) < 1e-2:
+            continue  # near-coincident vertices or near-parallel rays
+        drawn += 1
+        t1, t2 = pp.fanfan_tau(r1, r2, v1, v2)
+        x = np.asarray(pp.fanfan_X(r1, r2, v1, v2), dtype=float)
+        np.testing.assert_allclose(v1 + t1 * pp.direction(r1), x, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(v2 + t2 * pp.direction(r2), x, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(pp.fanfan_X(r2, r1, v2, v1), x, rtol=0, atol=1e-10)
+    assert drawn > 150
 
 
 def test_fanfan_parallel_rays_raise():
