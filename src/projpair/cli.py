@@ -89,20 +89,27 @@ _DEFAULTS = {
 
 
 class _Config(configparser.ConfigParser):
-    """Config whose typed reads report a malformed value as a ConfigurationError."""
+    """Config whose typed reads report a malformed value as a ConfigurationError.
 
-    def _typed(self, read, section: str, option: str, kwargs):
+    ``getint`` and ``getfloat`` also take ``minimum``, the smallest value
+    they accept.
+    """
+
+    def _typed(self, read, section: str, option: str, kwargs, minimum=None):
         try:
-            return read(section, option, **kwargs)
+            value = read(section, option, **kwargs)
         except ValueError:
             value = self.get(section, option, raw=True)
             raise ConfigurationError(f"[{section}] {option} = {value!r} is not a valid value") from None
+        if minimum is not None and value < minimum:
+            raise ConfigurationError(f"[{section}] {option} = {value!r} must be at least {minimum}")
+        return value
 
-    def getint(self, section, option, **kwargs):
-        return self._typed(super().getint, section, option, kwargs)
+    def getint(self, section, option, *, minimum=None, **kwargs):
+        return self._typed(super().getint, section, option, kwargs, minimum)
 
-    def getfloat(self, section, option, **kwargs):
-        value = self._typed(super().getfloat, section, option, kwargs)
+    def getfloat(self, section, option, *, minimum=None, **kwargs):
+        value = self._typed(super().getfloat, section, option, kwargs, minimum)
         if not math.isfinite(value):
             raise ConfigurationError(f"[{section}] {option} = {value!r} is not a finite number")
         return value
@@ -345,6 +352,7 @@ def cmd_check(args) -> int:
     cp, raw = _load_config(args.config)
     if args.tol is not None:
         cp["check"]["tol"] = format(args.tol, ".17g")
+    tol = cp["check"].getfloat("tol", minimum=0.0)
     pair = _build_pair(cp)
     dets = _build_detectors(cp, pair)
     outdir = Path(args.out)
@@ -366,7 +374,6 @@ def cmd_check(args) -> int:
     residual = left - right
     scale = max(abs(left), abs(right))
     rel = abs(residual) / scale if scale > 0 else abs(residual)
-    tol = cp["check"].getfloat("tol")
     consistent = rel <= tol
     text = (
         f"check: kind={pair.kind} kernels={kernels.label!r}\n"
@@ -387,10 +394,12 @@ def _test_tuple(theta0: float) -> tuple[float, float, float, float]:
 
 def cmd_separability(args) -> int:
     cp, raw = _load_config(args.config)
-    if args.n1:
+    if args.n1 is not None:
         cp["separability"]["n1"] = str(args.n1)
-    if args.n2:
+    if args.n2 is not None:
         cp["separability"]["n2"] = str(args.n2)
+    ssec = cp["separability"]
+    n1, n2 = ssec.getint("n1", minimum=2), ssec.getint("n2", minimum=2)
     sec = cp["geometry"]
     if sec["kind"].strip().lower() != "fan-fan":
         raise ConfigurationError("separability applies to fan-fan geometry")
@@ -402,8 +411,6 @@ def cmd_separability(args) -> int:
     mu = pair.first.mu
     s = pair_orientation(pair)
     theta0 = pair.first.theta0
-    ssec = cp["separability"]
-    n1, n2 = ssec.getint("n1"), ssec.getint("n2")
     margin = math.pi / 48.0
     lo, hi = theta0 + 0.5 * math.pi + margin, theta0 + 1.5 * math.pi - margin
     r1_axis = np.linspace(theta0 + math.pi, hi, n1)
@@ -464,6 +471,7 @@ def cmd_solve(args) -> int:
         cp["solver"]["max_iter"] = str(args.max_iter)
     if args.tol is not None:
         cp["solver"]["tol"] = format(args.tol, ".17g")
+    tol = cp["solver"].getfloat("tol", minimum=0.0)
     pair = _build_pair(cp)
     if pair.kind != "fan-fan":
         raise ConfigurationError("solve needs fan-fan geometry")
@@ -475,7 +483,7 @@ def cmd_solve(args) -> int:
     op = PairOperator(pair, image, dets[0], dets[1])
     target = _build_target(cp, pair, dets, args.seed)
     g = np.concatenate([target.g1, target.g2])
-    state = cgne_solve(op, g, max_iter=cp["solver"].getint("max_iter"), tol=cp["solver"].getfloat("tol"))
+    state = cgne_solve(op, g, max_iter=cp["solver"].getint("max_iter"), tol=tol)
     write_image(outdir / "iterate.img", op.image, state.iterate)
     wsec = cp["output"]
     window = wsec.getfloat("pgm_window") if wsec["pgm_window"].strip() else None

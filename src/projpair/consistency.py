@@ -338,7 +338,10 @@ def eval_G(r1, r1t, r2, r2t, mu: float, dl):
     ``projpair separability`` those intersections lie on backward ray
     extensions outside the domain (e.g. ``X = (-160, 80)``, ``t1 = -160`` on
     the reference pair), so the value there checks the algebra only; it is
-    not a certification at an admissible quadruple.
+    not a certification at an admissible quadruple.  The rays from both
+    reference vertices through ``(0, 0)`` and ``(20, -15)`` form one that is
+    admissible: all four intersections lie inside the domain, and there
+    ``G = 8.14e-3`` with ``dl = vertex2 - vertex1`` at ``mu = -0.154``.
     """
     dl = np.asarray(dl, float)
 
@@ -378,10 +381,18 @@ def separability_test(
 
     Computes the largest double difference
     ``D = L[i,j] - L[it,j] - L[i,jt] + L[it,jt]`` over all quadruples with
-    both rows valid at both columns (O(n1^2 * n2) via a running max-min per
-    row pair).  ``scale`` is the largest ``|L|``; the default threshold is
-    ``1e-8 * scale``.  A surface is separable exactly when D vanishes
-    identically.
+    both rows valid at both columns, as the largest spread
+    ``max_j - min_j`` of a row difference ``L[it] - L[i]`` (O(n1^2 * n2)).
+    How many columns each row pair shares comes from one matrix product of
+    the validity mask; a pair sharing fewer than two has no quadruple.  Each
+    row ``i`` then walks the rows below it in blocks of about 512 KB, making
+    three passes per block (subtract into one buffer, a NaN-skipping max and
+    a NaN-skipping min), so a block stays in cache.  The report is the one
+    the plain loop over row pairs gives: the same subtractions, and the first
+    maximum in row-pair then column order.  ``scale`` is the largest ``|L|``
+    and must be at most half the largest float, so no difference overflows;
+    the default threshold is ``1e-8 * scale``.  A surface is separable
+    exactly when D vanishes identically.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2:
@@ -391,33 +402,34 @@ def separability_test(
     r2_values = np.asarray(r2_values, float)
     if r1_values.size != n1 or r2_values.size != n2:
         raise ConfigurationError("axis value arrays must match the shape of L")
+    if n2 < 2:
+        raise ConfigurationError("not enough valid samples for any quadruple")
     if valid is None:
         valid = np.isfinite(L)
     else:
         valid = np.asarray(valid, bool) & np.isfinite(L)
     work = np.where(valid, L, np.nan)
     scale = float(np.max(np.abs(work[valid]))) if np.any(valid) else 0.0
+    if scale > 0.5 * np.finfo(float).max:
+        raise ConfigurationError(f"|L| reaches {scale:.6g}; row differences would overflow")
     if threshold is None:
         threshold = 1e-8 * scale
+    v = valid.astype(float)
+    shared = v @ v.T
+    rows = max(1, 65536 // n2)
+    buf = np.empty((min(rows, n1), n2))
     best = -1.0
     arg = (0, 0, 0, 0)
-    with np.errstate(invalid="ignore"):
-        for i in range(n1 - 1):
-            diff = work[i + 1 :, :] - work[i, :][None, :]
-            finite = np.isfinite(diff)
-            rows_ok = np.sum(finite, axis=1) >= 2
-            if not np.any(rows_ok):
-                continue
-            hi = np.where(finite, diff, -np.inf).max(axis=1)
-            lo = np.where(finite, diff, np.inf).min(axis=1)
-            spread = np.where(rows_ok, hi - lo, -np.inf)
+    for i in range(n1 - 1):
+        for a in range(i + 1, n1, rows):
+            b = min(a + rows, n1)
+            diff = np.subtract(work[a:b], work[i], out=buf[: b - a])
+            spread = np.fmax.reduce(diff, axis=1) - np.fmin.reduce(diff, axis=1)
+            spread[shared[i, a:b] < 2] = -np.inf
             k = int(np.argmax(spread))
             if spread[k] > best:
-                row = diff[k]
-                j_hi = int(np.nanargmax(np.where(np.isfinite(row), row, -np.inf)))
-                j_lo = int(np.nanargmin(np.where(np.isfinite(row), row, np.inf)))
                 best = float(spread[k])
-                arg = (i, i + 1 + k, j_hi, j_lo)
+                arg = (i, a + k, int(np.nanargmax(diff[k])), int(np.nanargmin(diff[k])))
     if best < 0.0:
         raise ConfigurationError("not enough valid samples for any quadruple")
     i, it, j_hi, j_lo = arg

@@ -184,9 +184,9 @@ def test_missing_and_malformed_config(tmp_path, capsys):
     assert err.count("error:") == 2
 
 
-def assert_configuration_error(tmp_path, capsys, command, text):
+def assert_configuration_error(tmp_path, capsys, command, text, options=()):
     cfg = write_config(tmp_path, text, name="bad.ini")
-    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o"), *options]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
 
@@ -202,6 +202,30 @@ def assert_configuration_error(tmp_path, capsys, command, text):
 ], ids=["mu", "vertex1", "nx", "bins1", "extent-inf", "vertex1-inf", "check-mu-nan"])
 def test_malformed_number_is_a_configuration_error(tmp_path, capsys, command, text):
     assert_configuration_error(tmp_path, capsys, command, text)
+
+
+SMALL_SOLVE = "[image]\nnx = 24\nny = 24\n[solver]\nmax_iter = 5\n"
+
+
+@pytest.mark.parametrize("command, text, options", [
+    ("separability", "[separability]\nn1 = -5\n", ()),
+    ("separability", "[separability]\nn2 = 1\n", ()),
+    ("separability", "", ("--n1", "0")),
+    ("check", "[geometry]\nmu = 0\n[check]\ntol = -1\n", ()),
+    ("check", "[geometry]\nmu = 0\n", ("--tol=-1e-9",)),
+    ("solve", SMALL_SOLVE + "tol = -1\n", ()),
+    ("solve", SMALL_SOLVE, ("--tol", "-1")),
+], ids=["separability-n1", "separability-n2", "separability-option-n1-zero",
+        "check-tol", "check-option-tol", "solve-tol", "solve-option-tol"])
+def test_out_of_range_value_is_a_configuration_error(tmp_path, capsys, command, text, options):
+    assert_configuration_error(tmp_path, capsys, command, text, options)
+
+
+def test_zero_tolerance_is_accepted(tmp_path):
+    cfg = write_config(tmp_path, SMALL_SOLVE + "tol = 0\n")
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    cfg = write_config(tmp_path, "[geometry]\nmu = 0\n[check]\ntol = 0\n", name="check.ini")
+    assert run(["check", "--config", cfg, "--out", str(tmp_path / "c")]) == 1
 
 
 @pytest.mark.parametrize("command, text", [

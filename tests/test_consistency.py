@@ -223,6 +223,30 @@ def test_eval_G_is_double_difference_of_log_lhs():
         checked += 1
 
 
+def test_eval_G_certifies_at_in_domain_quadruple():
+    """Rays from both reference vertices through X0 = (0, 0) and
+    X1 = (20, -15): all four intersections lie inside the domain, so the
+    nonzero G there is a certification at an admissible quadruple."""
+    pair = pp.reference_pair(MU)
+    v1 = np.asarray(pp.REFERENCE_VERTEX_1)
+    v2 = np.asarray(pp.REFERENCE_VERTEX_2)
+
+    def angle(v, x):
+        d = np.subtract(x, v)
+        return float(pp.lift_angle(math.atan2(d[1], d[0]), THETA0))
+
+    x0, x1 = (0.0, 0.0), (20.0, -15.0)
+    r1, r1t, r2, r2t = angle(v1, x0), angle(v1, x1), angle(v2, x0), angle(v2, x1)
+    total = 0.0
+    for a, b, sign in ((r1, r2, 1), (r1t, r2, -1), (r1, r2t, -1), (r1t, r2t, 1)):
+        x = pp.fanfan_X(a, b, v1, v2)
+        assert pair.domain.contains(x)
+        total += sign * (np.hypot(*(x - v1)) - np.hypot(*(x - v2)))
+    g = pp.eval_G(r1, r1t, r2, r2t, MU, v2 - v1)
+    assert abs(g - MU * total) <= 1e-12 * abs(g)
+    assert abs(g) > 1e-3
+
+
 def test_eval_G_rejects_degenerate_probe():
     with pytest.raises(pp.DomainError):
         pp.eval_G(1.0, 2.0, 1.0, 0.5, MU, (80.0, 80.0))  # r1 == r2 denominator
@@ -310,3 +334,160 @@ def test_separability_threshold_semantics():
     assert rep.verdict == "non-separable"
     forced = pp.separability_test(L, r1, r2, threshold=10.0)
     assert forced.verdict == "separable"
+
+
+def _reference_separability(L, r1_values, r2_values, threshold=None, valid=None):
+    """The plain loop over row pairs that ``separability_test`` must equal."""
+    L = np.asarray(L, dtype=float)
+    n1, n2 = L.shape
+    r1_values = np.asarray(r1_values, float)
+    r2_values = np.asarray(r2_values, float)
+    if valid is None:
+        valid = np.isfinite(L)
+    else:
+        valid = np.asarray(valid, bool) & np.isfinite(L)
+    work = np.where(valid, L, np.nan)
+    scale = float(np.max(np.abs(work[valid]))) if np.any(valid) else 0.0
+    if threshold is None:
+        threshold = 1e-8 * scale
+    best = -1.0
+    arg = (0, 0, 0, 0)
+    with np.errstate(invalid="ignore"):
+        for i in range(n1 - 1):
+            diff = work[i + 1 :, :] - work[i, :][None, :]
+            finite = np.isfinite(diff)
+            rows_ok = np.sum(finite, axis=1) >= 2
+            if not np.any(rows_ok):
+                continue
+            hi = np.where(finite, diff, -np.inf).max(axis=1)
+            lo = np.where(finite, diff, np.inf).min(axis=1)
+            spread = np.where(rows_ok, hi - lo, -np.inf)
+            k = int(np.argmax(spread))
+            if spread[k] > best:
+                row = diff[k]
+                j_hi = int(np.nanargmax(np.where(np.isfinite(row), row, -np.inf)))
+                j_lo = int(np.nanargmin(np.where(np.isfinite(row), row, np.inf)))
+                best = float(spread[k])
+                arg = (i, i + 1 + k, j_hi, j_lo)
+    if best < 0.0:
+        raise pp.ConfigurationError("not enough valid samples for any quadruple")
+    i, it, j_hi, j_lo = arg
+    verdict = "separable" if best <= threshold else "non-separable"
+    return pp.SeparabilityReport(
+        max_abs_D=best,
+        argmax=(float(r1_values[i]), float(r1_values[it]), float(r2_values[j_hi]), float(r2_values[j_lo])),
+        threshold=float(threshold),
+        scale=scale,
+        verdict=verdict,
+        n_rows=n1,
+        n_cols=n2,
+    )
+
+
+def _brute_force_max_D(L, valid):
+    """Largest ``(L[it,j] - L[i,j]) - (L[it,jt] - L[i,jt])`` over all
+    quadruples with both rows valid at two distinct columns, or None."""
+    n1, n2 = L.shape
+    best = None
+    for i in range(n1):
+        for it in range(i + 1, n1):
+            for j in range(n2):
+                for jt in range(n2):
+                    if j != jt and valid[i, j] and valid[it, j] and valid[i, jt] and valid[it, jt]:
+                        d = (L[it, j] - L[i, j]) - (L[it, jt] - L[i, jt])
+                        best = d if best is None else max(best, d)
+    return best
+
+
+def _one_shared_column():
+    """Rows 0-4 share only column 0 with each other; rows 5 and 6 share
+    columns 0 and 1 and differ by a constant there, so the one quadruple
+    reads D = 0 and must come from that pair."""
+    L = np.full((7, 8), np.nan)
+    L[:, 0] = np.arange(7.0)
+    for i in range(5):
+        L[i, i + 2] = 10.0 * i
+    L[5, 1], L[6, 1] = 3.0, 4.0
+    return L, None
+
+
+def _separability_inputs():
+    rng = np.random.default_rng(20261018)
+    cases = {}
+    for density in (0.0, 0.3, 0.7, 0.95):
+        L = rng.normal(size=(23, 31))
+        L[rng.random(L.shape) < density] = np.nan
+        cases[f"nan-{density}"] = (L, None)
+    L = rng.normal(size=(19, 17))
+    cases["valid-mask"] = (L, rng.random(L.shape) < 0.6)
+    L = rng.normal(size=(17, 21))
+    L[rng.random(L.shape) < 0.2] = np.nan
+    cases["nan-and-mask"] = (L, rng.random(L.shape) < 0.8)
+    cases["rounded-ties"] = (np.round(rng.normal(size=(25, 24)), 1), None)
+    cases["integer-ties"] = (rng.integers(-2, 3, size=(12, 9)).astype(float), None)
+    cases["additive"] = (np.arange(9.0)[:, None] + np.arange(6.0)[None, :] ** 2, None)
+    cases["one-shared-column"] = _one_shared_column()
+    L = rng.normal(size=(70, 2048))
+    L[rng.random(L.shape) < 0.1] = np.nan
+    cases["blocks-70x2048"] = (L, None)
+    # separable but for one bump in rows 32 and 40, the last row of the first
+    # block below row 0 and a row of the second: a tie across blocks
+    L = np.arange(70.0)[:, None] + (np.arange(2048) % 17)[None, :]
+    L[[32, 40], 7] += 1.0
+    cases["block-edge-ties"] = (L, None)
+    cases["one-row"] = (rng.normal(size=(1, 6)), None)
+    cases["one-column"] = (rng.normal(size=(6, 1)), None)
+    cases["no-columns"] = (np.empty((6, 0)), None)
+    cases["all-nan"] = (np.full((5, 4), np.nan), None)
+    vx1, vx2 = pp.REFERENCE_VERTEX_1, pp.REFERENCE_VERTEX_2
+    r1, r2 = surface_grids(40, 37)
+    for mu in (MU, 0.0):
+        cases[f"surface-mu{mu}"] = pp.expo_surface(r1, r2, mu, vx1, vx2, orientation=-1)
+    return cases
+
+
+SEPARABILITY_INPUTS = _separability_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(SEPARABILITY_INPUTS))
+def test_separability_equals_reference_loop(name):
+    L, valid = SEPARABILITY_INPUTS[name]
+    r1 = np.linspace(0.0, 1.0, L.shape[0])
+    r2 = np.linspace(2.0, 3.0, L.shape[1])
+    try:
+        want = _reference_separability(L, r1, r2, valid=valid)
+    except pp.ConfigurationError:
+        with pytest.raises(pp.ConfigurationError):
+            pp.separability_test(L, r1, r2, valid=valid)
+        return
+    got = pp.separability_test(L, r1, r2, valid=valid)
+    assert got == want  # every field, argmax included
+
+
+def test_reference_loop_matches_brute_force():
+    rng = np.random.default_rng(7)
+    inputs = [_one_shared_column()]
+    for _ in range(40):
+        n1, n2 = rng.integers(2, 9, size=2)
+        L = np.round(rng.normal(size=(n1, n2)), 1)
+        L[rng.random(L.shape) < rng.uniform(0.0, 0.6)] = np.nan
+        inputs.append((L, rng.random(L.shape) < 0.9 if rng.random() < 0.5 else None))
+    for L, valid in inputs:
+        ok = np.isfinite(L) if valid is None else valid & np.isfinite(L)
+        want = _brute_force_max_D(L, ok)
+        r1 = np.arange(float(L.shape[0]))
+        r2 = np.arange(float(L.shape[1]))
+        if want is None:
+            with pytest.raises(pp.ConfigurationError):
+                _reference_separability(L, r1, r2, valid=valid)
+            continue
+        rep = _reference_separability(L, r1, r2, valid=valid)
+        assert rep.max_abs_D == want
+        i, it, j, jt = (int(v) for v in rep.argmax)
+        assert (L[it, j] - L[i, j]) - (L[it, jt] - L[i, jt]) == want
+
+
+def test_separability_rejects_overflowing_differences():
+    L = np.array([[1e308, 0.0, 1.0], [-1e308, 2.0, 0.0], [0.0, 1.0, 3.0]])
+    with pytest.raises(pp.ConfigurationError):
+        pp.separability_test(L, np.arange(3.0), np.arange(3.0))
