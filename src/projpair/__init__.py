@@ -34,17 +34,10 @@ from .geometry import (
     check_pair_admissible,
     cross2,
     direction,
-    fan_inverse,
-    fan_jacobian_inv,
-    fan_point,
     fanfan_X,
     fanfan_tau,
     lift_angle,
-    pair_from_text,
     pair_orientation,
-    pair_to_text,
-    par_inverse,
-    par_point,
     parfan_X,
     perp,
     reference_domain,
@@ -84,10 +77,8 @@ from .consistency import (
     KernelPair,
     SeparabilityReport,
     eval_G,
-    expo_lhs_log,
     expo_surface,
     kernel_condition_residual,
-    kernel_lhs_log,
     known_kernels,
     pprc_residual,
     pprc_sides,

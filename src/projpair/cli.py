@@ -47,11 +47,9 @@ from .geometry import (
     PairGeometry,
     ParGeometry,
     check_pair_admissible,
-    cross2,
     direction,
+    fan_pair,
     lift_angle,
-    pair_orientation,
-    perp,
     reference_domain,
     view_range,
 )
@@ -187,15 +185,7 @@ def _build_pair(cp: configparser.ConfigParser) -> PairGeometry:
     if kind == "fan-fan":
         v1 = _parse_vec(sec["vertex1"], "vertex1")
         v2 = _parse_vec(sec["vertex2"], "vertex2")
-        dl = np.array(v2) - np.array(v1)
-        s = 1.0 if cross2(domain.reference_point() - np.array(v1), dl) > 0 else -1.0
-        pd = perp(s * dl)
-        theta0 = math.atan2(pd[1], pd[0])
-        return PairGeometry(
-            first=FanGeometry(vertex=v1, theta0=theta0, mu=mu),
-            second=FanGeometry(vertex=v2, theta0=theta0, mu=mu),
-            domain=domain,
-        )
+        return fan_pair(v1, v2, mu, domain)
     if kind == "par-fan":
         theta = math.radians(sec.getfloat("theta1_deg"))
         v2 = _parse_vec(sec["vertex2"], "vertex2")
@@ -354,6 +344,8 @@ def cmd_check(args) -> int:
         cp["check"]["tol"] = format(args.tol, ".17g")
     tol = cp["check"].getfloat("tol", minimum=0.0)
     pair = _build_pair(cp)
+    admiss = check_pair_admissible(pair)
+    admiss.require()
     dets = _build_detectors(cp, pair)
     outdir = Path(args.out)
     _write_common(outdir, cp, raw)
@@ -366,8 +358,6 @@ def cmd_check(args) -> int:
             "report.txt",
         )
         return 2
-    admiss = check_pair_admissible(pair)
-    admiss.require()
     target = _build_target(cp, pair, dets, args.seed)
     worst_name = min(admiss.margins, key=admiss.margins.get)
     left, right = pprc_sides(target, kernels)
@@ -404,12 +394,12 @@ def cmd_separability(args) -> int:
     if sec["kind"].strip().lower() != "fan-fan":
         raise ConfigurationError("separability applies to fan-fan geometry")
     pair = _build_pair(cp)
+    check_pair_admissible(pair).require()
     outdir = Path(args.out)
     _write_common(outdir, cp, raw)
     v1 = pair.first.vertex_xy
     v2 = pair.second.vertex_xy
     mu = pair.first.mu
-    s = pair_orientation(pair)
     theta0 = pair.first.theta0
     margin = math.pi / 48.0
     lo, hi = theta0 + 0.5 * math.pi + margin, theta0 + 1.5 * math.pi - margin
@@ -419,7 +409,7 @@ def cmd_separability(args) -> int:
     if ssec.getboolean("include_test_tuple"):
         r1_axis = np.union1d(r1_axis, [tup[0], tup[1]])
         r2_axis = np.union1d(r2_axis, [tup[2], tup[3]])
-    L, valid = expo_surface(r1_axis, r2_axis, mu, v1, v2, orientation=s)
+    L, _ = expo_surface(pair, r1_axis, r2_axis)
     report = separability_test(L, r1_axis, r2_axis)
     g_tuple = float(eval_G(tup[0], tup[1], tup[2], tup[3], mu, v2 - v1))
     text = (
@@ -515,6 +505,14 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Parser whose usage errors raise ConfigurationError (exit 5), so they
+    never take exit 2, which ``check`` keeps for "no kernels exist"."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="INI config file (all keys optional)")
     sub.add_argument("--out", default="out", help="output directory (default: ./out)")
@@ -522,7 +520,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="projpair", description=__doc__)
+    parser = _ArgumentParser(prog="projpair", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -548,8 +546,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_solve)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ProjPairError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,22 +21,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateKernelError,
-    DomainError,
-    EvaluationError,
-    ResolutionError,
-)
+from .errors import ConfigurationError, DomainError, EvaluationError, ResolutionError
 from .geometry import (
     DENOM_TOL,
-    FanGeometry,
-    ImageDomain,
     PairGeometry,
-    ParGeometry,
     cross2,
     direction,
-    fan_inverse,
     fanfan_X,
     lift_angle,
     pair_orientation,
@@ -150,9 +140,6 @@ def _pair_X(pair: PairGeometry, r1, r2) -> np.ndarray:
 
 def _factor(geom, x) -> np.ndarray:
     """weight(at the point) times |det D inverse| for one family."""
-    if isinstance(geom, ParGeometry):
-        x = np.asarray(x, float)
-        return np.ones(x.shape[:-1])
     r, t = geom.inverse(x)
     return geom.weight(r, t) * geom.jacobian_inv(x)
 
@@ -288,40 +275,6 @@ def pv_hilbert_residual(target, pair: PairGeometry, eps_values) -> float:
 # Exponential fan-fan: the log kernel-condition surface and separability
 
 
-def expo_lhs_log(r1, r2, mu: float, vertex1, vertex2):
-    """Log of the normalized exponential fan-fan kernel-condition left side.
-
-        mu * ((perp(d1) - perp(d2)) . dl) / (perp(d1) . d2)
-
-    with ``dl = vertex2 - vertex1``.  This equals ``mu * (t1 - t2)`` at the
-    ray intersection; the remaining (separable) log factors are dropped.
-    """
-    d1 = direction(r1)
-    d2 = direction(r2)
-    dl = np.asarray(vertex2, float) - np.asarray(vertex1, float)
-    den = np.sum(perp(d1) * d2, axis=-1)
-    if np.any(np.abs(den) < DENOM_TOL):
-        raise DomainError("parallel rays: kernel-condition left side undefined")
-    return mu * ((perp(d1) - perp(d2)) @ dl) / den
-
-
-def kernel_lhs_log(r1, r2, mu: float, vertex1, vertex2, orientation: int = 1):
-    """Full log of the exponential fan-fan kernel-condition left side.
-
-    Adds the (separable) ``log(perp(di) . dl)`` factors to
-    :func:`expo_lhs_log`; ``orientation`` flips ``dl`` so both logs are
-    defined on admissible configurations regardless of vertex labeling.
-    """
-    d1 = direction(r1)
-    d2 = direction(r2)
-    dls = float(orientation) * (np.asarray(vertex2, float) - np.asarray(vertex1, float))
-    p1 = perp(d1) @ dls
-    p2 = perp(d2) @ dls
-    if np.any(p1 <= 0) or np.any(p2 <= 0):
-        raise DomainError("ray angles leave the oriented half-plane; log factor undefined")
-    return expo_lhs_log(r1, r2, mu, vertex1, vertex2) + np.log(p1) - np.log(p2)
-
-
 def eval_G(r1, r1t, r2, r2t, mu: float, dl):
     """Closed-form double difference of the log kernel-condition surface.
 
@@ -446,31 +399,41 @@ def separability_test(
 
 
 def expo_surface(
-    r1_values: np.ndarray,
-    r2_values: np.ndarray,
-    mu: float,
-    vertex1,
-    vertex2,
-    orientation: int = 1,
-    require_order: bool = True,
+    pair: PairGeometry, r1_values: np.ndarray, r2_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the full log kernel-condition surface on a parameter grid.
+    """Sample the full log kernel-condition surface of an exponential fan-fan
+    pair on a parameter grid.
 
-    Returns ``(L, valid)``; entries with ``r1 <= r2`` (when ``require_order``)
-    or with undefined log factors are flagged invalid rather than raising.
+    With ``dl = vertex2 - vertex1``, ``s = pair_orientation(pair)`` and
+    ``den = perp(d1) . d2``, the entry at ``(r1, r2)`` is
+
+        mu * ((perp(d1) - perp(d2)) . dl) / den + log(perp(d1) . s*dl) - log(perp(d2) . s*dl)
+
+    Where the two rays meet ahead of both vertices (``t1, t2 > 0``, as on
+    every ray pair meeting inside the domain) this is the log of the ratio
+    of the two views' ``weight * jacobian_inv`` factors at the intersection,
+    ``mu * (t1 - t2) - log t1 + log t2``.  Returns ``(L, valid)``; entries
+    at parallel rays or with undefined log factors are flagged invalid
+    (NaN) rather than raising.
+
+    Raises
+    ------
+    ConfigurationError
+        Unless ``pair`` is fan-fan with one ``mu`` for both views.
     """
+    if pair.kind != "fan-fan" or pair.first.mu != pair.second.mu:
+        raise ConfigurationError("the exponential surface needs a fan-fan pair with one mu")
+    mu = pair.first.mu
     r1 = np.asarray(r1_values, float)[:, None]
     r2 = np.asarray(r2_values, float)[None, :]
     d1 = direction(r1)
     d2 = direction(r2)
-    dl = np.asarray(vertex2, float) - np.asarray(vertex1, float)
-    dls = float(orientation) * dl
+    dl = pair.second.vertex_xy - pair.first.vertex_xy
+    dls = float(pair_orientation(pair)) * dl
     den = np.sum(perp(d1) * d2, axis=-1)
     p1 = np.broadcast_to(perp(d1) @ dls, den.shape)
     p2 = np.broadcast_to(perp(d2) @ dls, den.shape)
     valid = (np.abs(den) > DENOM_TOL) & (p1 > 0) & (p2 > 0)
-    if require_order:
-        valid &= np.broadcast_to(r1 > r2, den.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         L = mu * (((perp(d1) - perp(d2)) @ dl) / den) + np.log(p1) - np.log(p2)
     L = np.where(valid, L, np.nan)

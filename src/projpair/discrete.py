@@ -18,11 +18,9 @@ from .consistency import known_kernels
 from .errors import ConfigurationError
 from .geometry import (
     ATTENUATION_MU,
-    FanGeometry,
     ImageDomain,
     PairGeometry,
     check_pair_admissible,
-    fan_inverse,
     reference_pair,
     reference_view_ranges,
 )
@@ -271,7 +269,7 @@ class PairOperator:
         kerns = (None, None) if kernels is None else (kernels.v1, kernels.v2)
         self._tables = []
         for geom, det, kern in zip((pair.first, pair.second), self.dets, kerns):
-            r, t = fan_inverse(geom, centers)
+            r, t = geom.inverse(centers)
             w = delta / t  # angular footprint width
             coeff = area * np.exp(geom.mu * t) / t  # projected mass per unit f
             density = coeff / w

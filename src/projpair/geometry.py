@@ -78,10 +78,17 @@ class ParGeometry:
     theta: float
 
     def point(self, r, t):
-        return par_point(self, r, t)
+        """Point at offset ``r``, arc parameter ``t`` on the parallel family."""
+        r = np.asarray(r, dtype=float)
+        t = np.asarray(t, dtype=float)
+        d = direction(self.theta)
+        return r[..., None] * d + t[..., None] * perp(d)
 
     def inverse(self, x):
-        return par_inverse(self, x)
+        """Return ``(r, t)`` with ``self.point(r, t) == x``. Exact inverse."""
+        x = np.asarray(x, dtype=float)
+        d = direction(self.theta)
+        return x @ d, x @ perp(d)
 
     def jacobian_inv(self, x):
         x = np.asarray(x, dtype=float)
@@ -90,21 +97,6 @@ class ParGeometry:
     def weight(self, r, t):
         r, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(t, float))
         return np.ones_like(t)
-
-
-def par_point(geom: ParGeometry, r, t):
-    """Point at offset ``r``, arc parameter ``t`` on the parallel family."""
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    d = direction(geom.theta)
-    return r[..., None] * d + t[..., None] * perp(d)
-
-
-def par_inverse(geom: ParGeometry, x):
-    """Return ``(r, t)`` with ``par_point(geom, r, t) == x``. Exact inverse."""
-    x = np.asarray(x, dtype=float)
-    d = direction(geom.theta)
-    return x @ d, x @ perp(d)
 
 
 # ---------------------------------------------------------------------------
@@ -132,53 +124,41 @@ class FanGeometry:
         return np.array(self.vertex, dtype=float)
 
     def point(self, r, t):
-        return fan_point(self, r, t)
+        """Point at distance ``t > 0`` along the ray at absolute angle ``r``."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t <= 0.0):
+            raise DomainError("fan parameter t must be positive")
+        r = np.asarray(r, dtype=float)
+        return self.vertex_xy + t[..., None] * direction(r)
 
     def inverse(self, x):
-        return fan_inverse(self, x)
+        """Return ``(r, t)``: ray angle on the branch and distance to the vertex.
+
+        Raises
+        ------
+        SingularPointError
+            If ``x`` coincides with the vertex (no ray through it is defined).
+        """
+        x = np.asarray(x, dtype=float)
+        d = x - self.vertex_xy
+        t = np.hypot(d[..., 0], d[..., 1])
+        if np.any(t < DENOM_TOL):
+            raise SingularPointError("point coincides with the fan vertex")
+        r = lift_angle(np.arctan2(d[..., 1], d[..., 0]), self.theta0)
+        return r, t
 
     def jacobian_inv(self, x):
-        return fan_jacobian_inv(self, x)
+        """|det of the derivative of the inverse fan map| = 1 / |x - vertex|."""
+        x = np.asarray(x, dtype=float)
+        d = x - self.vertex_xy
+        t = np.hypot(d[..., 0], d[..., 1])
+        if np.any(t < DENOM_TOL):
+            raise SingularPointError("jacobian of the inverse map blows up at the vertex")
+        return 1.0 / t
 
     def weight(self, r, t):
         r, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(t, float))
         return np.exp(self.mu * t)
-
-
-def fan_point(geom: FanGeometry, r, t):
-    """Point at distance ``t > 0`` along the ray at absolute angle ``r``."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("fan parameter t must be positive")
-    r = np.asarray(r, dtype=float)
-    return geom.vertex_xy + t[..., None] * direction(r)
-
-
-def fan_inverse(geom: FanGeometry, x):
-    """Return ``(r, t)``: ray angle on the branch and distance to the vertex.
-
-    Raises
-    ------
-    SingularPointError
-        If ``x`` coincides with the vertex (no ray through it is defined).
-    """
-    x = np.asarray(x, dtype=float)
-    d = x - geom.vertex_xy
-    t = np.hypot(d[..., 0], d[..., 1])
-    if np.any(t < DENOM_TOL):
-        raise SingularPointError("point coincides with the fan vertex")
-    r = lift_angle(np.arctan2(d[..., 1], d[..., 0]), geom.theta0)
-    return r, t
-
-
-def fan_jacobian_inv(geom: FanGeometry, x):
-    """|det of the derivative of the inverse fan map| = 1 / |x - vertex|."""
-    x = np.asarray(x, dtype=float)
-    d = x - geom.vertex_xy
-    t = np.hypot(d[..., 0], d[..., 1])
-    if np.any(t < DENOM_TOL):
-        raise SingularPointError("jacobian of the inverse map blows up at the vertex")
-    return 1.0 / t
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +448,11 @@ class AdmissibilityReport:
 
     ``margins`` maps named inequalities to their worst-case slack over the
     boundary sampling; every entry must exceed the threshold for ``passed``.
-    ``orientation`` is the sign that makes the fan-fan half-plane inequality
-    positive on the domain (None for other kinds).
     """
 
     kind: str
     passed: bool
     margins: dict[str, float]
-    orientation: int | None = None
 
     def require(self) -> None:
         """Raise ConfigurationError naming the failing margins unless passed."""
@@ -512,7 +489,7 @@ def check_fan_admissible(geom: FanGeometry, domain: ImageDomain, n_boundary: int
         dist = -dist
     margins = {"vertex_clearance": dist}
     if dist > 0:
-        r, _ = fan_inverse(geom, pts)
+        r, _ = geom.inverse(pts)
         u = np.sort(r) - geom.theta0  # cut at 0 and 2*pi
         gaps = np.diff(u, append=u[0] + 2.0 * math.pi)
         i = int(np.argmax(gaps))
@@ -533,8 +510,8 @@ def _parpar_margins(g1: ParGeometry, g2: ParGeometry) -> dict[str, float]:
 
 def _parfan_margins(g1: ParGeometry, g2: FanGeometry, domain: ImageDomain, n: int) -> dict[str, float]:
     pts = domain.boundary_points(n)
-    r1, _ = par_inverse(g1, pts)
-    r2, _ = fan_inverse(g2, pts)
+    r1, _ = g1.inverse(pts)
+    r2, _ = g2.inverse(pts)
     s0 = float(g2.vertex_xy @ direction(g1.theta))
     lo, hi = float(np.min(r1)), float(np.max(r1))
     offset = min(abs(s0 - lo), abs(s0 - hi))
@@ -547,25 +524,31 @@ def _parfan_margins(g1: ParGeometry, g2: FanGeometry, domain: ImageDomain, n: in
     return {"offset_clearance": offset, "cos_clearance": cos_min}
 
 
-def _fanfan_margins(
-    g1: FanGeometry, g2: FanGeometry, domain: ImageDomain, n: int
-) -> tuple[dict[str, float], int]:
+def _orientation(vertex1, vertex2, domain: ImageDomain) -> int:
+    """+1 if the domain lies on the positive side of the line from
+    ``vertex1`` to ``vertex2`` (``cross2(x - vertex1, vertex2 - vertex1) > 0``
+    at the domain's reference point), else -1."""
+    v1 = np.asarray(vertex1, dtype=float)
+    dl = np.asarray(vertex2, dtype=float) - v1
+    return 1 if cross2(domain.reference_point() - v1, dl) > 0 else -1
+
+
+def _fanfan_margins(g1: FanGeometry, g2: FanGeometry, domain: ImageDomain, n: int) -> dict[str, float]:
     dl = g2.vertex_xy - g1.vertex_xy
     norm_dl = float(np.hypot(*dl))
     if norm_dl < DENOM_TOL:
         raise ConfigurationError("fan vertices coincide")
-    s = 1 if cross2(domain.reference_point() - g1.vertex_xy, dl) > 0 else -1
+    s = _orientation(g1.vertex_xy, g2.vertex_xy, domain)
     pts = domain.boundary_points(n)
-    r1, _ = fan_inverse(g1, pts)
-    r2, _ = fan_inverse(g2, pts)
+    r1, _ = g1.inverse(pts)
+    r2, _ = g2.inverse(pts)
     d1, d2 = direction(r1), direction(r2)
-    margins = {
+    return {
         "line_clearance": float(np.min(s * cross2(pts - g1.vertex_xy, dl) / norm_dl)),
         "ray_pair": float(np.min(-s * np.sum(perp(d1) * d2, axis=-1))),
         "dl_dot_1": float(np.min(s * perp(d1) @ dl)),
         "dl_dot_2": float(np.min(s * perp(d2) @ dl)),
     }
-    return margins, s
 
 
 def check_pair_admissible(
@@ -576,12 +559,11 @@ def check_pair_admissible(
     All inequalities are evaluated on a dense boundary sampling of the domain
     (the relevant quantities attain their extremes there).  For fan-fan pairs
     the orientation sign that makes the domain sit on the positive side of
-    the line through the two vertices is folded into the margins and
-    reported, so admissibility never depends on the labeling order of the
-    vertices.
+    the line through the two vertices (:func:`pair_orientation`) is folded
+    into the margins, so admissibility never depends on the labeling order
+    of the vertices.
     """
     kind = pair.kind
-    orientation: int | None = None
     if kind == "par-par":
         margins = _parpar_margins(pair.first, pair.second)
     elif kind == "par-fan":
@@ -590,7 +572,7 @@ def check_pair_admissible(
             {"fan_" + k: v for k, v in check_fan_admissible(pair.second, pair.domain, n_boundary).margins.items()}
         )
     elif kind == "fan-fan":
-        margins, orientation = _fanfan_margins(pair.first, pair.second, pair.domain, n_boundary)
+        margins = _fanfan_margins(pair.first, pair.second, pair.domain, n_boundary)
         for tag, geom in (("fan1_", pair.first), ("fan2_", pair.second)):
             margins.update(
                 {tag + k: v for k, v in check_fan_admissible(geom, pair.domain, n_boundary).margins.items()}
@@ -598,7 +580,7 @@ def check_pair_admissible(
     else:  # pragma: no cover - PairGeometry forbids (fan, par)
         raise ConfigurationError(f"unsupported pair kind {kind!r}")
     passed = all(m > min_margin for m in margins.values())
-    return AdmissibilityReport(kind=kind, passed=passed, margins=margins, orientation=orientation)
+    return AdmissibilityReport(kind=kind, passed=passed, margins=margins)
 
 
 def pair_orientation(pair: PairGeometry) -> int:
@@ -606,8 +588,21 @@ def pair_orientation(pair: PairGeometry) -> int:
     positive side of the vertex line in the labeled order)."""
     if pair.kind != "fan-fan":
         raise ConfigurationError("orientation is defined for fan-fan pairs only")
-    dl = pair.second.vertex_xy - pair.first.vertex_xy
-    return 1 if cross2(pair.domain.reference_point() - pair.first.vertex_xy, dl) > 0 else -1
+    return _orientation(pair.first.vertex_xy, pair.second.vertex_xy, pair.domain)
+
+
+def fan_pair(vertex1, vertex2, mu: float, domain: ImageDomain) -> PairGeometry:
+    """Fan-fan pair with one ``mu`` whose views share the branch cut
+    ``theta0 = angle of perp(s * (vertex2 - vertex1))``, ``s`` the orientation
+    sign: the cut points away from the domain's side of the vertex line."""
+    s = _orientation(vertex1, vertex2, domain)
+    pd = perp(s * (np.asarray(vertex2, dtype=float) - np.asarray(vertex1, dtype=float)))
+    theta0 = math.atan2(pd[1], pd[0])
+    return PairGeometry(
+        first=FanGeometry(vertex=vertex1, theta0=theta0, mu=mu),
+        second=FanGeometry(vertex=vertex2, theta0=theta0, mu=mu),
+        domain=domain,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -636,13 +631,9 @@ def reference_domain() -> ImageDomain:
 
 
 def reference_pair(mu: float = ATTENUATION_MU) -> PairGeometry:
-    """The dual-vertex exponential fan pair over the reference domain."""
-    theta0 = 3.0 * math.pi / 4.0
-    return PairGeometry(
-        first=FanGeometry(vertex=REFERENCE_VERTEX_1, theta0=theta0, mu=mu),
-        second=FanGeometry(vertex=REFERENCE_VERTEX_2, theta0=theta0, mu=mu),
-        domain=reference_domain(),
-    )
+    """The dual-vertex exponential fan pair over the reference domain
+    (branch cut at ``theta0 = 3*pi/4``)."""
+    return fan_pair(REFERENCE_VERTEX_1, REFERENCE_VERTEX_2, mu, reference_domain())
 
 
 def reference_view_ranges() -> tuple[tuple[float, float], tuple[float, float]]:
@@ -656,74 +647,3 @@ def reference_view_ranges() -> tuple[tuple[float, float], tuple[float, float]]:
     c1 = 1.5 * math.pi
     c2 = 2.0 * math.pi
     return (c1 - a, c1 + a), (c2 - a, c2 + a)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def pair_to_text(pair: PairGeometry) -> str:
-    """Serialize a pair as key/value text (radians, centimeters)."""
-    lines = []
-    for name, geom in (("view1", pair.first), ("view2", pair.second)):
-        lines.append(f"[{name}]")
-        if isinstance(geom, ParGeometry):
-            lines.append("kind = parallel")
-            lines.append(f"theta = {_format_float(geom.theta)}")
-        else:
-            lines.append("kind = fan")
-            lines.append(f"vertex = {_format_float(geom.vertex[0])} {_format_float(geom.vertex[1])}")
-            lines.append(f"theta0 = {_format_float(geom.theta0)}")
-            lines.append(f"mu = {_format_float(geom.mu)}")
-        lines.append("")
-    d = pair.domain
-    lines.append("[domain]")
-    lines.append(f"kind = {d.kind}")
-    if d.kind == "rectangle":
-        lines.append(f"center = {_format_float(d.center[0])} {_format_float(d.center[1])}")
-        lines.append(f"half_widths = {_format_float(d.half_widths[0])} {_format_float(d.half_widths[1])}")
-    elif d.kind == "disc":
-        lines.append(f"center = {_format_float(d.center[0])} {_format_float(d.center[1])}")
-        lines.append(f"radius = {_format_float(d.radius)}")
-    else:
-        flat = " ".join(_format_float(v) for v in d.vertices.ravel())
-        lines.append(f"vertices = {flat}")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def pair_from_text(text: str) -> PairGeometry:
-    """Inverse of :func:`pair_to_text`."""
-    import configparser
-
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
-    geoms = []
-    for name in ("view1", "view2"):
-        sec = cp[name]
-        if sec["kind"] == "parallel":
-            geoms.append(ParGeometry(theta=float(sec["theta"])))
-        elif sec["kind"] == "fan":
-            vx, vy = (float(v) for v in sec["vertex"].split())
-            geoms.append(FanGeometry(vertex=(vx, vy), theta0=float(sec["theta0"]), mu=float(sec["mu"])))
-        else:
-            raise ConfigurationError(f"unknown geometry kind {sec['kind']!r}")
-    dsec = cp["domain"]
-    dkind = dsec["kind"]
-    if dkind == "rectangle":
-        cx, cy = (float(v) for v in dsec["center"].split())
-        hx, hy = (float(v) for v in dsec["half_widths"].split())
-        dom = ImageDomain.rectangle(hx, hy, center=(cx, cy))
-    elif dkind == "disc":
-        cx, cy = (float(v) for v in dsec["center"].split())
-        dom = ImageDomain.disc((cx, cy), float(dsec["radius"]))
-    elif dkind == "polygon":
-        vals = np.array([float(v) for v in dsec["vertices"].split()])
-        dom = ImageDomain.polygon(vals.reshape(-1, 2))
-    else:
-        raise ConfigurationError(f"unknown domain kind {dkind!r}")
-    return PairGeometry(first=geoms[0], second=geoms[1], domain=dom)

@@ -40,12 +40,12 @@ def _as_ops(A) -> tuple[Callable, Callable]:
         return (lambda x: A @ x), (lambda y: A.T @ y)
     if hasattr(A, "forward_flat") and hasattr(A, "adjoint_flat"):
         return A.forward_flat, A.adjoint_flat
-    if hasattr(A, "forward") and hasattr(A, "adjoint"):
-        return A.forward, A.adjoint
     try:
         fwd, adj = A
     except Exception as exc:
-        raise ConfigurationError("operator must be a matrix, (forward, adjoint) pair, or expose both methods") from exc
+        raise ConfigurationError(
+            "operator must be a matrix, a (forward, adjoint) pair, or expose forward_flat/adjoint_flat"
+        ) from exc
     return fwd, adj
 
 
@@ -60,11 +60,11 @@ def cgne_solve(
     """Minimize ``||A f - g||`` over iterates in the range of the adjoint.
 
     ``A`` may be a dense matrix, a ``(forward, adjoint)`` pair of callables
-    on flat vectors, or any object exposing ``forward``/``adjoint`` (or the
-    ``_flat`` variants).  Stops when the relative residual reaches ``tol``,
-    when the normal residual vanishes at working precision (least-squares
-    optimum, ``stop_reason == "normal_residual_zero"``), or after
-    ``max_iter`` iterations.  ``residual_history[k]`` is the relative
+    on flat vectors, or any object exposing ``forward_flat``/``adjoint_flat``
+    (a :class:`PairOperator`).  Stops when the relative residual reaches
+    ``tol``, when the normal residual vanishes at working precision
+    (least-squares optimum, ``stop_reason == "normal_residual_zero"``), or
+    after ``max_iter`` iterations.  ``residual_history[k]`` is the relative
     residual after ``k`` iterations; entry 0 is 1 for any nonzero target.
 
     The least-squares stop is the relative normal-residual rule of Paige and

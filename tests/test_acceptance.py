@@ -153,9 +153,9 @@ def test_criterion_4_separability_dichotomy():
     r2 = np.union1d(
         np.linspace(theta0 + 0.5 * math.pi + margin, theta0 + math.pi, 160),
         [tup[2], tup[3]])
-    L0, valid0 = pp.expo_surface(r1, r2, 0.0, v1, v2, orientation=s)
+    L0, valid0 = pp.expo_surface(pp.reference_pair(0.0), r1, r2)
     rep0 = pp.separability_test(L0, r1, r2, valid=valid0)
-    Lm, validm = pp.expo_surface(r1, r2, MU, v1, v2, orientation=s)
+    Lm, validm = pp.expo_surface(pair, r1, r2)
     repm = pp.separability_test(Lm, r1, r2, valid=validm)
     g_tup = abs(pp.eval_G(*tup, MU, s * (np.asarray(v2) - np.asarray(v1))))
     elapsed = time.monotonic() - t0

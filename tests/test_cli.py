@@ -23,6 +23,29 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
+def test_help_flag_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--tol" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--bogus"],
+    ["check", "--tol", "-1e-9"],
+    ["separability", "--n1", "x"],
+    [],
+], ids=["check-unknown-option", "check-tol-negative-exponent", "separability-n1-not-int", "no-subcommand"])
+def test_usage_error_exits_5(tmp_path, monkeypatch, capsys, argv):
+    # exit 2 stays reserved for check's "no kernels exist"
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: projpair") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_check_default_attenuated_pair_has_no_kernels(tmp_path, capsys):
     # the shipped default is the exponential fan-fan pair: nothing to check
     code = run(["check", "--out", str(tmp_path / "o")])
@@ -244,3 +267,13 @@ def test_check_rejects_inadmissible_pair(tmp_path, capsys):
     # vertex 1 inside the domain: the range condition does not apply
     text = "[geometry]\nmu = 0\nvertex1 = 0 20\n[target]\nkind = phantom\n"
     assert_configuration_error(tmp_path, capsys, "check", text)
+    # at mu != 0 it gets no "no kernels exist" verdict (exit 2) either
+    assert_configuration_error(tmp_path, capsys, "check", "[geometry]\nvertex1 = 0 20\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_separability_rejects_inadmissible_pair(tmp_path, capsys):
+    # vertex 1 inside the domain: check and solve refuse this pair, and so does separability
+    assert_configuration_error(tmp_path, capsys, "separability", "[geometry]\nvertex1 = 0 20\n",
+                               ("--n1", "8", "--n2", "8"))
+    assert not (tmp_path / "o").exists()

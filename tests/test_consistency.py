@@ -203,24 +203,27 @@ def test_eval_G_reference_probe_value():
 
 
 def test_eval_G_is_double_difference_of_log_lhs():
+    """G equals mu * sum(+-(t1 - t2)), the double difference of the
+    non-separable log term, with t1, t2 from ``fanfan_tau``.  The quadruples
+    are the first 10 000 four-angle draws with no two angles closer than
+    1e-3, in draw order."""
     rng = np.random.default_rng(43)
     vx1, vx2 = pp.REFERENCE_VERTEX_1, pp.REFERENCE_VERTEX_2
     dl = np.subtract(vx2, vx1)
     lo = THETA0 + 0.5 * math.pi + 0.05
     hi = THETA0 + 1.5 * math.pi - 0.05
-    checked = 0
-    while checked < 10000:
-        a = np.sort(rng.uniform(lo, hi, size=4))
-        if np.min(np.diff(a)) < 1e-3:
-            continue
-        r2, r2t, r1t, r1 = a
-        g = pp.eval_G(r1, r1t, r2, r2t, MU, dl)
-        terms = [pp.expo_lhs_log(x, y, MU, vx1, vx2)
-                 for x, y in ((r1, r2), (r1t, r2), (r1, r2t), (r1t, r2t))]
-        dd = terms[0] - terms[1] - terms[2] + terms[3]
-        scale = max(1.0, abs(g), sum(abs(t) for t in terms))
-        assert abs(g - dd) <= 1e-12 * scale
-        checked += 1
+    a = np.sort(rng.uniform(lo, hi, size=(10500, 4)), axis=1)
+    a = a[np.min(np.diff(a, axis=1), axis=1) >= 1e-3]
+    assert len(a) >= 10000
+    r2, r2t, r1t, r1 = a[:10000].T
+    g = pp.eval_G(r1, r1t, r2, r2t, MU, dl)
+    terms = []
+    for x, y in ((r1, r2), (r1t, r2), (r1, r2t), (r1t, r2t)):
+        t1, t2 = pp.fanfan_tau(x, y, vx1, vx2)
+        terms.append(MU * (t1 - t2))
+    dd = terms[0] - terms[1] - terms[2] + terms[3]
+    scale = np.maximum(np.maximum(1.0, np.abs(g)), sum(np.abs(t) for t in terms))
+    assert np.all(np.abs(g - dd) <= 1e-12 * scale)
 
 
 def test_eval_G_certifies_at_in_domain_quadruple():
@@ -252,29 +255,35 @@ def test_eval_G_rejects_degenerate_probe():
         pp.eval_G(1.0, 2.0, 1.0, 0.5, MU, (80.0, 80.0))  # r1 == r2 denominator
 
 
-def test_expo_lhs_log_zero_mu():
-    assert pp.expo_lhs_log(PROBE[0], PROBE[2], 0.0, (0.0, 80.0), (-80.0, 0.0)) == 0.0
+def test_expo_surface_is_log_factor_ratio():
+    """On the ray pairs of the reference pair that meet inside the domain
+    (all with r1 < r2 on the branch), the surface is the log of view 1's
+    ``weight * jacobian_inv`` over view 2's at the intersection."""
+    (lo1, hi1), (lo2, hi2) = pp.reference_view_ranges()
+    r1 = pp.DetectorGrid(1, 64, lo1, hi1).centers
+    r2 = pp.DetectorGrid(2, 64, lo2, hi2).centers
+    for mu in (MU, 0.0):
+        pair = pp.reference_pair(mu)
+        x = pp.fanfan_X(r1[:, None], r2[None, :], pair.first.vertex_xy, pair.second.vertex_xy)
+        inside = pair.domain.contains(x.reshape(-1, 2)).reshape(x.shape[:2])
+        assert inside.sum() > 1000
+        assert np.all(r1[:, None] < r2[None, :])
+        L, valid = pp.expo_surface(pair, r1, r2)
+        assert valid[inside].all()
+        xin = x[inside]
+        f1, f2 = (g.weight(*g.inverse(xin)) * g.jacobian_inv(xin) for g in (pair.first, pair.second))
+        np.testing.assert_allclose(L[inside], np.log(f1 / f2), rtol=0, atol=1e-12)
 
 
-def test_kernel_lhs_log_matches_surface():
-    r1 = np.linspace(THETA0 + math.pi + 0.1, THETA0 + math.pi + 0.6, 7)
-    r2 = np.linspace(THETA0 + math.pi - 0.6, THETA0 + math.pi - 0.1, 5)
-    vx1, vx2 = pp.REFERENCE_VERTEX_1, pp.REFERENCE_VERTEX_2
-    L, valid = pp.expo_surface(r1, r2, MU, vx1, vx2, orientation=-1)
-    assert valid.all()
-    for i in range(r1.size):
-        for j in range(r2.size):
-            want = pp.kernel_lhs_log(r1[i], r2[j], MU, vx1, vx2, orientation=-1)
-            assert abs(L[i, j] - want) < 1e-13 * max(1.0, abs(want))
-
-
-def test_expo_surface_masks_wrong_order():
-    vx1, vx2 = pp.REFERENCE_VERTEX_1, pp.REFERENCE_VERTEX_2
-    r = np.linspace(THETA0 + math.pi - 0.3, THETA0 + math.pi + 0.3, 9)
-    L, valid = pp.expo_surface(r, r, MU, vx1, vx2, orientation=-1)
-    assert not valid[0, -1]   # r1 < r2 half
-    assert valid[-1, 0]
-    assert np.isnan(L[~valid]).all()
+def test_expo_surface_needs_fan_fan_with_one_mu():
+    r = np.linspace(4.5, 5.0, 3)
+    with pytest.raises(pp.ConfigurationError):
+        pp.expo_surface(parfan_pair(), r, r)
+    ref = pp.reference_pair()
+    unequal = pp.PairGeometry(
+        ref.first, pp.FanGeometry(ref.second.vertex, theta0=ref.second.theta0, mu=0.0), ref.domain)
+    with pytest.raises(pp.ConfigurationError):
+        pp.expo_surface(unequal, r, r)
 
 
 # --- separability -------------------------------------------------------------
@@ -287,12 +296,11 @@ def surface_grids(n1=60, n2=60, margin=math.pi / 48.0):
 
 
 def test_separability_dichotomy():
-    vx1, vx2 = pp.REFERENCE_VERTEX_1, pp.REFERENCE_VERTEX_2
     r1, r2 = surface_grids()
-    L0, valid0 = pp.expo_surface(r1, r2, 0.0, vx1, vx2, orientation=-1)
+    L0, valid0 = pp.expo_surface(pp.reference_pair(0.0), r1, r2)
     rep0 = pp.separability_test(L0, r1, r2, valid=valid0)
     assert rep0.verdict == "separable"
-    L1, valid1 = pp.expo_surface(r1, r2, MU, vx1, vx2, orientation=-1)
+    L1, valid1 = pp.expo_surface(pp.reference_pair(MU), r1, r2)
     rep1 = pp.separability_test(L1, r1, r2, valid=valid1)
     assert rep1.verdict == "non-separable"
     assert rep1.max_abs_D > 1e-3
@@ -308,9 +316,8 @@ def test_separability_additive_synthetic():
 
 
 def test_separability_report_is_reproducible():
-    vx1, vx2 = pp.REFERENCE_VERTEX_1, pp.REFERENCE_VERTEX_2
     r1, r2 = surface_grids(25, 25)
-    L, valid = pp.expo_surface(r1, r2, MU, vx1, vx2, orientation=-1)
+    L, valid = pp.expo_surface(pp.reference_pair(MU), r1, r2)
     a = pp.separability_test(L, r1, r2, valid=valid)
     b = pp.separability_test(L, r1, r2, valid=valid)
     assert a.argmax == b.argmax
@@ -439,10 +446,9 @@ def _separability_inputs():
     cases["one-column"] = (rng.normal(size=(6, 1)), None)
     cases["no-columns"] = (np.empty((6, 0)), None)
     cases["all-nan"] = (np.full((5, 4), np.nan), None)
-    vx1, vx2 = pp.REFERENCE_VERTEX_1, pp.REFERENCE_VERTEX_2
     r1, r2 = surface_grids(40, 37)
     for mu in (MU, 0.0):
-        cases[f"surface-mu{mu}"] = pp.expo_surface(r1, r2, mu, vx1, vx2, orientation=-1)
+        cases[f"surface-mu{mu}"] = pp.expo_surface(pp.reference_pair(mu), r1, r2)
     return cases
 
 

@@ -203,7 +203,7 @@ def test_strict_mask_keeps_whole_squares_inside():
     assert int(kept.sum()) == 30891
     # and no footprint pokes past either detector range
     for geom, det in zip((op.pair.first, op.pair.second), op.dets):
-        r, t = pp.fan_inverse(geom, centers[kept])
+        r, t = geom.inverse(centers[kept])
         w = image.pixel_size[0] / t
         assert (r - 0.5 * w >= det.lo).all()
         assert (r + 0.5 * w <= det.hi).all()

@@ -1,0 +1,37 @@
+"""Repository-level checks: no unused imports in the package, and the
+README's library quick start runs as written."""
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "projpair").glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_module_level_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(imported - used)
+    assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def test_readme_quick_start_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
+    assert len(out.getvalue().splitlines()) == 2
