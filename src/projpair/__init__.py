@@ -34,11 +34,9 @@ from .geometry import (
     check_pair_admissible,
     cross2,
     direction,
-    fanfan_X,
-    fanfan_tau,
+    intersect,
     lift_angle,
     pair_orientation,
-    parfan_X,
     perp,
     reference_domain,
     reference_pair,

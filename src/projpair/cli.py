@@ -47,13 +47,12 @@ from .geometry import (
     PairGeometry,
     ParGeometry,
     check_pair_admissible,
-    direction,
     fan_pair,
     lift_angle,
     reference_domain,
     view_range,
 )
-from .phantom import Bump, Phantom, TargetData, inconceivable_g2, random_phantom
+from .phantom import Bump, Phantom, TargetData, random_phantom, reference_target
 from .projector import project_view
 from .solver import cgne_solve, predicted_residual_floor
 
@@ -255,12 +254,7 @@ def _build_target(cp, pair, dets, seed) -> TargetData:
     sec = cp["target"]
     kind = sec["kind"].strip().lower()
     if kind == "reference":
-        # the profile of ``reference_target``, on the configured grids
-        g2 = inconceivable_g2(dets[1].centers - dets[1].center)
-        return TargetData(
-            view1=ProjectionData(grid=dets[0], values=np.zeros(dets[0].n_bins)),
-            view2=ProjectionData(grid=dets[1], values=g2),
-        )
+        return reference_target(*dets)
     if kind == "files":
         f1, f2 = sec["file1"].strip(), sec["file2"].strip()
         if not f1 or not f2:
@@ -352,7 +346,7 @@ def cmd_check(args) -> int:
     kernels = known_kernels(pair)
     if kernels is None:
         _emit(
-            "check: no kernels exist for this pair (exponential fan-fan, mu != 0); "
+            f"check: no kernels exist for this pair (exponential {pair.kind}, mu != 0); "
             "every nonzero-mean datum is unobstructed\n",
             outdir,
             "report.txt",
@@ -429,9 +423,7 @@ def cmd_separability(args) -> int:
 
 def _central_profile(op: PairOperator, f: np.ndarray, view: int, n_samples: int = 512) -> str:
     geom = (op.pair.first, op.pair.second)[view - 1]
-    det = op.dets[view - 1]
-    v = geom.vertex_xy
-    d = direction(det.center)
+    v, d = geom.ray(op.dets[view - 1].center)
     half = 0.5 * op.image.extent
     ts = []
     for axis in (0, 1):

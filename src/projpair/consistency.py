@@ -25,12 +25,10 @@ from .errors import ConfigurationError, DomainError, EvaluationError, Resolution
 from .geometry import (
     DENOM_TOL,
     PairGeometry,
-    cross2,
     direction,
-    fanfan_X,
+    intersect,
     lift_angle,
     pair_orientation,
-    parfan_X,
     perp,
     view_range,
 )
@@ -50,13 +48,15 @@ class KernelPair:
     label: str = ""
 
 
-def known_kernels(pair: PairGeometry, n_boundary: int = 1024) -> KernelPair | None:
+def known_kernels(pair: PairGeometry) -> KernelPair | None:
     """Closed-form kernels for the pair, or None when none exist.
 
-    parallel-parallel: constants.  parallel-fan: ``1/(r1 - s0)`` and
-    ``1/cos(theta - r2)`` with ``s0`` the offset of the vertex.  Unweighted
-    fan-fan: ``1/(perp(direction(ri)) . dl)`` with ``dl`` the oriented vertex
-    difference.  Exponential fan-fan (``mu != 0``): no kernels exist.
+    parallel-parallel: constants.  Unweighted parallel-fan: ``1/(r1 - s0)``
+    and ``1/cos(theta - r2)`` with ``s0`` the offset of the vertex.
+    Unweighted fan-fan: ``1/(perp(direction(ri)) . dl)`` with ``dl`` the
+    oriented vertex difference.  A fan with ``mu != 0`` leaves none: the log
+    of the factor ratio then holds ``mu * t`` of the fan ray, which does not
+    separate.
     """
     kind = pair.kind
     if kind == "par-par":
@@ -66,10 +66,12 @@ def known_kernels(pair: PairGeometry, n_boundary: int = 1024) -> KernelPair | No
             sign=1,
             label="parallel-parallel constants",
         )
+    if pair.second.mu != 0.0 or (kind == "fan-fan" and pair.first.mu != 0.0):
+        return None
     if kind == "par-fan":
         theta = pair.first.theta
         s0 = float(pair.second.vertex_xy @ direction(theta))
-        lo1, hi1 = view_range(pair.first, pair.domain, n_boundary)
+        lo1, hi1 = view_range(pair.first, pair.domain)
         flip = -1.0 if 0.5 * (lo1 + hi1) - s0 < 0 else 1.0
 
         def v1(r, s0=s0, flip=flip):
@@ -79,11 +81,6 @@ def known_kernels(pair: PairGeometry, n_boundary: int = 1024) -> KernelPair | No
             return flip / np.cos(theta - np.asarray(r, float))
 
         return KernelPair(v1=v1, v2=v2, sign=1, label="parallel-fan")
-    # fan-fan
-    mu1 = pair.first.mu
-    mu2 = pair.second.mu
-    if mu1 != 0.0 or mu2 != 0.0:
-        return None
     s = pair_orientation(pair)
     dls = s * (pair.second.vertex_xy - pair.first.vertex_xy)
 
@@ -121,23 +118,6 @@ def pprc_residual(target, kernels: KernelPair) -> float:
 # Kernel condition
 
 
-def _pair_X(pair: PairGeometry, r1, r2) -> np.ndarray:
-    kind = pair.kind
-    if kind == "fan-fan":
-        return fanfan_X(r1, r2, pair.first.vertex_xy, pair.second.vertex_xy)
-    if kind == "par-fan":
-        return parfan_X(pair.first.theta, r1, r2, pair.second.vertex_xy)
-    # parallel-parallel: solve the two offset equations.
-    d1 = direction(pair.first.theta)
-    d2 = direction(pair.second.theta)
-    den = cross2(d1, d2)
-    if abs(den) < DENOM_TOL:
-        raise DomainError("parallel-parallel pair with equal directions has no intersection map")
-    r1 = np.asarray(r1, float)
-    r2 = np.asarray(r2, float)
-    return (r1[..., None] * perp(d2) * (-1.0) + r2[..., None] * perp(d1)) / den
-
-
 def _factor(geom, x) -> np.ndarray:
     """weight(at the point) times |det D inverse| for one family."""
     r, t = geom.inverse(x)
@@ -173,7 +153,7 @@ def kernel_condition_residual(
     else:
         r1 = np.asarray(samples[0], float).ravel()
         r2 = np.asarray(samples[1], float).ravel()
-    x = _pair_X(pair, r1, r2)
+    x, _, _ = intersect(pair.first, pair.second, r1, r2)
     inside = pair.domain.contains(x)
     if not np.all(inside):
         k = int(np.flatnonzero(~inside)[0])
@@ -225,8 +205,8 @@ def pv_hilbert_residual(target, pair: PairGeometry, eps_values) -> float:
         closer than half a bin to a sample node: the symmetric cancellation
         the principal value relies on is then unreliable at this resolution.
     """
-    if pair.kind != "par-fan":
-        raise ConfigurationError("the principal-value condition applies to parallel-fan pairs")
+    if pair.kind != "par-fan" or pair.second.mu != 0.0:
+        raise ConfigurationError("the principal-value condition applies to unweighted parallel-fan pairs")
     eps_values = [float(e) for e in eps_values]
     if len(eps_values) < 3:
         raise ConfigurationError("need at least three eps values for extrapolation")

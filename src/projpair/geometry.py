@@ -10,15 +10,22 @@ a vector by ninety degrees counterclockwise, so
 ``perp(direction(a)) == direction(a + pi/2)`` and
 ``perp(a) . b == cross(a, b)``.
 
-A parallel family indexed by signed offset ``r``::
+Each family states its ray once: ``ray(r)`` returns ``(origin, direction)``
+with a unit direction, and
 
-    point(r, t) = r * direction(theta) + t * perp(direction(theta))
+    point(r, t) = origin + t * direction,   t > t_min
 
-A fan family with vertex ``v`` indexed by absolute ray angle ``r``::
+A parallel family indexed by signed offset ``r`` has lines (``t_min = -inf``)::
 
-    point(r, t) = v + t * direction(r),   t > 0
+    origin = r * direction(theta),   direction = perp(direction(theta))
 
-Fan angles live on the branch ``[theta0, theta0 + 2*pi)``.
+A fan family with vertex ``v`` indexed by absolute ray angle ``r`` has
+half-lines (``t_min = 0``)::
+
+    origin = v,   direction = direction(r)
+
+Fan angles live on the branch ``[theta0, theta0 + 2*pi)``.  Two rays of any
+two families meet where :func:`intersect` says.
 """
 
 from __future__ import annotations
@@ -76,13 +83,18 @@ class ParGeometry:
     """Parallel-beam family at angle ``theta``; unit weight."""
 
     theta: float
+    t_min = -math.inf
+
+    def ray(self, r):
+        """``(origin, direction)`` of the line at offset ``r``."""
+        r = np.asarray(r, dtype=float)
+        d = direction(self.theta)
+        return r[..., None] * d, np.broadcast_to(perp(d), r.shape + (2,))
 
     def point(self, r, t):
         """Point at offset ``r``, arc parameter ``t`` on the parallel family."""
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        d = direction(self.theta)
-        return r[..., None] * d + t[..., None] * perp(d)
+        origin, e = self.ray(r)
+        return origin + np.asarray(t, dtype=float)[..., None] * e
 
     def inverse(self, x):
         """Return ``(r, t)`` with ``self.point(r, t) == x``. Exact inverse."""
@@ -115,6 +127,7 @@ class FanGeometry:
     vertex: tuple[float, float]
     theta0: float = -math.pi
     mu: float = 0.0
+    t_min = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "vertex", (float(self.vertex[0]), float(self.vertex[1])))
@@ -123,13 +136,18 @@ class FanGeometry:
     def vertex_xy(self) -> np.ndarray:
         return np.array(self.vertex, dtype=float)
 
+    def ray(self, r):
+        """``(origin, direction)`` of the half-line at absolute angle ``r``."""
+        r = np.asarray(r, dtype=float)
+        return np.broadcast_to(self.vertex_xy, r.shape + (2,)), direction(r)
+
     def point(self, r, t):
         """Point at distance ``t > 0`` along the ray at absolute angle ``r``."""
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0):
             raise DomainError("fan parameter t must be positive")
-        r = np.asarray(r, dtype=float)
-        return self.vertex_xy + t[..., None] * direction(r)
+        origin, e = self.ray(r)
+        return origin + t[..., None] * e
 
     def inverse(self, x):
         """Return ``(r, t)``: ray angle on the branch and distance to the vertex.
@@ -149,11 +167,7 @@ class FanGeometry:
 
     def jacobian_inv(self, x):
         """|det of the derivative of the inverse fan map| = 1 / |x - vertex|."""
-        x = np.asarray(x, dtype=float)
-        d = x - self.vertex_xy
-        t = np.hypot(d[..., 0], d[..., 1])
-        if np.any(t < DENOM_TOL):
-            raise SingularPointError("jacobian of the inverse map blows up at the vertex")
+        _, t = self.inverse(x)
         return 1.0 / t
 
     def weight(self, r, t):
@@ -165,54 +179,34 @@ class FanGeometry:
 # Ray intersections across two families
 
 
-def fanfan_tau(r1, r2, vertex1, vertex2):
-    """Arc parameters ``(t1, t2)`` where fan rays ``r1`` (from ``vertex1``)
-    and ``r2`` (from ``vertex2``) intersect.
+def intersect(first, second, r1, r2):
+    """Where ray ``r1`` of family ``first`` meets ray ``r2`` of ``second``.
 
-    Solves ``vertex1 + t1*direction(r1) == vertex2 + t2*direction(r2)``:
+    Solves ``o1 + t1*e1 == o2 + t2*e2`` for the rays ``(o, e)`` of
+    :meth:`ray`, with ``dl = o2 - o1``::
 
-        t1 = -perp(direction(r2)) . dl / (perp(direction(r1)) . direction(r2))
-        t2 = -perp(direction(r1)) . dl / (perp(direction(r1)) . direction(r2))
+        t1 = cross2(dl, e2) / cross2(e1, e2)
+        t2 = cross2(dl, e1) / cross2(e1, e2)
 
-    with ``dl = vertex2 - vertex1``.  Negative values mean the intersection
-    lies on the backward extension of a ray; callers decide whether that is
-    acceptable.
+    and returns ``(x, t1, t2)``.  The rays are solved as whole lines: a
+    parameter at or below a family's ``t_min`` means the point lies on the
+    backward extension of a half-line, and callers decide whether that is
+    acceptable.  Parameters broadcast.
+
+    Raises
+    ------
+    ParallelRaysError
+        If some pair of rays is parallel (``|cross2(e1, e2)| < DENOM_TOL``).
     """
-    v1 = np.asarray(vertex1, dtype=float)
-    v2 = np.asarray(vertex2, dtype=float)
-    dl = v2 - v1
-    d1 = direction(r1)
-    d2 = direction(r2)
-    den = np.sum(perp(d1) * d2, axis=-1)
+    o1, e1 = first.ray(r1)
+    o2, e2 = second.ray(r2)
+    den = cross2(e1, e2)
     if np.any(np.abs(den) < DENOM_TOL):
-        raise ParallelRaysError("rays are parallel; no intersection parameters")
-    t1 = -np.sum(perp(d2) * dl, axis=-1) / den
-    t2 = -np.sum(perp(d1) * dl, axis=-1) / den
-    return t1, t2
-
-
-def fanfan_X(r1, r2, vertex1, vertex2):
-    """Intersection point of two fan rays, ``vertex1 + t1*direction(r1)``."""
-    v1 = np.asarray(vertex1, dtype=float)
-    t1, _ = fanfan_tau(r1, r2, vertex1, vertex2)
-    return v1 + t1[..., None] * direction(r1)
-
-
-def parfan_X(theta, r1, r2, vertex):
-    """Intersection of the parallel line at offset ``r1`` (family angle
-    ``theta``) with the fan ray at absolute angle ``r2`` from ``vertex``.
-
-        X = vertex + ((r1 - vertex . d_theta) / (d_theta . direction(r2))) * direction(r2)
-    """
-    v = np.asarray(vertex, dtype=float)
-    dt = direction(theta)
-    d2 = direction(r2)
-    den = np.sum(dt * d2, axis=-1)
-    if np.any(np.abs(den) < DENOM_TOL):
-        raise ParallelRaysError("fan ray is parallel to the family lines")
-    r1 = np.asarray(r1, dtype=float)
-    t2 = (r1 - v @ dt) / den
-    return v + t2[..., None] * d2
+        raise ParallelRaysError("rays are parallel; no intersection point")
+    dl = o2 - o1
+    t1 = cross2(dl, e2) / den
+    t2 = cross2(dl, e1) / den
+    return o1 + t1[..., None] * e1, t1, t2
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +354,13 @@ class ImageDomain:
             )
         raise ConfigurationError("disc has no polygon representation")
 
-    def chord_length(self, origin, dir_vec, t_min: float | None = None) -> float:
+    def chord_length(self, origin, dir_vec, t_min: float = -math.inf) -> float:
         """Total length of ``{t : origin + t*dir_vec in domain, t > t_min}``.
 
         ``dir_vec`` must be a unit vector for the result to be a length.
         """
         o = np.asarray(origin, dtype=float)
         d = np.asarray(dir_vec, dtype=float)
-        lo = -np.inf if t_min is None else t_min
         if self.kind == "disc":
             oc = o - np.array(self.center)
             b = float(oc @ d)
@@ -376,7 +369,7 @@ class ImageDomain:
             if disc <= 0:
                 return 0.0
             t0, t1 = -b - math.sqrt(disc), -b + math.sqrt(disc)
-            return max(0.0, t1 - max(t0, lo))
+            return max(0.0, t1 - max(t0, t_min))
         verts = self._as_polygon_vertices()
         ts = []
         n = len(verts)
@@ -395,9 +388,9 @@ class ImageDomain:
         ts = sorted(ts)
         total = 0.0
         for a, b in zip(ts[:-1], ts[1:]):
-            if b <= lo:
+            if b <= t_min:
                 continue
-            a = max(a, lo)
+            a = max(a, t_min)
             if b - a < 1e-14:
                 continue
             mid = o + 0.5 * (a + b) * d
@@ -551,9 +544,7 @@ def _fanfan_margins(g1: FanGeometry, g2: FanGeometry, domain: ImageDomain, n: in
     }
 
 
-def check_pair_admissible(
-    pair: PairGeometry, n_boundary: int = 1024, min_margin: float = 0.0
-) -> AdmissibilityReport:
+def check_pair_admissible(pair: PairGeometry, n_boundary: int = 1024) -> AdmissibilityReport:
     """Check the range-condition admissibility inequalities for a pair.
 
     All inequalities are evaluated on a dense boundary sampling of the domain
@@ -579,7 +570,7 @@ def check_pair_admissible(
             )
     else:  # pragma: no cover - PairGeometry forbids (fan, par)
         raise ConfigurationError(f"unsupported pair kind {kind!r}")
-    passed = all(m > min_margin for m in margins.values())
+    passed = all(m > 0.0 for m in margins.values())
     return AdmissibilityReport(kind=kind, passed=passed, margins=margins)
 
 

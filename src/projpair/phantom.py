@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .discrete import DetectorGrid, ProjectionData
-from .geometry import HALF_FAN_ANGLE, ImageDomain, reference_view_ranges
+from .geometry import HALF_FAN_ANGLE, ImageDomain
 
 # Angular half-width of the support of the inconceivable target on view 2.
 SUPPORT_HALF_ANGLE = math.atan2(1.0, 6.0)
@@ -205,13 +205,10 @@ class TargetData:
         return self.view2.values
 
 
-def reference_target(n_bins: int = 400) -> TargetData:
-    """Zero on view 1, the inconceivable profile on view 2."""
-    (lo1, hi1), (lo2, hi2) = reference_view_ranges()
-    d1 = DetectorGrid(1, n_bins, lo1, hi1)
-    d2 = DetectorGrid(2, n_bins, lo2, hi2)
-    g2 = inconceivable_g2(d2.centers - d2.center)
+def reference_target(det1: DetectorGrid, det2: DetectorGrid) -> TargetData:
+    """Zero on view 1, the inconceivable profile about ``det2``'s center on
+    view 2 (``reference_grids(n)`` gives the reference wedges)."""
     return TargetData(
-        view1=ProjectionData(grid=d1, values=np.zeros(n_bins)),
-        view2=ProjectionData(grid=d2, values=g2),
+        view1=ProjectionData(grid=det1, values=np.zeros(det1.n_bins)),
+        view2=ProjectionData(grid=det2, values=inconceivable_g2(det2.centers - det2.center)),
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .discrete import DetectorGrid, ProjectionData
 from .errors import AccuracyError, ConfigurationError
-from .geometry import FanGeometry, ImageDomain, ParGeometry, direction, perp, view_range
+from .geometry import FanGeometry, ImageDomain, ParGeometry, view_range
 from .phantom import Phantom, phantom_l2_norm
 
 
@@ -53,19 +53,11 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _bump_line_integrals(geom, bump, r, spec: QuadratureSpec) -> np.ndarray:
     """Weighted line integrals of one bump for every ray parameter in ``r``."""
+    if not isinstance(geom, (ParGeometry, FanGeometry)):
+        raise ConfigurationError(f"unsupported geometry type {type(geom).__name__}")
     r = np.asarray(r, dtype=float)
     out = np.zeros(r.shape)
-    if isinstance(geom, ParGeometry):
-        d = direction(geom.theta)
-        origins = r[..., None] * d
-        dirs = np.broadcast_to(perp(d), origins.shape)
-        t_floor = -np.inf
-    elif isinstance(geom, FanGeometry):
-        origins = np.broadcast_to(geom.vertex_xy, r.shape + (2,))
-        dirs = direction(r)
-        t_floor = 0.0
-    else:
-        raise ConfigurationError(f"unsupported geometry type {type(geom).__name__}")
+    origins, dirs = geom.ray(r)
     c = np.asarray(bump.center, dtype=float)
     oc = origins - c
     b = np.sum(oc * dirs, axis=-1)
@@ -75,7 +67,7 @@ def _bump_line_integrals(geom, bump, r, spec: QuadratureSpec) -> np.ndarray:
     if not np.any(hit):
         return out
     sq = np.sqrt(disc[hit])
-    t0 = np.maximum(-b[hit] - sq, t_floor)
+    t0 = np.maximum(-b[hit] - sq, geom.t_min)
     t1 = -b[hit] + sq
     ok = t1 > t0
     if not np.any(ok):
@@ -168,8 +160,9 @@ def continuity_bound_check(
     """Evaluate both sides of the L2 continuity bound ``||Pf|| <= c ||f||``.
 
     The constant is ``sqrt(sup_r |T(r)| * sup |det D(inverse)|) * sup weight``
-    with suprema taken over the domain; chord lengths and distance extremes
-    are sampled densely.  Returns ``(lhs, rhs)``; the bound holds when
+    with suprema taken over the domain: chord lengths over densely sampled
+    rays, and ``jacobian_inv`` and ``weight`` over densely sampled boundary
+    points, where they attain their extremes.  Returns ``(lhs, rhs)``; the bound holds when
     ``lhs <= rhs`` up to quadrature accuracy.
     """
     lo, hi = view_range(geom, domain)
@@ -187,19 +180,11 @@ def continuity_bound_check(
     lhs = math.sqrt(float(wq @ (pv * pv)))
 
     # rhs: the continuity constant times the phantom norm.
-    rs = np.linspace(lo, hi, n_rays)
-    if isinstance(geom, ParGeometry):
-        d = direction(geom.theta)
-        chord = max(domain.chord_length(r * d, perp(d)) for r in rs)
-        sup_jac = 1.0
-        sup_weight = 1.0
-    else:
-        chord = max(domain.chord_length(geom.vertex_xy, direction(r).ravel(), t_min=0.0) for r in rs)
-        bpts = domain.boundary_points(2048)
-        dist = np.hypot(*(bpts - geom.vertex_xy).T)
-        sup_jac = 1.0 / float(np.min(dist))
-        t_lo, t_hi = float(np.min(dist)), float(np.max(dist))
-        sup_weight = max(math.exp(geom.mu * t_lo), math.exp(geom.mu * t_hi))
+    origins, dirs = geom.ray(np.linspace(lo, hi, n_rays))
+    chord = max(domain.chord_length(o, e, geom.t_min) for o, e in zip(origins, dirs))
+    bpts = domain.boundary_points(2048)
+    sup_jac = float(np.max(geom.jacobian_inv(bpts)))
+    sup_weight = float(np.max(geom.weight(*geom.inverse(bpts))))
     constant = math.sqrt(chord * sup_jac) * sup_weight
     rhs = constant * phantom_l2_norm(f)
     return lhs, rhs

@@ -187,7 +187,7 @@ def test_criterion_5_adjoint_exactness():
 def test_criterion_6_density_demonstration():
     t0 = time.monotonic()
     op = desk_operator(MU)
-    tgt = pp.reference_target(100)
+    tgt = pp.reference_target(*pp.reference_grids(100))
     g = np.concatenate([tgt.g1, tgt.g2])
     state = pp.cgne_solve(op, g, max_iter=2000, tol=1e-3)
     elapsed = time.monotonic() - t0
@@ -201,7 +201,7 @@ def test_criterion_6_density_demonstration():
                     reason="set PROJPAIR_FULL_SCALE=1 for the 1000^2 / 2x400 run")
 def test_criterion_6_full_scale():
     op = pp.reference_operator(nx=1000, n_bins=400, mu=MU)
-    tgt = pp.reference_target(400)
+    tgt = pp.reference_target(*pp.reference_grids(400))
     g = np.concatenate([tgt.g1, tgt.g2])
     state = pp.cgne_solve(op, g, max_iter=10000, tol=0.0)
     report("6 (full scale)", True,
@@ -221,7 +221,7 @@ def test_criterion_7_residual_floor_stall():
     t0 = time.monotonic()
     op = desk_operator(0.0)
     kernels = pp.known_kernels(op.pair)
-    tgt = pp.reference_target(100)
+    tgt = pp.reference_target(*pp.reference_grids(100))
     g = np.concatenate([tgt.g1, tgt.g2])
     g_norm = float(np.linalg.norm(g))
     floor = pp.predicted_residual_floor(tgt, kernels)

@@ -55,6 +55,23 @@ def test_check_default_attenuated_pair_has_no_kernels(tmp_path, capsys):
     assert (tmp_path / "o" / "report.txt").read_text() == out
 
 
+def test_check_weighted_par_fan_has_no_kernels(tmp_path, capsys):
+    # the fan weight exp(mu t) puts mu * (r1 - s0) / cos(theta - r2) into the
+    # log factor ratio, which does not separate; consistent phantom data were
+    # reported INCONSISTENT (exit 1) against the unweighted kernels
+    cfg = write_config(
+        tmp_path,
+        "[geometry]\nkind = par-fan\ntheta1_deg = 0\nvertex2 = -80 0\n"
+        "[target]\nkind = phantom\n"
+        "[detectors]\nbins1 = 512\nbins2 = 512\n",
+    )
+    code = run(["check", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert out.startswith("check: no kernels exist for this pair (exponential par-fan, mu != 0)")
+    assert (tmp_path / "o" / "report.txt").read_text() == out
+
+
 def test_check_reference_target_is_inconsistent(tmp_path, capsys):
     cfg = write_config(tmp_path, "[geometry]\nmu = 0\n")
     code = run(["check", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -62,7 +79,7 @@ def test_check_reference_target_is_inconsistent(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "verdict = INCONSISTENT" in out
     assert "side1 = 0\n" in out
-    ref = pp.reference_target(100)
+    ref = pp.reference_target(*pp.reference_grids(100))
     side2 = pp.pprc_sides(ref, pp.known_kernels(pp.reference_pair(0.0)))[1]
     assert f"side2 = {format(side2, '.17g')}\n" in out
 

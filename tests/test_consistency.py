@@ -23,6 +23,12 @@ def parfan_pair():
         pp.ParGeometry(0.4), pp.FanGeometry((-90.0, 10.0), theta0=-math.pi), dom)
 
 
+def weighted_parfan_pair():
+    pair = parfan_pair()
+    fan = pp.FanGeometry(pair.second.vertex, theta0=pair.second.theta0, mu=MU)
+    return pp.PairGeometry(pair.first, fan, pair.domain)
+
+
 def parpar_pair():
     dom = pp.ImageDomain.disc((2.0, -1.0), 16.0)
     return pp.PairGeometry(pp.ParGeometry(0.3), pp.ParGeometry(1.9), dom)
@@ -48,6 +54,11 @@ def test_known_kernels_three_kinds():
 def test_no_kernels_for_attenuated_fan_pair():
     assert pp.known_kernels(pp.reference_pair(mu=MU)) is None
     assert pp.known_kernels(pp.reference_pair(mu=1e-6)) is None
+    # a weighted fan leaves mu * t2 = mu (r1 - s0) / cos(theta - r2) in the
+    # log factor ratio of a par-fan pair, which does not separate either
+    assert pp.known_kernels(weighted_parfan_pair()) is None
+    unweighted = pp.known_kernels(parfan_pair())
+    assert pp.kernel_condition_residual(weighted_parfan_pair(), unweighted, n=256) > 0.5
 
 
 def test_reference_kernels_positive_and_scaled():
@@ -91,7 +102,7 @@ def test_kernel_condition_invariant_under_joint_scaling():
 def test_pprc_scales_linearly_with_kernels():
     pair = pp.reference_pair(mu=0.0)
     K = pp.known_kernels(pair)
-    tgt = pp.reference_target(n_bins=256)
+    tgt = pp.reference_target(*pp.reference_grids(256))
     base = pp.pprc_residual(tgt, K)
     scaled = pp.KernelPair(
         v1=lambda r: 3.7 * K.v1(r), v2=lambda r: 3.7 * K.v2(r),
@@ -106,7 +117,7 @@ def test_pprc_reference_target_regression():
     """The prescribed data fails the unweighted fan-fan condition outright:
     the first side is exactly zero, the second strictly positive."""
     K = pp.known_kernels(pp.reference_pair(mu=0.0))
-    tgt = pp.reference_target(n_bins=400)
+    tgt = pp.reference_target(*pp.reference_grids(400))
     i1, i2 = pp.pprc_sides(tgt, K)
     assert i1 == 0.0
     assert i2 > 0
@@ -127,7 +138,7 @@ def test_pprc_vanishes_on_range_data():
 
 
 def test_pprc_sides_reject_singular_kernel():
-    tgt = pp.reference_target(n_bins=64)
+    tgt = pp.reference_target(*pp.reference_grids(64))
     c = tgt.view1.grid.centers[10]
     bad = pp.KernelPair(v1=lambda r: 1.0 / (r - c), v2=lambda r: np.ones_like(r),
                         sign=1, label="singular")
@@ -179,9 +190,11 @@ def test_pv_hilbert_resolution_error():
 
 
 def test_pv_hilbert_requires_par_fan():
-    tgt = pp.reference_target(n_bins=64)
+    tgt = pp.reference_target(*pp.reference_grids(64))
     with pytest.raises(pp.ConfigurationError):
         pp.pv_hilbert_residual(tgt, pp.reference_pair(mu=0.0), [0.4, 0.2, 0.1])
+    with pytest.raises(pp.ConfigurationError):
+        pp.pv_hilbert_residual(tgt, weighted_parfan_pair(), [0.4, 0.2, 0.1])
 
 
 # --- the log-LHS surface and G -----------------------------------------------
@@ -204,11 +217,12 @@ def test_eval_G_reference_probe_value():
 
 def test_eval_G_is_double_difference_of_log_lhs():
     """G equals mu * sum(+-(t1 - t2)), the double difference of the
-    non-separable log term, with t1, t2 from ``fanfan_tau``.  The quadruples
+    non-separable log term, with t1, t2 from ``intersect``.  The quadruples
     are the first 10 000 four-angle draws with no two angles closer than
     1e-3, in draw order."""
     rng = np.random.default_rng(43)
     vx1, vx2 = pp.REFERENCE_VERTEX_1, pp.REFERENCE_VERTEX_2
+    f1, f2 = pp.FanGeometry(vx1), pp.FanGeometry(vx2)
     dl = np.subtract(vx2, vx1)
     lo = THETA0 + 0.5 * math.pi + 0.05
     hi = THETA0 + 1.5 * math.pi - 0.05
@@ -219,7 +233,7 @@ def test_eval_G_is_double_difference_of_log_lhs():
     g = pp.eval_G(r1, r1t, r2, r2t, MU, dl)
     terms = []
     for x, y in ((r1, r2), (r1t, r2), (r1, r2t), (r1t, r2t)):
-        t1, t2 = pp.fanfan_tau(x, y, vx1, vx2)
+        _, t1, t2 = pp.intersect(f1, f2, x, y)
         terms.append(MU * (t1 - t2))
     dd = terms[0] - terms[1] - terms[2] + terms[3]
     scale = np.maximum(np.maximum(1.0, np.abs(g)), sum(np.abs(t) for t in terms))
@@ -242,7 +256,7 @@ def test_eval_G_certifies_at_in_domain_quadruple():
     r1, r1t, r2, r2t = angle(v1, x0), angle(v1, x1), angle(v2, x0), angle(v2, x1)
     total = 0.0
     for a, b, sign in ((r1, r2, 1), (r1t, r2, -1), (r1, r2t, -1), (r1t, r2t, 1)):
-        x = pp.fanfan_X(a, b, v1, v2)
+        x, _, _ = pp.intersect(pair.first, pair.second, a, b)
         assert pair.domain.contains(x)
         total += sign * (np.hypot(*(x - v1)) - np.hypot(*(x - v2)))
     g = pp.eval_G(r1, r1t, r2, r2t, MU, v2 - v1)
@@ -264,7 +278,7 @@ def test_expo_surface_is_log_factor_ratio():
     r2 = pp.DetectorGrid(2, 64, lo2, hi2).centers
     for mu in (MU, 0.0):
         pair = pp.reference_pair(mu)
-        x = pp.fanfan_X(r1[:, None], r2[None, :], pair.first.vertex_xy, pair.second.vertex_xy)
+        x, _, _ = pp.intersect(pair.first, pair.second, r1[:, None], r2[None, :])
         inside = pair.domain.contains(x.reshape(-1, 2)).reshape(x.shape[:2])
         assert inside.sum() > 1000
         assert np.all(r1[:, None] < r2[None, :])

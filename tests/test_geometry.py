@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import projpair as pp
 
@@ -131,23 +133,22 @@ def test_weight_conventions():
 
 
 def test_fanfan_tau_reference_central_rays():
-    v1, v2 = pp.REFERENCE_VERTEX_1, pp.REFERENCE_VERTEX_2
+    f1, f2 = pp.FanGeometry(pp.REFERENCE_VERTEX_1), pp.FanGeometry(pp.REFERENCE_VERTEX_2)
     r1 = 1.5 * math.pi  # straight down from (0, 80)
     r2 = 2.0 * math.pi  # straight right from (-80, 0), lifted
-    t1, t2 = pp.fanfan_tau(r1, r2, v1, v2)
+    x, t1, t2 = pp.intersect(f1, f2, r1, r2)
     np.testing.assert_allclose([t1, t2], [80.0, 80.0], rtol=1e-12)
-    x = np.asarray(pp.fanfan_X(r1, r2, v1, v2), dtype=float)
     assert np.hypot(x[..., 0], x[..., 1]) < 1e-10
 
 
 def test_fanfan_vertex_order_agnostic():
-    v1, v2 = pp.REFERENCE_VERTEX_1, pp.REFERENCE_VERTEX_2
+    f1, f2 = pp.FanGeometry(pp.REFERENCE_VERTEX_1), pp.FanGeometry(pp.REFERENCE_VERTEX_2)
     rng = np.random.default_rng(104)
     for _ in range(50):
         r1 = rng.uniform(1.5 * math.pi - ALPHA, 1.5 * math.pi + ALPHA)
         r2 = rng.uniform(2 * math.pi - ALPHA, 2 * math.pi + ALPHA)
-        a = np.asarray(pp.fanfan_X(r1, r2, v1, v2), dtype=float)
-        b = np.asarray(pp.fanfan_X(r2, r1, v2, v1), dtype=float)
+        a, _, _ = pp.intersect(f1, f2, r1, r2)
+        b, _, _ = pp.intersect(f2, f1, r2, r1)
         np.testing.assert_allclose(a, b, atol=1e-10)
     # random vertex pairs and ray angles: X lies on both rays
     drawn = 0
@@ -157,25 +158,33 @@ def test_fanfan_vertex_order_agnostic():
         if np.hypot(*(v2 - v1)) < 1.0 or abs(math.sin(r2 - r1)) < 1e-2:
             continue  # near-coincident vertices or near-parallel rays
         drawn += 1
-        t1, t2 = pp.fanfan_tau(r1, r2, v1, v2)
-        x = np.asarray(pp.fanfan_X(r1, r2, v1, v2), dtype=float)
+        f1, f2 = pp.FanGeometry(v1), pp.FanGeometry(v2)
+        x, t1, t2 = pp.intersect(f1, f2, r1, r2)
         np.testing.assert_allclose(v1 + t1 * pp.direction(r1), x, rtol=0, atol=1e-10)
         np.testing.assert_allclose(v2 + t2 * pp.direction(r2), x, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(pp.fanfan_X(r2, r1, v2, v1), x, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(pp.intersect(f2, f1, r2, r1)[0], x, rtol=0, atol=1e-10)
     assert drawn > 150
 
 
 def test_fanfan_parallel_rays_raise():
     with pytest.raises(pp.ParallelRaysError):
-        pp.fanfan_tau(0.25, 0.25, (0.0, 10.0), (0.0, -10.0))
+        pp.intersect(pp.FanGeometry((0.0, 10.0)), pp.FanGeometry((0.0, -10.0)), 0.25, 0.25)
+
+
+def test_parpar_parallel_lines_raise():
+    for theta2 in (0.3, 0.3 + math.pi):
+        with pytest.raises(pp.ParallelRaysError):
+            pp.intersect(pp.ParGeometry(0.3), pp.ParGeometry(theta2), 1.0, 2.0)
+    assert issubclass(pp.ParallelRaysError, pp.DomainError)
 
 
 def test_parfan_X_fixed():
-    x = np.asarray(pp.parfan_X(0.0, 10.0, 0.0, (-80.0, 0.0)), dtype=float)
+    par = pp.ParGeometry(0.0)
+    x, _, _ = pp.intersect(par, pp.FanGeometry((-80.0, 0.0)), 10.0, 0.0)
     np.testing.assert_allclose(x, (10.0, 0.0), atol=1e-12)
     # par line direction (0,1) parallel to the ray pointing straight down
     with pytest.raises(pp.ParallelRaysError):
-        pp.parfan_X(0.0, 1.0, -math.pi / 2, (0.0, 5.0))
+        pp.intersect(par, pp.FanGeometry((0.0, 5.0)), 1.0, -math.pi / 2)
 
 
 def test_parfan_X_lies_on_both_curves():
@@ -187,11 +196,31 @@ def test_parfan_X_lies_on_both_curves():
     for _ in range(100):
         r1 = rng.uniform(-10, 13)
         r2 = base + rng.uniform(-0.1, 0.1)
-        x = np.asarray(pp.parfan_X(par.theta, r1, r2, vertex), dtype=float)
+        x, _, _ = pp.intersect(par, fan, r1, r2)
         rr1, _ = par.inverse(x)
         rr2, _ = fan.inverse(x)
         assert abs(rr1 - r1) < 1e-10
         assert abs(rr2 - r2) < 1e-10
+
+
+def _curve(draw, fan):
+    """A family and one ray parameter of it."""
+    if fan:
+        vertex = (draw(st.floats(-90.0, 90.0)), draw(st.floats(-90.0, 90.0)))
+        return pp.FanGeometry(vertex), draw(st.floats(-math.pi, math.pi))
+    return pp.ParGeometry(draw(st.floats(-math.pi, math.pi))), draw(st.floats(-50.0, 50.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(["par-par", "par-fan", "fan-fan"]), data=st.data())
+def test_intersect_lands_on_both_rays(kind, data):
+    (g1, r1), (g2, r2) = (_curve(data.draw, k == "fan") for k in kind.split("-"))
+    (o1, e1), (o2, e2) = g1.ray(r1), g2.ray(r2)
+    assume(abs(pp.cross2(e1, e2)) > 0.05)  # not (nearly) parallel
+    x, t1, t2 = pp.intersect(g1, g2, r1, r2)
+    np.testing.assert_allclose(o1 + t1 * e1, x, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(o2 + t2 * e2, x, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(pp.intersect(g2, g1, r2, r1)[0], x, rtol=0, atol=1e-9)
 
 
 # --- domains ---------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_inconceivable_g2_support_and_domain():
 
 
 def test_reference_target_layout():
-    tgt = pp.reference_target(n_bins=128)
+    tgt = pp.reference_target(*pp.reference_grids(128))
     assert tgt.view1.grid.view == 1 and tgt.view2.grid.view == 2
     assert tgt.g1.shape == (128,) and tgt.g2.shape == (128,)
     np.testing.assert_array_equal(tgt.g1, 0.0)
