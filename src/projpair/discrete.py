@@ -8,6 +8,7 @@ Detector bins are midpoint-aligned: bin ``k`` has center ``lo + (k + 1/2) * widt
 from __future__ import annotations
 
 import io
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
@@ -45,8 +46,8 @@ class ImageGrid:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ConfigurationError("image grid needs at least one pixel per axis")
-        if self.extent <= 0:
-            raise ConfigurationError("image extent must be positive")
+        if not 0 < self.extent < math.inf:
+            raise ConfigurationError("image extent must be positive and finite")
         if self.mask is not None:
             m = np.asarray(self.mask, dtype=bool).ravel()
             if m.size != self.nx * self.ny:
@@ -66,13 +67,21 @@ class ImageGrid:
         dx, dy = self.pixel_size
         return dx * dy
 
-    def pixel_centers(self) -> np.ndarray:
-        """Centers of all pixels in flat order, shape (nx*ny, 2)."""
+    def pixel_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pixel-center abscissae ``xs`` (length nx) and ordinates ``ys`` (length ny)."""
         dx, dy = self.pixel_size
         xs = -0.5 * self.extent + dx * (np.arange(self.nx) + 0.5)
         ys = -0.5 * self.extent + dy * (np.arange(self.ny) + 0.5)
-        xx, yy = np.meshgrid(xs, ys)
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        return xs, ys
+
+    def pixel_centers(self, idx=None) -> np.ndarray:
+        """Centers of the pixels with flat indices ``idx``, shape (len(idx), 2).
+
+        ``idx`` defaults to every pixel, in flat order.
+        """
+        xs, ys = self.pixel_axes()
+        idx = np.arange(self.n_pixels) if idx is None else np.asarray(idx)
+        return np.stack([xs[idx % self.nx], ys[idx // self.nx]], axis=-1)
 
     @staticmethod
     def from_domain(nx: int, ny: int, domain: ImageDomain, extent: float = DEFAULT_EXTENT) -> "ImageGrid":
@@ -84,14 +93,20 @@ class ImageGrid:
         that ends exactly at the domain's silhouette, and the truncated
         deposits break the range-condition structure of the discrete
         system.
+
+        The five points are tested row by row: :meth:`ImageDomain.contains_xy`
+        gets the shifted abscissae ``xs + sx`` against the column of shifted
+        ordinates ``ys[:, None] + sy``, so a polygon's edge crossings are
+        computed once per pixel row, not once per pixel.
         """
         grid = ImageGrid(nx=nx, ny=ny, extent=extent)
-        centers = grid.pixel_centers()
+        xs, ys = grid.pixel_axes()
+        ys = ys[:, None]
         hx, hy = 0.5 * grid.pixel_size[0], 0.5 * grid.pixel_size[1]
-        mask = domain.contains(centers)
+        mask = domain.contains_xy(xs, ys)
         for sx in (-hx, hx):
             for sy in (-hy, hy):
-                mask &= domain.contains(centers + np.array([sx, sy]))
+                mask &= domain.contains_xy(xs + sx, ys + sy)
         return ImageGrid(nx=nx, ny=ny, extent=extent, mask=mask)
 
 
@@ -114,6 +129,8 @@ class DetectorGrid:
             raise ConfigurationError("view must be 1 or 2")
         if self.n_bins < 1:
             raise ConfigurationError("need at least one bin")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ConfigurationError("detector range must be finite")
         if not self.hi > self.lo:
             raise ConfigurationError("detector range must have hi > lo")
 
@@ -146,10 +163,16 @@ class ProjectionData:
 
 
 def rasterize(func: Callable, grid: ImageGrid) -> np.ndarray:
-    """Sample ``func`` at pixel centers (zero outside the mask)."""
-    vals = np.asarray(func(grid.pixel_centers()), dtype=float).ravel()
-    if grid.mask is not None:
-        vals = np.where(grid.mask, vals, 0.0)
+    """Sample ``func`` at pixel centers, zero outside the mask.
+
+    ``func`` maps points of shape (n, 2) to n values.  With a mask it is
+    called on the centers of the masked pixels only.
+    """
+    if grid.mask is None:
+        return np.asarray(func(grid.pixel_centers()), dtype=float).ravel()
+    idx = np.flatnonzero(grid.mask)
+    vals = np.zeros(grid.n_pixels)
+    vals[idx] = np.asarray(func(grid.pixel_centers(idx)), dtype=float).ravel()
     return vals
 
 
@@ -262,7 +285,7 @@ class PairOperator:
         self._idx = np.flatnonzero(image.mask)
         if self._idx.size == 0:
             raise ConfigurationError("the image mask keeps no pixel inside the domain")
-        centers = image.pixel_centers()[self._idx]
+        centers = image.pixel_centers(self._idx)
         delta = dx
         area = image.pixel_area
         kernels = known_kernels(pair)

@@ -218,6 +218,13 @@ def _polygon_area(verts: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def _finite_center(center) -> tuple[float, float]:
+    cx, cy = float(center[0]), float(center[1])
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ConfigurationError("domain center must be finite")
+    return cx, cy
+
+
 def _clip_halfplane(verts: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
     # Sutherland-Hodgman clip of a polygon against a . x <= b.
     out = []
@@ -249,25 +256,27 @@ class ImageDomain:
 
     @staticmethod
     def rectangle(half_width: float, half_height: float, center=(0.0, 0.0)) -> "ImageDomain":
-        if half_width <= 0 or half_height <= 0:
-            raise ConfigurationError("rectangle half-widths must be positive")
+        if not (0 < half_width < math.inf and 0 < half_height < math.inf):
+            raise ConfigurationError("rectangle half-widths must be positive and finite")
         return ImageDomain(
             kind="rectangle",
-            center=(float(center[0]), float(center[1])),
+            center=_finite_center(center),
             half_widths=(float(half_width), float(half_height)),
         )
 
     @staticmethod
     def disc(center, radius: float) -> "ImageDomain":
-        if radius <= 0:
-            raise ConfigurationError("disc radius must be positive")
-        return ImageDomain(kind="disc", center=(float(center[0]), float(center[1])), radius=float(radius))
+        if not 0 < radius < math.inf:
+            raise ConfigurationError("disc radius must be positive and finite")
+        return ImageDomain(kind="disc", center=_finite_center(center), radius=float(radius))
 
     @staticmethod
     def polygon(vertices) -> "ImageDomain":
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise ConfigurationError("polygon needs at least three (x, y) vertices")
+        if not np.all(np.isfinite(v)):
+            raise ConfigurationError("polygon vertices must be finite")
         if _polygon_area(v) < 0:
             v = v[::-1].copy()
         c = v.mean(axis=0)
@@ -276,34 +285,42 @@ class ImageDomain:
     # -- predicates -----------------------------------------------------
 
     def contains(self, points) -> np.ndarray:
-        """Boolean mask: which points lie strictly inside the domain."""
-        x = np.asarray(points, dtype=float)
-        scalar = x.ndim == 1
-        x = np.atleast_2d(x)
+        """Boolean mask of shape ``points.shape[:-1]``: which points of
+        shape ``(..., 2)`` lie strictly inside the domain."""
+        p = np.asarray(points, dtype=float)
+        return self.contains_xy(p[..., 0], p[..., 1])
+
+    def contains_xy(self, x, y) -> np.ndarray:
+        """Which points ``(x, y)`` lie strictly inside the domain.
+
+        ``x`` and ``y`` broadcast against each other; the result has their
+        broadcast shape.  A polygon uses the even-odd rule: a point is inside
+        when a ray from it toward ``+x`` crosses the boundary an odd number
+        of times.  Each edge's crossing abscissa depends on ``y`` alone, so
+        it is computed once per distinct ``y`` (once per pixel row when
+        ``y`` is a column of row ordinates) and only ``x < xi`` is evaluated
+        per point.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
         if self.kind == "rectangle":
             cx, cy = self.center
             hx, hy = self.half_widths
-            ok = (np.abs(x[:, 0] - cx) < hx) & (np.abs(x[:, 1] - cy) < hy)
-        elif self.kind == "disc":
-            c = np.array(self.center)
-            ok = np.hypot(*(x - c).T) < self.radius
-        else:
-            ok = self._polygon_contains(x)
-        return ok[0] if scalar else ok
-
-    def _polygon_contains(self, pts: np.ndarray) -> np.ndarray:
-        # Even-odd rule, vectorized over points.
+            return (np.abs(x - cx) < hx) & (np.abs(y - cy) < hy)
+        if self.kind == "disc":
+            cx, cy = self.center
+            return np.hypot(x - cx, y - cy) < self.radius
         v = self.vertices
         n = len(v)
-        inside = np.zeros(len(pts), dtype=bool)
-        px, py = pts[:, 0], pts[:, 1]
+        inside = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=bool)
         for i in range(n):
             x1, y1 = v[i]
             x2, y2 = v[(i + 1) % n]
-            crosses = (y1 > py) != (y2 > py)
+            crosses = (y1 > y) != (y2 > y)
             with np.errstate(divide="ignore", invalid="ignore"):
-                xi = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-            inside ^= crosses & (px < np.where(crosses, xi, np.inf))
+                xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            # a level edge or one the ray misses crosses nowhere: x < -inf is false
+            inside ^= x < np.where(crosses, xi, -np.inf)
         return inside
 
     # -- geometry queries ------------------------------------------------

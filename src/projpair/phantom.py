@@ -45,7 +45,11 @@ class Phantom:
 
 
 def bump_eval(phantom: Phantom, points) -> np.ndarray:
-    """Evaluate the phantom at points of shape (..., 2)."""
+    """Evaluate the phantom at points of shape (..., 2).
+
+    Each bump's exponential is evaluated only at the points inside its
+    support, ``|x - center| < radius``; it contributes nothing elsewhere.
+    """
     x = np.asarray(points, dtype=float)
     out = np.zeros(x.shape[:-1], dtype=float)
     for b in phantom.bumps:
@@ -53,8 +57,7 @@ def bump_eval(phantom: Phantom, points) -> np.ndarray:
         s2 = (d[..., 0] ** 2 + d[..., 1] ** 2) / (b.radius**2)
         inside = s2 < 1.0
         with np.errstate(divide="ignore", over="ignore"):
-            vals = np.where(inside, np.exp(-1.0 / np.maximum(1.0 - s2, 1e-300)), 0.0)
-        out += b.amplitude * vals
+            out[inside] += b.amplitude * np.exp(-1.0 / np.maximum(1.0 - s2[inside], 1e-300))
     return out
 
 

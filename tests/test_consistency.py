@@ -279,7 +279,7 @@ def test_expo_surface_is_log_factor_ratio():
     for mu in (MU, 0.0):
         pair = pp.reference_pair(mu)
         x, _, _ = pp.intersect(pair.first, pair.second, r1[:, None], r2[None, :])
-        inside = pair.domain.contains(x.reshape(-1, 2)).reshape(x.shape[:2])
+        inside = pair.domain.contains(x)
         assert inside.sum() > 1000
         assert np.all(r1[:, None] < r2[None, :])
         L, valid = pp.expo_surface(pair, r1, r2)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projpair as pp
 
@@ -103,6 +105,27 @@ def test_adjoint_identity_64():
             lhs = np.concatenate(op.forward(f)) @ g
             rhs = f @ op.adjoint(g1, g2)
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    nx=st.integers(8, 40),
+    bins=st.tuples(st.integers(3, 30), st.integers(3, 30)),
+    mu=st.sampled_from([0.0, -0.154]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjoint_identity_random_grids(nx, bins, mu, seed):
+    """<Af, g> == <f, A^T g> on random small reference systems, both mu."""
+    pair = pp.reference_pair(mu)
+    (lo1, hi1), (lo2, hi2) = pp.reference_view_ranges()
+    d1, d2 = pp.DetectorGrid(1, bins[0], lo1, hi1), pp.DetectorGrid(2, bins[1], lo2, hi2)
+    op = pp.PairOperator(pair, pp.ImageGrid.from_domain(nx, nx, pair.domain), d1, d2)
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=op.image.n_pixels)
+    g = rng.normal(size=sum(bins))
+    af, atg = op.forward_flat(f), op.adjoint_flat(g)
+    scale = np.linalg.norm(af) * np.linalg.norm(g) + np.linalg.norm(f) * np.linalg.norm(atg)
+    assert abs(af @ g - f @ atg) <= 1e-12 * scale
 
 
 def test_flat_interfaces_match_split():
@@ -264,6 +287,112 @@ def test_rasterize_zeroes_masked_pixels():
     vals = pp.rasterize(lambda x: np.ones(x.shape[0]), grid)
     assert vals[~grid.mask].sum() == 0.0
     assert vals[grid.mask].all()
+    # sampling only the masked centers changes no bit against sampling
+    # every center and zeroing the rest, with overlapping bumps
+    ph = pp.Phantom((pp.Bump((0.0, 0.0), 9.0, 1.5), pp.Bump((5.0, 3.0), 7.0, -0.75),
+                     pp.Bump((-20.0, -20.0), 12.0, 2.0)))
+    for grid in (pp.ImageGrid.from_domain(97, 83, pp.reference_domain()), pp.ImageGrid(40, 40, 70.0)):
+        dense = ph(grid.pixel_centers())
+        if grid.mask is not None:
+            dense = np.where(grid.mask, dense, 0.0)
+        np.testing.assert_array_equal(pp.rasterize(ph, grid), dense)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pp.ImageGrid(8, 8, extent=math.nan),
+        lambda: pp.ImageGrid(8, 8, extent=math.inf),
+        lambda: pp.DetectorGrid(1, 4, 0.0, math.inf),
+        lambda: pp.DetectorGrid(1, 4, -math.inf, 0.0),
+        lambda: pp.ImageDomain.disc((0.0, 0.0), math.nan),
+        lambda: pp.ImageDomain.disc((0.0, 0.0), math.inf),
+        lambda: pp.ImageDomain.disc((math.nan, 0.0), 5.0),
+        lambda: pp.ImageDomain.rectangle(math.nan, 1.0),
+        lambda: pp.ImageDomain.rectangle(1.0, math.nan),
+        lambda: pp.ImageDomain.rectangle(1.0, 1.0, center=(0.0, math.inf)),
+        lambda: pp.ImageDomain.polygon([[0.0, 0.0], [1.0, 0.0], [0.0, math.nan]]),
+    ],
+    ids=[
+        "grid-extent-nan", "grid-extent-inf", "detector-hi-inf", "detector-lo-inf",
+        "disc-radius-nan", "disc-radius-inf", "disc-center-nan", "rect-width-nan",
+        "rect-height-nan", "rect-center-inf", "polygon-vertex-nan",
+    ],
+)
+def test_constructors_reject_non_finite_numbers(build):
+    with pytest.raises(pp.ConfigurationError):
+        build()
+
+
+# --- the row-wise mask and masked-only sampling -----------------------------
+
+
+def inside_one_by_one(domain, px, py):
+    """Membership of the points ``(px[i], py[i])``, each with its own edge
+    crossings: the per-point rule the row-wise mask must reproduce."""
+    if domain.kind == "rectangle":
+        (cx, cy), (hx, hy) = domain.center, domain.half_widths
+        return (np.abs(px - cx) < hx) & (np.abs(py - cy) < hy)
+    if domain.kind == "disc":
+        cx, cy = domain.center
+        return np.hypot(px - cx, py - cy) < domain.radius
+    v = domain.vertices
+    inside = np.zeros(px.size, dtype=bool)
+    for i in range(len(v)):
+        x1, y1 = v[i]
+        x2, y2 = v[(i + 1) % len(v)]
+        crosses = (y1 > py) != (y2 > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= crosses & (px < np.where(crosses, xi, np.inf))
+    return inside
+
+
+def five_point_mask(grid, domain):
+    """Pixel center and four corners inside, tested point by point."""
+    dx, dy = grid.pixel_size
+    xs = -0.5 * grid.extent + dx * (np.arange(grid.nx) + 0.5)
+    ys = -0.5 * grid.extent + dy * (np.arange(grid.ny) + 0.5)
+    xx, yy = np.meshgrid(xs, ys)
+    px, py = xx.ravel(), yy.ravel()
+    mask = inside_one_by_one(domain, px, py)
+    for sx in (-0.5 * dx, 0.5 * dx):
+        for sy in (-0.5 * dy, 0.5 * dy):
+            mask &= inside_one_by_one(domain, px + sx, py + sy)
+    return mask
+
+
+MASK_DOMAINS = {
+    "rectangle": pp.ImageDomain.rectangle(20.3, 11.7, center=(3.1, -1.2)),
+    "disc": pp.ImageDomain.disc((1.3, -2.7), 23.1),
+    "reference": pp.reference_domain(),
+    # concave, with level edges and vertices on pixel-corner rows at 70^2
+    "concave": pp.ImageDomain.polygon(
+        [[-30, -30], [30, -30], [30, 30], [10, 30], [0, -5], [-10, 30], [-30, 30]]),
+}
+
+
+@pytest.mark.parametrize("shape", [(70, 70, 70.0), (200, 200, 70.0), (61, 37, 70.0), (90, 90, 40.0)],
+                         ids=["70sq", "200sq", "nx-ne-ny", "extent-inside-domain"])
+@pytest.mark.parametrize("name", MASK_DOMAINS)
+def test_mask_matches_five_point_rule(name, shape):
+    nx, ny, extent = shape
+    domain = MASK_DOMAINS[name]
+    grid = pp.ImageGrid.from_domain(nx, ny, domain, extent=extent)
+    oracle = five_point_mask(pp.ImageGrid(nx, ny, extent), domain)
+    assert oracle.any()
+    np.testing.assert_array_equal(grid.mask, oracle)
+
+
+def test_pixel_centers_of_indices():
+    grid = pp.ImageGrid(13, 7, 30.0)
+    dx, dy = grid.pixel_size
+    xx, yy = np.meshgrid(-15.0 + dx * (np.arange(13) + 0.5), -15.0 + dy * (np.arange(7) + 0.5))
+    every = grid.pixel_centers()
+    np.testing.assert_array_equal(every, np.column_stack([xx.ravel(), yy.ravel()]))
+    idx = np.array([0, 5, 12, 13, 47, 90])
+    np.testing.assert_array_equal(grid.pixel_centers(idx), every[idx])
+    assert grid.pixel_centers(np.array([], dtype=np.int64)).shape == (0, 2)
 
 
 def test_image_io_round_trip(tmp_path):

@@ -45,15 +45,13 @@ def test_par_point_fixed():
     np.testing.assert_allclose(geom.point(2.0, 3.0), (2.0, 3.0), atol=0)
 
 
-def test_par_round_trip():
-    rng = np.random.default_rng(101)
-    for _ in range(200):
-        geom = pp.ParGeometry(rng.uniform(-math.pi, math.pi))
-        r, t = rng.uniform(-50, 50, size=2)
-        x = geom.point(r, t)
-        r2, t2 = geom.inverse(x)
-        assert abs(r2 - r) < 1e-12 * max(1.0, abs(r))
-        assert abs(t2 - t) < 1e-12 * max(1.0, abs(t))
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(theta=st.floats(-math.pi, math.pi), r=st.floats(-50.0, 50.0), t=st.floats(-50.0, 50.0))
+def test_par_round_trip(theta, r, t):
+    geom = pp.ParGeometry(theta)
+    r2, t2 = geom.inverse(geom.point(r, t))
+    assert abs(r2 - r) < 1e-12 * max(1.0, abs(r))
+    assert abs(t2 - t) < 1e-12 * max(1.0, abs(t))
 
 
 def test_fan_point_fixed():
@@ -69,18 +67,19 @@ def test_fan_point_rejects_nonpositive_t():
         geom.point(1.0, -2.0)
 
 
-def test_fan_round_trip():
-    rng = np.random.default_rng(102)
-    for _ in range(200):
-        vertex = tuple(rng.uniform(-100, 100, size=2))
-        theta0 = rng.uniform(-math.pi, math.pi)
-        geom = pp.FanGeometry(vertex, theta0=theta0)
-        r = rng.uniform(theta0, theta0 + 2 * math.pi)
-        t = rng.uniform(0.1, 200.0)
-        x = geom.point(r, t)
-        r2, t2 = geom.inverse(x)
-        assert abs(r2 - r) < 1e-12
-        assert abs(t2 - t) < 1e-12 * t
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    vertex=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+    theta0=st.floats(-math.pi, math.pi),
+    u=st.floats(1e-9, 1.0 - 1e-9),  # clear of the branch cut
+    t=st.floats(0.1, 200.0),
+)
+def test_fan_round_trip(vertex, theta0, u, t):
+    geom = pp.FanGeometry(vertex, theta0=theta0)
+    r = theta0 + 2.0 * math.pi * u
+    r2, t2 = geom.inverse(geom.point(r, t))
+    assert abs(r2 - r) < 1e-12
+    assert abs(t2 - t) < 1e-12 * t
 
 
 def test_fan_inverse_branch_cut():
@@ -224,6 +223,21 @@ def test_intersect_lands_on_both_rays(kind, data):
 
 
 # --- domains ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [pp.ImageDomain.rectangle(20.0, 10.0, center=(1.0, 2.0)), pp.ImageDomain.disc((1.0, -2.0), 25.0),
+     pp.reference_domain()],
+    ids=["rectangle", "disc", "polygon"],
+)
+def test_contains_keeps_point_array_shape(dom):
+    x = np.random.default_rng(9).uniform(-40.0, 40.0, size=(5, 7, 2))
+    got = dom.contains(x)
+    assert got.shape == (5, 7)
+    np.testing.assert_array_equal(got, dom.contains(x.reshape(-1, 2)).reshape(x.shape[:-1]))
+    assert got.any() and not got.all()
+    assert dom.contains(x[2, 3]) == got[2, 3]
 
 
 def test_disc_domain_contains_and_chord():
