@@ -30,8 +30,9 @@ class QuadratureSpec:
 
     Panels are doubled until the value changes by less than
     ``max(abs_tol, rel_floor * |value|)`` per ray; ``max_refine`` doublings
-    at most.  Each ray converges independently of how rays are batched, so
-    batched and one-at-a-time evaluation agree bitwise.
+    at most.  A ray leaves the batch at the doubling where it settles, and
+    each ray gets the same floating-point operations whichever rays share
+    its batch, so batched and one-at-a-time evaluation agree bitwise.
     """
 
     order: int = 16
@@ -51,11 +52,16 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _bump_line_integrals(geom, bump, r, spec: QuadratureSpec) -> np.ndarray:
-    """Weighted line integrals of one bump for every ray parameter in ``r``."""
-    if not isinstance(geom, (ParGeometry, FanGeometry)):
-        raise ConfigurationError(f"unsupported geometry type {type(geom).__name__}")
-    r = np.asarray(r, dtype=float)
+def _bump_line_integrals(geom, bump, r, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted line integrals of one bump for the flat ray parameters ``r``.
+
+    Returns ``(values, late, drift)``: ``late`` indexes the rays that did not
+    settle within ``spec.max_refine`` doublings, ``drift`` their change at
+    the last one, and ``values`` holds each ray's settled (or last) value.
+    Each doubling evaluates only the rays that have not settled yet; a
+    ray's arithmetic does not depend on which rays share its batch, so
+    batched and one-at-a-time results agree bitwise.
+    """
     out = np.zeros(r.shape)
     origins, dirs = geom.ray(r)
     c = np.asarray(bump.center, dtype=float)
@@ -64,83 +70,108 @@ def _bump_line_integrals(geom, bump, r, spec: QuadratureSpec) -> np.ndarray:
     c0 = np.sum(oc * oc, axis=-1) - bump.radius**2
     disc = b * b - c0
     hit = disc > 0.0
-    if not np.any(hit):
-        return out
     sq = np.sqrt(disc[hit])
     t0 = np.maximum(-b[hit] - sq, geom.t_min)
     t1 = -b[hit] + sq
     ok = t1 > t0
-    if not np.any(ok):
-        return out
     idx = np.flatnonzero(hit)[ok]
     t0, t1 = t0[ok], t1[ok]
-    o = origins[idx]
-    dv = dirs[idx]
+    span = t1 - t0
+    ox, oy = origins[idx, 0], origins[idx, 1]
+    dx, dy = dirs[idx, 0], dirs[idx, 1]
     rr = r[idx]
+    cx, cy = c
+    r2 = bump.radius**2
 
     nodes, weights = _gl_rule(spec.order)
 
-    def composite(panels: int) -> np.ndarray:
+    def composite(panels: int, live: np.ndarray) -> np.ndarray:
         edges = np.linspace(0.0, 1.0, panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
         # unit-interval nodes of every panel, shape (panels * order,)
         u = (mids[:, None] + half * nodes[None, :]).ravel()
         w = np.tile(half * weights, panels)
-        t = t0[:, None] + (t1 - t0)[:, None] * u[None, :]
-        pts = o[:, None, :] + t[..., None] * dv[:, None, :]
-        dloc = pts - c
-        s2 = (dloc[..., 0] ** 2 + dloc[..., 1] ** 2) / bump.radius**2
+        # per-coordinate (rays, nodes) arrays, updated in place
+        t = np.multiply.outer(span[live], u)
+        t += t0[live, None]
+        px = t * dx[live, None]
+        px += ox[live, None]
+        px -= cx
+        np.square(px, out=px)
+        py = t * dy[live, None]
+        py += oy[live, None]
+        py -= cy
+        np.square(py, out=py)
+        s2 = px
+        s2 += py
+        s2 /= r2
+        fval = np.subtract(1.0, s2, out=py)
+        np.maximum(fval, 1e-300, out=fval)
+        np.divide(-1.0, fval, out=fval)
         with np.errstate(divide="ignore", over="ignore"):
-            fval = np.where(s2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - s2, 1e-300)), 0.0)
+            np.exp(fval, out=fval)
+        fval[~(s2 < 1.0)] = 0.0
         fval *= bump.amplitude
-        wt = geom.weight(rr[:, None], t)
+        fval *= geom.weight(rr[live, None], t)
+        fval *= w
         # np.sum keeps the reduction order independent of the batch size,
         # unlike @ which picks BLAS blockings by shape
-        return (t1 - t0) * np.sum(fval * wt * w, axis=-1)
+        return span[live] * np.sum(fval, axis=-1)
 
-    vals = composite(spec.init_panels)
-    settled = np.zeros(vals.shape, dtype=bool)
-    final = vals.copy()
+    live = np.arange(idx.size)
+    vals = composite(spec.init_panels, live)
+    final = np.empty_like(vals)
     panels = spec.init_panels
-    delta = np.full(vals.shape, np.inf)
     for _ in range(spec.max_refine):
         panels *= 2
-        new = composite(panels)
+        new = composite(panels, live)
+        final[live] = new
         delta = np.abs(new - vals)
-        tol = np.maximum(spec.abs_tol, spec.rel_floor * np.abs(new))
-        just = ~settled & (delta <= tol)
-        final[just] = new[just]
-        settled |= just
-        vals = new
-        if np.all(settled):
+        moving = ~(delta <= np.maximum(spec.abs_tol, spec.rel_floor * np.abs(new)))
+        live, vals, delta = live[moving], new[moving], delta[moving]
+        if not live.size:
             break
-    else:
-        bad = int(np.sum(~settled))
-        final[~settled] = vals[~settled]
-        out[idx] = final
-        raise AccuracyError(
-            f"ray quadrature did not settle for {bad} ray(s) after {spec.max_refine} refinements",
-            best_estimate=out,
-            achieved_tol=float(np.max(delta[~settled])),
-        )
     out[idx] = final
-    return out
+    return out, idx[live], delta
 
 
 def project_values(geom, f: Phantom, r, spec: QuadratureSpec | None = None) -> np.ndarray:
-    """Projection values for an array of ray parameters."""
+    """Projection values for ray parameters ``r`` (any shape, scalars too).
+
+    Raises ``ConfigurationError`` for an unsupported family or a non-finite
+    parameter.  If some ray does not settle, every bump is still integrated
+    and one ``AccuracyError`` carries their summed best estimate and the
+    largest last change among the rays that did not settle.
+    """
+    if not isinstance(geom, (ParGeometry, FanGeometry)):
+        raise ConfigurationError(f"unsupported geometry type {type(geom).__name__}")
     spec = spec or QuadratureSpec()
     r = np.asarray(r, dtype=float)
-    total = np.zeros(r.shape)
+    flat = r.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ConfigurationError("ray parameters must be finite numbers")
+    total = np.zeros(flat.shape)
+    late = np.zeros(flat.shape, dtype=bool)
+    drifts = []
     for bump in f.bumps:
-        total += _bump_line_integrals(geom, bump, r, spec)
+        vals, idx, drift = _bump_line_integrals(geom, bump, flat, spec)
+        total += vals
+        late[idx] = True
+        drifts.append(drift)
+    total = total.reshape(r.shape)
+    if np.any(late):
+        raise AccuracyError(
+            f"ray quadrature did not settle for {np.count_nonzero(late)} ray(s) after {spec.max_refine} refinements",
+            best_estimate=total,
+            achieved_tol=float(np.max(np.concatenate(drifts))),
+        )
     return total
 
 
 def project_ray(geom, f: Phantom, r: float, spec: QuadratureSpec | None = None) -> float:
     """Projection of ``f`` along the single ray with parameter ``r``."""
-    return float(project_values(geom, f, np.array([float(r)]), spec)[0])
+    return float(project_values(geom, f, float(r), spec))
 
 
 def project_view(geom, f: Phantom, grid: DetectorGrid, spec: QuadratureSpec | None = None) -> ProjectionData:

@@ -135,6 +135,226 @@ def test_exponential_weight_changes_value():
     assert damped > flat * math.exp(-0.154 * 102.0)
 
 
+def _reference_line_integrals(geom, bump, r, spec):
+    """The all-rays refinement loop, kept as the bitwise oracle: every ray is
+    re-evaluated at every doubling until the last one settles."""
+    if not isinstance(geom, (pp.ParGeometry, pp.FanGeometry)):
+        raise pp.ConfigurationError(f"unsupported geometry type {type(geom).__name__}")
+    r = np.asarray(r, dtype=float)
+    out = np.zeros(r.shape)
+    origins, dirs = geom.ray(r)
+    c = np.asarray(bump.center, dtype=float)
+    oc = origins - c
+    b = np.sum(oc * dirs, axis=-1)
+    c0 = np.sum(oc * oc, axis=-1) - bump.radius**2
+    disc = b * b - c0
+    hit = disc > 0.0
+    if not np.any(hit):
+        return out
+    sq = np.sqrt(disc[hit])
+    t0 = np.maximum(-b[hit] - sq, geom.t_min)
+    t1 = -b[hit] + sq
+    ok = t1 > t0
+    if not np.any(ok):
+        return out
+    idx = np.flatnonzero(hit)[ok]
+    t0, t1 = t0[ok], t1[ok]
+    o = origins[idx]
+    dv = dirs[idx]
+    rr = r[idx]
+
+    nodes, weights = np.polynomial.legendre.leggauss(spec.order)
+
+    def composite(panels: int) -> np.ndarray:
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1] - edges[0])
+        # unit-interval nodes of every panel, shape (panels * order,)
+        u = (mids[:, None] + half * nodes[None, :]).ravel()
+        w = np.tile(half * weights, panels)
+        t = t0[:, None] + (t1 - t0)[:, None] * u[None, :]
+        pts = o[:, None, :] + t[..., None] * dv[:, None, :]
+        dloc = pts - c
+        s2 = (dloc[..., 0] ** 2 + dloc[..., 1] ** 2) / bump.radius**2
+        with np.errstate(divide="ignore", over="ignore"):
+            fval = np.where(s2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - s2, 1e-300)), 0.0)
+        fval *= bump.amplitude
+        wt = geom.weight(rr[:, None], t)
+        # np.sum keeps the reduction order independent of the batch size,
+        # unlike @ which picks BLAS blockings by shape
+        return (t1 - t0) * np.sum(fval * wt * w, axis=-1)
+
+    vals = composite(spec.init_panels)
+    settled = np.zeros(vals.shape, dtype=bool)
+    final = vals.copy()
+    panels = spec.init_panels
+    delta = np.full(vals.shape, np.inf)
+    for _ in range(spec.max_refine):
+        panels *= 2
+        new = composite(panels)
+        delta = np.abs(new - vals)
+        tol = np.maximum(spec.abs_tol, spec.rel_floor * np.abs(new))
+        just = ~settled & (delta <= tol)
+        final[just] = new[just]
+        settled |= just
+        vals = new
+        if np.all(settled):
+            break
+    else:
+        bad = int(np.sum(~settled))
+        final[~settled] = vals[~settled]
+        out[idx] = final
+        raise pp.AccuracyError(
+            f"ray quadrature did not settle for {bad} ray(s) after {spec.max_refine} refinements",
+            best_estimate=out,
+            achieved_tol=float(np.max(delta[~settled])),
+        )
+    out[idx] = final
+    return out
+
+
+def _outcome(project, geom, bump, r, spec):
+    """Values of a one-bump projection, or the fields of its AccuracyError."""
+    try:
+        vals = project(geom, pp.Phantom((bump,)), r, spec)
+    except pp.AccuracyError as err:
+        return str(err), err.best_estimate.tobytes(), err.achieved_tol
+    return vals.tobytes()
+
+
+def _reference_project(geom, phantom, r, spec):
+    total = np.zeros(np.shape(r))
+    for bump in phantom.bumps:
+        total += _reference_line_integrals(geom, bump, r, spec)
+    return total
+
+
+BUMP = pp.Bump((4.0, -6.0), 7.0, 1.0)
+FAMILIES = {
+    "par": pp.ParGeometry(0.35),
+    "fan": pp.FanGeometry((-90.0, 5.0), theta0=-math.pi),
+    "fan-mu": pp.FanGeometry((-90.0, 5.0), theta0=-math.pi, mu=-0.154),
+}
+
+
+def _rays(geom, offsets):
+    """Ray parameters at signed offsets from the bump's centre, in units of
+    its radius: |s| = 1 is tangent to the support, |s| > 1 misses it."""
+    c = np.asarray(BUMP.center)
+    if isinstance(geom, pp.ParGeometry):
+        return float(c @ pp.direction(geom.theta)) + np.asarray(offsets) * BUMP.radius
+    to_c = c - geom.vertex_xy
+    half = math.asin(BUMP.radius / math.hypot(*to_c))
+    return math.atan2(to_c[1], to_c[0]) + np.asarray(offsets) * half
+
+
+RAY_SETS = {
+    "one": lambda rng: [0.3],
+    "miss": lambda rng: rng.uniform(1.01, 3.0, 9) * rng.choice([-1.0, 1.0], 9),
+    "near-tangent": lambda rng: np.array([1 - 1e-3, 1 - 1e-7, 1 - 1e-12, -1 + 1e-9, 1.0, -1.0]),
+    "4096": lambda rng: np.linspace(-1.2, 1.2, 4096),
+    "mixed": lambda rng: rng.uniform(-1.5, 1.5, 257),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("rays", RAY_SETS)
+def test_live_ray_loop_equals_all_rays_loop_bitwise(family, rays):
+    geom = FAMILIES[family]
+    r = _rays(geom, RAY_SETS[rays](np.random.default_rng(len(family) * 31 + len(rays))))
+    spec = pp.QuadratureSpec()
+    assert _outcome(pp.project_values, geom, BUMP, r, spec) == \
+        _outcome(_reference_project, geom, BUMP, r, spec)
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.154])
+def test_clipped_fan_chords_equal_all_rays_loop_bitwise(mu):
+    # the vertex lies inside the support, so t_min = 0 clips every chord
+    geom = pp.FanGeometry((5.0, -4.0), theta0=-math.pi, mu=mu)
+    r = np.random.default_rng(5).uniform(-math.pi, math.pi, 600)
+    spec = pp.QuadratureSpec()
+    assert _outcome(pp.project_values, geom, BUMP, r, spec) == \
+        _outcome(_reference_project, geom, BUMP, r, spec)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("max_refine", [1, 3])
+def test_accuracy_error_fields_equal_all_rays_loop(family, max_refine):
+    geom = FAMILIES[family]
+    r = _rays(geom, np.random.default_rng(max_refine).uniform(-1.3, 1.3, 64))
+    spec = pp.QuadratureSpec(order=2, abs_tol=1e-16, rel_floor=0.0,
+                             max_refine=max_refine, init_panels=1)
+    want = _outcome(_reference_project, geom, BUMP, r, spec)
+    assert isinstance(want, tuple)
+    assert _outcome(pp.project_values, geom, BUMP, r, spec) == want
+
+
+def test_random_phantom_equals_all_rays_loop_bitwise():
+    pair = pp.reference_pair()
+    ph = pp.random_phantom(np.random.default_rng(3), pair.domain)
+    for geom in (pair.first, pair.second):
+        r = np.linspace(*pp.view_range(geom, pair.domain), 4096)
+        spec = pp.QuadratureSpec()
+        np.testing.assert_array_equal(pp.project_values(geom, ph, r),
+                                      _reference_project(geom, ph, r, spec))
+
+
+def test_settled_rays_leave_the_batch():
+    rows = []
+
+    class CountingFan(pp.FanGeometry):
+        def weight(self, r, t):
+            rows.append(t.shape[0])
+            return super().weight(r, t)
+
+    geom = CountingFan((-90.0, 5.0), theta0=-math.pi)
+    r = _rays(geom, np.linspace(-0.999, 0.999, 200))
+    phantom = pp.Phantom((BUMP,))
+    vals = pp.project_values(geom, phantom, r)
+    levels = rows.copy()
+    np.testing.assert_array_equal(vals, _reference_project(geom, phantom, r, pp.QuadratureSpec()))
+    assert levels[0] == 200
+    assert levels[-1] < levels[0]
+
+
+def test_accuracy_error_sums_every_bump():
+    spec = pp.QuadratureSpec(order=2, abs_tol=1e-16, rel_floor=0.0,
+                             max_refine=3, init_panels=1)
+    geom = pp.ParGeometry(0.0)
+    r = np.array([-12.0, 4.0])
+
+    def estimate(phantom):
+        with pytest.raises(pp.AccuracyError) as info:
+            pp.project_values(geom, phantom, r, spec=spec)
+        return info.value
+
+    both = estimate(PHANTOM)
+    alone = [estimate(pp.Phantom((b,))) for b in PHANTOM.bumps]
+    np.testing.assert_array_equal(both.best_estimate, sum(e.best_estimate for e in alone))
+    assert np.all(both.best_estimate > 0)
+    assert both.achieved_tol == max(e.achieved_tol for e in alone)
+    assert str(both).startswith("ray quadrature did not settle for 2 ray(s)")
+
+
+def test_project_values_keeps_the_shape_of_r():
+    geom = pp.FanGeometry((-90.0, 5.0), theta0=-math.pi, mu=-0.154)
+    r2d = _rays(geom, np.array([[-0.9, 0.1, 1.4], [0.5, -0.2, 0.0]]))
+    got = pp.project_values(geom, PHANTOM, r2d)
+    assert got.shape == (2, 3)
+    np.testing.assert_array_equal(got, pp.project_values(geom, PHANTOM, r2d.ravel()).reshape(2, 3))
+    scalar = pp.project_values(pp.ParGeometry(0.0), PHANTOM, 4.0)
+    assert scalar.shape == ()
+    assert scalar == pp.project_values(pp.ParGeometry(0.0), PHANTOM, [4.0])[0]
+    assert scalar > 0
+
+
+@pytest.mark.parametrize("geom", [pp.ParGeometry(0.0), pp.FanGeometry((-90.0, 5.0), theta0=-math.pi)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_project_values_rejects_non_finite_rays(geom, bad):
+    with pytest.raises(pp.ConfigurationError, match="finite"):
+        pp.project_values(geom, PHANTOM, [bad, 4.0])
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         pp.QuadratureSpec(order=1)
