@@ -47,7 +47,6 @@ from .phantom import (
     SUPPORT_HALF_ANGLE,
     Bump,
     Phantom,
-    TargetData,
     bump_eval,
     inconceivable_g2,
     mollifier_unit_mass,
@@ -56,7 +55,7 @@ from .phantom import (
     random_phantom,
     reference_target,
 )
-from .projector import QuadratureSpec, continuity_bound_check, project_ray, project_values, project_view
+from .projector import QuadratureSpec, continuity_bound_check, project_values, project_view
 from .discrete import (
     DetectorGrid,
     ImageGrid,
@@ -78,7 +77,6 @@ from .consistency import (
     expo_surface,
     kernel_condition_residual,
     known_kernels,
-    pprc_residual,
     pprc_sides,
     pv_hilbert_residual,
     sample_intersections,

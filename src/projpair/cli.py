@@ -52,7 +52,7 @@ from .geometry import (
     reference_domain,
     view_range,
 )
-from .phantom import Bump, Phantom, TargetData, random_phantom, reference_target
+from .phantom import Bump, Phantom, random_phantom, reference_target
 from .projector import project_view
 from .solver import cgne_solve, predicted_residual_floor
 
@@ -80,8 +80,19 @@ _DEFAULTS = {
     "project": {"mode": "continuous"},
     "solver": {"max_iter": "2000", "tol": "1e-3"},
     "check": {"tol": "1e-6"},
-    "separability": {"n1": "160", "n2": "160", "include_test_tuple": "true"},
+    "separability": {"n1": "160", "n2": "160"},
     "output": {"pgm_window": "", "pgm_level": ""},
+}
+
+# The values each kind or mode key takes, compared stripped and lower-cased.
+# _load_config refuses any other, so each builder's last branch serves the
+# last choice without testing for it.
+_CHOICES = {
+    ("geometry", "kind"): ("fan-fan", "par-fan", "par-par"),
+    ("domain", "kind"): ("reference", "rectangle", "disc", "polygon"),
+    ("target", "kind"): ("reference", "files", "phantom"),
+    ("phantom", "kind"): ("random", "list", "file"),
+    ("project", "mode"): ("continuous", "discrete"),
 }
 
 
@@ -111,11 +122,13 @@ class _Config(configparser.ConfigParser):
             raise ConfigurationError(f"[{section}] {option} = {value!r} is not a finite number")
         return value
 
-    def getboolean(self, section, option, **kwargs):
-        return self._typed(super().getboolean, section, option, kwargs)
-
 
 def _load_config(path: str | None) -> tuple[configparser.ConfigParser, str]:
+    """The config read over the defaults, and the raw text of the file.
+
+    A section or key the defaults do not have, or a kind or mode outside
+    its choices, is a ConfigurationError, raised before any output exists.
+    """
     cp = _Config()
     cp.read_dict(_DEFAULTS)
     raw = ""
@@ -128,6 +141,16 @@ def _load_config(path: str | None) -> tuple[configparser.ConfigParser, str]:
             cp.read_string(raw)
         except configparser.Error as exc:
             raise ConfigurationError(f"malformed config: {exc}") from exc
+    for name, section in cp.items():  # the DEFAULT section first
+        if name not in _DEFAULTS and name != cp.default_section:
+            raise ConfigurationError(f"unknown config section [{name}]")
+        unknown = [key for key in section if key not in _DEFAULTS.get(name, ())]
+        if unknown:
+            raise ConfigurationError(f"unknown config key [{name}] {unknown[0]}")
+    for (name, key), choices in _CHOICES.items():
+        value = cp[name][key].strip().lower()
+        if value not in choices:
+            raise ConfigurationError(f"[{name}] {key} = {value!r} is not one of {', '.join(choices)}")
     return cp, raw
 
 
@@ -160,12 +183,10 @@ def _build_domain(cp: configparser.ConfigParser) -> ImageDomain:
     if kind == "disc":
         cx, cy = _parse_vec(sec["center"], "domain center")
         return ImageDomain.disc((cx, cy), sec.getfloat("radius"))
-    if kind == "polygon":
-        vals = _floats(sec["vertices"], "polygon vertices")
-        if len(vals) < 6 or len(vals) % 2:
-            raise ConfigurationError("polygon vertices must be an even list of at least six numbers")
-        return ImageDomain.polygon(np.array(vals).reshape(-1, 2))
-    raise ConfigurationError(f"unknown domain kind {kind!r}")
+    vals = _floats(sec["vertices"], "polygon vertices")
+    if len(vals) < 6 or len(vals) % 2:
+        raise ConfigurationError("polygon vertices must be an even list of at least six numbers")
+    return ImageDomain.polygon(np.array(vals).reshape(-1, 2))
 
 
 def _auto_theta0(vertex, domain: ImageDomain) -> float:
@@ -193,13 +214,11 @@ def _build_pair(cp: configparser.ConfigParser) -> PairGeometry:
             second=FanGeometry(vertex=v2, theta0=_auto_theta0(v2, domain), mu=mu),
             domain=domain,
         )
-    if kind == "par-par":
-        return PairGeometry(
-            first=ParGeometry(theta=math.radians(sec.getfloat("theta1_deg"))),
-            second=ParGeometry(theta=math.radians(sec.getfloat("theta2_deg"))),
-            domain=domain,
-        )
-    raise ConfigurationError(f"unknown geometry kind {kind!r}")
+    return PairGeometry(
+        first=ParGeometry(theta=math.radians(sec.getfloat("theta1_deg"))),
+        second=ParGeometry(theta=math.radians(sec.getfloat("theta2_deg"))),
+        domain=domain,
+    )
 
 
 def _build_detectors(cp: configparser.ConfigParser, pair: PairGeometry) -> tuple[DetectorGrid, DetectorGrid]:
@@ -230,7 +249,7 @@ def _build_phantom(cp: configparser.ConfigParser, pair: PairGeometry, seed: int)
         return random_phantom(rng, pair.domain, n_bumps=sec.getint("count"))
     if kind == "list":
         rows = sec["bumps"].split(";")
-    elif kind == "file":
+    else:
         path = sec["file"].strip()
         if not path:
             raise ConfigurationError("phantom kind 'file' needs a file path")
@@ -239,8 +258,6 @@ def _build_phantom(cp: configparser.ConfigParser, pair: PairGeometry, seed: int)
         except (OSError, ValueError) as exc:
             raise ConfigurationError(f"cannot read phantom file {path}: {exc}") from None
         rows = [line.split("#")[0] for line in text.splitlines()]
-    else:
-        raise ConfigurationError(f"unknown phantom kind {kind!r}")
     bumps = []
     for row in filter(None, map(str.strip, rows)):
         vals = _floats(row, "bump row")
@@ -250,7 +267,7 @@ def _build_phantom(cp: configparser.ConfigParser, pair: PairGeometry, seed: int)
     return Phantom(bumps=tuple(bumps))
 
 
-def _build_target(cp, pair, dets, seed) -> TargetData:
+def _build_target(cp, pair, dets, seed) -> tuple[ProjectionData, ProjectionData]:
     sec = cp["target"]
     kind = sec["kind"].strip().lower()
     if kind == "reference":
@@ -259,13 +276,9 @@ def _build_target(cp, pair, dets, seed) -> TargetData:
         f1, f2 = sec["file1"].strip(), sec["file2"].strip()
         if not f1 or not f2:
             raise ConfigurationError("target kind 'files' needs file1 and file2")
-        return TargetData(view1=read_projection_csv(f1), view2=read_projection_csv(f2))
-    if kind == "phantom":
-        ph = _build_phantom(cp, pair, seed)
-        d1 = project_view(pair.first, ph, dets[0])
-        d2 = project_view(pair.second, ph, dets[1])
-        return TargetData(view1=d1, view2=d2)
-    raise ConfigurationError(f"unknown target kind {kind!r}")
+        return read_projection_csv(f1), read_projection_csv(f2)
+    ph = _build_phantom(cp, pair, seed)
+    return project_view(pair.first, ph, dets[0]), project_view(pair.second, ph, dets[1])
 
 
 def _write_common(outdir: Path, cp: configparser.ConfigParser, raw: str) -> None:
@@ -308,17 +321,15 @@ def cmd_project(args) -> int:
     if mode == "continuous":
         d1 = project_view(pair.first, ph, dets[0])
         d2 = project_view(pair.second, ph, dets[1])
-    elif mode == "discrete":
+    else:
         sec = cp["image"]
         image = ImageGrid.from_domain(sec.getint("nx"), sec.getint("ny"), pair.domain, sec.getfloat("extent"))
         op = PairOperator(pair, image, dets[0], dets[1])
         f = rasterize(ph, op.image)
-        g1, g2 = op.forward(f)
+        g1, g2 = np.split(op.forward(f), [dets[0].n_bins])
         d1 = ProjectionData(grid=dets[0], values=g1)
         d2 = ProjectionData(grid=dets[1], values=g2)
         write_image(outdir / "phantom.img", op.image, f)
-    else:
-        raise ConfigurationError(f"unknown projection mode {mode!r}")
     write_projection_csv(outdir / "view1.csv", d1)
     write_projection_csv(outdir / "view2.csv", d2)
     _emit(
@@ -400,10 +411,9 @@ def cmd_separability(args) -> int:
     r1_axis = np.linspace(theta0 + math.pi, hi, n1)
     r2_axis = np.linspace(lo, theta0 + math.pi, n2)
     tup = _test_tuple(theta0)
-    if ssec.getboolean("include_test_tuple"):
-        r1_axis = np.union1d(r1_axis, [tup[0], tup[1]])
-        r2_axis = np.union1d(r2_axis, [tup[2], tup[3]])
-    L, _ = expo_surface(pair, r1_axis, r2_axis)
+    r1_axis = np.union1d(r1_axis, [tup[0], tup[1]])
+    r2_axis = np.union1d(r2_axis, [tup[2], tup[3]])
+    L = expo_surface(pair, r1_axis, r2_axis)
     report = separability_test(L, r1_axis, r2_axis)
     g_tuple = float(eval_G(tup[0], tup[1], tup[2], tup[3], mu, v2 - v1))
     text = (
@@ -421,7 +431,10 @@ def cmd_separability(args) -> int:
     return 0
 
 
-def _central_profile(op: PairOperator, f: np.ndarray, view: int, n_samples: int = 512) -> str:
+def _central_profile(op: PairOperator, f: np.ndarray, view: int) -> str:
+    """CSV of ``f`` at 512 points evenly spread along the view's central ray
+    where it crosses the image square."""
+    n_samples = 512
     geom = (op.pair.first, op.pair.second)[view - 1]
     v, d = geom.ray(op.dets[view - 1].center)
     half = 0.5 * op.image.extent
@@ -464,7 +477,7 @@ def cmd_solve(args) -> int:
     image = ImageGrid.from_domain(isec.getint("nx"), isec.getint("ny"), pair.domain, isec.getfloat("extent"))
     op = PairOperator(pair, image, dets[0], dets[1])
     target = _build_target(cp, pair, dets, args.seed)
-    g = np.concatenate([target.g1, target.g2])
+    g = np.concatenate([d.values for d in target])
     state = cgne_solve(op, g, max_iter=cp["solver"].getint("max_iter"), tol=tol)
     write_image(outdir / "iterate.img", op.image, state.iterate)
     wsec = cp["output"]
@@ -540,6 +553,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            parser.error(f"argument --seed: must be non-negative, got {args.seed}")
         return args.func(args)
     except ProjPairError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,12 +39,11 @@ class KernelPair:
     """Kernels witnessing a pairwise range condition.
 
     Kernels are unique up to one common constant factor; the shipped ones are
-    normalized positive on the data ranges, recorded by ``sign``.
+    normalized positive on the data ranges.
     """
 
     v1: Callable[[np.ndarray], np.ndarray]
     v2: Callable[[np.ndarray], np.ndarray]
-    sign: int = 1
     label: str = ""
 
 
@@ -63,7 +62,6 @@ def known_kernels(pair: PairGeometry) -> KernelPair | None:
         return KernelPair(
             v1=lambda r: np.ones_like(np.asarray(r, float)),
             v2=lambda r: np.ones_like(np.asarray(r, float)),
-            sign=1,
             label="parallel-parallel constants",
         )
     if pair.second.mu != 0.0 or (kind == "fan-fan" and pair.first.mu != 0.0):
@@ -80,14 +78,14 @@ def known_kernels(pair: PairGeometry) -> KernelPair | None:
         def v2(r, theta=theta, flip=flip):
             return flip / np.cos(theta - np.asarray(r, float))
 
-        return KernelPair(v1=v1, v2=v2, sign=1, label="parallel-fan")
+        return KernelPair(v1=v1, v2=v2, label="parallel-fan")
     s = pair_orientation(pair)
     dls = s * (pair.second.vertex_xy - pair.first.vertex_xy)
 
     def kernel(r, dls=dls):
         return 1.0 / (perp(direction(np.asarray(r, float))) @ dls)
 
-    return KernelPair(v1=kernel, v2=kernel, sign=1, label="fan-fan unweighted")
+    return KernelPair(v1=kernel, v2=kernel, label="fan-fan unweighted")
 
 
 def pprc_sides(target, kernels: KernelPair) -> tuple[float, float]:
@@ -102,16 +100,6 @@ def pprc_sides(target, kernels: KernelPair) -> tuple[float, float]:
             raise EvaluationError(f"kernel value not finite at r = {bad!r}")
         total.append(float(np.trapezoid(data.values * w, r)))
     return total[0], total[1]
-
-
-def pprc_residual(target, kernels: KernelPair) -> float:
-    """Trapezoid estimate of ``integral g1 V1 - integral g2 V2``.
-
-    Consistent data gives zero up to quadrature error; the sign of a nonzero
-    residual is meaningful (the kernels carry a definite normalization).
-    """
-    left, right = pprc_sides(target, kernels)
-    return left - right
 
 
 # ---------------------------------------------------------------------------
@@ -136,23 +124,15 @@ def sample_intersections(pair: PairGeometry, n: int) -> tuple[np.ndarray, np.nda
     return r1, r2
 
 
-def kernel_condition_residual(
-    pair: PairGeometry,
-    kernels: KernelPair,
-    samples: tuple[np.ndarray, np.ndarray] | None = None,
-    n: int = 1024,
-) -> float:
+def kernel_condition_residual(pair: PairGeometry, kernels: KernelPair, n: int = 1024) -> float:
     """Worst relative mismatch between the two sides of the kernel condition.
 
     The left side is the factor ratio of the two families at the
-    intersection point; the right side is ``V2(r2) / V1(r1)``.  Sample pairs
-    default to rays through points of the domain.
+    intersection point; the right side is ``V2(r2) / V1(r1)``.  The ray
+    pairs are those through ``n`` or more points of the domain
+    (:func:`sample_intersections`).
     """
-    if samples is None:
-        r1, r2 = sample_intersections(pair, n)
-    else:
-        r1 = np.asarray(samples[0], float).ravel()
-        r2 = np.asarray(samples[1], float).ravel()
+    r1, r2 = sample_intersections(pair, n)
     x, _, _ = intersect(pair.first, pair.second, r1, r2)
     inside = pair.domain.contains(x)
     if not np.all(inside):
@@ -299,8 +279,6 @@ class SeparabilityReport:
     threshold: float
     scale: float
     verdict: str
-    n_rows: int
-    n_cols: int
 
 
 def separability_test(
@@ -308,9 +286,11 @@ def separability_test(
     r1_values: np.ndarray,
     r2_values: np.ndarray,
     threshold: float | None = None,
-    valid: np.ndarray | None = None,
 ) -> SeparabilityReport:
     """Test whether ``L[i, j] ~ a(r1_i) + b(r2_j)`` on the valid entries.
+
+    An entry is valid when it is finite: a NaN marks a sample that is not,
+    as :func:`expo_surface` leaves at ray pairs it cannot evaluate.
 
     Computes the largest double difference
     ``D = L[i,j] - L[it,j] - L[i,jt] + L[it,jt]`` over all quadruples with
@@ -337,10 +317,7 @@ def separability_test(
         raise ConfigurationError("axis value arrays must match the shape of L")
     if n2 < 2:
         raise ConfigurationError("not enough valid samples for any quadruple")
-    if valid is None:
-        valid = np.isfinite(L)
-    else:
-        valid = np.asarray(valid, bool) & np.isfinite(L)
+    valid = np.isfinite(L)
     work = np.where(valid, L, np.nan)
     scale = float(np.max(np.abs(work[valid]))) if np.any(valid) else 0.0
     if scale > 0.5 * np.finfo(float).max:
@@ -373,14 +350,10 @@ def separability_test(
         threshold=float(threshold),
         scale=scale,
         verdict=verdict,
-        n_rows=n1,
-        n_cols=n2,
     )
 
 
-def expo_surface(
-    pair: PairGeometry, r1_values: np.ndarray, r2_values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def expo_surface(pair: PairGeometry, r1_values: np.ndarray, r2_values: np.ndarray) -> np.ndarray:
     """Sample the full log kernel-condition surface of an exponential fan-fan
     pair on a parameter grid.
 
@@ -392,9 +365,10 @@ def expo_surface(
     Where the two rays meet ahead of both vertices (``t1, t2 > 0``, as on
     every ray pair meeting inside the domain) this is the log of the ratio
     of the two views' ``weight * jacobian_inv`` factors at the intersection,
-    ``mu * (t1 - t2) - log t1 + log t2``.  Returns ``(L, valid)``; entries
-    at parallel rays or with undefined log factors are flagged invalid
-    (NaN) rather than raising.
+    ``mu * (t1 - t2) - log t1 + log t2``.  Returns ``L``, of shape
+    ``(len(r1_values), len(r2_values))``; an entry at parallel rays or
+    with an undefined log factor is NaN rather than raising, which
+    :func:`separability_test` reads as not valid.
 
     Raises
     ------
@@ -416,5 +390,4 @@ def expo_surface(
     valid = (np.abs(den) > DENOM_TOL) & (p1 > 0) & (p2 > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         L = mu * (((perp(d1) - perp(d2)) @ dl) / den) + np.log(p1) - np.log(p2)
-    L = np.where(valid, L, np.nan)
-    return L, valid
+    return np.where(valid, L, np.nan)

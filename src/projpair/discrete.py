@@ -159,6 +159,8 @@ class ProjectionData:
         v = np.asarray(self.values, dtype=float).ravel()
         if v.size != self.grid.n_bins:
             raise ConfigurationError("values length must equal the number of bins")
+        if not np.all(np.isfinite(v)):
+            raise ConfigurationError(f"view {self.grid.view} values must be finite numbers")
         object.__setattr__(self, "values", v)
 
 
@@ -243,6 +245,10 @@ class PairOperator:
     width.  Row sums over a fine image therefore converge to bin averages of
     the continuous projection.
 
+    Data are one flat vector of ``n_bins1 + n_bins2`` values: view 1's
+    bins, then view 2's.  :meth:`forward` returns it and :meth:`adjoint`
+    takes it, so the operator plugs into :func:`cgne_solve` as it is.
+
     The columns are built once, at construction, into one window table per
     view: ``start`` gives each masked pixel's first bin and ``weights``, of
     shape ``(n_masked, width)``, its deposits into bins ``start + 0`` to
@@ -322,43 +328,33 @@ class PairOperator:
         n_data = sum(d.n_bins for d in self.dets)
         return n_data, self.image.n_pixels
 
-    def forward(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Apply the discrete projection to a flat image vector."""
+    def forward(self, f: np.ndarray) -> np.ndarray:
+        """Apply the discrete projection to a flat image vector.
+
+        Returns one flat data vector: view 1's bins, then view 2's.
+        """
         f = np.asarray(f, dtype=float).ravel()
         if f.size != self.image.n_pixels:
             raise ConfigurationError("image vector has the wrong length")
         fm = f[self._idx]
-        out = []
-        for det, (start, weights) in zip(self.dets, self._tables):
-            g = np.zeros(det.n_bins)
+        g = np.zeros(self.shape[0])
+        for gv, (start, weights) in zip(np.split(g, [self.dets[0].n_bins]), self._tables):
             for off in range(weights.shape[1]):
-                g += np.bincount(start + off, weights=fm * weights[:, off], minlength=det.n_bins)
-            out.append(g)
-        return out[0], out[1]
+                gv += np.bincount(start + off, weights=fm * weights[:, off], minlength=gv.size)
+        return g
 
-    def adjoint(self, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-        """Exact transpose of :meth:`forward`."""
+    def adjoint(self, g: np.ndarray) -> np.ndarray:
+        """Exact transpose of :meth:`forward`, on the same flat data layout."""
+        g = np.asarray(g, dtype=float).ravel()
+        if g.size != self.shape[0]:
+            raise ConfigurationError("data vector has the wrong length")
         acc = np.zeros(self._idx.size)
-        for det, (start, weights), g in zip(self.dets, self._tables, (g1, g2)):
-            g = np.asarray(g, dtype=float).ravel()
-            if g.size != det.n_bins:
-                raise ConfigurationError("data vector has the wrong length")
+        for gv, (start, weights) in zip(np.split(g, [self.dets[0].n_bins]), self._tables):
             for off in range(weights.shape[1]):
-                acc += weights[:, off] * g[start + off]
+                acc += weights[:, off] * gv[start + off]
         f = np.zeros(self.image.n_pixels)
         f[self._idx] = acc
         return f
-
-    # Flat-vector views for generic solvers.
-
-    def forward_flat(self, f: np.ndarray) -> np.ndarray:
-        g1, g2 = self.forward(f)
-        return np.concatenate([g1, g2])
-
-    def adjoint_flat(self, g: np.ndarray) -> np.ndarray:
-        n1 = self.dets[0].n_bins
-        g = np.asarray(g, dtype=float).ravel()
-        return self.adjoint(g[:n1], g[n1:])
 
 
 def reference_grids(n_bins: int = DEFAULT_BINS) -> tuple[DetectorGrid, DetectorGrid]:

@@ -48,6 +48,10 @@ ATTENUATION_MU = -0.154
 HALF_FAN_ANGLE = math.atan2(5.0, 12.0)
 DOMAIN_HALF_EXTENT = 35.0
 
+# Boundary points sampled by the admissibility checks and, by default, by
+# view_range.
+_BOUNDARY_SAMPLES = 1024
+
 
 def direction(angle):
     """Unit vector(s) ``(cos angle, sin angle)``; shape ``angle.shape + (2,)``."""
@@ -286,20 +290,26 @@ class ImageDomain:
 
     def contains(self, points) -> np.ndarray:
         """Boolean mask of shape ``points.shape[:-1]``: which points of
-        shape ``(..., 2)`` lie strictly inside the domain."""
+        shape ``(..., 2)`` lie inside the domain, by :meth:`contains_xy`."""
         p = np.asarray(points, dtype=float)
         return self.contains_xy(p[..., 0], p[..., 1])
 
     def contains_xy(self, x, y) -> np.ndarray:
-        """Which points ``(x, y)`` lie strictly inside the domain.
+        """Which points ``(x, y)`` lie inside the domain.
 
         ``x`` and ``y`` broadcast against each other; the result has their
-        broadcast shape.  A polygon uses the even-odd rule: a point is inside
-        when a ray from it toward ``+x`` crosses the boundary an odd number
-        of times.  Each edge's crossing abscissa depends on ``y`` alone, so
-        it is computed once per distinct ``y`` (once per pixel row when
-        ``y`` is a column of row ordinates) and only ``x < xi`` is evaluated
-        per point.
+        broadcast shape.  A rectangle or disc keeps the points strictly
+        inside.  A polygon uses the even-odd rule: a point is inside when a
+        ray from it toward ``+x`` crosses the boundary an odd number of
+        times, where an edge is crossed when exactly one of its ends lies
+        above ``y`` and its crossing abscissa ``xi`` exceeds ``x``.  That
+        rule is half-open, not strict: a point on a left edge or on a level
+        bottom edge counts as inside, one on a right or top edge does not.
+        So an axis-aligned square polygon keeps the points on its left and
+        bottom edges, and the equal rectangle keeps none.  Each edge's crossing
+        abscissa depends on ``y`` alone, so it is computed once per distinct
+        ``y`` (once per pixel row when ``y`` is a column of row ordinates)
+        and only ``x < xi`` is evaluated per point.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -460,7 +470,6 @@ class AdmissibilityReport:
     boundary sampling; every entry must exceed the threshold for ``passed``.
     """
 
-    kind: str
     passed: bool
     margins: dict[str, float]
 
@@ -471,7 +480,7 @@ class AdmissibilityReport:
             raise ConfigurationError(f"pair geometry is not admissible; failing margins: {bad}")
 
 
-def view_range(geom, domain: ImageDomain, n_boundary: int = 1024) -> tuple[float, float]:
+def view_range(geom, domain: ImageDomain, n_boundary: int = _BOUNDARY_SAMPLES) -> tuple[float, float]:
     """Range of the ray parameter over the domain, from boundary samples.
 
     For a parallel family this is an offset interval; for a fan it is an
@@ -483,7 +492,7 @@ def view_range(geom, domain: ImageDomain, n_boundary: int = 1024) -> tuple[float
     return float(np.min(r)), float(np.max(r))
 
 
-def check_fan_admissible(geom: FanGeometry, domain: ImageDomain, n_boundary: int = 1024) -> AdmissibilityReport:
+def check_fan_admissible(geom: FanGeometry, domain: ImageDomain) -> AdmissibilityReport:
     """Admissibility of a single fan over a domain.
 
     Margins: ``vertex_clearance`` (distance from the vertex to the domain,
@@ -493,7 +502,7 @@ def check_fan_admissible(geom: FanGeometry, domain: ImageDomain, n_boundary: int
     complement of the largest circular gap between the boundary samples'
     ray angles, so it does not depend on where the cut splits them.
     """
-    pts = domain.boundary_points(n_boundary)
+    pts = domain.boundary_points(_BOUNDARY_SAMPLES)
     dist = float(np.min(np.hypot(*(pts - geom.vertex_xy).T)))
     if domain.contains(geom.vertex_xy):
         dist = -dist
@@ -510,7 +519,7 @@ def check_fan_admissible(geom: FanGeometry, domain: ImageDomain, n_boundary: int
     else:
         margins["branch_clearance"] = -math.inf
     passed = all(m > 0.0 for m in margins.values())
-    return AdmissibilityReport(kind="fan", passed=passed, margins=margins)
+    return AdmissibilityReport(passed=passed, margins=margins)
 
 
 def _parpar_margins(g1: ParGeometry, g2: ParGeometry) -> dict[str, float]:
@@ -518,8 +527,8 @@ def _parpar_margins(g1: ParGeometry, g2: ParGeometry) -> dict[str, float]:
     return {"angle_separation": abs(d)}
 
 
-def _parfan_margins(g1: ParGeometry, g2: FanGeometry, domain: ImageDomain, n: int) -> dict[str, float]:
-    pts = domain.boundary_points(n)
+def _parfan_margins(g1: ParGeometry, g2: FanGeometry, domain: ImageDomain) -> dict[str, float]:
+    pts = domain.boundary_points(_BOUNDARY_SAMPLES)
     r1, _ = g1.inverse(pts)
     r2, _ = g2.inverse(pts)
     s0 = float(g2.vertex_xy @ direction(g1.theta))
@@ -543,13 +552,13 @@ def _orientation(vertex1, vertex2, domain: ImageDomain) -> int:
     return 1 if cross2(domain.reference_point() - v1, dl) > 0 else -1
 
 
-def _fanfan_margins(g1: FanGeometry, g2: FanGeometry, domain: ImageDomain, n: int) -> dict[str, float]:
+def _fanfan_margins(g1: FanGeometry, g2: FanGeometry, domain: ImageDomain) -> dict[str, float]:
     dl = g2.vertex_xy - g1.vertex_xy
     norm_dl = float(np.hypot(*dl))
     if norm_dl < DENOM_TOL:
         raise ConfigurationError("fan vertices coincide")
     s = _orientation(g1.vertex_xy, g2.vertex_xy, domain)
-    pts = domain.boundary_points(n)
+    pts = domain.boundary_points(_BOUNDARY_SAMPLES)
     r1, _ = g1.inverse(pts)
     r2, _ = g2.inverse(pts)
     d1, d2 = direction(r1), direction(r2)
@@ -561,7 +570,7 @@ def _fanfan_margins(g1: FanGeometry, g2: FanGeometry, domain: ImageDomain, n: in
     }
 
 
-def check_pair_admissible(pair: PairGeometry, n_boundary: int = 1024) -> AdmissibilityReport:
+def check_pair_admissible(pair: PairGeometry) -> AdmissibilityReport:
     """Check the range-condition admissibility inequalities for a pair.
 
     All inequalities are evaluated on a dense boundary sampling of the domain
@@ -575,20 +584,16 @@ def check_pair_admissible(pair: PairGeometry, n_boundary: int = 1024) -> Admissi
     if kind == "par-par":
         margins = _parpar_margins(pair.first, pair.second)
     elif kind == "par-fan":
-        margins = _parfan_margins(pair.first, pair.second, pair.domain, n_boundary)
-        margins.update(
-            {"fan_" + k: v for k, v in check_fan_admissible(pair.second, pair.domain, n_boundary).margins.items()}
-        )
+        margins = _parfan_margins(pair.first, pair.second, pair.domain)
+        margins.update({"fan_" + k: v for k, v in check_fan_admissible(pair.second, pair.domain).margins.items()})
     elif kind == "fan-fan":
-        margins = _fanfan_margins(pair.first, pair.second, pair.domain, n_boundary)
+        margins = _fanfan_margins(pair.first, pair.second, pair.domain)
         for tag, geom in (("fan1_", pair.first), ("fan2_", pair.second)):
-            margins.update(
-                {tag + k: v for k, v in check_fan_admissible(geom, pair.domain, n_boundary).margins.items()}
-            )
+            margins.update({tag + k: v for k, v in check_fan_admissible(geom, pair.domain).margins.items()})
     else:  # pragma: no cover - PairGeometry forbids (fan, par)
         raise ConfigurationError(f"unsupported pair kind {kind!r}")
     passed = all(m > 0.0 for m in margins.values())
-    return AdmissibilityReport(kind=kind, passed=passed, margins=margins)
+    return AdmissibilityReport(passed=passed, margins=margins)
 
 
 def pair_orientation(pair: PairGeometry) -> int:

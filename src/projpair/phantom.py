@@ -137,11 +137,13 @@ def random_phantom(
     domain: ImageDomain,
     n_bumps: int = 3,
     radius_range: tuple[float, float] = (3.0, 8.0),
-    amplitude_range: tuple[float, float] = (0.5, 2.0),
     clearance: float = 1.0,
     max_tries: int = 5000,
 ) -> Phantom:
-    """Random bumps with pairwise disjoint supports strictly inside the domain."""
+    """Random bumps with pairwise disjoint supports strictly inside the domain.
+
+    Amplitudes are drawn uniformly from ``[0.5, 2)``.
+    """
     boundary = domain.boundary_points(720)
     xmin, xmax, ymin, ymax = domain.bbox()
     bumps: list[Bump] = []
@@ -161,7 +163,7 @@ def random_phantom(
             for b in bumps
         ):
             continue
-        bumps.append(Bump(center=(float(c[0]), float(c[1])), radius=float(radius), amplitude=float(rng.uniform(*amplitude_range))))
+        bumps.append(Bump(center=(float(c[0]), float(c[1])), radius=float(radius), amplitude=float(rng.uniform(0.5, 2.0))))
     return Phantom(bumps=tuple(bumps))
 
 
@@ -188,30 +190,11 @@ def inconceivable_g2(r) -> np.ndarray:
     return np.where(np.abs(r) < SUPPORT_HALF_ANGLE, 0.25 - 9.0 * t * t, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class TargetData:
-    """Measured (or prescribed) data for both views of a pair."""
-
-    view1: ProjectionData
-    view2: ProjectionData
-
-    def __iter__(self):
-        """Unpack as ``view1, view2``."""
-        return iter((self.view1, self.view2))
-
-    @property
-    def g1(self) -> np.ndarray:
-        return self.view1.values
-
-    @property
-    def g2(self) -> np.ndarray:
-        return self.view2.values
-
-
-def reference_target(det1: DetectorGrid, det2: DetectorGrid) -> TargetData:
-    """Zero on view 1, the inconceivable profile about ``det2``'s center on
-    view 2 (``reference_grids(n)`` gives the reference wedges)."""
-    return TargetData(
-        view1=ProjectionData(grid=det1, values=np.zeros(det1.n_bins)),
-        view2=ProjectionData(grid=det2, values=inconceivable_g2(det2.centers - det2.center)),
+def reference_target(det1: DetectorGrid, det2: DetectorGrid) -> tuple[ProjectionData, ProjectionData]:
+    """The data ``(view1, view2)``: zero on view 1, the inconceivable profile
+    about ``det2``'s center on view 2 (``reference_grids(n)`` gives the
+    reference wedges)."""
+    return (
+        ProjectionData(grid=det1, values=np.zeros(det1.n_bins)),
+        ProjectionData(grid=det2, values=inconceivable_g2(det2.centers - det2.center)),
     )

@@ -169,11 +169,6 @@ def project_values(geom, f: Phantom, r, spec: QuadratureSpec | None = None) -> n
     return total
 
 
-def project_ray(geom, f: Phantom, r: float, spec: QuadratureSpec | None = None) -> float:
-    """Projection of ``f`` along the single ray with parameter ``r``."""
-    return float(project_values(geom, f, float(r), spec))
-
-
 def project_view(geom, f: Phantom, grid: DetectorGrid, spec: QuadratureSpec | None = None) -> ProjectionData:
     """Projection sampled at the bin centers of a detector grid."""
     vals = project_values(geom, f, grid.centers, spec)
@@ -181,20 +176,17 @@ def project_view(geom, f: Phantom, grid: DetectorGrid, spec: QuadratureSpec | No
 
 
 def continuity_bound_check(
-    geom,
-    f: Phantom,
-    domain: ImageDomain,
-    n_rays: int = 257,
-    panels: int = 48,
-    spec: QuadratureSpec | None = None,
+    geom, f: Phantom, domain: ImageDomain, spec: QuadratureSpec | None = None
 ) -> tuple[float, float]:
     """Evaluate both sides of the L2 continuity bound ``||Pf|| <= c ||f||``.
 
     The constant is ``sqrt(sup_r |T(r)| * sup |det D(inverse)|) * sup weight``
-    with suprema taken over the domain: chord lengths over densely sampled
-    rays, and ``jacobian_inv`` and ``weight`` over densely sampled boundary
-    points, where they attain their extremes.  Returns ``(lhs, rhs)``; the bound holds when
-    ``lhs <= rhs`` up to quadrature accuracy.
+    with suprema taken over the domain: chord lengths over 257 rays spread
+    over the view range, and ``jacobian_inv`` and ``weight`` over densely
+    sampled boundary points, where they attain their extremes.  ``||Pf||``
+    is a 48-panel, 16-point Gauss-Legendre rule over the view range.
+    Returns ``(lhs, rhs)``; the bound holds when ``lhs <= rhs`` up to
+    quadrature accuracy.
     """
     lo, hi = view_range(geom, domain)
     pad = 1e-9 * (hi - lo)
@@ -202,6 +194,7 @@ def continuity_bound_check(
 
     # lhs: composite Gauss-Legendre in r of the squared projection.
     nodes, weights = _gl_rule(16)
+    panels = 48
     edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
@@ -211,7 +204,7 @@ def continuity_bound_check(
     lhs = math.sqrt(float(wq @ (pv * pv)))
 
     # rhs: the continuity constant times the phantom norm.
-    origins, dirs = geom.ray(np.linspace(lo, hi, n_rays))
+    origins, dirs = geom.ray(np.linspace(lo, hi, 257))
     chord = max(domain.chord_length(o, e, geom.t_min) for o, e in zip(origins, dirs))
     bpts = domain.boundary_points(2048)
     sup_jac = float(np.max(geom.jacobian_inv(bpts)))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,35 +32,12 @@ class CgneState:
         return float(self.residual_history[-1])
 
 
-def _as_ops(A) -> tuple[Callable, Callable]:
-    if isinstance(A, np.ndarray):
-        if A.ndim != 2:
-            raise ConfigurationError("matrix operators must be 2-d")
-        return (lambda x: A @ x), (lambda y: A.T @ y)
-    if hasattr(A, "forward_flat") and hasattr(A, "adjoint_flat"):
-        return A.forward_flat, A.adjoint_flat
-    try:
-        fwd, adj = A
-    except Exception as exc:
-        raise ConfigurationError(
-            "operator must be a matrix, a (forward, adjoint) pair, or expose forward_flat/adjoint_flat"
-        ) from exc
-    return fwd, adj
-
-
-def cgne_solve(
-    A,
-    g: np.ndarray,
-    max_iter: int = 1000,
-    tol: float = 0.0,
-    callback: Callable[[int, np.ndarray, float], None] | None = None,
-    callback_every: int = 1,
-) -> CgneState:
+def cgne_solve(A, g: np.ndarray, max_iter: int = 1000, tol: float = 0.0) -> CgneState:
     """Minimize ``||A f - g||`` over iterates in the range of the adjoint.
 
-    ``A`` may be a dense matrix, a ``(forward, adjoint)`` pair of callables
-    on flat vectors, or any object exposing ``forward_flat``/``adjoint_flat``
-    (a :class:`PairOperator`).  Stops when the relative residual reaches
+    ``A`` is a 2-d array or an object with ``forward`` and ``adjoint`` on
+    flat vectors (a :class:`PairOperator`), looked up on the object when
+    the solve starts.  Stops when the relative residual reaches
     ``tol``, when the normal residual vanishes at working precision
     (least-squares optimum, ``stop_reason == "normal_residual_zero"``), or
     after ``max_iter`` iterations.  ``residual_history[k]`` is the relative
@@ -81,7 +57,14 @@ def cgne_solve(
     DivergenceError
         If the iterate or residual stops being finite.
     """
-    fwd, adj = _as_ops(A)
+    if isinstance(A, np.ndarray):
+        if A.ndim != 2:
+            raise ConfigurationError("matrix operators must be 2-d")
+        fwd, adj = (lambda x: A @ x), (lambda y: A.T @ y)
+    elif hasattr(A, "forward") and hasattr(A, "adjoint"):
+        fwd, adj = A.forward, A.adjoint
+    else:
+        raise ConfigurationError("operator must be a 2-d array or have forward and adjoint methods")
     if max_iter < 0:
         raise ConfigurationError("max_iter must be nonnegative")
     g = np.asarray(g, dtype=float).ravel()
@@ -118,8 +101,6 @@ def cgne_solve(
         history.append(rel)
         if not (np.isfinite(rel) and np.all(np.isfinite(x))):
             raise DivergenceError("iteration produced non-finite values", iteration=k)
-        if callback is not None and (k % max(1, callback_every) == 0):
-            callback(k, x, rel)
         if rel <= tol:
             stop = "tolerance"
             break

@@ -129,8 +129,8 @@ def test_criterion_3_pprc_necessity_on_phantoms():
             ph = pp.random_phantom(rng, pair.domain, n_bumps=2)
             d1 = pp.DetectorGrid(1, 4096, *pp.view_range(pair.first, pair.domain))
             d2 = pp.DetectorGrid(2, 4096, *pp.view_range(pair.second, pair.domain))
-            tgt = pp.TargetData(pp.project_view(pair.first, ph, d1),
-                                pp.project_view(pair.second, ph, d2))
+            tgt = (pp.project_view(pair.first, ph, d1),
+                   pp.project_view(pair.second, ph, d2))
             i1, i2 = pp.pprc_sides(tgt, kernels)
             worst = max(worst, abs(i1 - i2) / max(abs(i1), abs(i2)))
     elapsed = time.monotonic() - t0
@@ -153,10 +153,10 @@ def test_criterion_4_separability_dichotomy():
     r2 = np.union1d(
         np.linspace(theta0 + 0.5 * math.pi + margin, theta0 + math.pi, 160),
         [tup[2], tup[3]])
-    L0, valid0 = pp.expo_surface(pp.reference_pair(0.0), r1, r2)
-    rep0 = pp.separability_test(L0, r1, r2, valid=valid0)
-    Lm, validm = pp.expo_surface(pair, r1, r2)
-    repm = pp.separability_test(Lm, r1, r2, valid=validm)
+    L0 = pp.expo_surface(pp.reference_pair(0.0), r1, r2)
+    rep0 = pp.separability_test(L0, r1, r2)
+    Lm = pp.expo_surface(pair, r1, r2)
+    repm = pp.separability_test(Lm, r1, r2)
     g_tup = abs(pp.eval_G(*tup, MU, s * (np.asarray(v2) - np.asarray(v1))))
     elapsed = time.monotonic() - t0
     ok = (rep0.verdict == "separable" and rep0.max_abs_D < 1e-10 * rep0.scale
@@ -175,9 +175,9 @@ def test_criterion_5_adjoint_exactness():
         f = rng.standard_normal(op.image.n_pixels)
         y1 = rng.standard_normal(32)
         y2 = rng.standard_normal(32)
-        g1, g2 = op.forward(f)
+        g1, g2 = np.split(op.forward(f), [32])
         lhs = float(g1 @ y1 + g2 @ y2)
-        rhs = float(f @ op.adjoint(y1, y2))
+        rhs = float(f @ op.adjoint(np.concatenate([y1, y2])))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     ok = worst < 1e-12
     report(5, ok, f"worst relative {worst:.3e} over 20 pairs")
@@ -188,7 +188,7 @@ def test_criterion_6_density_demonstration():
     t0 = time.monotonic()
     op = desk_operator(MU)
     tgt = pp.reference_target(*pp.reference_grids(100))
-    g = np.concatenate([tgt.g1, tgt.g2])
+    g = np.concatenate([view.values for view in tgt])
     state = pp.cgne_solve(op, g, max_iter=2000, tol=1e-3)
     elapsed = time.monotonic() - t0
     ok = state.final_residual <= 1e-3 and state.iterations <= 2000 and elapsed < 300.0
@@ -202,7 +202,7 @@ def test_criterion_6_density_demonstration():
 def test_criterion_6_full_scale():
     op = pp.reference_operator(nx=1000, n_bins=400, mu=MU)
     tgt = pp.reference_target(*pp.reference_grids(400))
-    g = np.concatenate([tgt.g1, tgt.g2])
+    g = np.concatenate([view.values for view in tgt])
     state = pp.cgne_solve(op, g, max_iter=10000, tol=0.0)
     report("6 (full scale)", True,
            f"achieved relative residual {state.final_residual:.6e} after "
@@ -222,7 +222,7 @@ def test_criterion_7_residual_floor_stall():
     op = desk_operator(0.0)
     kernels = pp.known_kernels(op.pair)
     tgt = pp.reference_target(*pp.reference_grids(100))
-    g = np.concatenate([tgt.g1, tgt.g2])
+    g = np.concatenate([view.values for view in tgt])
     g_norm = float(np.linalg.norm(g))
     floor = pp.predicted_residual_floor(tgt, kernels)
     assert floor > 1e-3 * g_norm, "floor not strictly positive at the stated level"
@@ -276,8 +276,8 @@ def test_criterion_9_discretization_convergence():
     errs = []
     for nx in (100, 200, 400):
         op = pp.reference_operator(nx=nx, n_bins=100)
-        g1, g2 = op.forward(pp.rasterize(ph, op.image))
-        errs.append(float(np.linalg.norm(np.concatenate([g1, g2]) - ref)
+        g = op.forward(pp.rasterize(ph, op.image))
+        errs.append(float(np.linalg.norm(g - ref)
                           / np.linalg.norm(ref)))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     elapsed = time.monotonic() - t0

@@ -35,7 +35,9 @@ def test_help_flag_exits_0(capsys):
     ["check", "--tol", "-1e-9"],
     ["separability", "--n1", "x"],
     [],
-], ids=["check-unknown-option", "check-tol-negative-exponent", "separability-n1-not-int", "no-subcommand"])
+    ["project", "--seed", "-1"],
+], ids=["check-unknown-option", "check-tol-negative-exponent", "separability-n1-not-int", "no-subcommand",
+        "project-negative-seed"])
 def test_usage_error_exits_5(tmp_path, monkeypatch, capsys, argv):
     # exit 2 stays reserved for check's "no kernels exist"
     monkeypatch.chdir(tmp_path)
@@ -272,12 +274,36 @@ def test_zero_tolerance_is_accepted(tmp_path):
     ("project", "[phantom]\nkind = file\nfile = {missing}\n"),
     ("check", "[geometry]\nmu = 0\n[target]\nkind = files\nfile1 = {missing}\nfile2 = {missing}\n"),
     ("check", "[geometry]\nmu = 0\n[target]\nkind = files\nfile1 = {bad_csv}\nfile2 = {bad_csv}\n"),
-], ids=["phantom-file", "target-files", "csv-header"])
+    ("check", "[geometry]\nmu = 0\n[target]\nkind = files\nfile1 = {nan_csv}\nfile2 = {nan_csv}\n"),
+], ids=["phantom-file", "target-files", "csv-header", "nan-value"])
 def test_unreadable_input_file_is_a_configuration_error(tmp_path, capsys, command, text):
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("# view,n_bins,lo,hi\n# 1,x,0,1\nr,value\n0.5,1\n", encoding="ascii")
-    text = text.format(missing=tmp_path / "missing.txt", bad_csv=bad_csv)
+    # a NaN datum gets no consistency verdict (exit 1) but a configuration error
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("# view,n_bins,lo,hi\n# 1,4,0,1\nr,value\n"
+                       "0.125,1\n0.375,nan\n0.625,1\n0.875,1\n", encoding="ascii")
+    text = text.format(missing=tmp_path / "missing.txt", bad_csv=bad_csv, nan_csv=nan_csv)
     assert_configuration_error(tmp_path, capsys, command, text)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("solve", "[solver]\nmaxiter = 3\n"),
+    ("check", "[geometry]\nmu = 0\n[solvr]\nmax_iter = 3\n"),
+    ("solve", "[DEFAULT]\nnx = 8\n"),
+    ("project", "[project]\nmode = bogus\n"),
+    ("check", "[geometry]\nmu = 0\n[target]\nkind = bogus\n"),
+    ("solve", "[target]\nkind = bogus\n"),
+    ("project", "[phantom]\nkind = bogus\n"),
+    ("check", "[geometry]\nmu = 0\n[target]\nkind = phantom\n[phantom]\nkind = bogus\n"),
+    ("check", "[geometry]\nkind = bogus\n"),
+    ("separability", "[domain]\nkind = bogus\n"),
+], ids=["unknown-key", "unknown-section", "default-section-key", "project-mode", "check-target-kind",
+        "solve-target-kind", "project-phantom-kind", "check-phantom-kind", "geometry-kind", "domain-kind"])
+def test_unknown_config_name_or_choice_writes_nothing(tmp_path, capsys, command, text):
+    # checked once when the config loads, before the output directory exists
+    assert_configuration_error(tmp_path, capsys, command, text)
+    assert not (tmp_path / "o").exists()
 
 
 def test_check_rejects_inadmissible_pair(tmp_path, capsys):

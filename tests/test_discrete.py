@@ -77,9 +77,8 @@ def test_forward_matches_brute_force():
         A = brute_force_matrix(pair, op.image, d1, d2)
         for _ in range(5):
             f = rng.normal(size=op.image.n_pixels)
-            g1, g2 = op.forward(f)
             want = A @ np.where(op.image.mask, f, 0.0)
-            np.testing.assert_allclose(np.concatenate([g1, g2]), want, atol=1e-13)
+            np.testing.assert_allclose(op.forward(f), want, atol=1e-13)
 
 
 def test_adjoint_matches_brute_force():
@@ -89,7 +88,7 @@ def test_adjoint_matches_brute_force():
         op = pp.PairOperator(pair, image, d1, d2)
         A = brute_force_matrix(pair, op.image, d1, d2)
         g = rng.normal(size=d1.n_bins + d2.n_bins)
-        back = op.adjoint(g[:d1.n_bins], g[d1.n_bins:])
+        back = op.adjoint(g)
         np.testing.assert_allclose(back, A.T @ g, atol=1e-13)
 
 
@@ -101,9 +100,8 @@ def test_adjoint_identity_64():
         for _ in range(10):
             f = rng.normal(size=op.image.n_pixels)
             g = rng.normal(size=64)
-            g1, g2 = g[:32], g[32:]
-            lhs = np.concatenate(op.forward(f)) @ g
-            rhs = f @ op.adjoint(g1, g2)
+            lhs = op.forward(f) @ g
+            rhs = f @ op.adjoint(g)
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
@@ -123,21 +121,35 @@ def test_adjoint_identity_random_grids(nx, bins, mu, seed):
     rng = np.random.default_rng(seed)
     f = rng.normal(size=op.image.n_pixels)
     g = rng.normal(size=sum(bins))
-    af, atg = op.forward_flat(f), op.adjoint_flat(g)
+    af, atg = op.forward(f), op.adjoint(g)
     scale = np.linalg.norm(af) * np.linalg.norm(g) + np.linalg.norm(f) * np.linalg.norm(atg)
     assert abs(af @ g - f @ atg) <= 1e-12 * scale
 
 
-def test_flat_interfaces_match_split():
-    op = pp.reference_operator(nx=48, n_bins=16, mu=-0.1)
-    rng = np.random.default_rng(33)
-    f = rng.normal(size=op.image.n_pixels)
-    g = rng.normal(size=32)
-    np.testing.assert_array_equal(
-        op.forward_flat(f), np.concatenate(op.forward(f)))
-    np.testing.assert_array_equal(
-        op.adjoint_flat(g), op.adjoint(g[:16], g[16:]))
-    assert op.shape == (32, 48 * 48)
+def test_forward_puts_view_1_first():
+    """The data vector holds view 1's bins first: with 40 and 48 bins, one
+    off-centre pixel deposits its view-1 mass (distance to vertex 1) in the
+    first 40 entries and its view-2 mass in the other 48, and the adjoint
+    reads the same layout."""
+    pair = pp.reference_pair(mu=-0.154)
+    mask = np.zeros(49, dtype=bool)
+    mask[25] = True  # the pixel centred at (10, 0) of a 7x7 grid
+    (lo1, hi1), (lo2, hi2) = pp.reference_view_ranges()
+    d1, d2 = pp.DetectorGrid(1, 40, lo1, hi1), pp.DetectorGrid(2, 48, lo2, hi2)
+    op = pp.PairOperator(pair, pp.ImageGrid(7, 7, 70.0, mask=mask), d1, d2)
+    assert op.shape == (88, 49)
+    f = np.zeros(49)
+    f[25] = 1.0
+    g = op.forward(f)
+    assert g.shape == (88,)
+    for geom, det, bins in zip((pair.first, pair.second), op.dets, np.split(np.arange(88), [40])):
+        t = math.hypot(10.0 - geom.vertex[0], 0.0 - geom.vertex[1])
+        want = 100.0 * math.exp(-0.154 * t) / t
+        mass = np.sum(g[bins])
+        assert abs(mass * det.width - want) < 1e-12 * want
+        ones = np.zeros(88)
+        ones[bins] = 1.0
+        assert abs(op.adjoint(ones)[25] - mass) < 1e-12 * mass
 
 
 def test_single_pixel_mass():
@@ -150,7 +162,7 @@ def test_single_pixel_mass():
     op = pp.PairOperator(pair, image, d1, d2)
     f = np.zeros(49)
     f[24] = 1.0
-    g1, g2 = op.forward(f)
+    g1, g2 = np.split(op.forward(f), [d1.n_bins])
     want = 100.0 / 80.0  # area / distance, mu = 0
     assert abs(np.sum(g1) * d1.width - want) < 1e-12
     assert abs(np.sum(g2) * d2.width - want) < 1e-12
@@ -170,7 +182,7 @@ def test_single_pixel_mass_weighted():
     op = pp.PairOperator(pair, image, d1, d2)
     f = np.zeros(49)
     f[24] = 1.0
-    g1, _ = op.forward(f)
+    g1 = op.forward(f)[:d1.n_bins]
     want = 100.0 * math.exp(-0.154 * 80.0) / 80.0
     assert abs(np.sum(g1) * d1.width - want) < 1e-12 * want
 
@@ -186,7 +198,7 @@ def test_kernels_annihilate_mu_zero_range():
         e1, e2 = op.dets
         W = np.concatenate([e1.width * kernels.v1(e1.centers),
                             -e2.width * kernels.v2(e2.centers)])
-        A = np.stack([op.adjoint_flat(e) for e in np.eye(op.shape[0])])
+        A = np.stack([op.adjoint(e) for e in np.eye(op.shape[0])])
         assert np.linalg.norm(W @ A) <= 1e-14 * np.linalg.norm(A, 2) * np.linalg.norm(W)
 
 
@@ -206,7 +218,7 @@ def test_mass_conservation_random_image():
     f = rng.uniform(0.0, 1.0, size=op.image.n_pixels)
     centers = op.image.pixel_centers()[op.image.mask]
     fm = f[op.image.mask]
-    g1, g2 = op.forward(f)
+    g1, g2 = np.split(op.forward(f), [op.dets[0].n_bins])
     for geom, det, g in ((op.pair.first, op.dets[0], g1), (op.pair.second, op.dets[1], g2)):
         t = np.hypot(*(centers - np.asarray(geom.vertex)).T)
         masses = fm * op.image.pixel_area * np.exp(geom.mu * t) / t
@@ -238,7 +250,7 @@ def test_forward_tracks_continuous_projection():
     ph = pp.random_phantom(rng, pair.domain)
     det1, det2 = pp.reference_grids(n_bins=100)
     op = pp.PairOperator(pair, pp.ImageGrid(200, 200, 70.0), det1, det2)
-    g1, g2 = op.forward(pp.rasterize(ph, op.image))
+    g1, g2 = np.split(op.forward(pp.rasterize(ph, op.image)), [det1.n_bins])
     for det, geom, g in ((det1, pair.first, g1), (det2, pair.second, g2)):
         ref = pp.project_values(geom, ph, det.centers)
         err = np.linalg.norm(g - ref) / np.linalg.norm(ref)
@@ -312,11 +324,14 @@ def test_rasterize_zeroes_masked_pixels():
         lambda: pp.ImageDomain.rectangle(1.0, math.nan),
         lambda: pp.ImageDomain.rectangle(1.0, 1.0, center=(0.0, math.inf)),
         lambda: pp.ImageDomain.polygon([[0.0, 0.0], [1.0, 0.0], [0.0, math.nan]]),
+        lambda: pp.ProjectionData(pp.DetectorGrid(1, 3, 0.0, 1.0), [1.0, math.nan, 0.0]),
+        lambda: pp.ProjectionData(pp.DetectorGrid(2, 2, 0.0, 1.0), [-math.inf, 0.0]),
     ],
     ids=[
         "grid-extent-nan", "grid-extent-inf", "detector-hi-inf", "detector-lo-inf",
         "disc-radius-nan", "disc-radius-inf", "disc-center-nan", "rect-width-nan",
-        "rect-height-nan", "rect-center-inf", "polygon-vertex-nan",
+        "rect-height-nan", "rect-center-inf", "polygon-vertex-nan", "data-value-nan",
+        "data-value-inf",
     ],
 )
 def test_constructors_reject_non_finite_numbers(build):

@@ -164,11 +164,11 @@ def test_inconceivable_g2_support_and_domain():
 
 
 def test_reference_target_layout():
-    tgt = pp.reference_target(*pp.reference_grids(128))
-    assert tgt.view1.grid.view == 1 and tgt.view2.grid.view == 2
-    assert tgt.g1.shape == (128,) and tgt.g2.shape == (128,)
-    np.testing.assert_array_equal(tgt.g1, 0.0)
-    centers = tgt.view2.grid.centers
-    rel = centers - 0.5 * (tgt.view2.grid.lo + tgt.view2.grid.hi)
-    np.testing.assert_allclose(tgt.g2, pp.inconceivable_g2(rel), rtol=0, atol=1e-15)
-    assert tgt.g2.max() > 0.24
+    view1, view2 = pp.reference_target(*pp.reference_grids(128))
+    assert view1.grid.view == 1 and view2.grid.view == 2
+    assert view1.values.shape == (128,) and view2.values.shape == (128,)
+    np.testing.assert_array_equal(view1.values, 0.0)
+    centers = view2.grid.centers
+    rel = centers - 0.5 * (view2.grid.lo + view2.grid.hi)
+    np.testing.assert_allclose(view2.values, pp.inconceivable_g2(rel), rtol=0, atol=1e-15)
+    assert view2.values.max() > 0.24

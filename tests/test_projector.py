@@ -81,7 +81,7 @@ def test_par_projection_matches_simpson():
     rng = np.random.default_rng(21)
     for r in rng.uniform(-18, 18, size=12):
         want = simpson_ray_oracle(geom, PHANTOM, r)
-        got = pp.project_ray(geom, PHANTOM, r)
+        got = float(pp.project_values(geom, PHANTOM, r))
         assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
@@ -91,7 +91,7 @@ def test_fan_projection_matches_simpson():
     rng = np.random.default_rng(22)
     for r in base + rng.uniform(-0.15, 0.15, size=12):
         want = simpson_ray_oracle(geom, PHANTOM, r)
-        got = pp.project_ray(geom, PHANTOM, r)
+        got = float(pp.project_values(geom, PHANTOM, r))
         assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
@@ -111,7 +111,7 @@ def test_batch_equals_single_bitwise():
     base = math.atan2(-5.0, 90.0)
     rs = base + np.linspace(-0.12, 0.12, 17)
     batch = pp.project_values(geom, PHANTOM, rs)
-    singles = np.array([pp.project_ray(geom, PHANTOM, r) for r in rs])
+    singles = np.array([pp.project_values(geom, PHANTOM, r) for r in rs])
     np.testing.assert_array_equal(batch, singles)
 
 
@@ -126,8 +126,8 @@ def test_project_view_wraps_grid():
 
 def test_exponential_weight_changes_value():
     r = math.atan2(-5.0, 90.0)
-    flat = pp.project_ray(pp.FanGeometry((-90.0, 5.0), theta0=-math.pi), PHANTOM, r)
-    damped = pp.project_ray(
+    flat = pp.project_values(pp.FanGeometry((-90.0, 5.0), theta0=-math.pi), PHANTOM, r)
+    damped = pp.project_values(
         pp.FanGeometry((-90.0, 5.0), theta0=-math.pi, mu=-0.154), PHANTOM, r)
     assert flat > 0
     # mass sits ~78-102 cm from the vertex, so the weight is well under e^-10

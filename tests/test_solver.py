@@ -1,5 +1,7 @@
 """Conjugate-gradient normal-equation solver and the residual floor bound."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -64,32 +66,22 @@ def test_operator_interfaces_agree():
     g = rng.normal(size=9)
 
     class Wrapped:
-        def forward_flat(self, x):
+        def forward(self, x):
             return M @ x
 
-        def adjoint_flat(self, y):
+        def adjoint(self, y):
             return M.T @ y
 
     a = pp.cgne_solve(M, g, max_iter=12)
-    b = pp.cgne_solve(((lambda x: M @ x), (lambda y: M.T @ y)), g, max_iter=12)
     c = pp.cgne_solve(Wrapped(), g, max_iter=12)
-    assert np.array_equal(a.iterate, b.iterate)
     assert np.array_equal(a.iterate, c.iterate)
-    assert np.array_equal(a.residual_history, b.residual_history)
-
-
-def test_callback_cadence():
-    seen = []
-    pp.cgne_solve(np.diag([1.0, 2.0, 3.0]), np.ones(3), max_iter=3,
-                  callback=lambda k, x, rel: seen.append(k), callback_every=2)
-    assert seen == [2]
+    assert np.array_equal(a.residual_history, c.residual_history)
 
 
 def test_divergence_raises():
-    fwd = lambda x: np.full(2, np.nan)
-    adj = lambda y: np.ones(2)
+    op = SimpleNamespace(forward=lambda x: np.full(2, np.nan), adjoint=lambda y: np.ones(2))
     with pytest.raises(pp.DivergenceError) as exc:
-        pp.cgne_solve((fwd, adj), np.ones(2), max_iter=4)
+        pp.cgne_solve(op, np.ones(2), max_iter=4)
     assert exc.value.iteration == 1
 
 
@@ -98,6 +90,8 @@ def test_operator_validation():
         pp.cgne_solve(np.ones(3), np.ones(3), max_iter=1)
     with pytest.raises(pp.ConfigurationError):
         pp.cgne_solve(object(), np.ones(2), max_iter=1)
+    with pytest.raises(pp.ConfigurationError):  # a (forward, adjoint) tuple is no operator
+        pp.cgne_solve(((lambda x: x), (lambda y: y)), np.ones(2), max_iter=1)
     with pytest.raises(pp.ConfigurationError):
         pp.cgne_solve(np.eye(2), np.ones(2), max_iter=-1)
 
@@ -107,12 +101,12 @@ def test_roundoff_annihilated_target_stops_on_floor():
     # roundoff only, and the target's W component is unreachable
     rng = np.random.default_rng(13)
     tgt = small_target(rng.normal(size=7), rng.normal(size=5))
-    kernels = pp.KernelPair(v1=lambda r: 1.0 + r, v2=lambda r: 2.0 - r, sign=1, label="affine")
-    d1, d2 = tgt.view1.grid, tgt.view2.grid
+    kernels = pp.KernelPair(v1=lambda r: 1.0 + r, v2=lambda r: 2.0 - r, label="affine")
+    d1, d2 = (view.grid for view in tgt)
     w = np.concatenate([d1.width * kernels.v1(d1.centers), -d2.width * kernels.v2(d2.centers)])
     q, _ = np.linalg.qr(np.column_stack([w, rng.normal(size=(12, 11))]))
     A = q[:, 1:] @ rng.normal(size=(11, 30))
-    g = np.concatenate([tgt.g1, tgt.g2])
+    g = np.concatenate([view.values for view in tgt])
     floor = pp.predicted_residual_floor(tgt, kernels)
     assert floor > 0.1 * np.linalg.norm(g)
     st = pp.cgne_solve(A, g, max_iter=500)
@@ -129,14 +123,13 @@ def test_roundoff_annihilated_target_stops_on_floor():
 def flat_kernels(c1=2.0, c2=1.0):
     return pp.KernelPair(v1=lambda r: np.full_like(r, c1),
                          v2=lambda r: np.full_like(r, c2),
-                         sign=1, label="flat")
+                         label="flat")
 
 
 def small_target(g1, g2):
     d1 = pp.DetectorGrid(1, len(g1), 0.0, 1.0)
     d2 = pp.DetectorGrid(2, len(g2), 0.0, 1.0)
-    return pp.TargetData(pp.ProjectionData(d1, np.asarray(g1, float)),
-                         pp.ProjectionData(d2, np.asarray(g2, float)))
+    return pp.ProjectionData(d1, np.asarray(g1, float)), pp.ProjectionData(d2, np.asarray(g2, float))
 
 
 def test_floor_zero_for_annihilated_target():
@@ -166,7 +159,7 @@ def test_floor_rejects_degenerate_kernels():
     with pytest.raises(pp.DegenerateKernelError):
         pp.predicted_residual_floor(tgt, flat_kernels(0.0, 0.0))
     bad = pp.KernelPair(v1=lambda r: np.full_like(r, np.nan),
-                        v2=lambda r: np.ones_like(r), sign=1, label="nan")
+                        v2=lambda r: np.ones_like(r), label="nan")
     with pytest.raises(pp.EvaluationError):
         pp.predicted_residual_floor(tgt, bad)
 
@@ -176,7 +169,7 @@ def test_floor_weights_bins_by_width():
     # sum g1 V1 w1 = 4 * 1 * 2 / 4 = 2 = 2 * 2 * 1 / 2 = sum g2 V2 w2
     d1 = pp.DetectorGrid(1, 4, 0.0, 1.0)
     d2 = pp.DetectorGrid(2, 2, 0.0, 1.0)
-    tgt = pp.TargetData(pp.ProjectionData(d1, np.ones(4)), pp.ProjectionData(d2, np.full(2, 2.0)))
+    tgt = pp.ProjectionData(d1, np.ones(4)), pp.ProjectionData(d2, np.full(2, 2.0))
     assert pp.predicted_residual_floor(tgt, flat_kernels()) == 0.0
 
 
@@ -187,10 +180,10 @@ def test_floor_is_reached_with_unequal_bin_counts():
     d1 = pp.DetectorGrid(1, 40, lo1, hi1)
     d2 = pp.DetectorGrid(2, 48, lo2, hi2)
     op = pp.PairOperator(pair, pp.ImageGrid.from_domain(64, 64, pair.domain, 70.0), d1, d2)
-    tgt = pp.TargetData(pp.ProjectionData(d1, np.zeros(40)),
-                        pp.ProjectionData(d2, pp.inconceivable_g2(d2.centers - d2.center)))
+    tgt = (pp.ProjectionData(d1, np.zeros(40)),
+           pp.ProjectionData(d2, pp.inconceivable_g2(d2.centers - d2.center)))
     floor = pp.predicted_residual_floor(tgt, pp.known_kernels(pair))
-    g = np.concatenate([tgt.g1, tgt.g2])
+    g = np.concatenate([view.values for view in tgt])
     st = pp.cgne_solve(op, g, max_iter=2000)
     assert st.stop_reason == "normal_residual_zero"
     assert abs(st.final_residual * np.linalg.norm(g) - floor) <= 1e-12 * floor
