@@ -129,7 +129,7 @@ def _load_config(path: str | None) -> tuple[configparser.ConfigParser, str]:
     A section or key the defaults do not have, or a kind or mode outside
     its choices, is a ConfigurationError, raised before any output exists.
     """
-    cp = _Config()
+    cp = _Config(interpolation=None)  # a "%" in a value is literal
     cp.read_dict(_DEFAULTS)
     raw = ""
     if path:

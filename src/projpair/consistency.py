@@ -296,16 +296,18 @@ def separability_test(
     ``D = L[i,j] - L[it,j] - L[i,jt] + L[it,jt]`` over all quadruples with
     both rows valid at both columns, as the largest spread
     ``max_j - min_j`` of a row difference ``L[it] - L[i]`` (O(n1^2 * n2)).
-    How many columns each row pair shares comes from one matrix product of
-    the validity mask; a pair sharing fewer than two has no quadruple.  Each
-    row ``i`` then walks the rows below it in blocks of about 512 KB, making
-    three passes per block (subtract into one buffer, a NaN-skipping max and
-    a NaN-skipping min), so a block stays in cache.  The report is the one
-    the plain loop over row pairs gives: the same subtractions, and the first
-    maximum in row-pair then column order.  ``scale`` is the largest ``|L|``
-    and must be at most half the largest float, so no difference overflows;
-    the default threshold is ``1e-8 * scale``.  A surface is separable
-    exactly when D vanishes identically.
+    How many columns each row pair shares is counted in integers, from each
+    row's count of invalid entries and, for the rows that have any, a
+    popcount of their packed masks; a pair sharing fewer than two has no
+    quadruple.  Each row ``i`` then walks the rows below it in blocks of
+    about 512 KB, making three passes per block (subtract into one buffer,
+    a NaN-skipping max and a NaN-skipping min), so a block stays in cache.
+    The report is the one the plain loop over row pairs gives: the same
+    subtractions, and the first maximum in row-pair then column order.
+    ``scale`` is the largest ``|L|`` and must be at most half the largest
+    float, so no difference overflows; the default threshold is
+    ``1e-8 * scale``.  A surface is separable exactly when D vanishes
+    identically.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2:
@@ -324,8 +326,19 @@ def separability_test(
         raise ConfigurationError(f"|L| reaches {scale:.6g}; row differences would overflow")
     if threshold is None:
         threshold = 1e-8 * scale
-    v = valid.astype(float)
-    shared = v @ v.T
+    # columns each row pair shares, n2 - c_i - c_j + (columns both miss), in
+    # exact integers; the last term is nonzero only between rows missing
+    # some column, and is counted on their bit-packed masks
+    miss = ~valid
+    count = np.count_nonzero(miss, axis=1)
+    shared = n2 - count[:, None] - count[None, :]
+    some = np.flatnonzero(count)
+    words = np.packbits(miss[some], axis=1)
+    words = np.pad(words, ((0, 0), (0, -words.shape[1] % 8))).view(np.uint64)
+    block = max(1, 65536 // max(1, words.size))
+    for a in range(0, some.size, block):
+        both = np.bitwise_count(words[a : a + block, None] & words).sum(axis=-1, dtype=np.int64)
+        shared[some[a : a + block, None], some] += both
     rows = max(1, 65536 // n2)
     buf = np.empty((min(rows, n1), n2))
     best = -1.0

@@ -83,6 +83,14 @@ class ImageGrid:
         idx = np.arange(self.n_pixels) if idx is None else np.asarray(idx)
         return np.stack([xs[idx % self.nx], ys[idx // self.nx]], axis=-1)
 
+    def center_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """Abscissae and ordinates of the centers of the pixels the mask keeps
+        (every pixel without a mask), in flat order, as two contiguous arrays."""
+        xs, ys = self.pixel_axes()
+        shape = (self.ny, self.nx)
+        keep = np.ones(shape, dtype=bool) if self.mask is None else self.mask.reshape(shape)
+        return np.broadcast_to(xs, shape)[keep], np.repeat(ys, np.count_nonzero(keep, axis=1))
+
     @staticmethod
     def from_domain(nx: int, ny: int, domain: ImageDomain, extent: float = DEFAULT_EXTENT) -> "ImageGrid":
         """Grid whose mask keeps the pixels lying entirely inside ``domain``.
@@ -170,12 +178,12 @@ def rasterize(func: Callable, grid: ImageGrid) -> np.ndarray:
     ``func`` maps points of shape (n, 2) to n values.  With a mask it is
     called on the centers of the masked pixels only.
     """
+    vals = np.asarray(func(np.stack(grid.center_xy(), axis=-1)), dtype=float).ravel()
     if grid.mask is None:
-        return np.asarray(func(grid.pixel_centers()), dtype=float).ravel()
-    idx = np.flatnonzero(grid.mask)
-    vals = np.zeros(grid.n_pixels)
-    vals[idx] = np.asarray(func(grid.pixel_centers(idx)), dtype=float).ravel()
-    return vals
+        return vals
+    image = np.zeros(grid.n_pixels)
+    image[grid.mask] = vals
+    return image
 
 
 def _window(a: np.ndarray, b: np.ndarray, n: int, pad: int, width=None):
@@ -291,36 +299,44 @@ class PairOperator:
         self._idx = np.flatnonzero(image.mask)
         if self._idx.size == 0:
             raise ConfigurationError("the image mask keeps no pixel inside the domain")
-        centers = image.pixel_centers(self._idx)
+        x, y = image.center_xy()
         delta = dx
         area = image.pixel_area
         kernels = known_kernels(pair)
         kerns = (None, None) if kernels is None else (kernels.v1, kernels.v2)
         self._tables = []
         for geom, det, kern in zip((pair.first, pair.second), self.dets, kerns):
-            r, t = geom.inverse(centers)
+            r, t = geom.inverse_xy(x, y)
             w = delta / t  # angular footprint width
             coeff = area * np.exp(geom.mu * t) / t  # projected mass per unit f
             density = coeff / w
             a = (r - det.lo) / det.width - 0.5 * w / det.width
             b = a + w / det.width
+            # each per-pixel array is 6 MB at 1000^2: free it once used
+            del t, w
             n = det.n_bins
             pad = 0 if kern is None else 1  # room for the correction's neighbour bins
             width = min(n, int(np.max(np.ceil(b) - np.floor(a), initial=1)) + 2 * pad)
             start, _ = _window(a, b, n, pad, width)
             weights = np.empty((a.size, width))
             # one column at a time, in place: a full (n_masked, width) bin
-            # array would raise peak memory at 1000^2 by about a third
+            # array would raise peak memory at 1000^2 by about a third.  The
+            # bin edges k and k + 1 are exact in float, so they are formed
+            # from one float copy of start into one scratch buffer.
+            first = start.astype(float)
+            edge = np.empty_like(first)
             for off in range(width):
-                k = start + off
                 col = weights[:, off]
-                np.minimum(b, k + 1.0, out=col)
-                col -= np.maximum(a, k)
-                np.clip(col, 0.0, None, out=col)
+                np.add(first, off + 1.0, out=edge)
+                np.minimum(b, edge, out=col)
+                np.add(first, float(off), out=edge)
+                col -= np.maximum(a, edge, out=edge)
+                np.maximum(col, 0.0, out=col)
                 col *= density
             if kern is not None:
                 sel, change = _kernel_moment_fix(det, a, b, r, coeff, kern, start, weights)
                 weights[sel] += change
+            del r, a, b, coeff, density, first, edge
             self._tables.append((start, weights))
 
     @property

@@ -73,9 +73,27 @@ def cross2(a, b):
 
 
 def lift_angle(angle, theta0):
-    """Shift ``angle`` by a multiple of 2*pi into ``[theta0, theta0 + 2*pi)``."""
-    a = np.asarray(angle, dtype=float)
-    return np.mod(a - theta0, 2.0 * math.pi) + theta0
+    """Shift ``angle`` by a multiple of 2*pi into ``[theta0, theta0 + 2*pi)``.
+
+    Equal, bit for bit, to ``np.mod(angle - theta0, 2*pi) + theta0``.  When
+    every ``u = angle - theta0`` lies in ``[-2*pi, 2*pi)`` (an ``arctan2``
+    angle against a branch start in ``[-pi, pi]`` nearly always does),
+    ``np.mod`` returns the sum ``u + 2*pi`` for ``u < 0`` and ``u`` itself
+    otherwise (+0.0 for u = -2*pi or +-0.0), and the same sums are computed
+    here without a division.  The one difference, u = -0.0 kept as -0.0,
+    vanishes when theta0 is added: u is -0.0 only for angle -0.0 and theta0
+    +0.0, and both sums are then +0.0.  Any other input, u = 2*pi and NaN
+    included, goes through ``np.mod``.
+    """
+    u = np.asarray(angle, dtype=float) - theta0
+    two_pi = 2.0 * math.pi
+    # initial=0.0 lets an empty array through and, lying in the interval,
+    # changes no other verdict; a NaN fails both comparisons
+    if np.min(u, initial=0.0) >= -two_pi and np.max(u, initial=0.0) < two_pi:
+        u = np.where(u < 0.0, u + two_pi, u)
+    else:
+        u = np.mod(u, two_pi)
+    return u + theta0
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +102,11 @@ def lift_angle(angle, theta0):
 
 @dataclass(frozen=True)
 class ParGeometry:
-    """Parallel-beam family at angle ``theta``; unit weight."""
+    """Parallel-beam family at angle ``theta``; unit weight (``mu = 0``)."""
 
     theta: float
     t_min = -math.inf
+    mu = 0.0
 
     def ray(self, r):
         """``(origin, direction)`` of the line at offset ``r``."""
@@ -162,11 +181,16 @@ class FanGeometry:
             If ``x`` coincides with the vertex (no ray through it is defined).
         """
         x = np.asarray(x, dtype=float)
-        d = x - self.vertex_xy
-        t = np.hypot(d[..., 0], d[..., 1])
+        return self.inverse_xy(x[..., 0], x[..., 1])
+
+    def inverse_xy(self, x, y):
+        """:meth:`inverse` of the points with coordinates ``x`` and ``y``."""
+        dx = np.subtract(x, self.vertex[0], dtype=float)
+        dy = np.subtract(y, self.vertex[1], dtype=float)
+        t = np.hypot(dx, dy)
         if np.any(t < DENOM_TOL):
             raise SingularPointError("point coincides with the fan vertex")
-        r = lift_angle(np.arctan2(d[..., 1], d[..., 0]), self.theta0)
+        r = lift_angle(np.arctan2(dy, dx), self.theta0)
         return r, t
 
     def jacobian_inv(self, x):
@@ -306,10 +330,15 @@ class ImageDomain:
         rule is half-open, not strict: a point on a left edge or on a level
         bottom edge counts as inside, one on a right or top edge does not.
         So an axis-aligned square polygon keeps the points on its left and
-        bottom edges, and the equal rectangle keeps none.  Each edge's crossing
-        abscissa depends on ``y`` alone, so it is computed once per distinct
-        ``y`` (once per pixel row when ``y`` is a column of row ordinates)
-        and only ``x < xi`` is evaluated per point.
+        bottom edges, and the equal rectangle keeps none.
+
+        The points are taken as rows, one per entry of ``y`` (one per pixel
+        row when ``y`` is a column of row ordinates and ``x`` a row of
+        abscissae).  Each edge's crossing abscissa depends on ``y`` alone,
+        so it is computed once per row, and ``x < xi`` is evaluated only on
+        the rows from the first to the last one the edge crosses; rows in
+        between that it misses compare against ``-inf``.  A row outside that
+        span would XOR in all-False, so skipping it leaves the result exact.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -320,18 +349,31 @@ class ImageDomain:
         if self.kind == "disc":
             cx, cy = self.center
             return np.hypot(x - cx, y - cy) < self.radius
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        y = y.reshape((1,) * (len(shape) - y.ndim) + y.shape)
+        # the axes y varies along first, then the rest: a (rows, columns) view
+        perm = sorted(range(len(shape)), key=lambda k: y.shape[k] == 1)
+        n_rows = math.prod(y.shape)
+        n_cols = math.prod(shape) // n_rows if n_rows else 0
+        permuted = tuple(shape[k] for k in perm)
+        yr = y.transpose(perm).reshape(n_rows)
+        xr = np.broadcast_to(x, shape).transpose(perm).reshape(n_rows, n_cols)
+        inside = np.zeros((n_rows, n_cols), dtype=bool)
         v = self.vertices
         n = len(v)
-        inside = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=bool)
         for i in range(n):
             x1, y1 = v[i]
             x2, y2 = v[(i + 1) % n]
-            crosses = (y1 > y) != (y2 > y)
+            crosses = (y1 > yr) != (y2 > yr)
+            rows = np.flatnonzero(crosses)
+            if rows.size == 0:  # a level edge, or one no row meets
+                continue
+            lo, hi = rows[0], rows[-1] + 1
             with np.errstate(divide="ignore", invalid="ignore"):
-                xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            # a level edge or one the ray misses crosses nowhere: x < -inf is false
-            inside ^= x < np.where(crosses, xi, -np.inf)
-        return inside
+                xi = x1 + (yr[lo:hi] - y1) * (x2 - x1) / (y2 - y1)
+            # a row the edge misses is crossed nowhere: x < -inf is false
+            inside[lo:hi] ^= xr[lo:hi] < np.where(crosses[lo:hi], xi, -np.inf)[:, None]
+        return inside.reshape(permuted).transpose(np.argsort(perm))
 
     # -- geometry queries ------------------------------------------------
 

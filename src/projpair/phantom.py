@@ -49,15 +49,26 @@ def bump_eval(phantom: Phantom, points) -> np.ndarray:
 
     Each bump's exponential is evaluated only at the points inside its
     support, ``|x - center| < radius``; it contributes nothing elsewhere.
+    The support test itself runs only on the band ``|y - cy| < radius``.
+    That is exact: off the band ``fl(dy**2) >= fl(radius * radius)`` by
+    monotone rounding, so ``s2`` is at least 1 less a few ulp (``radius**2``
+    may be one ulp off ``radius * radius``); any such point the full test
+    would keep adds ``exp(-1 / (1 - s2)) = 0`` times the amplitude, a zero,
+    to a sum that never holds -0.0, which leaves it unchanged.
     """
-    x = np.asarray(points, dtype=float)
-    out = np.zeros(x.shape[:-1], dtype=float)
+    p = np.asarray(points, dtype=float)
+    out = np.zeros(p.shape[:-1], dtype=float)
+    flat = out.reshape(-1)
+    x, y = p[..., 0].reshape(-1), p[..., 1].reshape(-1)
     for b in phantom.bumps:
-        d = x - np.asarray(b.center)
-        s2 = (d[..., 0] ** 2 + d[..., 1] ** 2) / (b.radius**2)
+        cx, cy = b.center
+        dy = y - cy
+        band = np.flatnonzero(np.abs(dy) < b.radius)
+        dx, dy = x[band] - cx, dy[band]
+        s2 = (dx**2 + dy**2) / (b.radius**2)
         inside = s2 < 1.0
         with np.errstate(divide="ignore", over="ignore"):
-            out[inside] += b.amplitude * np.exp(-1.0 / np.maximum(1.0 - s2[inside], 1e-300))
+            flat[band[inside]] += b.amplitude * np.exp(-1.0 / np.maximum(1.0 - s2[inside], 1e-300))
     return out
 
 

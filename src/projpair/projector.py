@@ -109,11 +109,12 @@ def _bump_line_integrals(geom, bump, r, spec: QuadratureSpec) -> tuple[np.ndarra
         fval = np.subtract(1.0, s2, out=py)
         np.maximum(fval, 1e-300, out=fval)
         np.divide(-1.0, fval, out=fval)
+        # outside the support (s2 >= 1) this is exp(-1 / 1e-300) = +0.0
         with np.errstate(divide="ignore", over="ignore"):
             np.exp(fval, out=fval)
-        fval[~(s2 < 1.0)] = 0.0
         fval *= bump.amplitude
-        fval *= geom.weight(rr[live, None], t)
+        if geom.mu != 0.0:  # a unit weight multiplies by exactly 1
+            fval *= geom.weight(rr[live, None], t)
         fval *= w
         # np.sum keeps the reduction order independent of the batch size,
         # unlike @ which picks BLAS blockings by shape

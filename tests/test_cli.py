@@ -141,6 +141,22 @@ def test_project_discrete_writes_image(tmp_path):
     assert d1.grid.n_bins == 24
 
 
+@pytest.mark.parametrize("mu", ["-0.154", "0"])
+def test_project_discrete_reruns_byte_identical(tmp_path, mu):
+    cfg = write_config(
+        tmp_path,
+        f"[geometry]\nmu = {mu}\n[project]\nmode = discrete\n"
+        "[image]\nnx = 160\nny = 160\n[detectors]\nbins1 = 80\nbins2 = 80\n",
+    )
+    for out in ("a", "b"):
+        assert run(["project", "--config", cfg, "--out", str(tmp_path / out), "--seed", "5"]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert "phantom.img" in names and "view2.csv" in names
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_project_mode_flag_overrides_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "[project]\nmode = discrete\n[image]\nnx = 24\nny = 24\n[detectors]\nbins1 = 16\nbins2 = 16\n")
     code = run(["project", "--config", cfg, "--mode", "continuous",
@@ -241,7 +257,10 @@ def assert_configuration_error(tmp_path, capsys, command, text, options=()):
     ("solve", "[image]\nextent = inf\n"),
     ("solve", "[geometry]\nvertex1 = 0 inf\n"),
     ("check", "[geometry]\nmu = nan\n"),
-], ids=["mu", "vertex1", "nx", "bins1", "extent-inf", "vertex1-inf", "check-mu-nan"])
+    ("check", "[geometry]\nmu = 5%\n"),
+    ("solve", "[image]\nnx = %(ny)s\n"),
+], ids=["mu", "vertex1", "nx", "bins1", "extent-inf", "vertex1-inf", "check-mu-nan",
+        "check-mu-percent", "solve-nx-interpolation"])
 def test_malformed_number_is_a_configuration_error(tmp_path, capsys, command, text):
     assert_configuration_error(tmp_path, capsys, command, text)
 
@@ -285,6 +304,17 @@ def test_unreadable_input_file_is_a_configuration_error(tmp_path, capsys, comman
                        "0.125,1\n0.375,nan\n0.625,1\n0.875,1\n", encoding="ascii")
     text = text.format(missing=tmp_path / "missing.txt", bad_csv=bad_csv, nan_csv=nan_csv)
     assert_configuration_error(tmp_path, capsys, command, text)
+
+
+def test_percent_in_a_config_value_is_literal(tmp_path):
+    # no interpolation: a path with "%" in it is read as written
+    bumps = tmp_path / "bumps 100%.txt"
+    bumps.write_text("5 -10 6 1\n", encoding="ascii")
+    cfg = write_config(tmp_path, f"[phantom]\nkind = file\nfile = {bumps}\n")
+    assert run(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    body = (tmp_path / "o" / "phantom_used.txt").read_text()
+    assert body.splitlines()[1].split() == ["5", "-10", "6", "1"]
+    assert f"file = {bumps}" in (tmp_path / "o" / "config_resolved.ini").read_text()
 
 
 @pytest.mark.parametrize("command, text", [

@@ -384,6 +384,10 @@ MASK_DOMAINS = {
     # concave, with level edges and vertices on pixel-corner rows at 70^2
     "concave": pp.ImageDomain.polygon(
         [[-30, -30], [30, -30], [30, 30], [10, 30], [0, -5], [-10, 30], [-30, 30]]),
+    # rows in (-10, 30) cross six edges
+    "comb": pp.ImageDomain.polygon(
+        [[-30, -30], [30, -30], [30, 30], [20, 30], [20, -10], [10, -10], [10, 30],
+         [0, 30], [0, -10], [-10, -10], [-10, 30], [-30, 30]]),
 }
 
 
@@ -397,6 +401,78 @@ def test_mask_matches_five_point_rule(name, shape):
     oracle = five_point_mask(pp.ImageGrid(nx, ny, extent), domain)
     assert oracle.any()
     np.testing.assert_array_equal(grid.mask, oracle)
+
+
+@pytest.mark.parametrize("shape", [(70, 70, 70.0), (200, 200, 70.0), (61, 37, 70.0)],
+                         ids=["70sq", "200sq", "nx-ne-ny"])
+@pytest.mark.parametrize("name", MASK_DOMAINS)
+def test_mask_matches_five_contains_calls(name, shape):
+    nx, ny, extent = shape
+    domain = MASK_DOMAINS[name]
+    grid = pp.ImageGrid.from_domain(nx, ny, domain, extent=extent)
+    centers = pp.ImageGrid(nx, ny, extent).pixel_centers()
+    hx, hy = 0.5 * grid.pixel_size[0], 0.5 * grid.pixel_size[1]
+    oracle = domain.contains(centers)
+    for shift in ((-hx, -hy), (-hx, hy), (hx, -hy), (hx, hy)):
+        oracle &= domain.contains(centers + np.array(shift))
+    assert oracle.any() and not oracle.all()
+    np.testing.assert_array_equal(grid.mask, oracle)
+
+
+@pytest.mark.parametrize("masked", [True, False])
+def test_center_xy_are_the_masked_pixel_centers(masked):
+    grid = pp.ImageGrid.from_domain(53, 41, MASK_DOMAINS["comb"], extent=66.0)
+    if not masked:
+        grid = pp.ImageGrid(53, 41, 66.0)
+    x, y = grid.center_xy()
+    idx = np.arange(grid.n_pixels) if grid.mask is None else np.flatnonzero(grid.mask)
+    want = grid.pixel_centers(idx)
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+    assert x.tobytes() == want[:, 0].copy().tobytes() and y.tobytes() == want[:, 1].copy().tobytes()
+
+
+def _reference_tables(op):
+    """Window tables built as the operator first built them: inverse on the
+    stacked centres, np.mod for the branch, integer bin edges per column."""
+    image = op.image
+    centers = image.pixel_centers(np.flatnonzero(image.mask))
+    delta, area = image.pixel_size[0], image.pixel_area
+    kernels = pp.known_kernels(op.pair)
+    kerns = (None, None) if kernels is None else (kernels.v1, kernels.v2)
+    tables = []
+    for geom, det, kern in zip((op.pair.first, op.pair.second), op.dets, kerns):
+        d = centers - geom.vertex_xy
+        t = np.hypot(d[..., 0], d[..., 1])
+        r = np.mod(np.arctan2(d[..., 1], d[..., 0]) - geom.theta0, 2.0 * math.pi) + geom.theta0
+        w = delta / t
+        coeff = area * np.exp(geom.mu * t) / t
+        density = coeff / w
+        a = (r - det.lo) / det.width - 0.5 * w / det.width
+        b = a + w / det.width
+        n = det.n_bins
+        pad = 0 if kern is None else 1
+        width = min(n, int(np.max(np.ceil(b) - np.floor(a), initial=1)) + 2 * pad)
+        first = np.clip(np.floor(a), 0, n - 1).astype(np.int64)
+        start = np.clip(first - pad, 0, n - width)
+        weights = np.empty((a.size, width))
+        for off in range(width):
+            k = start + off
+            col = np.minimum(b, k + 1.0) - np.maximum(a, k)
+            weights[:, off] = np.clip(col, 0.0, None) * density
+        if kern is not None:
+            sel, change = pp.discrete._kernel_moment_fix(det, a, b, r, coeff, kern, start, weights)
+            weights[sel] += change
+        tables.append((start, weights))
+    return tables
+
+
+@pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "moment-fix"])
+def test_window_tables_equal_per_column_loop_bitwise(mu):
+    op = pp.reference_operator(nx=120, n_bins=60, mu=mu)
+    for (start, weights), (want_start, want_weights) in zip(op._tables, _reference_tables(op)):
+        np.testing.assert_array_equal(start, want_start)
+        assert weights.shape == want_weights.shape
+        assert weights.tobytes() == want_weights.tobytes()  # sign bits of zeros too
 
 
 def test_pixel_centers_of_indices():

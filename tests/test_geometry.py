@@ -96,6 +96,25 @@ def test_fan_inverse_singular_at_vertex():
         geom.inverse((3.0, 4.0))
 
 
+@pytest.mark.parametrize("theta0", [-math.pi, 0.75 * math.pi, 0.0])
+def test_fan_inverse_xy_equals_inverse_of_stacked_points(theta0):
+    geom = pp.FanGeometry((-80.0, 3.5), theta0=theta0, mu=-0.154)
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-40.0, 40.0, 37)
+    ys = rng.uniform(-40.0, 40.0, 23)[:, None]
+    # a row of abscissae against a column of ordinates, as the image grid does
+    r, t = geom.inverse_xy(xs, ys)
+    xx, yy = np.broadcast_arrays(xs, ys)
+    r0, t0 = geom.inverse(np.stack([xx, yy], axis=-1))
+    assert r.shape == t.shape == (23, 37)
+    assert r.tobytes() == r0.tobytes() and t.tobytes() == t0.tobytes()
+    r, t = geom.inverse_xy(1.0, -2.0)
+    r0, t0 = geom.inverse((1.0, -2.0))
+    assert (r, t) == (r0, t0) and np.shape(r) == ()
+    with pytest.raises(pp.SingularPointError):
+        geom.inverse_xy(np.array([0.0, -80.0]), np.array([0.0, 3.5]))
+
+
 def test_fan_jacobian_inv_fixed():
     geom = pp.FanGeometry((3.0, 4.0))
     assert abs(geom.jacobian_inv((0.0, 0.0)) - 0.2) < 1e-15
@@ -240,6 +259,47 @@ def test_contains_keeps_point_array_shape(dom):
     assert dom.contains(x[2, 3]) == got[2, 3]
 
 
+def _even_odd_one_by_one(domain, px, py):
+    """The polygon rule on flat point arrays, every edge at every point."""
+    v = domain.vertices
+    inside = np.zeros(px.shape, dtype=bool)
+    for i in range(len(v)):
+        (x1, y1), (x2, y2) = v[i], v[(i + 1) % len(v)]
+        for k in range(px.size):
+            if (y1 > py[k]) != (y2 > py[k]):
+                inside[k] ^= bool(px[k] < x1 + (py[k] - y1) * (x2 - x1) / (y2 - y1))
+    return inside
+
+
+COMB = pp.ImageDomain.polygon(  # rows in (-10, 30) cross six edges
+    [[-30, -30], [30, -30], [30, 30], [20, 30], [20, -10], [10, -10], [10, 30],
+     [0, 30], [0, -10], [-10, -10], [-10, 30], [-30, 30]])
+
+
+@pytest.mark.parametrize("dom", [pp.reference_domain(), COMB], ids=["reference", "comb"])
+@pytest.mark.parametrize("shapes", [
+    ((41,), (29, 1)),  # a row of abscissae against a column of ordinates
+    ((29, 1), (41,)),  # transposed: the ordinates vary along the last axis
+    ((57,), (57,)),  # points
+    ((3, 1, 5), (4, 1)),
+    ((), (6,)),
+    ((6,), ()),
+    ((), ()),
+    ((0,), (3, 1)),
+], ids=["rows", "columns", "points", "3d", "scalar-x", "scalar-y", "scalars", "empty"])
+def test_contains_xy_any_broadcast_shape(dom, shapes):
+    rng = np.random.default_rng(len(shapes[0]) * 7 + len(shapes[1]))
+    # unsorted ordinates, on vertex rows too, so edge spans hold rows they miss
+    x = rng.choice(np.r_[rng.uniform(-35.0, 35.0, 50), -30.0, 0.0, 10.0, 30.0], size=shapes[0])
+    y = rng.choice(np.r_[rng.uniform(-35.0, 35.0, 50), -30.0, -10.0, 30.0], size=shapes[1])
+    got = dom.contains_xy(x, y)
+    xx, yy = np.broadcast_arrays(x, y)
+    assert got.shape == xx.shape
+    want = _even_odd_one_by_one(dom, xx.ravel(), yy.ravel()).reshape(xx.shape)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(dom.contains(np.stack([xx, yy], axis=-1)), want)
+
+
 def test_disc_domain_contains_and_chord():
     dom = pp.ImageDomain.disc((1.0, -2.0), 5.0)
     assert dom.contains(np.array([[1.0, -2.0]]))[0]
@@ -323,6 +383,49 @@ def test_admissibility_flags_branch_cut_through_domain():
     away = pp.check_fan_admissible(pp.FanGeometry((0.0, 60.0), theta0=math.pi / 2), dom)
     assert away.passed
     assert abs(away.margins["branch_clearance"] - (math.pi - half)) < 1e-3
+
+
+def _mod_lift(a, theta0):
+    """The rule lift_angle must reproduce bit for bit."""
+    return np.mod(np.asarray(a, dtype=float) - theta0, 2.0 * math.pi) + theta0
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+TWO_PI = 2.0 * math.pi
+
+
+@pytest.mark.parametrize("theta0", [0.0, -0.0, -math.pi, math.pi, 0.75 * math.pi, -2.5, 1e-300])
+def test_lift_angle_equals_mod_rule_bitwise(theta0):
+    tiny = np.nextafter(0.0, 1.0)
+    u = np.array([
+        0.0, -0.0, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0.0), -np.nextafter(TWO_PI, 0.0),
+        -tiny, -1e-300, -1e-17, tiny, 1e-17, 1.0, -1.0, math.pi, -math.pi,
+        4.0 * math.pi + 0.1, -4.0 * math.pi - 0.1, 1e6, -1e6,
+    ])
+    # u itself, and u + theta0 so that angle - theta0 lands on u where it can
+    for a in (u, u + theta0, np.array([-0.0, 0.0]) + 0.0 * theta0):
+        assert _same_bits(pp.lift_angle(a, theta0), _mod_lift(a, theta0))
+        for v in a:  # one value at a time takes the fast path more often
+            assert _same_bits(pp.lift_angle(v, theta0), _mod_lift(v, theta0))
+    # NaN sends the whole batch through np.mod
+    a = np.array([0.5, math.nan, -1.0])
+    assert _same_bits(pp.lift_angle(a, theta0), _mod_lift(a, theta0))
+    assert _same_bits(pp.lift_angle([1.0, -2.0], theta0), _mod_lift([1.0, -2.0], theta0))
+    assert _same_bits(pp.lift_angle(np.array(-3.0), theta0), _mod_lift(-3.0, theta0))
+    assert _same_bits(pp.lift_angle(np.empty((0, 3)), theta0), _mod_lift(np.empty((0, 3)), theta0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    a=st.lists(st.floats(-30.0, 30.0) | st.sampled_from([0.0, -0.0, TWO_PI, -TWO_PI]), min_size=1, max_size=8),
+    theta0=st.floats(-math.pi, math.pi),
+)
+def test_lift_angle_property(a, theta0):
+    assert _same_bits(pp.lift_angle(a, theta0), _mod_lift(a, theta0))
 
 
 def test_lift_angle_window():

@@ -78,6 +78,27 @@ def test_bump_eval_equals_dense_formula():
     np.testing.assert_array_equal(ph(x.reshape(-1, 2)), dense_bump_eval(ph, x).ravel())
 
 
+def test_bump_eval_band_edges_bitwise():
+    """Points exactly on the band edges |y - cy| = radius, and just inside,
+    for radii whose radius**2 is not radius * radius, give the bits of the
+    full evaluation."""
+    radii = [r for r in np.random.default_rng(2).uniform(1.0, 50.0, 20000) if r**2 != r * r][:4]
+    assert len(radii) == 4
+    bumps = tuple(pp.Bump((3.0 * i - 4.5, 1.25 * i), float(r), (-1.0) ** i * (i + 0.5))
+                  for i, r in enumerate(radii))
+    ph = pp.Phantom(bumps)
+    pts = []
+    for b in bumps:
+        cx, cy = b.center
+        for y in (cy + b.radius, cy - b.radius, np.nextafter(cy + b.radius, cy), np.nextafter(cy - b.radius, cy)):
+            for dx in (0.0, 1e-300, -1e-9, 1e-7, 0.5):
+                pts.append((cx + dx, y))
+    x = np.array(pts)
+    assert ph(x).tobytes() == dense_bump_eval(ph, x).tobytes()
+    grid = np.stack(np.meshgrid(np.linspace(-60, 60, 201), np.linspace(-60, 60, 173)), axis=-1)
+    assert ph(grid).tobytes() == dense_bump_eval(ph, grid).tobytes()
+
+
 def test_bump_validation():
     with pytest.raises(pp.ConfigurationError):
         pp.Bump((0.0, 0.0), -1.0, 1.0)

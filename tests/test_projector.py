@@ -307,7 +307,10 @@ def test_settled_rays_leave_the_batch():
             rows.append(t.shape[0])
             return super().weight(r, t)
 
-    geom = CountingFan((-90.0, 5.0), theta0=-math.pi)
+    # weighted, so that every doubling asks for the weight of its live rays
+    # (a unit weight is never built); a weak weight, so that the rays do not
+    # all settle at the absolute tolerance on the first doubling
+    geom = CountingFan((-90.0, 5.0), theta0=-math.pi, mu=-0.01)
     r = _rays(geom, np.linspace(-0.999, 0.999, 200))
     phantom = pp.Phantom((BUMP,))
     vals = pp.project_values(geom, phantom, r)
