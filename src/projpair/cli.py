@@ -387,6 +387,17 @@ def _test_tuple(theta0: float) -> tuple[float, float, float, float]:
     return (base + math.pi / 4.0, base + math.pi / 6.0, base, base - math.pi / 6.0)
 
 
+def _separability_axes(theta0: float, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``r1`` and ``r2`` axes of ``projpair separability``: ``n1`` and
+    ``n2`` evenly spaced angles, with the test tuple's angles added."""
+    margin = math.pi / 48.0
+    lo, hi = theta0 + 0.5 * math.pi + margin, theta0 + 1.5 * math.pi - margin
+    tup = _test_tuple(theta0)
+    r1_axis = np.union1d(np.linspace(theta0 + math.pi, hi, n1), [tup[0], tup[1]])
+    r2_axis = np.union1d(np.linspace(lo, theta0 + math.pi, n2), [tup[2], tup[3]])
+    return r1_axis, r2_axis
+
+
 def cmd_separability(args) -> int:
     cp, raw = _load_config(args.config)
     if args.n1 is not None:
@@ -406,13 +417,8 @@ def cmd_separability(args) -> int:
     v2 = pair.second.vertex_xy
     mu = pair.first.mu
     theta0 = pair.first.theta0
-    margin = math.pi / 48.0
-    lo, hi = theta0 + 0.5 * math.pi + margin, theta0 + 1.5 * math.pi - margin
-    r1_axis = np.linspace(theta0 + math.pi, hi, n1)
-    r2_axis = np.linspace(lo, theta0 + math.pi, n2)
     tup = _test_tuple(theta0)
-    r1_axis = np.union1d(r1_axis, [tup[0], tup[1]])
-    r2_axis = np.union1d(r2_axis, [tup[2], tup[3]])
+    r1_axis, r2_axis = _separability_axes(theta0, n1, n2)
     L = expo_surface(pair, r1_axis, r2_axis)
     report = separability_test(L, r1_axis, r2_axis)
     g_tuple = float(eval_G(tup[0], tup[1], tup[2], tup[3], mu, v2 - v1))

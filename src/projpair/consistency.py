@@ -294,20 +294,62 @@ def separability_test(
 
     Computes the largest double difference
     ``D = L[i,j] - L[it,j] - L[i,jt] + L[it,jt]`` over all quadruples with
-    both rows valid at both columns, as the largest spread
-    ``max_j - min_j`` of a row difference ``L[it] - L[i]`` (O(n1^2 * n2)).
-    How many columns each row pair shares is counted in integers, from each
-    row's count of invalid entries and, for the rows that have any, a
-    popcount of their packed masks; a pair sharing fewer than two has no
-    quadruple.  Each row ``i`` then walks the rows below it in blocks of
-    about 512 KB, making three passes per block (subtract into one buffer,
-    a NaN-skipping max and a NaN-skipping min), so a block stays in cache.
-    The report is the one the plain loop over row pairs gives: the same
-    subtractions, and the first maximum in row-pair then column order.
-    ``scale`` is the largest ``|L|`` and must be at most half the largest
-    float, so no difference overflows; the default threshold is
+    both rows valid at both columns, as the largest *spread*
+    ``max_j - min_j`` of a row difference ``L[it] - L[i]`` over the columns
+    both rows share.  The report is the one the plain loop over row pairs
+    gives: the same subtractions, and the first maximum in row-pair then
+    column order.  ``scale`` is the largest ``|L|`` and must be at most half
+    the largest float, so no difference overflows; the default threshold is
     ``1e-8 * scale``.  A surface is separable exactly when D vanishes
     identically.
+
+    Row pairs that provably cannot reach the maximum are skipped.  The
+    spread is a seminorm of the row
+    difference, so ``S(i, it) <= S(i, k) + S(k, it)`` for any row ``k``
+    without a NaN.  Up to eight such *reference rows*, evenly spaced, each
+    cost one pass over ``L`` for their spreads against every row, and give
+    every pair the upper bound
+
+        U(i, it) = min_k (S(i, k) + S(k, it)) * (1 + 4 eps) + 8 eps * scale.
+
+    Rounding margin, with ``u = eps / 2``: each subtraction errs by at most
+    ``u * |L[it,j] - L[i,j]| <= 2u * scale``, so the computed max and min
+    of a row difference are each within ``2u * scale`` of the exact ones,
+    and with the rounding of their difference a computed spread ``s`` and
+    the exact one ``S`` obey ``s <= (1 + u) (S + 4u scale)`` and
+    ``S <= s / (1 - u) + 4u scale``.  Hence a computed spread is at most
+    ``(s(i, k) + s(k, it)) (1 + u) / (1 - u) + 12u (1 + u) scale``; ``U``
+    exceeds that after its own three roundings.  Where ``8 eps * scale``
+    is subnormal it loses at most half the smallest subnormal ``eta``,
+    which the slack ``4u * scale`` covers unless ``scale < 2**50 eta``; then
+    every entry is a multiple of ``eta`` far below ``2**53 eta``, so every
+    difference and sum is exact and no margin is needed.
+
+    A first pass evaluates, for each row, the partner with the largest
+    ``U``; the largest spread found, there or against a reference row, is
+    a lower bound ``LB`` on the maximum.  The scan then walks the rows in
+    order and, for each row ``i``, reads the rows from the first to the
+    last ``it > i`` with ``U >= max(LB, best so far)``, in blocks of about
+    512 KB, with the strict ``>`` update of the plain loop.  Every pair
+    attaining the maximum is read, and every value read is one the plain
+    loop computes, so the first maximum is the same.
+
+    A bound with a margin cannot prove a spread of 0, so rows that are an
+    exact additive shift of a reference row are certified apart: with the
+    error-free difference (TwoSum, Knuth) ``L[i] - L[k] = s + err``, a row
+    whose ``s`` and ``err`` are both constant on its valid columns is such a
+    shift, and two shifts of one reference row have a computed spread of
+    exactly 0.0.  Their pairs need no scan; the first of them sharing two
+    columns is the answer when the maximum is 0.0 and no pair read reaches
+    0.0 before it.  With no complete row there is no bound (``U = inf``)
+    and every pair is read, as the plain loop does.
+
+    Cost: O(n1 * n2) per reference row and for ``LB``, O(n1^2) for the
+    bounds, and O(n2) per row pair read.  How many pairs are read depends
+    on the surface: on the 642 x 641 one of ``projpair separability
+    --n1 640 --n2 640``, 1 122 of 205 761 at mu = -0.154 and none at
+    mu = 0; on noise with no structure, nearly all.  Memory: the
+    ``n1 x n1`` shared-column counts, and blocks of about 512 KB.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2:
@@ -340,22 +382,80 @@ def separability_test(
         both = np.bitwise_count(words[a : a + block, None] & words).sum(axis=-1, dtype=np.int64)
         shared[some[a : a + block, None], some] += both
     rows = max(1, 65536 // n2)
-    buf = np.empty((min(rows, n1), n2))
-    best = -1.0
-    arg = (0, 0, 0, 0)
-    for i in range(n1 - 1):
-        for a in range(i + 1, n1, rows):
+    buf = np.empty((rows, n2))
+
+    def spreads(hi, lo, m):
+        diff = np.subtract(work[hi], work[lo], out=buf[:m])
+        return np.fmax.reduce(diff, axis=1) - np.fmin.reduce(diff, axis=1)
+
+    full = np.flatnonzero(count == 0)
+    refs = full[np.linspace(0, full.size - 1, min(8, full.size)).astype(np.intp)]
+    S = np.empty((refs.size, n1))
+    label = np.full(n1, -1)  # index of the reference row a row is an exact shift of
+    for r, k in enumerate(refs):
+        for a in range(0, n1, rows):
             b = min(a + rows, n1)
-            diff = np.subtract(work[a:b], work[i], out=buf[: b - a])
-            spread = np.fmax.reduce(diff, axis=1) - np.fmin.reduce(diff, axis=1)
-            spread[shared[i, a:b] < 2] = -np.inf
-            k = int(np.argmax(spread))
-            if spread[k] > best:
-                best = float(spread[k])
-                arg = (i, a + k, int(np.nanargmax(diff[k])), int(np.nanargmin(diff[k])))
-    if best < 0.0:
+            S[r, a:b] = spreads(slice(a, b), k, b - a)
+        if label[k] >= 0:
+            continue  # the same shifts as an earlier reference row's
+        zero = np.flatnonzero(S[r] == 0.0)
+        for a in range(0, zero.size, rows):
+            z = zero[a : a + rows]
+            x, y = work[z], work[k]
+            s = x - y  # TwoSum: x - y == s + err exactly
+            bb = s - x
+            err = (x - (s - bb)) + (-y - bb)
+            exact = np.fmax.reduce(err, axis=1) == np.fmin.reduce(err, axis=1)
+            label[z[exact & (label[z] < 0)]] = r
+    eps = float(np.finfo(float).eps)
+    margin = 8.0 * eps * scale
+    step = max(1, min(rows, 65536 // (max(1, refs.size) * n1)))
+
+    def bounds(a, b):
+        """``U`` of rows a..b-1 against rows a..n1-1, -inf where a pair
+        needs no scan, and the mask of certified pairs sharing two columns."""
+        u = np.min(S[:, a:b, None] + S[:, None, a:], axis=0, initial=np.inf) * (1.0 + 4.0 * eps) + margin
+        lab = label[a:b, None]
+        pair = (np.arange(a, n1) > np.arange(a, b)[:, None]) & (shared[a:b, a:] >= 2)
+        zero = pair & (lab >= 0) & (lab == label[a:])
+        return np.where(pair & ~zero, u, -np.inf), zero
+
+    lb = float(np.fmax.reduce(S.ravel(), initial=-1.0))
+    for a in range(0, n1, step):
+        b = min(a + step, n1)
+        u, _ = bounds(a, b)
+        p = np.argmax(u, axis=1)
+        i = np.flatnonzero(u[np.arange(b - a), p] > -np.inf)
+        if i.size:
+            lb = max(lb, float(np.max(spreads(a + p[i], a + i, i.size))))
+    best = -1.0
+    arg = first_zero = None
+    for a in range(0, n1, step):
+        b = min(a + step, n1)
+        u, zero = bounds(a, b)
+        if first_zero is None and zero.any():
+            row, col = divmod(int(np.argmax(zero)), zero.shape[1])
+            first_zero = (a + row, a + col)
+        for i in a + np.flatnonzero(u.max(axis=1) >= lb):
+            its = a + np.flatnonzero(u[i - a] >= max(lb, best))
+            if its.size == 0:
+                continue
+            # the rows between two that need a scan are read too, in place
+            for c in range(its[0], its[-1] + 1, rows):
+                d = min(c + rows, its[-1] + 1)
+                spread = spreads(slice(c, d), i, d - c)
+                spread[shared[i, c:d] < 2] = -np.inf
+                k = int(np.argmax(spread))
+                if spread[k] > best:
+                    best = float(spread[k])
+                    arg = (int(i), int(c + k))
+    if first_zero is not None and best <= 0.0 and (arg is None or first_zero < arg):
+        best, arg = 0.0, first_zero
+    if arg is None:
         raise ConfigurationError("not enough valid samples for any quadruple")
-    i, it, j_hi, j_lo = arg
+    i, it = arg
+    diff = work[it] - work[i]
+    j_hi, j_lo = int(np.nanargmax(diff)), int(np.nanargmin(diff))
     verdict = "separable" if best <= threshold else "non-separable"
     return SeparabilityReport(
         max_abs_D=best,
@@ -397,10 +497,14 @@ def expo_surface(pair: PairGeometry, r1_values: np.ndarray, r2_values: np.ndarra
     d2 = direction(r2)
     dl = pair.second.vertex_xy - pair.first.vertex_xy
     dls = float(pair_orientation(pair)) * dl
-    den = np.sum(perp(d1) * d2, axis=-1)
-    p1 = np.broadcast_to(perp(d1) @ dls, den.shape)
-    p2 = np.broadcast_to(perp(d2) @ dls, den.shape)
+    q1 = perp(d1)
+    den = q1[..., 0] * d2[..., 0] + q1[..., 1] * d2[..., 1]
+    # the log factors are taken on the (n1, 1) and (1, n2) axes before they
+    # broadcast; the two matrix products keep their shapes, since matmul
+    # picks its kernel by shape and a per-axis form moves L in the last bits
+    p1 = q1 @ dls
+    p2 = perp(d2) @ dls
     valid = (np.abs(den) > DENOM_TOL) & (p1 > 0) & (p2 > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        L = mu * (((perp(d1) - perp(d2)) @ dl) / den) + np.log(p1) - np.log(p2)
+        L = mu * (((q1 - perp(d2)) @ dl) / den) + np.log(p1) - np.log(p2)
     return np.where(valid, L, np.nan)

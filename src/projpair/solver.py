@@ -32,6 +32,12 @@ class CgneState:
         return float(self.residual_history[-1])
 
 
+def _sumsq(x: np.ndarray) -> float:
+    """``x . x`` by numpy's pairwise summation.  A threaded BLAS dot splits
+    a long sum by its thread count, so its rounding would follow that."""
+    return float(np.add.reduce(x * x))
+
+
 def cgne_solve(A, g: np.ndarray, max_iter: int = 1000, tol: float = 0.0) -> CgneState:
     """Minimize ``||A f - g||`` over iterates in the range of the adjoint.
 
@@ -68,7 +74,7 @@ def cgne_solve(A, g: np.ndarray, max_iter: int = 1000, tol: float = 0.0) -> Cgne
     if max_iter < 0:
         raise ConfigurationError("max_iter must be nonnegative")
     g = np.asarray(g, dtype=float).ravel()
-    g_norm = float(np.linalg.norm(g))
+    g_norm = math.sqrt(_sumsq(g))
     if g_norm == 0.0:
         x0 = np.zeros_like(np.asarray(adj(g), dtype=float).ravel())
         return CgneState(iterate=x0, residual_history=np.array([0.0]), iterations=0, stop_reason="zero_target")
@@ -76,7 +82,7 @@ def cgne_solve(A, g: np.ndarray, max_iter: int = 1000, tol: float = 0.0) -> Cgne
     s = np.asarray(adj(r), dtype=float).ravel()
     x = np.zeros_like(s)
     p = s.copy()
-    gamma = float(s @ s)
+    gamma = _sumsq(s)
     r_norm = g_norm
     history = [1.0]
     stop = "max_iter"
@@ -87,16 +93,16 @@ def cgne_solve(A, g: np.ndarray, max_iter: int = 1000, tol: float = 0.0) -> Cgne
             stop = "normal_residual_zero"
             break
         q = np.asarray(fwd(p), dtype=float).ravel()
-        qq = float(q @ q)
+        qq = _sumsq(q)
         if qq == 0.0:
             stop = "normal_residual_zero"
             break
-        a_norm = max(a_norm, math.sqrt(qq) / float(np.linalg.norm(p)))
+        a_norm = max(a_norm, math.sqrt(qq) / math.sqrt(_sumsq(p)))
         alpha = gamma / qq
         x += alpha * p
         r -= alpha * q
         k += 1
-        r_norm = float(np.linalg.norm(r))
+        r_norm = math.sqrt(_sumsq(r))
         rel = r_norm / g_norm
         history.append(rel)
         if not (np.isfinite(rel) and np.all(np.isfinite(x))):
@@ -105,7 +111,7 @@ def cgne_solve(A, g: np.ndarray, max_iter: int = 1000, tol: float = 0.0) -> Cgne
             stop = "tolerance"
             break
         s = np.asarray(adj(r), dtype=float).ravel()
-        gamma_new = float(s @ s)
+        gamma_new = _sumsq(s)
         beta = gamma_new / gamma
         gamma = gamma_new
         p = s + beta * p

@@ -1,5 +1,10 @@
 """End-to-end runs of the command line interface in temp directories."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -210,6 +215,26 @@ def test_solve_artifacts_and_reruns_byte_identical(tmp_path, capsys):
     assert hist[1] == "0,1"
     rel = np.array([float(line.split(",")[1]) for line in hist[1:]])
     assert np.all(np.diff(rel) <= 1e-14)
+
+
+def test_solve_artifacts_independent_of_blas_threads(tmp_path):
+    """The default solve, in processes whose BLAS runs 1 and 2 threads,
+    writes the same bytes: a threaded BLAS dot product splits a long sum by
+    its thread count, so no reduction of the solve may go through one."""
+    src = str(Path(pp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "projpair.cli", "solve", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "iterate.img" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_solve_reports_floor_for_mu_zero(tmp_path, capsys):

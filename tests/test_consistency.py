@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projpair as pp
+from projpair import cli
 
 THETA0 = 0.75 * math.pi
 MU = pp.ATTENUATION_MU
@@ -454,15 +457,53 @@ def _separability_inputs():
     r1, r2 = surface_grids(40, 37)
     for mu in (MU, 0.0):
         cases[f"surface-mu{mu}"] = (pp.expo_surface(pp.reference_pair(mu), r1, r2), None)
+    # exactly additive: every row an exact shift of every complete row, so
+    # every pair is certified to spread 0.0 and none is read
+    L = (rng.integers(-50, 50, size=120)[:, None] + rng.integers(-50, 50, size=90)[None, :]).astype(float)
+    cases["additive-integers"] = (L, None)
+    M = L.copy()
+    M[rng.random(L.shape) < 0.2] = np.nan
+    M[[7, 11, 50, 51, 119]] = L[0]  # the complete rows, all equal
+    cases["additive-integers-nan"] = (M, None)
+    # no row without a NaN: no reference row, so every pair is read
+    L = rng.normal(size=(40, 30))
+    L[np.arange(40), rng.integers(0, 30, size=40)] = np.nan
+    cases["no-complete-row"] = (L, None)
+    L = np.arange(40.0)[:, None] + np.arange(30.0)[None, :] ** 2
+    L[np.arange(40), np.arange(40) % 30] = np.nan
+    cases["no-complete-row-additive"] = (L, None)
+    # rows k, i, it whose computed spreads break the triangle inequality
+    # by one ulp: s(i, it) = 0x1.ffffffffffffdp-1 but s(i, k) + s(k, it) =
+    # 0x1.ffffffffffffcp-1, so a bound without its rounding margin would
+    # skip the maximum; scaled by 2**996 (exactly) to |L| near 2e300
+    rows = [["-0x1.0000000000001p+1", "-0x1.8000000000001p+1"],  # k
+            ["0x1.0000000000003p+0", "0x1.0p+0"],  # i
+            ["0x1.0000000000002p+0", "0x1.0p-53"]]  # it
+    L = np.array([[float.fromhex(v) for v in row] for row in rows])
+    cases["margin-triangle"] = (L * 2.0**996, None)
+    # near-separable at |L| ~ 1e300 with spreads of a few ulps
+    L = 1e300 * (1.0 + np.round(rng.normal(size=(30, 20)) * 4.0) * 2.0**-52)
+    L[::3] = 1e300
+    cases["huge-scale-tiny-spreads"] = (L, None)
+    # a maximum of 0.0 tied between a certified pair, which is never read,
+    # and a pair read: fl(1.1 - 0.1) == fl(1.0 - 0.0) although 1.1 - 0.1
+    # is not 1 exactly, so rows A and B spread 0.0 without being shifts
+    A, B, C = [0.0, 0.1, 0.0], [1.0, 1.1, 1.0], [2.0, 2.1, 2.0]
+    cases["zero-tie-read-first"] = (np.array([A, B, C]), None)
+    cases["zero-tie-certified-first"] = (np.array([B, C, A]), None)
+    # rows B and C each spread 0.0 against row A, but not as exact shifts,
+    # and spread one ulp against each other: the certificate must not pass
+    rows = [["0x0.0p+0", "0x1.999999999999ap-4", "0x1.6666666666666p-1"],
+            ["0x1.0p+0", "0x1.199999999999ap+0", "0x1.b333333333333p+0"],
+            ["0x1.0p-1", "0x1.3333333333333p-1", "0x1.3333333333333p+0"]]
+    cases["zero-spreads-not-shifts"] = (np.array([[float.fromhex(v) for v in row] for row in rows]), None)
     return cases
 
 
 SEPARABILITY_INPUTS = _separability_inputs()
 
 
-@pytest.mark.parametrize("name", sorted(SEPARABILITY_INPUTS))
-def test_separability_equals_reference_loop(name):
-    L, valid = SEPARABILITY_INPUTS[name]
+def assert_equals_reference_loop(L, valid=None):
     r1 = np.linspace(0.0, 1.0, L.shape[0])
     r2 = np.linspace(2.0, 3.0, L.shape[1])
     # separability_test reads NaN as not valid
@@ -475,6 +516,47 @@ def test_separability_equals_reference_loop(name):
         return
     got = pp.separability_test(masked, r1, r2)
     assert got == want  # every field, argmax included
+
+
+@pytest.mark.parametrize("name", sorted(SEPARABILITY_INPUTS))
+def test_separability_equals_reference_loop(name):
+    assert_equals_reference_loop(*SEPARABILITY_INPUTS[name])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    n1=st.integers(1, 30),
+    n2=st.integers(1, 30),
+    nan=st.sampled_from([0.0, 0.02, 0.2, 0.6]),
+    decimals=st.sampled_from([None, 0, 1]),
+    additive=st.booleans(),
+    exponent=st.sampled_from([0, -1060, 990]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_separability_property_equals_reference_loop(n1, n2, nan, decimals, additive, exponent, seed):
+    """Random shapes and NaN densities; rounded values give ties, additive
+    ones certified rows, and the exponents subnormal or huge entries."""
+    rng = np.random.default_rng(seed)
+    if additive:
+        a, b = rng.normal(size=(n1, 1)), rng.normal(size=(1, n2))
+        L = (a if decimals is None else np.round(a, decimals)) + (b if decimals is None else np.round(b, decimals))
+        L[rng.random(L.shape) < 0.05] += 1.0
+    else:
+        L = rng.normal(size=(n1, n2))
+        L = L if decimals is None else np.round(L, decimals)
+    L = L * 2.0**exponent
+    L[rng.random(L.shape) < nan] = np.nan
+    assert_equals_reference_loop(L)
+
+
+@pytest.mark.parametrize("mu", [MU, 0.0])
+def test_separability_cli_surface_equals_reference_loop(mu):
+    """The 642 x 641 surface of ``projpair separability --n1 640 --n2 640``."""
+    pair = pp.reference_pair(mu)
+    r1, r2 = cli._separability_axes(pair.first.theta0, 640, 640)
+    L = pp.expo_surface(pair, r1, r2)
+    assert L.shape == (642, 641)
+    assert pp.separability_test(L, r1, r2) == _reference_separability(L, r1, r2)
 
 
 def test_reference_loop_matches_brute_force():
