@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import math
 import sys
 from pathlib import Path
@@ -56,81 +57,134 @@ from .phantom import Bump, Phantom, random_phantom, reference_target
 from .projector import project_view
 from .solver import cgne_solve, predicted_residual_floor
 
-_DEFAULTS = {
+
+# Value parsers: each takes a config value's text (stripped by configparser)
+# and returns the typed value, or raises ValueError with the reason.
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{text!r} is not a finite number")
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not an integer") from None
+
+
+def _floats(text: str) -> list[float]:
+    """The finite numbers in a comma- or space-separated list."""
+    return [_finite(v) for v in text.replace(",", " ").split()]
+
+
+def _point(text: str) -> tuple[float, float]:
+    vals = _floats(text)
+    if len(vals) != 2:
+        raise ValueError("needs two numbers")
+    return vals[0], vals[1]
+
+
+def _vertices(text: str) -> np.ndarray:
+    vals = _floats(text)
+    if len(vals) % 2:
+        raise ValueError("needs (x, y) pairs")
+    return np.reshape(vals, (-1, 2))
+
+
+def _bumps(rows) -> tuple[Bump, ...]:
+    """One bump per nonblank row of ``cx cy radius amplitude``."""
+    bumps = []
+    for row in filter(None, map(str.strip, rows)):
+        vals = _floats(row)
+        if len(vals) != 4:
+            raise ValueError(f"bump row {row!r} is not 'cx cy radius amplitude'")
+        cx, cy, radius, amplitude = vals
+        bumps.append(Bump(center=(cx, cy), radius=radius, amplitude=amplitude))
+    return tuple(bumps)
+
+
+def _bounded(parse, minimum: float, inclusive: bool = True):
+    """``parse``, refusing values below ``minimum`` (or at it, unless ``inclusive``)."""
+
+    def checked(text: str):
+        value = parse(text)
+        if value < minimum or (value == minimum and not inclusive):
+            raise ValueError(f"must be {'at least' if inclusive else 'above'} {minimum}")
+        return value
+
+    return checked
+
+
+def _optional(parse):
+    """``parse``, reading an empty value as None."""
+    return lambda text: parse(text) if text else None
+
+
+# Each config key's default text and parser.  The parser of a kind or mode
+# key is the tuple of its choices, compared lower-cased; _load_config refuses
+# any other, so each builder's last branch serves the last choice without
+# testing for it.
+_SCHEMA = {
     "geometry": {
-        "kind": "fan-fan",
-        "vertex1": "0 80",
-        "vertex2": "-80 0",
-        "mu": str(ATTENUATION_MU),
-        "theta1_deg": "0",
-        "theta2_deg": "90",
+        "kind": ("fan-fan", ("fan-fan", "par-fan", "par-par")),
+        "vertex1": ("0 80", _point),
+        "vertex2": ("-80 0", _point),
+        "mu": (str(ATTENUATION_MU), _finite),
+        "theta1_deg": ("0", _finite),
+        "theta2_deg": ("90", _finite),
     },
     "domain": {
-        "kind": "reference",
-        "half_width": "35",
-        "half_height": "35",
-        "center": "0 0",
-        "radius": "30",
-        "vertices": "",
+        "kind": ("reference", ("reference", "rectangle", "disc", "polygon")),
+        "half_width": ("35", _finite),
+        "half_height": ("35", _finite),
+        "center": ("0 0", _point),
+        "radius": ("30", _finite),
+        "vertices": ("", _vertices),
     },
-    "image": {"nx": "200", "ny": "200", "extent": "70"},
-    "detectors": {"bins1": "100", "bins2": "100", "range1_deg": "", "range2_deg": ""},
-    "target": {"kind": "reference", "file1": "", "file2": ""},
-    "phantom": {"kind": "random", "count": "3", "bumps": "", "file": ""},
-    "project": {"mode": "continuous"},
-    "solver": {"max_iter": "2000", "tol": "1e-3"},
-    "check": {"tol": "1e-6"},
-    "separability": {"n1": "160", "n2": "160"},
-    "output": {"pgm_window": "", "pgm_level": ""},
+    "image": {"nx": ("200", _integer), "ny": ("200", _integer), "extent": ("70", _finite)},
+    "detectors": {
+        "bins1": ("100", _integer),
+        "bins2": ("100", _integer),
+        "range1_deg": ("", _optional(_point)),
+        "range2_deg": ("", _optional(_point)),
+    },
+    "target": {"kind": ("reference", ("reference", "files", "phantom")), "file1": ("", str), "file2": ("", str)},
+    "phantom": {
+        "kind": ("random", ("random", "list", "file")),
+        "count": ("3", _integer),
+        "bumps": ("", lambda text: _bumps(text.split(";"))),
+        "file": ("", str),
+    },
+    "project": {"mode": ("continuous", ("continuous", "discrete"))},
+    "solver": {"max_iter": ("2000", _bounded(_integer, 0)), "tol": ("1e-3", _bounded(_finite, 0.0))},
+    "check": {"tol": ("1e-6", _bounded(_finite, 0.0))},
+    "separability": {"n1": ("160", _bounded(_integer, 2)), "n2": ("160", _bounded(_integer, 2))},
+    "output": {
+        "pgm_window": ("", _optional(_bounded(_finite, 0.0, inclusive=False))),
+        "pgm_level": ("", _optional(_finite)),
+    },
 }
 
-# The values each kind or mode key takes, compared stripped and lower-cased.
-# _load_config refuses any other, so each builder's last branch serves the
-# last choice without testing for it.
-_CHOICES = {
-    ("geometry", "kind"): ("fan-fan", "par-fan", "par-par"),
-    ("domain", "kind"): ("reference", "rectangle", "disc", "polygon"),
-    ("target", "kind"): ("reference", "files", "phantom"),
-    ("phantom", "kind"): ("random", "list", "file"),
-    ("project", "mode"): ("continuous", "discrete"),
-}
 
+def _load_config(path: str | None, **overrides: dict) -> tuple[dict, str, str]:
+    """The typed config values, the raw text of the file, and the resolved
+    config as written to ``config_resolved.ini``.
 
-class _Config(configparser.ConfigParser):
-    """Config whose typed reads report a malformed value as a ConfigurationError.
-
-    ``getint`` and ``getfloat`` also take ``minimum``, the smallest value
-    they accept.
+    ``overrides`` maps a section to command-line values for its keys; a
+    value of None leaves the key as configured.  Every key is parsed, those
+    the command does not read included.  A section or key the schema does
+    not have, or a value its parser refuses, is a ConfigurationError,
+    raised before any output exists.
     """
-
-    def _typed(self, read, section: str, option: str, kwargs, minimum=None):
-        try:
-            value = read(section, option, **kwargs)
-        except ValueError:
-            value = self.get(section, option, raw=True)
-            raise ConfigurationError(f"[{section}] {option} = {value!r} is not a valid value") from None
-        if minimum is not None and value < minimum:
-            raise ConfigurationError(f"[{section}] {option} = {value!r} must be at least {minimum}")
-        return value
-
-    def getint(self, section, option, *, minimum=None, **kwargs):
-        return self._typed(super().getint, section, option, kwargs, minimum)
-
-    def getfloat(self, section, option, *, minimum=None, **kwargs):
-        value = self._typed(super().getfloat, section, option, kwargs, minimum)
-        if not math.isfinite(value):
-            raise ConfigurationError(f"[{section}] {option} = {value!r} is not a finite number")
-        return value
-
-
-def _load_config(path: str | None) -> tuple[configparser.ConfigParser, str]:
-    """The config read over the defaults, and the raw text of the file.
-
-    A section or key the defaults do not have, or a kind or mode outside
-    its choices, is a ConfigurationError, raised before any output exists.
-    """
-    cp = _Config(interpolation=None)  # a "%" in a value is literal
-    cp.read_dict(_DEFAULTS)
+    cp = configparser.ConfigParser(interpolation=None)  # a "%" in a value is literal
+    cp.read_dict({name: {key: default for key, (default, _) in keys.items()} for name, keys in _SCHEMA.items()})
     raw = ""
     if path:
         p = Path(path)
@@ -141,52 +195,44 @@ def _load_config(path: str | None) -> tuple[configparser.ConfigParser, str]:
             cp.read_string(raw)
         except configparser.Error as exc:
             raise ConfigurationError(f"malformed config: {exc}") from exc
+    for name, values in overrides.items():
+        for key, value in values.items():
+            if value is not None:
+                cp[name][key] = format(value, ".17g") if isinstance(value, float) else str(value)
     for name, section in cp.items():  # the DEFAULT section first
-        if name not in _DEFAULTS and name != cp.default_section:
+        if name not in _SCHEMA and name != cp.default_section:
             raise ConfigurationError(f"unknown config section [{name}]")
-        unknown = [key for key in section if key not in _DEFAULTS.get(name, ())]
+        unknown = [key for key in section if key not in _SCHEMA.get(name, ())]
         if unknown:
             raise ConfigurationError(f"unknown config key [{name}] {unknown[0]}")
-    for (name, key), choices in _CHOICES.items():
-        value = cp[name][key].strip().lower()
-        if value not in choices:
-            raise ConfigurationError(f"[{name}] {key} = {value!r} is not one of {', '.join(choices)}")
-    return cp, raw
+    cfg: dict[str, dict] = {}
+    for name, keys in _SCHEMA.items():
+        cfg[name] = {}
+        for key, (_, parse) in keys.items():
+            text = cp[name][key]
+            try:
+                if isinstance(parse, tuple):
+                    if text.lower() not in parse:
+                        raise ValueError(f"not one of {', '.join(parse)}")
+                    cfg[name][key] = text.lower()
+                else:
+                    cfg[name][key] = parse(text)
+            except ValueError as exc:
+                raise ConfigurationError(f"[{name}] {key} = {text!r}: {exc}") from None
+    resolved = io.StringIO()
+    cp.write(resolved)
+    return cfg, raw, resolved.getvalue()
 
 
-def _floats(text: str, what: str) -> list[float]:
-    """The finite numbers in a comma- or space-separated list."""
-    try:
-        vals = [float(v) for v in text.replace(",", " ").split()]
-        if all(map(math.isfinite, vals)):
-            return vals
-    except ValueError:
-        pass
-    raise ConfigurationError(f"{what} must be finite numbers, got {text!r}")
-
-
-def _parse_vec(text: str, what: str) -> tuple[float, float]:
-    vals = _floats(text, what)
-    if len(vals) != 2:
-        raise ConfigurationError(f"{what} needs two numbers, got {text!r}")
-    return vals[0], vals[1]
-
-
-def _build_domain(cp: configparser.ConfigParser) -> ImageDomain:
-    sec = cp["domain"]
-    kind = sec["kind"].strip().lower()
-    if kind == "reference":
+def _build_domain(cfg: dict) -> ImageDomain:
+    sec = cfg["domain"]
+    if sec["kind"] == "reference":
         return reference_domain()
-    if kind == "rectangle":
-        cx, cy = _parse_vec(sec["center"], "domain center")
-        return ImageDomain.rectangle(sec.getfloat("half_width"), sec.getfloat("half_height"), center=(cx, cy))
-    if kind == "disc":
-        cx, cy = _parse_vec(sec["center"], "domain center")
-        return ImageDomain.disc((cx, cy), sec.getfloat("radius"))
-    vals = _floats(sec["vertices"], "polygon vertices")
-    if len(vals) < 6 or len(vals) % 2:
-        raise ConfigurationError("polygon vertices must be an even list of at least six numbers")
-    return ImageDomain.polygon(np.array(vals).reshape(-1, 2))
+    if sec["kind"] == "rectangle":
+        return ImageDomain.rectangle(sec["half_width"], sec["half_height"], center=sec["center"])
+    if sec["kind"] == "disc":
+        return ImageDomain.disc(sec["center"], sec["radius"])
+    return ImageDomain.polygon(sec["vertices"])
 
 
 def _auto_theta0(vertex, domain: ImageDomain) -> float:
@@ -197,38 +243,33 @@ def _auto_theta0(vertex, domain: ImageDomain) -> float:
     return float(mean - math.pi)
 
 
-def _build_pair(cp: configparser.ConfigParser) -> PairGeometry:
-    sec = cp["geometry"]
-    kind = sec["kind"].strip().lower()
-    domain = _build_domain(cp)
-    mu = sec.getfloat("mu")
-    if kind == "fan-fan":
-        v1 = _parse_vec(sec["vertex1"], "vertex1")
-        v2 = _parse_vec(sec["vertex2"], "vertex2")
-        return fan_pair(v1, v2, mu, domain)
-    if kind == "par-fan":
-        theta = math.radians(sec.getfloat("theta1_deg"))
-        v2 = _parse_vec(sec["vertex2"], "vertex2")
+def _build_pair(cfg: dict) -> PairGeometry:
+    sec = cfg["geometry"]
+    domain = _build_domain(cfg)
+    if sec["kind"] == "fan-fan":
+        return fan_pair(sec["vertex1"], sec["vertex2"], sec["mu"], domain)
+    if sec["kind"] == "par-fan":
+        v2 = sec["vertex2"]
         return PairGeometry(
-            first=ParGeometry(theta=theta),
-            second=FanGeometry(vertex=v2, theta0=_auto_theta0(v2, domain), mu=mu),
+            first=ParGeometry(theta=math.radians(sec["theta1_deg"])),
+            second=FanGeometry(vertex=v2, theta0=_auto_theta0(v2, domain), mu=sec["mu"]),
             domain=domain,
         )
     return PairGeometry(
-        first=ParGeometry(theta=math.radians(sec.getfloat("theta1_deg"))),
-        second=ParGeometry(theta=math.radians(sec.getfloat("theta2_deg"))),
+        first=ParGeometry(theta=math.radians(sec["theta1_deg"])),
+        second=ParGeometry(theta=math.radians(sec["theta2_deg"])),
         domain=domain,
     )
 
 
-def _build_detectors(cp: configparser.ConfigParser, pair: PairGeometry) -> tuple[DetectorGrid, DetectorGrid]:
-    sec = cp["detectors"]
+def _build_detectors(cfg: dict, pair: PairGeometry) -> tuple[DetectorGrid, DetectorGrid]:
+    sec = cfg["detectors"]
     grids = []
     for view, geom in ((1, pair.first), (2, pair.second)):
-        n = sec.getint(f"bins{view}")
-        spec = sec[f"range{view}_deg"].strip()
+        n = sec[f"bins{view}"]
+        spec = sec[f"range{view}_deg"]
         if spec:
-            lo, hi = _parse_vec(spec, f"range{view}_deg")
+            lo, hi = spec
             if isinstance(geom, FanGeometry):
                 lo, hi = math.radians(lo), math.radians(hi)
                 lo = float(lift_angle(lo, geom.theta0))
@@ -241,51 +282,44 @@ def _build_detectors(cp: configparser.ConfigParser, pair: PairGeometry) -> tuple
     return grids[0], grids[1]
 
 
-def _build_phantom(cp: configparser.ConfigParser, pair: PairGeometry, seed: int) -> Phantom:
-    sec = cp["phantom"]
-    kind = sec["kind"].strip().lower()
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        return random_phantom(rng, pair.domain, n_bumps=sec.getint("count"))
-    if kind == "list":
-        rows = sec["bumps"].split(";")
-    else:
-        path = sec["file"].strip()
-        if not path:
-            raise ConfigurationError("phantom kind 'file' needs a file path")
-        try:
-            text = Path(path).read_text()
-        except (OSError, ValueError) as exc:
-            raise ConfigurationError(f"cannot read phantom file {path}: {exc}") from None
-        rows = [line.split("#")[0] for line in text.splitlines()]
-    bumps = []
-    for row in filter(None, map(str.strip, rows)):
-        vals = _floats(row, "bump row")
-        if len(vals) != 4:
-            raise ConfigurationError(f"bump row needs 'cx cy radius amplitude', got {row!r}")
-        bumps.append(Bump(center=(vals[0], vals[1]), radius=vals[2], amplitude=vals[3]))
-    return Phantom(bumps=tuple(bumps))
+def _build_operator(cfg: dict, pair: PairGeometry, dets) -> PairOperator:
+    sec = cfg["image"]
+    image = ImageGrid.from_domain(sec["nx"], sec["ny"], pair.domain, sec["extent"])
+    return PairOperator(pair, image, dets[0], dets[1])
 
 
-def _build_target(cp, pair, dets, seed) -> tuple[ProjectionData, ProjectionData]:
-    sec = cp["target"]
-    kind = sec["kind"].strip().lower()
-    if kind == "reference":
+def _build_phantom(cfg: dict, pair: PairGeometry, seed: int) -> Phantom:
+    sec = cfg["phantom"]
+    if sec["kind"] == "random":
+        return random_phantom(np.random.default_rng(seed), pair.domain, n_bumps=sec["count"])
+    if sec["kind"] == "list":
+        return Phantom(bumps=sec["bumps"])
+    path = sec["file"]
+    if not path:
+        raise ConfigurationError("phantom kind 'file' needs a file path")
+    try:
+        rows = [line.split("#")[0] for line in Path(path).read_text().splitlines()]
+        return Phantom(bumps=_bumps(rows))
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read phantom file {path}: {exc}") from None
+
+
+def _build_target(cfg, pair, dets, seed) -> tuple[ProjectionData, ProjectionData]:
+    sec = cfg["target"]
+    if sec["kind"] == "reference":
         return reference_target(*dets)
-    if kind == "files":
-        f1, f2 = sec["file1"].strip(), sec["file2"].strip()
-        if not f1 or not f2:
+    if sec["kind"] == "files":
+        if not sec["file1"] or not sec["file2"]:
             raise ConfigurationError("target kind 'files' needs file1 and file2")
-        return read_projection_csv(f1), read_projection_csv(f2)
-    ph = _build_phantom(cp, pair, seed)
+        return read_projection_csv(sec["file1"]), read_projection_csv(sec["file2"])
+    ph = _build_phantom(cfg, pair, seed)
     return project_view(pair.first, ph, dets[0]), project_view(pair.second, ph, dets[1])
 
 
-def _write_common(outdir: Path, cp: configparser.ConfigParser, raw: str) -> None:
+def _write_common(outdir: Path, raw: str, resolved: str) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config_used.ini").write_text(raw, encoding="utf-8")
-    with open(outdir / "config_resolved.ini", "w", encoding="utf-8") as fh:
-        cp.write(fh)
+    (outdir / "config_resolved.ini").write_text(resolved, encoding="utf-8")
 
 
 def _phantom_text(ph: Phantom) -> str:
@@ -304,27 +338,23 @@ def _emit(text: str, outdir: Path | None, name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each builds what its config describes before it writes a file.
 
 
 def cmd_project(args) -> int:
-    cp, raw = _load_config(args.config)
-    if args.mode:
-        cp["project"]["mode"] = args.mode
-    pair = _build_pair(cp)
-    dets = _build_detectors(cp, pair)
+    cfg, raw, resolved = _load_config(args.config, project={"mode": args.mode})
+    mode = cfg["project"]["mode"]
+    pair = _build_pair(cfg)
+    dets = _build_detectors(cfg, pair)
+    ph = _build_phantom(cfg, pair, args.seed)
+    op = _build_operator(cfg, pair, dets) if mode == "discrete" else None
     outdir = Path(args.out)
-    _write_common(outdir, cp, raw)
-    ph = _build_phantom(cp, pair, args.seed)
+    _write_common(outdir, raw, resolved)
     (outdir / "phantom_used.txt").write_text(_phantom_text(ph), encoding="ascii")
-    mode = cp["project"]["mode"].strip().lower()
-    if mode == "continuous":
+    if op is None:
         d1 = project_view(pair.first, ph, dets[0])
         d2 = project_view(pair.second, ph, dets[1])
     else:
-        sec = cp["image"]
-        image = ImageGrid.from_domain(sec.getint("nx"), sec.getint("ny"), pair.domain, sec.getfloat("extent"))
-        op = PairOperator(pair, image, dets[0], dets[1])
         f = rasterize(ph, op.image)
         g1, g2 = np.split(op.forward(f), [dets[0].n_bins])
         d1 = ProjectionData(grid=dets[0], values=g1)
@@ -344,17 +374,16 @@ def cmd_project(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cp, raw = _load_config(args.config)
-    if args.tol is not None:
-        cp["check"]["tol"] = format(args.tol, ".17g")
-    tol = cp["check"].getfloat("tol", minimum=0.0)
-    pair = _build_pair(cp)
+    cfg, raw, resolved = _load_config(args.config, check={"tol": args.tol})
+    tol = cfg["check"]["tol"]
+    pair = _build_pair(cfg)
     admiss = check_pair_admissible(pair)
     admiss.require()
-    dets = _build_detectors(cp, pair)
-    outdir = Path(args.out)
-    _write_common(outdir, cp, raw)
+    dets = _build_detectors(cfg, pair)
     kernels = known_kernels(pair)
+    target = None if kernels is None else _build_target(cfg, pair, dets, args.seed)
+    outdir = Path(args.out)
+    _write_common(outdir, raw, resolved)
     if kernels is None:
         _emit(
             f"check: no kernels exist for this pair (exponential {pair.kind}, mu != 0); "
@@ -363,7 +392,6 @@ def cmd_check(args) -> int:
             "report.txt",
         )
         return 2
-    target = _build_target(cp, pair, dets, args.seed)
     worst_name = min(admiss.margins, key=admiss.margins.get)
     left, right = pprc_sides(target, kernels)
     residual = left - right
@@ -399,26 +427,19 @@ def _separability_axes(theta0: float, n1: int, n2: int) -> tuple[np.ndarray, np.
 
 
 def cmd_separability(args) -> int:
-    cp, raw = _load_config(args.config)
-    if args.n1 is not None:
-        cp["separability"]["n1"] = str(args.n1)
-    if args.n2 is not None:
-        cp["separability"]["n2"] = str(args.n2)
-    ssec = cp["separability"]
-    n1, n2 = ssec.getint("n1", minimum=2), ssec.getint("n2", minimum=2)
-    sec = cp["geometry"]
-    if sec["kind"].strip().lower() != "fan-fan":
+    cfg, raw, resolved = _load_config(args.config, separability={"n1": args.n1, "n2": args.n2})
+    if cfg["geometry"]["kind"] != "fan-fan":
         raise ConfigurationError("separability applies to fan-fan geometry")
-    pair = _build_pair(cp)
+    pair = _build_pair(cfg)
     check_pair_admissible(pair).require()
     outdir = Path(args.out)
-    _write_common(outdir, cp, raw)
+    _write_common(outdir, raw, resolved)
     v1 = pair.first.vertex_xy
     v2 = pair.second.vertex_xy
     mu = pair.first.mu
     theta0 = pair.first.theta0
     tup = _test_tuple(theta0)
-    r1_axis, r2_axis = _separability_axes(theta0, n1, n2)
+    r1_axis, r2_axis = _separability_axes(theta0, cfg["separability"]["n1"], cfg["separability"]["n2"])
     L = expo_surface(pair, r1_axis, r2_axis)
     report = separability_test(L, r1_axis, r2_axis)
     g_tuple = float(eval_G(tup[0], tup[1], tup[2], tup[3], mu, v2 - v1))
@@ -439,7 +460,7 @@ def cmd_separability(args) -> int:
 
 def _central_profile(op: PairOperator, f: np.ndarray, view: int) -> str:
     """CSV of ``f`` at 512 points evenly spread along the view's central ray
-    where it crosses the image square."""
+    where it crosses the image square; only the header if it misses it."""
     n_samples = 512
     geom = (op.pair.first, op.pair.second)[view - 1]
     v, d = geom.ray(op.dets[view - 1].center)
@@ -449,10 +470,12 @@ def _central_profile(op: PairOperator, f: np.ndarray, view: int) -> str:
         if abs(d[axis]) > 1e-15:
             ts.extend([(-half - v[axis]) / d[axis], (half - v[axis]) / d[axis]])
     ts = [t for t in ts if t > 0]
+    lines = ["t,x,y,value"]
+    if not ts:  # the ray points away from the square
+        return lines[0] + "\n"
     t_lo, t_hi = min(ts), max(ts)
     dx, dy = op.image.pixel_size
     img = f.reshape(op.image.ny, op.image.nx)
-    lines = ["t,x,y,value"]
     for k in range(n_samples):
         t = t_lo + (t_hi - t_lo) * (k + 0.5) / n_samples
         x, y = v + t * d
@@ -467,28 +490,19 @@ def _central_profile(op: PairOperator, f: np.ndarray, view: int) -> str:
 
 
 def cmd_solve(args) -> int:
-    cp, raw = _load_config(args.config)
-    if args.max_iter is not None:
-        cp["solver"]["max_iter"] = str(args.max_iter)
-    if args.tol is not None:
-        cp["solver"]["tol"] = format(args.tol, ".17g")
-    tol = cp["solver"].getfloat("tol", minimum=0.0)
-    pair = _build_pair(cp)
+    cfg, raw, resolved = _load_config(args.config, solver={"max_iter": args.max_iter, "tol": args.tol})
+    pair = _build_pair(cfg)
     if pair.kind != "fan-fan":
         raise ConfigurationError("solve needs fan-fan geometry")
-    dets = _build_detectors(cp, pair)
-    outdir = Path(args.out)
-    _write_common(outdir, cp, raw)
-    isec = cp["image"]
-    image = ImageGrid.from_domain(isec.getint("nx"), isec.getint("ny"), pair.domain, isec.getfloat("extent"))
-    op = PairOperator(pair, image, dets[0], dets[1])
-    target = _build_target(cp, pair, dets, args.seed)
+    dets = _build_detectors(cfg, pair)
+    op = _build_operator(cfg, pair, dets)
+    target = _build_target(cfg, pair, dets, args.seed)
     g = np.concatenate([d.values for d in target])
-    state = cgne_solve(op, g, max_iter=cp["solver"].getint("max_iter"), tol=tol)
+    outdir = Path(args.out)
+    _write_common(outdir, raw, resolved)
+    state = cgne_solve(op, g, max_iter=cfg["solver"]["max_iter"], tol=cfg["solver"]["tol"])
     write_image(outdir / "iterate.img", op.image, state.iterate)
-    wsec = cp["output"]
-    window = wsec.getfloat("pgm_window") if wsec["pgm_window"].strip() else None
-    level = wsec.getfloat("pgm_level") if wsec["pgm_level"].strip() else None
+    window, level = cfg["output"]["pgm_window"], cfg["output"]["pgm_level"]
     write_pgm(outdir / "iterate.pgm", op.image, state.iterate, window=window, level=level)
     hist_lines = ["iteration,relative_residual"]
     hist_lines += [f"{k},{format(v, '.17g')}" for k, v in enumerate(state.residual_history)]
@@ -500,8 +514,8 @@ def cmd_solve(args) -> int:
         floor_text = "none (no kernels exist for mu != 0)"
     else:
         floor = predicted_residual_floor(target, kernels)
-        floor_text = format(floor / float(np.linalg.norm(g)) if np.linalg.norm(g) > 0 else floor, ".17g")
-        floor_text += " (relative)"
+        g_norm = math.sqrt(np.add.reduce(g * g))  # pairwise, as cgne_solve sums
+        floor_text = format(floor / g_norm if g_norm > 0 else floor, ".17g") + " (relative)"
     text = (
         f"solve: image = {op.image.nx} x {op.image.ny}, bins = ({dets[0].n_bins}, {dets[1].n_bins}), "
         f"mu = {pair.first.mu:.17g}\n"
@@ -537,7 +551,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = subs.add_parser("project", help="forward-project a phantom")
     _add_common(p)
-    p.add_argument("--mode", choices=["continuous", "discrete"], default=None)
+    p.add_argument("--mode", choices=_SCHEMA["project"]["mode"][1], default=None)
     p.set_defaults(func=cmd_project)
 
     p = subs.add_parser("check", help="range-condition check on a data pair")

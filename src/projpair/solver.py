@@ -144,7 +144,7 @@ def predicted_residual_floor(target, kernels) -> float:
     )
     if not np.all(np.isfinite(w)):
         raise EvaluationError("kernel sample not finite on the detector grid")
-    w_norm = float(np.linalg.norm(w))
+    w_norm = math.sqrt(_sumsq(w))
     if w_norm < 1e-300:
         raise DegenerateKernelError("kernels vanish identically on the sampled ranges")
-    return abs(float(g @ w)) / w_norm
+    return abs(float(np.add.reduce(g * w))) / w_norm

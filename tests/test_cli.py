@@ -237,6 +237,18 @@ def test_solve_artifacts_independent_of_blas_threads(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_solve_profile_of_a_ray_that_misses_the_image(tmp_path):
+    # view 1's central ray points straight up, away from the image square
+    cfg = write_config(
+        tmp_path,
+        "[image]\nnx = 24\nny = 24\n[solver]\nmax_iter = 5\n"
+        "[detectors]\nbins1 = 16\nbins2 = 16\nrange1_deg = 80 100\n",
+    )
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "profile_view1.csv").read_text() == "t,x,y,value\n"
+    assert len((tmp_path / "o" / "profile_view2.csv").read_text().splitlines()) > 1
+
+
 def test_solve_reports_floor_for_mu_zero(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -268,10 +280,12 @@ def test_missing_and_malformed_config(tmp_path, capsys):
 
 
 def assert_configuration_error(tmp_path, capsys, command, text, options=()):
+    # every configuration error is found before the output directory exists
     cfg = write_config(tmp_path, text, name="bad.ini")
     assert run([command, "--config", cfg, "--out", str(tmp_path / "o"), *options]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, text", [
@@ -284,8 +298,14 @@ def assert_configuration_error(tmp_path, capsys, command, text, options=()):
     ("check", "[geometry]\nmu = nan\n"),
     ("check", "[geometry]\nmu = 5%\n"),
     ("solve", "[image]\nnx = %(ny)s\n"),
+    ("solve", "[output]\npgm_window = abc\n"),
+    ("project", "[phantom]\nkind = list\nbumps = 1 2 3\n"),
+    ("project", "[phantom]\ncount = abc\n"),
+    ("solve", "[phantom]\ncount = abc\n"),
+    ("solve", "[domain]\nkind = reference\nvertices = 1 2 x\n"),
 ], ids=["mu", "vertex1", "nx", "bins1", "extent-inf", "vertex1-inf", "check-mu-nan",
-        "check-mu-percent", "solve-nx-interpolation"])
+        "check-mu-percent", "solve-nx-interpolation", "pgm-window", "project-bump-row",
+        "project-phantom-count", "solve-unused-phantom-count", "solve-unused-vertices"])
 def test_malformed_number_is_a_configuration_error(tmp_path, capsys, command, text):
     assert_configuration_error(tmp_path, capsys, command, text)
 
@@ -301,8 +321,13 @@ SMALL_SOLVE = "[image]\nnx = 24\nny = 24\n[solver]\nmax_iter = 5\n"
     ("check", "[geometry]\nmu = 0\n", ("--tol=-1e-9",)),
     ("solve", SMALL_SOLVE + "tol = -1\n", ()),
     ("solve", SMALL_SOLVE, ("--tol", "-1")),
+    ("solve", "[output]\npgm_window = -3\n", ()),
+    ("solve", "[solver]\nmax_iter = -1\n", ()),
+    ("solve", "", ("--max-iter", "-1")),
+    ("solve", "[image]\nnx = 0\n", ()),
 ], ids=["separability-n1", "separability-n2", "separability-option-n1-zero",
-        "check-tol", "check-option-tol", "solve-tol", "solve-option-tol"])
+        "check-tol", "check-option-tol", "solve-tol", "solve-option-tol", "solve-pgm-window",
+        "solve-max-iter", "solve-option-max-iter", "solve-nx-zero"])
 def test_out_of_range_value_is_a_configuration_error(tmp_path, capsys, command, text, options):
     assert_configuration_error(tmp_path, capsys, command, text, options)
 
@@ -356,9 +381,8 @@ def test_percent_in_a_config_value_is_literal(tmp_path):
 ], ids=["unknown-key", "unknown-section", "default-section-key", "project-mode", "check-target-kind",
         "solve-target-kind", "project-phantom-kind", "check-phantom-kind", "geometry-kind", "domain-kind"])
 def test_unknown_config_name_or_choice_writes_nothing(tmp_path, capsys, command, text):
-    # checked once when the config loads, before the output directory exists
+    # checked once when the config loads
     assert_configuration_error(tmp_path, capsys, command, text)
-    assert not (tmp_path / "o").exists()
 
 
 def test_check_rejects_inadmissible_pair(tmp_path, capsys):
@@ -367,11 +391,9 @@ def test_check_rejects_inadmissible_pair(tmp_path, capsys):
     assert_configuration_error(tmp_path, capsys, "check", text)
     # at mu != 0 it gets no "no kernels exist" verdict (exit 2) either
     assert_configuration_error(tmp_path, capsys, "check", "[geometry]\nvertex1 = 0 20\n")
-    assert not (tmp_path / "o").exists()
 
 
 def test_separability_rejects_inadmissible_pair(tmp_path, capsys):
     # vertex 1 inside the domain: check and solve refuse this pair, and so does separability
     assert_configuration_error(tmp_path, capsys, "separability", "[geometry]\nvertex1 = 0 20\n",
                                ("--n1", "8", "--n2", "8"))
-    assert not (tmp_path / "o").exists()

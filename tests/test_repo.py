@@ -1,5 +1,6 @@
-"""Repository-level checks: no unused imports in the package, and the
-README's library quick start runs as written."""
+"""Repository-level checks: no unused imports in the package, the README's
+library quick start runs as written, and its config example and the config
+keys it names match the CLI's schema."""
 
 import ast
 import contextlib
@@ -8,6 +9,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from projpair import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "projpair").glob("*.py") if p.name != "__init__.py")
@@ -35,3 +38,17 @@ def test_readme_quick_start_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
     assert len(out.getvalue().splitlines()) == 2
+
+
+def test_readme_config_matches_the_schema(tmp_path):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 1
+    example = tmp_path / "example.ini"
+    example.write_text(blocks[0], encoding="utf-8")
+    cfg, _, _ = cli._load_config(str(example))
+    assert cfg["target"]["kind"] == "phantom"
+    named = re.findall(r"`\[(\w+)\] (\w+)", text)
+    assert len(named) >= 4
+    unknown = [f"[{section}] {key}" for section, key in named if key not in cli._SCHEMA.get(section, ())]
+    assert not unknown, f"README.md names config keys that _SCHEMA lacks: {unknown}"

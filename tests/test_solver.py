@@ -1,5 +1,6 @@
 """Conjugate-gradient normal-equation solver and the residual floor bound."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -152,6 +153,19 @@ def test_floor_accepts_plain_view_tuple():
     got = pp.predicted_residual_floor(views, flat_kernels())
     want = abs(3 * 2.0 - 3 * 1.0) / np.sqrt(3 * 4.0 + 3 * 1.0)
     assert abs(got - want) < 1e-14
+
+
+def test_floor_sums_pairwise():
+    # numpy's pairwise sums, not a BLAS dot, whose rounding follows its
+    # thread count and blocking
+    rng = np.random.default_rng(7)
+    tgt = small_target(rng.normal(size=1000), rng.normal(size=1200))
+    kernels = pp.KernelPair(v1=lambda r: 1.0 + r, v2=lambda r: np.exp(r), label="smooth")
+    d1, d2 = (view.grid for view in tgt)
+    g = np.concatenate([view.values for view in tgt])
+    w = np.concatenate([d1.width * kernels.v1(d1.centers), -d2.width * kernels.v2(d2.centers)])
+    want = abs(np.add.reduce(g * w)) / math.sqrt(np.add.reduce(w * w))
+    assert pp.predicted_residual_floor(tgt, kernels) == want
 
 
 def test_floor_rejects_degenerate_kernels():
