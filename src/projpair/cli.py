@@ -475,17 +475,16 @@ def _central_profile(op: PairOperator, f: np.ndarray, view: int) -> str:
         return lines[0] + "\n"
     t_lo, t_hi = min(ts), max(ts)
     dx, dy = op.image.pixel_size
+    t = t_lo + (t_hi - t_lo) * (np.arange(n_samples) + 0.5) / n_samples
+    x = v[0] + t * d[0]
+    y = v[1] + t * d[1]
+    ix = np.floor((x + half) / dx)
+    iy = np.floor((y + half) / dy)
+    inside = (ix >= 0) & (ix < op.image.nx) & (iy >= 0) & (iy < op.image.ny)
     img = f.reshape(op.image.ny, op.image.nx)
-    for k in range(n_samples):
-        t = t_lo + (t_hi - t_lo) * (k + 0.5) / n_samples
-        x, y = v + t * d
-        ix = int(math.floor((x + half) / dx))
-        iy = int(math.floor((y + half) / dy))
-        if 0 <= ix < op.image.nx and 0 <= iy < op.image.ny:
-            val = img[iy, ix]
-            lines.append(
-                ",".join(format(q, ".17g") for q in (t, x, y, float(val)))
-            )
+    vals = img[iy[inside].astype(np.intp), ix[inside].astype(np.intp)]
+    rows = zip(t[inside].tolist(), x[inside].tolist(), y[inside].tolist(), vals.tolist())
+    lines += [f"{q0:.17g},{q1:.17g},{q2:.17g},{q3:.17g}" for q0, q1, q2, q3 in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -497,6 +496,13 @@ def cmd_solve(args) -> int:
     dets = _build_detectors(cfg, pair)
     op = _build_operator(cfg, pair, dets)
     target = _build_target(cfg, pair, dets, args.seed)
+    for data, det in zip(target, dets):
+        # exact: the files' .17g numbers read back to the same floats
+        have = (data.grid.view, data.grid.n_bins, data.grid.lo, data.grid.hi)
+        want = (det.view, det.n_bins, det.lo, det.hi)
+        if have != want:
+            raise ConfigurationError(
+                f"target view {det.view} has (view, n_bins, lo, hi) = {have}, [detectors] gives {want}")
     g = np.concatenate([d.values for d in target])
     outdir = Path(args.out)
     _write_common(outdir, raw, resolved)

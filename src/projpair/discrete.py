@@ -28,6 +28,9 @@ from .geometry import (
 
 DEFAULT_EXTENT = 70.0
 DEFAULT_BINS = 400
+# Pixels per block of the operator build: 256 KB per float64 array, so a
+# block's per-pixel temporaries stay in cache.  A fixed rule, not a setting.
+_BLOCK = 32768
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,11 +214,11 @@ def _kernel_moment_fix(
     neighbour on each side (two on one side at a range end), after which the
     deposit has mass ``coeff``, centroid ``r`` and kernel moment
     ``sum_k A_k * V(c_k) * width = coeff * V(r)``.  ``start`` and ``weights``
-    are the view's window table holding the plain deposits; every window
-    must cover the pixel's footprint plus one bin each side.  Returns
-    ``(sel, change)``: the table rows of the corrected pixels and the change
-    to add to their weights, shape ``(sel.size, width)``, zero outside each
-    pixel's support.
+    are the view's window table holding the plain deposits, ``weights``
+    offset-major, shape ``(width, n)``; every window must cover the pixel's
+    footprint plus one bin each side.  Returns ``(sel, change)``: the table
+    columns of the corrected pixels and the change to add to their weights,
+    shape ``(sel.size, width)``, zero outside each pixel's support.
     """
     n = det.n_bins
     if n < 3:
@@ -223,7 +226,7 @@ def _kernel_moment_fix(
             f"view {det.view} has {n} bins; the mu = 0 operator needs at least 3 to keep the range condition exact")
     sel = np.flatnonzero((a + b >= 0.0) & (a + b <= 2.0 * n))
     a, b, r, coeff = a[sel], b[sel], r[sel], coeff[sel]
-    bins = start[sel, None] + np.arange(weights.shape[1])
+    bins = start[sel, None] + np.arange(weights.shape[0])
     lo, length = _window(a, b, n, 1)
     valid = (bins >= lo[:, None]) & (bins < (lo + length)[:, None])
     c = det.lo + det.width * (bins + 0.5)
@@ -237,7 +240,8 @@ def _kernel_moment_fix(
     cols = np.stack([np.ones_like(c), (c - r[:, None]) / det.width, vc / vr[:, None] - 1.0], axis=-1)
     cols *= valid[..., None]
     defect = np.stack([coeff / det.width, np.zeros_like(r), np.zeros_like(r)], axis=-1)
-    defect -= np.einsum("pk,pkm->pm", weights[sel], cols)
+    # the deposits pixel-major and contiguous, as the moment sums read them
+    defect -= np.einsum("pk,pkm->pm", np.ascontiguousarray(weights[:, sel].T), cols)
     q, rr = np.linalg.qr(cols)
     z = np.linalg.solve(np.swapaxes(rr, -1, -2), defect[..., None])
     return sel, (q @ z)[..., 0] * valid
@@ -259,11 +263,23 @@ class PairOperator:
 
     The columns are built once, at construction, into one window table per
     view: ``start`` gives each masked pixel's first bin and ``weights``, of
-    shape ``(n_masked, width)``, its deposits into bins ``start + 0`` to
-    ``start + width - 1``.  Every window lies inside the detector, so the
-    part of a footprint that overhangs the range is simply dropped.  Forward
-    and adjoint read the same table, so they are exact transposes of each
-    other.
+    shape ``(width, n_masked)``, its deposits into bins ``start + 0`` to
+    ``start + width - 1``.  The table is offset-major: row ``off`` holds every
+    pixel's deposit into bin ``start + off``, contiguous, so forward adds
+    ``bincount(start, fm * weights[off])`` into the bins from ``off`` on and
+    adjoint gathers ``g[off:][start]``; no ``start + off`` array is formed.
+    The sums are the ones a ``bincount(start + off)`` into all bins makes,
+    over the same pixels in the same order.  Every window lies inside the
+    detector, so the part of a footprint that overhangs the range is simply
+    dropped.  Forward and adjoint read the same table, so they are exact
+    transposes of each other.
+
+    The table is built in blocks of ``_BLOCK`` pixels: a first pass finds
+    each pixel's footprint ``[a, b)`` in bin units and its density, a second
+    places the windows, fills them and applies the mu = 0 correction below.
+    Every step works on one pixel at a time, so the table is bitwise the same
+    as one built on all pixels at once, but a block's temporaries stay in
+    cache and are never larger than a block.
 
     When the pair admits kernels (``known_kernels(pair)`` is not None, the
     unweighted mu = 0 pair) each deposit is corrected so that the sampled,
@@ -300,43 +316,59 @@ class PairOperator:
         if self._idx.size == 0:
             raise ConfigurationError("the image mask keeps no pixel inside the domain")
         x, y = image.center_xy()
+        m = x.size
+        blocks = [slice(i, i + _BLOCK) for i in range(0, m, _BLOCK)]
         delta = dx
         area = image.pixel_area
         kernels = known_kernels(pair)
         kerns = (None, None) if kernels is None else (kernels.v1, kernels.v2)
         self._tables = []
         for geom, det, kern in zip((pair.first, pair.second), self.dets, kerns):
-            r, t = geom.inverse_xy(x, y)
-            w = delta / t  # angular footprint width
-            coeff = area * np.exp(geom.mu * t) / t  # projected mass per unit f
-            density = coeff / w
-            a = (r - det.lo) / det.width - 0.5 * w / det.width
-            b = a + w / det.width
-            # each per-pixel array is 6 MB at 1000^2: free it once used
-            del t, w
             n = det.n_bins
             pad = 0 if kern is None else 1  # room for the correction's neighbour bins
-            width = min(n, int(np.max(np.ceil(b) - np.floor(a), initial=1)) + 2 * pad)
-            start, _ = _window(a, b, n, pad, width)
-            weights = np.empty((a.size, width))
-            # one column at a time, in place: a full (n_masked, width) bin
-            # array would raise peak memory at 1000^2 by about a third.  The
-            # bin edges k and k + 1 are exact in float, so they are formed
-            # from one float copy of start into one scratch buffer.
-            first = start.astype(float)
-            edge = np.empty_like(first)
-            for off in range(width):
-                col = weights[:, off]
-                np.add(first, off + 1.0, out=edge)
-                np.minimum(b, edge, out=col)
-                np.add(first, float(off), out=edge)
-                col -= np.maximum(a, edge, out=edge)
-                np.maximum(col, 0.0, out=col)
-                col *= density
-            if kern is not None:
-                sel, change = _kernel_moment_fix(det, a, b, r, coeff, kern, start, weights)
-                weights[sel] += change
-            del r, a, b, coeff, density, first, edge
+            a, b, density = np.empty(m), np.empty(m), np.empty(m)
+            r_all = coeff_all = None
+            if kern is not None:  # the correction reads them again in pass 2
+                r_all, coeff_all = np.empty(m), np.empty(m)
+            span = 1.0  # the widest footprint, in bins it touches
+            for s in blocks:
+                r, t = geom.inverse_xy(x[s], y[s])
+                w = delta / t  # angular footprint width
+                coeff = area * np.exp(geom.mu * t) / t  # projected mass per unit f
+                np.divide(coeff, w, out=density[s])
+                np.divide(r - det.lo, det.width, out=a[s])
+                a[s] -= 0.5 * w / det.width
+                np.add(a[s], w / det.width, out=b[s])
+                touched = np.ceil(b[s])
+                touched -= np.floor(a[s])
+                span = np.max(touched, initial=span)
+                if kern is not None:
+                    r_all[s], coeff_all[s] = r, coeff
+            # a block's arrays are as long as the full ones on a small image
+            del r, t, w, coeff, touched
+            width = min(n, int(span) + 2 * pad)
+            start = np.empty(m, dtype=np.int64)
+            weights = np.empty((width, m))
+            for s in blocks:
+                a_s, b_s = a[s], b[s]
+                start[s], _ = _window(a_s, b_s, n, pad, width)
+                # The bin edges k and k + 1 are exact in float, so they are
+                # formed from one float copy of start into one scratch buffer.
+                first = start[s].astype(float)
+                edge = np.empty_like(first)
+                for off, row in enumerate(weights[:, s]):
+                    np.add(first, off + 1.0, out=edge)
+                    np.minimum(b_s, edge, out=row)
+                    np.add(first, float(off), out=edge)
+                    row -= np.maximum(a_s, edge, out=edge)
+                    np.maximum(row, 0.0, out=row)
+                    row *= density[s]
+                if kern is not None:
+                    sel, change = _kernel_moment_fix(
+                        det, a_s, b_s, r_all[s], coeff_all[s], kern, start[s], weights[:, s])
+                    weights[:, s.start + sel] += change.T
+            # each is 6 MB at 1000^2: free them before the next view's
+            del a, b, density, r_all, coeff_all, a_s, b_s, first, edge
             self._tables.append((start, weights))
 
     @property
@@ -355,8 +387,9 @@ class PairOperator:
         fm = f[self._idx]
         g = np.zeros(self.shape[0])
         for gv, (start, weights) in zip(np.split(g, [self.dets[0].n_bins]), self._tables):
-            for off in range(weights.shape[1]):
-                gv += np.bincount(start + off, weights=fm * weights[:, off], minlength=gv.size)
+            for off, row in enumerate(weights):
+                # start <= n_bins - width, so the count has exactly n_bins - off bins
+                gv[off:] += np.bincount(start, weights=fm * row, minlength=gv.size - off)
         return g
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
@@ -366,8 +399,8 @@ class PairOperator:
             raise ConfigurationError("data vector has the wrong length")
         acc = np.zeros(self._idx.size)
         for gv, (start, weights) in zip(np.split(g, [self.dets[0].n_bins]), self._tables):
-            for off in range(weights.shape[1]):
-                acc += weights[:, off] * gv[start + off]
+            for off, row in enumerate(weights):
+                acc += row * gv[off:][start]
         f = np.zeros(self.image.n_pixels)
         f[self._idx] = acc
         return f
@@ -399,7 +432,7 @@ def write_image(path, grid: ImageGrid, values: np.ndarray) -> None:
     header = f"PPIMG {grid.nx} {grid.ny} {format(grid.extent, '.17g')}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(v.tobytes())
+        fh.write(memoryview(v))  # the array's own buffer, not a copy
 
 
 @contextmanager

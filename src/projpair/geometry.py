@@ -190,8 +190,9 @@ class FanGeometry:
         t = np.hypot(dx, dy)
         if np.any(t < DENOM_TOL):
             raise SingularPointError("point coincides with the fan vertex")
-        r = lift_angle(np.arctan2(dy, dx), self.theta0)
-        return r, t
+        angle = np.arctan2(dy, dx)
+        del dx, dy  # free before lift_angle's temporaries
+        return lift_angle(angle, self.theta0), t
 
     def jacobian_inv(self, x):
         """|det of the derivative of the inverse fan map| = 1 / |x - vertex|."""

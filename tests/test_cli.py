@@ -249,6 +249,51 @@ def test_solve_profile_of_a_ray_that_misses_the_image(tmp_path):
     assert len((tmp_path / "o" / "profile_view2.csv").read_text().splitlines()) > 1
 
 
+def _central_profile_loop(op, f, view):
+    """The central-ray profile one sample at a time, as the CLI first wrote it."""
+    geom = (op.pair.first, op.pair.second)[view - 1]
+    v, d = geom.ray(op.dets[view - 1].center)
+    half = 0.5 * op.image.extent
+    ts = []
+    for axis in (0, 1):
+        if abs(d[axis]) > 1e-15:
+            ts.extend([(-half - v[axis]) / d[axis], (half - v[axis]) / d[axis]])
+    ts = [t for t in ts if t > 0]
+    lines = ["t,x,y,value"]
+    if not ts:
+        return lines[0] + "\n"
+    t_lo, t_hi = min(ts), max(ts)
+    dx, dy = op.image.pixel_size
+    img = f.reshape(op.image.ny, op.image.nx)
+    for k in range(512):
+        t = t_lo + (t_hi - t_lo) * (k + 0.5) / 512
+        x, y = v + t * d
+        ix = int(np.floor((x + half) / dx))
+        iy = int(np.floor((y + half) / dy))
+        if 0 <= ix < op.image.nx and 0 <= iy < op.image.ny:
+            lines.append(",".join(format(q, ".17g") for q in (t, x, y, float(img[iy, ix]))))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mu", [-0.154, 0.0])
+@pytest.mark.parametrize("vertices", [((0.0, 80.0), (-80.0, 0.0)), ((25.0, 75.0), (-80.0, -20.0))],
+                         ids=["reference", "oblique"])
+def test_central_profile_equals_per_sample_loop(mu, vertices):
+    # oblique central rays cross the far lines of the image square outside
+    # it, so part of the t range lies outside the image
+    pair = pp.geometry.fan_pair(*vertices, mu, pp.reference_domain())
+    dets = [pp.DetectorGrid(view, 50, *pp.view_range(geom, pair.domain))
+            for view, geom in ((1, pair.first), (2, pair.second))]
+    op = pp.PairOperator(pair, pp.ImageGrid.from_domain(137, 137, pair.domain), *dets)
+    f = np.random.default_rng(38).normal(size=op.image.n_pixels)
+    rows = []
+    for view in (1, 2):
+        text = cli._central_profile(op, f, view)
+        assert text == _central_profile_loop(op, f, view)
+        rows.append(text.count("\n") - 1)
+    assert all(rows) and (max(rows) < 512) == (vertices[0][0] != 0.0)
+
+
 def test_solve_reports_floor_for_mu_zero(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -354,6 +399,22 @@ def test_unreadable_input_file_is_a_configuration_error(tmp_path, capsys, comman
                        "0.125,1\n0.375,nan\n0.625,1\n0.875,1\n", encoding="ascii")
     text = text.format(missing=tmp_path / "missing.txt", bad_csv=bad_csv, nan_csv=nan_csv)
     assert_configuration_error(tmp_path, capsys, command, text)
+
+
+@pytest.mark.parametrize("detectors", [
+    "bins1 = 40\nbins2 = 48\n",
+    "range1_deg = 250 290\n",
+], ids=["other-bin-counts", "other-range"])
+def test_solve_refuses_target_files_on_other_detectors(tmp_path, capsys, detectors):
+    # the files' own grids, written by project, against the default 2 x 100 bins
+    cfg = write_config(tmp_path, "[detectors]\n" + detectors, name="project.ini")
+    assert run(["project", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+    capsys.readouterr()
+    files = f"[target]\nkind = files\nfile1 = {tmp_path / 'p' / 'view1.csv'}\nfile2 = {tmp_path / 'p' / 'view2.csv'}\n"
+    assert_configuration_error(tmp_path, capsys, "solve", files)
+    # files written on the configured grid read back to the same floats
+    cfg = write_config(tmp_path, "[detectors]\n" + detectors + files + SMALL_SOLVE, name="match.ini")
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
 
 
 def test_percent_in_a_config_value_is_literal(tmp_path):

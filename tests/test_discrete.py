@@ -433,7 +433,8 @@ def test_center_xy_are_the_masked_pixel_centers(masked):
 
 def _reference_tables(op):
     """Window tables built as the operator first built them: inverse on the
-    stacked centres, np.mod for the branch, integer bin edges per column."""
+    stacked centres, np.mod for the branch, integer bin edges per column, all
+    pixels at once.  The weights are offset-major, as the operator keeps them."""
     image = op.image
     centers = image.pixel_centers(np.flatnonzero(image.mask))
     delta, area = image.pixel_size[0], image.pixel_area
@@ -454,25 +455,71 @@ def _reference_tables(op):
         width = min(n, int(np.max(np.ceil(b) - np.floor(a), initial=1)) + 2 * pad)
         first = np.clip(np.floor(a), 0, n - 1).astype(np.int64)
         start = np.clip(first - pad, 0, n - width)
-        weights = np.empty((a.size, width))
+        weights = np.empty((width, a.size))
         for off in range(width):
             k = start + off
             col = np.minimum(b, k + 1.0) - np.maximum(a, k)
-            weights[:, off] = np.clip(col, 0.0, None) * density
+            weights[off] = np.clip(col, 0.0, None) * density
         if kern is not None:
             sel, change = pp.discrete._kernel_moment_fix(det, a, b, r, coeff, kern, start, weights)
-            weights[sel] += change
+            weights[:, sel] += change.T
         tables.append((start, weights))
     return tables
 
 
-@pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "moment-fix"])
-def test_window_tables_equal_per_column_loop_bitwise(mu):
-    op = pp.reference_operator(nx=120, n_bins=60, mu=mu)
+def _assert_tables_equal_bitwise(op):
     for (start, weights), (want_start, want_weights) in zip(op._tables, _reference_tables(op)):
         np.testing.assert_array_equal(start, want_start)
         assert weights.shape == want_weights.shape
         assert weights.tobytes() == want_weights.tobytes()  # sign bits of zeros too
+
+
+@pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "moment-fix"])
+def test_window_tables_equal_per_column_loop_bitwise(mu):
+    # 120^2 is one build block, 256^2 two (50 550 masked pixels)
+    for nx, blocks in ((120, 1), (256, 2)):
+        op = pp.reference_operator(nx=nx, n_bins=60, mu=mu)
+        assert -(-op.image.mask.sum() // pp.discrete._BLOCK) == blocks
+        _assert_tables_equal_bitwise(op)
+
+
+def test_window_tables_bitwise_with_blocks_outside_the_detector():
+    # mu = 0, each detector over the low 5% of its view range: at 300^2
+    # (69 554 masked pixels, three blocks) some blocks have no pixel whose
+    # ray angle lies in the range, so the correction has nothing to do there
+    pair = pp.reference_pair(0.0)
+    image = pp.ImageGrid.from_domain(300, 300, pair.domain)
+    dets = [pp.DetectorGrid(d.view, 12, d.lo, d.lo + 0.05 * (d.hi - d.lo)) for d in pp.reference_grids()]
+    op = pp.PairOperator(pair, image, *dets)
+    x, y = image.center_xy()
+    block = pp.discrete._BLOCK
+    for geom, det in zip((pair.first, pair.second), dets):
+        r, _ = geom.inverse_xy(x, y)
+        inside = [np.any((r[i:i + block] >= det.lo) & (r[i:i + block] <= det.hi)) for i in range(0, r.size, block)]
+        assert len(inside) == 3 and any(inside) and not all(inside)
+    _assert_tables_equal_bitwise(op)
+
+
+@pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "moment-fix"])
+def test_forward_adjoint_equal_per_offset_loop_bitwise(mu):
+    # two build blocks; the loop forms every start + off and counts into all
+    # bins, where the operator counts start into the bins from off on
+    op = pp.reference_operator(nx=256, n_bins=60, mu=mu)
+    rng = np.random.default_rng(37)
+    f = rng.normal(size=op.image.n_pixels)
+    g = rng.normal(size=op.shape[0])
+    idx = np.flatnonzero(op.image.mask)
+    want_g, acc = [], np.zeros(idx.size)
+    for gv, (start, weights) in zip(np.split(g, [op.dets[0].n_bins]), op._tables):
+        out = np.zeros(gv.size)
+        for off in range(weights.shape[0]):
+            out += np.bincount(start + off, weights=f[idx] * weights[off], minlength=gv.size)
+            acc += weights[off] * gv[start + off]
+        want_g.append(out)
+    want_f = np.zeros(op.image.n_pixels)
+    want_f[idx] = acc
+    assert op.forward(f).tobytes() == np.concatenate(want_g).tobytes()
+    assert op.adjoint(g).tobytes() == want_f.tobytes()
 
 
 def test_pixel_centers_of_indices():
