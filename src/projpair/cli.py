@@ -417,7 +417,15 @@ def _test_tuple(theta0: float) -> tuple[float, float, float, float]:
 
 def _separability_axes(theta0: float, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``r1`` and ``r2`` axes of ``projpair separability``: ``n1`` and
-    ``n2`` evenly spaced angles, with the test tuple's angles added."""
+    ``n2`` evenly spaced angles, with the test tuple's angles added.
+
+    On the reference pair they lie outside the view ranges, (4.318, 5.107)
+    and (5.888, 6.678) rad: at 640 the axes span r1 in (5.498, 7.003) and r2
+    in (3.992, 5.498).  No ray pair on them meets inside the domain (none of
+    the 26 082 at 160, one of them parallel), so the verdict is about the
+    closed-form surface of :func:`expo_surface`, not about rays the data
+    were measured on.
+    """
     margin = math.pi / 48.0
     lo, hi = theta0 + 0.5 * math.pi + margin, theta0 + 1.5 * math.pi - margin
     tup = _test_tuple(theta0)
@@ -465,15 +473,17 @@ def _central_profile(op: PairOperator, f: np.ndarray, view: int) -> str:
     geom = (op.pair.first, op.pair.second)[view - 1]
     v, d = geom.ray(op.dets[view - 1].center)
     half = 0.5 * op.image.extent
-    ts = []
+    # the square is the intersection of the slabs |x|, |y| <= half
+    t_lo, t_hi = 0.0, math.inf
     for axis in (0, 1):
         if abs(d[axis]) > 1e-15:
-            ts.extend([(-half - v[axis]) / d[axis], (half - v[axis]) / d[axis]])
-    ts = [t for t in ts if t > 0]
+            ta, tb = sorted(((-half - v[axis]) / d[axis], (half - v[axis]) / d[axis]))
+            t_lo, t_hi = max(t_lo, ta), min(t_hi, tb)
+        elif abs(v[axis]) >= half:  # along the slab, outside it
+            t_hi = -math.inf
     lines = ["t,x,y,value"]
-    if not ts:  # the ray points away from the square
+    if not t_lo < t_hi:  # the ray misses the square
         return lines[0] + "\n"
-    t_lo, t_hi = min(ts), max(ts)
     dx, dy = op.image.pixel_size
     t = t_lo + (t_hi - t_lo) * (np.arange(n_samples) + 0.5) / n_samples
     x = v[0] + t * d[0]

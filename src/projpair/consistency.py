@@ -325,11 +325,14 @@ def separability_test(
     every entry is a multiple of ``eta`` far below ``2**53 eta``, so every
     difference and sum is exact and no margin is needed.
 
-    A first pass evaluates, for each row, the partner with the largest
-    ``U``; the largest spread found, there or against a reference row, is
-    a lower bound ``LB`` on the maximum.  The scan then walks the rows in
-    order and, for each row ``i``, reads the rows from the first to the
-    last ``it > i`` with ``U >= max(LB, best so far)``, in blocks of about
+    A first pass forms the bounds once, a block of rows at a time, and
+    keeps each row's largest ``U``; the spread of each row against the
+    partner with that ``U`` is read, and the largest spread found, there
+    or against a reference row, is a lower bound ``LB`` on the maximum.
+    The scan then walks, in order, the rows whose largest ``U`` reaches the
+    final ``LB``, forming the bounds again for their blocks only, and for
+    each such row ``i`` reads the rows from the first to the last
+    ``it > i`` with ``U >= max(LB, best so far)``, in blocks of about
     512 KB, with the strict ``>`` update of the plain loop.  Every pair
     attaining the maximum is read, and every value read is one the plain
     loop computes, so the first maximum is the same.
@@ -340,16 +343,19 @@ def separability_test(
     whose ``s`` and ``err`` are both constant on its valid columns is such a
     shift, and two shifts of one reference row have a computed spread of
     exactly 0.0.  Their pairs need no scan; the first of them sharing two
-    columns is the answer when the maximum is 0.0 and no pair read reaches
-    0.0 before it.  With no complete row there is no bound (``U = inf``)
-    and every pair is read, as the plain loop does.
+    columns, noted in the first pass, is the answer when the maximum is 0.0
+    and no pair read reaches 0.0 before it.  With no complete row there is
+    no bound (``U = inf``) and every pair is read, as the plain loop does.
 
-    Cost: O(n1 * n2) per reference row and for ``LB``, O(n1^2) for the
-    bounds, and O(n2) per row pair read.  How many pairs are read depends
-    on the surface: on the 642 x 641 one of ``projpair separability
-    --n1 640 --n2 640``, 1 122 of 205 761 at mu = -0.154 and none at
-    mu = 0; on noise with no structure, nearly all.  Memory: the
-    ``n1 x n1`` shared-column counts, and blocks of about 512 KB.
+    Cost: O(n1 * n2) per reference row and for ``LB``; O(n1^2) per
+    reference row for the bounds in the first pass, and again only for
+    the blocks the scan reads from; O(n2) per row pair read.  How many
+    pairs are read depends on the surface: on the 642 x 641 one of
+    ``projpair separability --n1 640 --n2 640``, 1 122 of 205 761 at
+    mu = -0.154, from 15 of the 54 blocks of 12 rows, and none at mu = 0;
+    on noise with no structure, nearly all.  Memory: the ``n1 x n1``
+    shared-column counts, one largest ``U`` per row, and blocks of about
+    512 KB.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2:
@@ -363,7 +369,9 @@ def separability_test(
         raise ConfigurationError("not enough valid samples for any quadruple")
     valid = np.isfinite(L)
     work = np.where(valid, L, np.nan)
-    scale = float(np.max(np.abs(work[valid]))) if np.any(valid) else 0.0
+    # max |L| over the valid entries, 0.0 if none, without a copy of them
+    scale = max(0.0, float(np.fmax.reduce(work, axis=None, initial=-np.inf)),
+                -float(np.fmin.reduce(work, axis=None, initial=np.inf)))
     if scale > 0.5 * np.finfo(float).max:
         raise ConfigurationError(f"|L| reaches {scale:.6g}; row differences would overflow")
     if threshold is None:
@@ -421,22 +429,28 @@ def separability_test(
         return np.where(pair & ~zero, u, -np.inf), zero
 
     lb = float(np.fmax.reduce(S.ravel(), initial=-1.0))
-    for a in range(0, n1, step):
-        b = min(a + step, n1)
-        u, _ = bounds(a, b)
-        p = np.argmax(u, axis=1)
-        i = np.flatnonzero(u[np.arange(b - a), p] > -np.inf)
-        if i.size:
-            lb = max(lb, float(np.max(spreads(a + p[i], a + i, i.size))))
-    best = -1.0
-    arg = first_zero = None
+    top = np.empty(n1)  # each row's largest U
+    first_zero = None
     for a in range(0, n1, step):
         b = min(a + step, n1)
         u, zero = bounds(a, b)
         if first_zero is None and zero.any():
             row, col = divmod(int(np.argmax(zero)), zero.shape[1])
             first_zero = (a + row, a + col)
-        for i in a + np.flatnonzero(u.max(axis=1) >= lb):
+        p = np.argmax(u, axis=1)
+        top[a:b] = u[np.arange(b - a), p]
+        i = np.flatnonzero(top[a:b] > -np.inf)
+        if i.size:
+            lb = max(lb, float(np.max(spreads(a + p[i], a + i, i.size))))
+    best = -1.0
+    arg = None
+    for a in range(0, n1, step):
+        b = min(a + step, n1)
+        read = a + np.flatnonzero(top[a:b] >= lb)
+        if read.size == 0:
+            continue  # no bounds again for a block with no row to read
+        u, _ = bounds(a, b)
+        for i in read:
             its = a + np.flatnonzero(u[i - a] >= max(lb, best))
             if its.size == 0:
                 continue
@@ -498,13 +512,35 @@ def expo_surface(pair: PairGeometry, r1_values: np.ndarray, r2_values: np.ndarra
     dl = pair.second.vertex_xy - pair.first.vertex_xy
     dls = float(pair_orientation(pair)) * dl
     q1 = perp(d1)
-    den = q1[..., 0] * d2[..., 0] + q1[..., 1] * d2[..., 1]
+    q2 = perp(d2)
     # the log factors are taken on the (n1, 1) and (1, n2) axes before they
-    # broadcast; the two matrix products keep their shapes, since matmul
+    # broadcast; the matrix products keep their (n2, 2) rows, since matmul
     # picks its kernel by shape and a per-axis form moves L in the last bits
     p1 = q1 @ dls
-    p2 = perp(d2) @ dls
-    valid = (np.abs(den) > DENOM_TOL) & (p1 > 0) & (p2 > 0)
+    p2 = q2 @ dls
+    n1, n2 = r1.shape[0], r2.shape[1]
+    L = np.empty((n1, n2))
+    # (q1 - q2) @ dl a block of rows at a time, one component plane at a
+    # time: the same bytes as the whole broadcast, several times faster, and
+    # a 512 KB buffer in place of an (n1, n2, 2) array
+    rows = max(1, 32768 // max(1, n2))
+    diff = np.empty((min(rows, n1), n2, 2))
+    for a in range(0, n1, rows):
+        b = min(a + rows, n1)
+        for k in (0, 1):
+            np.subtract(q1[a:b, :, k], q2[..., k], out=diff[: b - a, :, k])
+        np.matmul(diff[: b - a], dl, out=L[a:b])
+    del diff
+    qx, qy = (np.ascontiguousarray(q1[..., k]) for k in (0, 1))
+    ex, ey = (np.ascontiguousarray(d2[..., k]) for k in (0, 1))
+    den = qx * ex + qy * ey  # the same products as on strided views, faster
+    # |den| > DENOM_TOL without a float copy of den
+    valid = ((den > DENOM_TOL) | (den < -DENOM_TOL)) & (p1 > 0) & (p2 > 0)
+    # mu * (L / den) + log(p1) - log(p2), in place
     with np.errstate(divide="ignore", invalid="ignore"):
-        L = mu * (((q1 - perp(d2)) @ dl) / den) + np.log(p1) - np.log(p2)
-    return np.where(valid, L, np.nan)
+        np.divide(L, den, out=L)
+        L *= mu
+        L += np.log(p1)
+        L -= np.log(p2)
+    L[~valid] = np.nan
+    return L

@@ -237,6 +237,23 @@ def test_solve_artifacts_independent_of_blas_threads(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_separability_report_independent_of_blas_threads(tmp_path):
+    """``expo_surface`` forms the 642 x 641 surface with a matrix product,
+    the one BLAS-shaped call of ``projpair separability``; 1 and 2 BLAS
+    threads must write the same report."""
+    src = str(Path(pp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "projpair.cli", "separability", "--n1", "640", "--n2", "640",
+                        "--out", str(out)], env=env, check=True, capture_output=True, timeout=300)
+        reports.append((out / "separability.txt").read_bytes())
+    assert b"grid = 642 x 641" in reports[0]
+    assert reports[0] == reports[1]
+
+
 def test_solve_profile_of_a_ray_that_misses_the_image(tmp_path):
     # view 1's central ray points straight up, away from the image square
     cfg = write_config(
@@ -250,19 +267,23 @@ def test_solve_profile_of_a_ray_that_misses_the_image(tmp_path):
 
 
 def _central_profile_loop(op, f, view):
-    """The central-ray profile one sample at a time, as the CLI first wrote it."""
+    """The central-ray profile one sample at a time, with t clipped to the
+    image square one axis at a time."""
     geom = (op.pair.first, op.pair.second)[view - 1]
     v, d = geom.ray(op.dets[view - 1].center)
     half = 0.5 * op.image.extent
-    ts = []
+    lines = ["t,x,y,value"]
+    t_lo, t_hi = 0.0, np.inf
     for axis in (0, 1):
         if abs(d[axis]) > 1e-15:
-            ts.extend([(-half - v[axis]) / d[axis], (half - v[axis]) / d[axis]])
-    ts = [t for t in ts if t > 0]
-    lines = ["t,x,y,value"]
-    if not ts:
+            t0 = (-half - v[axis]) / d[axis]
+            t1 = (half - v[axis]) / d[axis]
+            t_lo = max(t_lo, min(t0, t1))
+            t_hi = min(t_hi, max(t0, t1))
+        elif not -half < v[axis] < half:
+            return lines[0] + "\n"
+    if t_lo >= t_hi:
         return lines[0] + "\n"
-    t_lo, t_hi = min(ts), max(ts)
     dx, dy = op.image.pixel_size
     img = f.reshape(op.image.ny, op.image.nx)
     for k in range(512):
@@ -279,8 +300,8 @@ def _central_profile_loop(op, f, view):
 @pytest.mark.parametrize("vertices", [((0.0, 80.0), (-80.0, 0.0)), ((25.0, 75.0), (-80.0, -20.0))],
                          ids=["reference", "oblique"])
 def test_central_profile_equals_per_sample_loop(mu, vertices):
-    # oblique central rays cross the far lines of the image square outside
-    # it, so part of the t range lies outside the image
+    # oblique central rays cross the lines x, y = +-extent/2 outside the
+    # image square as well as on it
     pair = pp.geometry.fan_pair(*vertices, mu, pp.reference_domain())
     dets = [pp.DetectorGrid(view, 50, *pp.view_range(geom, pair.domain))
             for view, geom in ((1, pair.first), (2, pair.second))]
@@ -291,7 +312,22 @@ def test_central_profile_equals_per_sample_loop(mu, vertices):
         text = cli._central_profile(op, f, view)
         assert text == _central_profile_loop(op, f, view)
         rows.append(text.count("\n") - 1)
-    assert all(rows) and (max(rows) < 512) == (vertices[0][0] != 0.0)
+    assert rows == [512, 512]
+
+
+def test_central_profile_of_an_oblique_pair_stays_in_the_square():
+    """An oblique central ray gets all 512 samples, each inside the image
+    square, not only those before it leaves the square through a side."""
+    pair = pp.geometry.fan_pair((25.0, 75.0), (-80.0, -20.0), -0.154, pp.reference_domain())
+    dets = [pp.DetectorGrid(view, 50, *pp.view_range(geom, pair.domain))
+            for view, geom in ((1, pair.first), (2, pair.second))]
+    op = pp.PairOperator(pair, pp.ImageGrid.from_domain(137, 137, pair.domain), *dets)
+    half = 0.5 * op.image.extent
+    for view in (1, 2):
+        text = cli._central_profile(op, np.ones(op.image.n_pixels), view)
+        rows = np.array([[float(q) for q in line.split(",")] for line in text.splitlines()[1:]])
+        assert rows.shape == (512, 4)
+        assert np.all(np.abs(rows[:, 1:3]) <= half)
 
 
 def test_solve_reports_floor_for_mu_zero(tmp_path, capsys):

@@ -287,6 +287,43 @@ def test_expo_surface_is_log_factor_ratio():
         np.testing.assert_allclose(L[inside], np.log(f1 / f2), rtol=0, atol=1e-12)
 
 
+def _expo_surface_closed_form(pair, r1_values, r2_values):
+    """The docstring's closed form, as one broadcast expression."""
+    mu = pair.first.mu
+    d1 = pp.direction(np.asarray(r1_values, float)[:, None])
+    d2 = pp.direction(np.asarray(r2_values, float)[None, :])
+    dl = pair.second.vertex_xy - pair.first.vertex_xy
+    dls = float(pp.pair_orientation(pair)) * dl
+    q1 = pp.perp(d1)
+    den = q1[..., 0] * d2[..., 0] + q1[..., 1] * d2[..., 1]
+    p1 = q1 @ dls
+    p2 = pp.perp(d2) @ dls
+    valid = (np.abs(den) > pp.geometry.DENOM_TOL) & (p1 > 0) & (p2 > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = mu * (((q1 - pp.perp(d2)) @ dl) / den) + np.log(p1) - np.log(p2)
+    return np.where(valid, L, np.nan)
+
+
+@pytest.mark.parametrize("mu", [MU, 0.0])
+def test_expo_surface_equals_closed_form_bitwise(mu):
+    """On the 642 x 641 axes of ``projpair separability --n1 640 --n2 640``,
+    on one-row, one-column and odd shapes, and on angles all round the
+    circle, where parallel rays and undefined logs leave NaN."""
+    pair = pp.reference_pair(mu)
+    oblique = pp.geometry.fan_pair((25.0, 75.0), (-80.0, -20.0), mu, pp.reference_domain())
+    r1, r2 = cli._separability_axes(pair.first.theta0, 640, 640)
+    a1, a2 = cli._separability_axes(pair.first.theta0, 7, 13)
+    circle = np.linspace(0.0, 2.0 * math.pi, 37)
+    inputs = [(pair, r1, r2), (pair, r1[:1], r2), (pair, r1, r2[:1]), (pair, a1, a2),
+              (pair, circle, circle[::2]), (oblique, circle[:-1], circle)]
+    for p, x, y in inputs:
+        got = pp.expo_surface(p, x, y)
+        want = _expo_surface_closed_form(p, x, y)
+        assert got.shape == want.shape == (len(x), len(y))
+        assert got.tobytes() == want.tobytes()
+    assert np.isnan(pp.expo_surface(pair, circle, circle[::2])).any()
+
+
 def test_expo_surface_needs_fan_fan_with_one_mu():
     r = np.linspace(4.5, 5.0, 3)
     with pytest.raises(pp.ConfigurationError):
@@ -497,6 +534,24 @@ def _separability_inputs():
             ["0x1.0p+0", "0x1.199999999999ap+0", "0x1.b333333333333p+0"],
             ["0x1.0p-1", "0x1.3333333333333p-1", "0x1.3333333333333p+0"]]
     cases["zero-spreads-not-shifts"] = (np.array([[float.fromhex(v) for v in row] for row in rows]), None)
+    # 150 rows and 8 reference rows make blocks of 65536 // (8 * 150) = 54
+    # rows: 0-53, 54-107 and 108-149.  Rows 0-53 are exact shifts on columns
+    # 0 and 1, the complete rows are 54-107, and rows 120 and 140 spread 0.0
+    # against them on columns 2 and 3 without being shifts.  The maximum is
+    # 0.0 and its first pair (0, 1) is certified; the scan reads only from
+    # the last two blocks, where certified pairs come later
+    L = np.full((150, 4), np.nan)
+    L[:, :2] = np.arange(150.0)[:, None]
+    L[54:108] = [0.0, 0.0, 0.0, 0.1]
+    L[[120, 140], :2] = np.nan
+    L[120, 2:], L[140, 2:] = [1.0, 1.1], [2.0, 2.1]
+    cases["blocks-zero-certified-unread"] = (L, None)
+    # additive but for rows 140 and 145: the maximum is in the last block,
+    # the only one the scan reads from
+    L = (rng.integers(-50, 50, size=150)[:, None] + rng.integers(-50, 50, size=20)[None, :]).astype(float)
+    L[140, 5] += 1.0
+    L[145, 9] += 0.5
+    cases["blocks-max-in-last"] = (L, None)
     return cases
 
 
