@@ -17,6 +17,7 @@ import configparser
 import io
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -312,8 +313,31 @@ def _build_target(cfg, pair, dets, seed) -> tuple[ProjectionData, ProjectionData
         if not sec["file1"] or not sec["file2"]:
             raise ConfigurationError("target kind 'files' needs file1 and file2")
         return read_projection_csv(sec["file1"]), read_projection_csv(sec["file2"])
-    ph = _build_phantom(cfg, pair, seed)
-    return project_view(pair.first, ph, dets[0]), project_view(pair.second, ph, dets[1])
+    return _project_pair(pair, _build_phantom(cfg, pair, seed), dets)
+
+
+def _project_pair(pair: PairGeometry, ph: Phantom, dets) -> tuple[ProjectionData, ProjectionData]:
+    """Both views of ``ph``, view 2 on a second thread while view 1 runs on
+    this one.  Each view's arithmetic is its own and numpy releases the GIL
+    in the quadrature's array passes, so the values are those of two calls
+    in turn; so are the errors: view 1's is raised first, then view 2's."""
+    second: dict = {}
+
+    def run_second():
+        try:
+            second["data"] = project_view(pair.second, ph, dets[1])
+        except BaseException as exc:  # re-raised on the calling thread
+            second["error"] = exc
+
+    worker = threading.Thread(target=run_second, name="projpair-view2")
+    worker.start()
+    try:
+        first = project_view(pair.first, ph, dets[0])
+    finally:
+        worker.join()
+    if "error" in second:
+        raise second["error"]
+    return first, second["data"]
 
 
 def _write_common(outdir: Path, raw: str, resolved: str) -> None:
@@ -352,8 +376,7 @@ def cmd_project(args) -> int:
     _write_common(outdir, raw, resolved)
     (outdir / "phantom_used.txt").write_text(_phantom_text(ph), encoding="ascii")
     if op is None:
-        d1 = project_view(pair.first, ph, dets[0])
-        d2 = project_view(pair.second, ph, dets[1])
+        d1, d2 = _project_pair(pair, ph, dets)
     else:
         f = rasterize(ph, op.image)
         g1, g2 = np.split(op.forward(f), [dets[0].n_bins])

@@ -77,15 +77,6 @@ class ImageGrid:
         ys = -0.5 * self.extent + dy * (np.arange(self.ny) + 0.5)
         return xs, ys
 
-    def pixel_centers(self, idx=None) -> np.ndarray:
-        """Centers of the pixels with flat indices ``idx``, shape (len(idx), 2).
-
-        ``idx`` defaults to every pixel, in flat order.
-        """
-        xs, ys = self.pixel_axes()
-        idx = np.arange(self.n_pixels) if idx is None else np.asarray(idx)
-        return np.stack([xs[idx % self.nx], ys[idx // self.nx]], axis=-1)
-
     def center_xy(self) -> tuple[np.ndarray, np.ndarray]:
         """Abscissae and ordinates of the centers of the pixels the mask keeps
         (every pixel without a mask), in flat order, as two contiguous arrays."""

@@ -46,9 +46,19 @@ class QuadratureSpec:
             raise ValueError("quadrature spec needs order >= 2, max_refine >= 1, init_panels >= 1")
 
 
+# Quadrature nodes per row block of one doubling: 1 MB per float64 array, so
+# a doubling's (rays, nodes) temporaries stay that size whatever the ray
+# count.  A fixed rule, not a setting.
+_BLOCK_NODES = 1 << 17
+
+
 @lru_cache(maxsize=None)
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only:
+    every caller, on any thread, shares the same two arrays."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return nodes, weights
 
 
@@ -92,33 +102,43 @@ def _bump_line_integrals(geom, bump, r, spec: QuadratureSpec) -> tuple[np.ndarra
         # unit-interval nodes of every panel, shape (panels * order,)
         u = (mids[:, None] + half * nodes[None, :]).ravel()
         w = np.tile(half * weights, panels)
-        # per-coordinate (rays, nodes) arrays, updated in place
-        t = np.multiply.outer(span[live], u)
-        t += t0[live, None]
-        px = t * dx[live, None]
-        px += ox[live, None]
-        px -= cx
-        np.square(px, out=px)
-        py = t * dy[live, None]
-        py += oy[live, None]
-        py -= cy
-        np.square(py, out=py)
-        s2 = px
-        s2 += py
-        s2 /= r2
-        fval = np.subtract(1.0, s2, out=py)
-        np.maximum(fval, 1e-300, out=fval)
-        np.divide(-1.0, fval, out=fval)
-        # outside the support (s2 >= 1) this is exp(-1 / 1e-300) = +0.0
-        with np.errstate(divide="ignore", over="ignore"):
-            np.exp(fval, out=fval)
-        fval *= bump.amplitude
-        if geom.mu != 0.0:  # a unit weight multiplies by exactly 1
-            fval *= geom.weight(rr[live, None], t)
-        fval *= w
-        # np.sum keeps the reduction order independent of the batch size,
-        # unlike @ which picks BLAS blockings by shape
-        return span[live] * np.sum(fval, axis=-1)
+        # per-coordinate (rays, nodes) scratch arrays, reused by every row
+        # block; a unit weight never reads t again, so py overwrites it
+        rows = max(1, min(live.size, _BLOCK_NODES // u.size))
+        t = np.empty((rows, u.size))
+        px = np.empty_like(t)
+        py = t if geom.mu == 0.0 else np.empty_like(t)
+        out = np.empty(live.size)
+        for lo in range(0, live.size, rows):
+            blk = live[lo:lo + rows]
+            tb, xb, yb = t[:blk.size], px[:blk.size], py[:blk.size]
+            np.multiply.outer(span[blk], u, out=tb)
+            tb += t0[blk, None]
+            np.multiply(tb, dx[blk, None], out=xb)
+            xb += ox[blk, None]
+            xb -= cx
+            np.square(xb, out=xb)
+            np.multiply(tb, dy[blk, None], out=yb)
+            yb += oy[blk, None]
+            yb -= cy
+            np.square(yb, out=yb)
+            s2 = xb
+            s2 += yb
+            s2 /= r2
+            fval = np.subtract(1.0, s2, out=yb)
+            np.maximum(fval, 1e-300, out=fval)
+            np.divide(-1.0, fval, out=fval)
+            # outside the support (s2 >= 1) this is exp(-1 / 1e-300) = +0.0
+            with np.errstate(divide="ignore", over="ignore"):
+                np.exp(fval, out=fval)
+            fval *= bump.amplitude
+            if geom.mu != 0.0:  # a unit weight multiplies by exactly 1
+                fval *= geom.weight(rr[blk, None], tb)
+            fval *= w
+            # np.sum keeps the reduction order independent of the batch size,
+            # unlike @ which picks BLAS blockings by shape
+            out[lo:lo + blk.size] = span[blk] * np.sum(fval, axis=-1)
+        return out
 
     live = np.arange(idx.size)
     vals = composite(spec.init_panels, live)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -494,3 +495,66 @@ def test_separability_rejects_inadmissible_pair(tmp_path, capsys):
     # vertex 1 inside the domain: check and solve refuse this pair, and so does separability
     assert_configuration_error(tmp_path, capsys, "separability", "[geometry]\nvertex1 = 0 20\n",
                                ("--n1", "8", "--n2", "8"))
+
+
+# the check geometries at 2 x 4096 bins, and the weighted reference pair
+PAIR_GEOMETRIES = {
+    "par-par": "kind = par-par\ntheta1_deg = 0\ntheta2_deg = 90\n",
+    "par-fan": "kind = par-fan\ntheta1_deg = 0\nvertex2 = -80 0\nmu = 0\n",
+    "fan-fan": "kind = fan-fan\nvertex1 = 0 80\nvertex2 = -80 0\nmu = 0\n",
+    "weighted": "kind = fan-fan\n",
+}
+
+
+def _pair_inputs(tmp_path, geometry, seed=7):
+    cfg, _, _ = cli._load_config(write_config(
+        tmp_path, f"[geometry]\n{geometry}[detectors]\nbins1 = 4096\nbins2 = 4096\n"))
+    pair = cli._build_pair(cfg)
+    return pair, cli._build_phantom(cfg, pair, seed), cli._build_detectors(cfg, pair)
+
+
+@pytest.mark.parametrize("name", PAIR_GEOMETRIES)
+def test_project_pair_equals_two_calls_in_turn(tmp_path, name):
+    pair, ph, dets = _pair_inputs(tmp_path, PAIR_GEOMETRIES[name])
+    threads = threading.active_count()
+    got = cli._project_pair(pair, ph, dets)
+    assert threading.active_count() == threads
+    want = (pp.project_view(pair.first, ph, dets[0]), pp.project_view(pair.second, ph, dets[1]))
+    for g, w in zip(got, want):
+        assert g.grid is w.grid
+        assert g.values.tobytes() == w.values.tobytes()
+    assert got[0].values.max() > 0 and got[1].values.max() > 0
+
+
+def _failing_views(failing):
+    """A project_view that raises for the views in ``failing``; view 1 waits
+    until view 2 has finished, so view 2's error is the earlier one."""
+    view2_done = threading.Event()
+
+    def project_view(geom, ph, det):
+        try:
+            if det.view == 1:
+                assert view2_done.wait(10.0)
+            if det.view in failing:
+                raise pp.ConfigurationError(f"view {det.view} failed")
+            return pp.ProjectionData(grid=det, values=np.zeros(det.n_bins))
+        finally:
+            if det.view == 2:
+                view2_done.set()
+
+    return project_view
+
+
+@pytest.mark.parametrize("failing, message", [((1, 2), "view 1 failed"), ((2,), "view 2 failed"),
+                                              ((1,), "view 1 failed")])
+def test_project_pair_raises_the_first_views_error(tmp_path, monkeypatch, failing, message):
+    pair, ph, dets = _pair_inputs(tmp_path, PAIR_GEOMETRIES["fan-fan"])
+    monkeypatch.setattr(cli, "project_view", _failing_views(failing))
+    threads = threading.active_count()
+    with pytest.raises(pp.ConfigurationError, match=message):
+        cli._project_pair(pair, ph, dets)
+    assert threading.active_count() == threads
+    monkeypatch.setattr(cli, "project_view", _failing_views(()))
+    d1, d2 = cli._project_pair(pair, ph, dets)
+    assert (d1.grid, d2.grid) == dets
+    assert threading.active_count() == threads

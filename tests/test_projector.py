@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import projpair as pp
+from projpair import projector
 
 
 def ray_segments(geom, r, bump):
@@ -297,6 +298,28 @@ def test_random_phantom_equals_all_rays_loop_bitwise():
         spec = pp.QuadratureSpec()
         np.testing.assert_array_equal(pp.project_values(geom, ph, r),
                                       _reference_project(geom, ph, r, spec))
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.154])
+@pytest.mark.parametrize("block", [1, 1000], ids=["one-ray", "uneven"])
+def test_row_blocks_equal_one_block_bitwise(monkeypatch, mu, block):
+    # 1 node per block leaves one ray per block; 1000 leaves a short last block
+    geom = pp.FanGeometry((-90.0, 5.0), theta0=-math.pi, mu=mu)
+    r = _rays(geom, np.linspace(-1.2, 1.2, 257))
+    tight = pp.QuadratureSpec(order=2, abs_tol=1e-16, rel_floor=0.0, max_refine=3, init_panels=1)
+    specs = (pp.QuadratureSpec(), tight)
+    want = [_outcome(pp.project_values, geom, BUMP, r, spec) for spec in specs]
+    assert isinstance(want[1], tuple)
+    monkeypatch.setattr(projector, "_BLOCK_NODES", block)
+    assert [_outcome(pp.project_values, geom, BUMP, r, spec) for spec in specs] == want
+
+
+def test_gauss_legendre_rule_is_read_only():
+    nodes, weights = projector._gl_rule(16)
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights *= 2.0
 
 
 def test_settled_rays_leave_the_batch():
