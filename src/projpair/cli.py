@@ -17,7 +17,6 @@ import configparser
 import io
 import math
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +53,7 @@ from .geometry import (
     reference_domain,
     view_range,
 )
+from .parallel import two_threads
 from .phantom import Bump, Phantom, random_phantom, reference_target
 from .projector import project_view
 from .solver import cgne_solve, predicted_residual_floor
@@ -317,27 +317,13 @@ def _build_target(cfg, pair, dets, seed) -> tuple[ProjectionData, ProjectionData
 
 
 def _project_pair(pair: PairGeometry, ph: Phantom, dets) -> tuple[ProjectionData, ProjectionData]:
-    """Both views of ``ph``, view 2 on a second thread while view 1 runs on
-    this one.  Each view's arithmetic is its own and numpy releases the GIL
-    in the quadrature's array passes, so the values are those of two calls
-    in turn; so are the errors: view 1's is raised first, then view 2's."""
-    second: dict = {}
-
-    def run_second():
-        try:
-            second["data"] = project_view(pair.second, ph, dets[1])
-        except BaseException as exc:  # re-raised on the calling thread
-            second["error"] = exc
-
-    worker = threading.Thread(target=run_second, name="projpair-view2")
-    worker.start()
-    try:
-        first = project_view(pair.first, ph, dets[0])
-    finally:
-        worker.join()
-    if "error" in second:
-        raise second["error"]
-    return first, second["data"]
+    """Both views of ``ph``, projected on two threads.  Each view's arithmetic
+    is its own and numpy releases the GIL in the quadrature's array passes,
+    so the values are those of two calls in turn; so are the errors: view
+    1's is raised first, then view 2's."""
+    views = ((pair.first, dets[0]), (pair.second, dets[1]))
+    first, second = two_threads(lambda view: project_view(view[0], ph, view[1]), views)
+    return first, second
 
 
 def _write_common(outdir: Path, raw: str, resolved: str) -> None:

@@ -25,6 +25,7 @@ from .geometry import (
     reference_pair,
     reference_view_ranges,
 )
+from .parallel import two_threads
 
 DEFAULT_EXTENT = 70.0
 DEFAULT_BINS = 400
@@ -38,7 +39,8 @@ class ImageGrid:
     """Square-pixel raster over ``[-extent/2, extent/2]^2``-style boxes.
 
     ``mask`` flags pixels that participate in projection/reconstruction;
-    masked-out pixels are carried as zeros.
+    masked-out pixels are carried as zeros.  The grid keeps a read-only
+    flat copy of it.
     """
 
     nx: int
@@ -52,9 +54,12 @@ class ImageGrid:
         if not 0 < self.extent < math.inf:
             raise ConfigurationError("image extent must be positive and finite")
         if self.mask is not None:
-            m = np.asarray(self.mask, dtype=bool).ravel()
+            # a read-only copy: the operator's pixel list is taken from it
+            # once, and rasterize reads it again later
+            m = np.array(self.mask, dtype=bool).ravel()
             if m.size != self.nx * self.ny:
                 raise ConfigurationError("mask length must equal nx * ny")
+            m.flags.writeable = False
             object.__setattr__(self, "mask", m)
 
     @property
@@ -238,6 +243,62 @@ def _kernel_moment_fix(
     return sel, (q @ z)[..., 0] * valid
 
 
+def _view_table(geom, det: DetectorGrid, kern: Callable | None, x, y, delta: float, area: float):
+    """One view's window table ``(start, weights)`` over the pixels centred at
+    ``x``, ``y``, with ``delta`` the pixel side: see :class:`PairOperator`."""
+    m = x.size
+    n = det.n_bins
+    pad = 0 if kern is None else 1  # room for the correction's neighbour bins
+    blocks = [slice(i, i + _BLOCK) for i in range(0, m, _BLOCK)]
+    a, b, density = np.empty(m), np.empty(m), np.empty(m)
+    r_all = coeff_all = None
+    if kern is not None:  # the correction reads them again in pass 2
+        r_all, coeff_all = np.empty(m), np.empty(m)
+
+    def footprints(s: slice) -> float:
+        """Pass 1 on one block: footprints ``[a, b)`` in bin units and density.
+        Returns the widest footprint, in bins it touches."""
+        r, t = geom.inverse_xy(x[s], y[s])
+        w = delta / t  # angular footprint width
+        coeff = area * np.exp(geom.mu * t) / t  # projected mass per unit f
+        np.divide(coeff, w, out=density[s])
+        np.divide(r - det.lo, det.width, out=a[s])
+        a[s] -= 0.5 * w / det.width
+        np.add(a[s], w / det.width, out=b[s])
+        if kern is not None:
+            r_all[s], coeff_all[s] = r, coeff
+        touched = np.ceil(b[s])
+        touched -= np.floor(a[s])
+        return np.max(touched, initial=1.0)
+
+    span = np.max(two_threads(footprints, blocks))
+    width = min(n, int(span) + 2 * pad)
+    start = np.empty(m, dtype=np.int64)
+    weights = np.empty((width, m))
+
+    def fill(s: slice) -> None:
+        """Pass 2 on one block: its columns of ``start`` and ``weights``."""
+        a_s, b_s = a[s], b[s]
+        start[s], _ = _window(a_s, b_s, n, pad, width)
+        # The bin edges k and k + 1 are exact in float, so they are formed
+        # from one float copy of start into one scratch buffer.
+        first = start[s].astype(float)
+        edge = np.empty_like(first)
+        for off, row in enumerate(weights[:, s]):
+            np.add(first, off + 1.0, out=edge)
+            np.minimum(b_s, edge, out=row)
+            np.add(first, float(off), out=edge)
+            row -= np.maximum(a_s, edge, out=edge)
+            np.maximum(row, 0.0, out=row)
+            row *= density[s]
+        if kern is not None:
+            sel, change = _kernel_moment_fix(det, a_s, b_s, r_all[s], coeff_all[s], kern, start[s], weights[:, s])
+            weights[:, s.start + sel] += change.T
+
+    two_threads(fill, blocks)
+    return start, weights
+
+
 class PairOperator:
     """Pixel-driven discretization of two exponential fan projections.
 
@@ -265,12 +326,18 @@ class PairOperator:
     dropped.  Forward and adjoint read the same table, so they are exact
     transposes of each other.
 
-    The table is built in blocks of ``_BLOCK`` pixels: a first pass finds
-    each pixel's footprint ``[a, b)`` in bin units and its density, a second
-    places the windows, fills them and applies the mu = 0 correction below.
-    Every step works on one pixel at a time, so the table is bitwise the same
-    as one built on all pixels at once, but a block's temporaries stay in
-    cache and are never larger than a block.
+    Each view's table is built in blocks of ``_BLOCK`` pixels, in two
+    passes: the first finds each pixel's footprint ``[a, b)`` in bin units
+    and its density, and the widest footprint, the second places the
+    windows, fills them and applies the mu = 0 correction below.  Each pass
+    shares its blocks between two threads (:func:`two_threads`) and joins
+    them before the next; a block writes only its own pixels' entries, and
+    the widest footprint is a maximum, the same in any order.  Every step
+    works on one pixel at a time, so the table is bitwise the same as one
+    built on all pixels at once, on one core or two, but a block's
+    temporaries stay in cache and are never larger than a block.  The views
+    are built one after the other, so one view's per-pixel arrays are alive
+    at a time.  An image of one block is built on the calling thread alone.
 
     When the pair admits kernels (``known_kernels(pair)`` is not None, the
     unweighted mu = 0 pair) each deposit is corrected so that the sampled,
@@ -307,60 +374,12 @@ class PairOperator:
         if self._idx.size == 0:
             raise ConfigurationError("the image mask keeps no pixel inside the domain")
         x, y = image.center_xy()
-        m = x.size
-        blocks = [slice(i, i + _BLOCK) for i in range(0, m, _BLOCK)]
-        delta = dx
-        area = image.pixel_area
         kernels = known_kernels(pair)
         kerns = (None, None) if kernels is None else (kernels.v1, kernels.v2)
-        self._tables = []
-        for geom, det, kern in zip((pair.first, pair.second), self.dets, kerns):
-            n = det.n_bins
-            pad = 0 if kern is None else 1  # room for the correction's neighbour bins
-            a, b, density = np.empty(m), np.empty(m), np.empty(m)
-            r_all = coeff_all = None
-            if kern is not None:  # the correction reads them again in pass 2
-                r_all, coeff_all = np.empty(m), np.empty(m)
-            span = 1.0  # the widest footprint, in bins it touches
-            for s in blocks:
-                r, t = geom.inverse_xy(x[s], y[s])
-                w = delta / t  # angular footprint width
-                coeff = area * np.exp(geom.mu * t) / t  # projected mass per unit f
-                np.divide(coeff, w, out=density[s])
-                np.divide(r - det.lo, det.width, out=a[s])
-                a[s] -= 0.5 * w / det.width
-                np.add(a[s], w / det.width, out=b[s])
-                touched = np.ceil(b[s])
-                touched -= np.floor(a[s])
-                span = np.max(touched, initial=span)
-                if kern is not None:
-                    r_all[s], coeff_all[s] = r, coeff
-            # a block's arrays are as long as the full ones on a small image
-            del r, t, w, coeff, touched
-            width = min(n, int(span) + 2 * pad)
-            start = np.empty(m, dtype=np.int64)
-            weights = np.empty((width, m))
-            for s in blocks:
-                a_s, b_s = a[s], b[s]
-                start[s], _ = _window(a_s, b_s, n, pad, width)
-                # The bin edges k and k + 1 are exact in float, so they are
-                # formed from one float copy of start into one scratch buffer.
-                first = start[s].astype(float)
-                edge = np.empty_like(first)
-                for off, row in enumerate(weights[:, s]):
-                    np.add(first, off + 1.0, out=edge)
-                    np.minimum(b_s, edge, out=row)
-                    np.add(first, float(off), out=edge)
-                    row -= np.maximum(a_s, edge, out=edge)
-                    np.maximum(row, 0.0, out=row)
-                    row *= density[s]
-                if kern is not None:
-                    sel, change = _kernel_moment_fix(
-                        det, a_s, b_s, r_all[s], coeff_all[s], kern, start[s], weights[:, s])
-                    weights[:, s.start + sel] += change.T
-            # each is 6 MB at 1000^2: free them before the next view's
-            del a, b, density, r_all, coeff_all, a_s, b_s, first, edge
-            self._tables.append((start, weights))
+        self._tables = [
+            _view_table(geom, det, kern, x, y, dx, image.pixel_area)
+            for geom, det, kern in zip((pair.first, pair.second), self.dets, kerns)
+        ]
 
     @property
     def shape(self) -> tuple[int, int]:

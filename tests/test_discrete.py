@@ -1,6 +1,7 @@
 """Discrete pixel-driven operator: oracle match, adjointness, conservation, I/O."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -318,6 +319,16 @@ def test_rasterize_zeroes_masked_pixels():
         np.testing.assert_array_equal(pp.rasterize(ph, grid), dense)
 
 
+def test_image_grid_keeps_a_read_only_copy_of_the_mask():
+    source = np.ones((4, 4), dtype=bool)
+    grid = pp.ImageGrid(4, 4, mask=source)
+    source[0, 0] = False
+    assert grid.mask.all() and not np.shares_memory(grid.mask, source)
+    with pytest.raises(ValueError):
+        grid.mask[0] = False
+    assert grid.mask.all()
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -506,6 +517,72 @@ def test_window_tables_bitwise_with_blocks_outside_the_detector():
         inside = [np.any((r[i:i + block] >= det.lo) & (r[i:i + block] <= det.hi)) for i in range(0, r.size, block)]
         assert len(inside) == 3 and any(inside) and not all(inside)
     _assert_tables_equal_bitwise(op)
+
+
+def _block_of(x):
+    """Index of the build block whose abscissae ``x`` are: a view into the
+    operator's array of all the masked pixels' abscissae."""
+    offset = x.__array_interface__["data"][0] - x.base.__array_interface__["data"][0]
+    return offset // x.itemsize // pp.discrete._BLOCK
+
+
+@pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "moment-fix"])
+def test_window_tables_bitwise_on_many_blocks(mu):
+    # 420^2 keeps 136 934 pixels, five blocks shared between two threads;
+    # at 400 bins view 1's widest footprints (three bins) lie in blocks 2 to
+    # 4 only, so the width is a maximum taken across both threads
+    op = pp.reference_operator(nx=420, n_bins=400, mu=mu)
+    x, y = op.image.center_xy()
+    block = pp.discrete._BLOCK
+    assert -(-x.size // block) == 5
+    r, t = op.pair.first.inverse_xy(x, y)
+    det = op.dets[0]
+    w = op.image.pixel_size[0] / t / det.width
+    a = (r - det.lo) / det.width - 0.5 * w
+    touched = np.ceil(a + w) - np.floor(a)
+    assert np.max(touched[:block]) < np.max(touched)
+    _assert_tables_equal_bitwise(op)
+
+
+def test_build_raises_the_first_failed_blocks_error(monkeypatch):
+    # blocks 2 and later (counting from 0) fail, each with its own message;
+    # block 2 fails only after block 3 has, so its error is the later one
+    pair = pp.reference_pair(-0.154)
+    image = pp.ImageGrid.from_domain(420, 420, pair.domain)
+    inverse_xy = pp.FanGeometry.inverse_xy
+    block3_failed = threading.Event()
+
+    def failing_inverse_xy(self, x, y):
+        k = _block_of(x)
+        if k < 2:
+            return inverse_xy(self, x, y)
+        if k == 2:
+            assert block3_failed.wait(10.0)
+        if k == 3:
+            block3_failed.set()
+        raise pp.ConfigurationError(f"block {k} failed")
+
+    monkeypatch.setattr(pp.FanGeometry, "inverse_xy", failing_inverse_xy)
+    threads = threading.active_count()
+    with pytest.raises(pp.ConfigurationError, match="block 2 failed"):
+        pp.PairOperator(pair, image, *pp.reference_grids(60))
+    assert threading.active_count() == threads
+
+
+def test_only_builds_over_one_block_start_threads(monkeypatch):
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(pp.parallel.threading, "Thread", CountedThread)
+    # 120^2 is one block; 256^2 two, one worker per pass and view
+    for nx, workers in ((120, 0), (256, 4)):
+        started.clear()
+        pp.reference_operator(nx=nx, n_bins=60)
+        assert len(started) == workers
 
 
 @pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "moment-fix"])
