@@ -17,7 +17,6 @@ from .errors import (
     EvaluationError,
     ParallelRaysError,
     ProjPairError,
-    ResolutionError,
     SingularPointError,
 )
 from .geometry import (
@@ -78,8 +77,6 @@ from .consistency import (
     kernel_condition_residual,
     known_kernels,
     pprc_sides,
-    pv_hilbert_residual,
-    sample_intersections,
     separability_test,
 )
 from .solver import CgneState, cgne_solve, predicted_residual_floor

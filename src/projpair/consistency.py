@@ -21,13 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, EvaluationError, ResolutionError
+from .errors import ConfigurationError, DomainError, EvaluationError
 from .geometry import (
     DENOM_TOL,
     PairGeometry,
     direction,
-    intersect,
-    lift_angle,
     pair_orientation,
     perp,
     view_range,
@@ -106,129 +104,34 @@ def pprc_sides(target, kernels: KernelPair) -> tuple[float, float]:
 # Kernel condition
 
 
-def _factor(geom, x) -> np.ndarray:
-    """weight(at the point) times |det D inverse| for one family."""
-    r, t = geom.inverse(x)
-    return geom.weight(r, t) * geom.jacobian_inv(x)
+def kernel_condition_residual(pair: PairGeometry, kernels: KernelPair, n: int = 1024) -> float:
+    """Worst relative mismatch between the two sides of the kernel condition.
 
-
-def sample_intersections(pair: PairGeometry, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ray-parameter pairs of points of the domain, at least ``n`` of them."""
+    The condition is evaluated at points of the domain: a regular grid over
+    its bounding box, refined until at least ``n`` of its points lie inside.
+    Each such point ``x`` is where the ray ``r1`` of the first family meets
+    the ray ``r2`` of the second, with ``r1`` and ``r2`` from each family's
+    ``inverse`` at ``x``.  The left side is the ratio of the two families'
+    ``weight * jacobian_inv`` factors at ``x``; the right side is
+    ``V2(r2) / V1(r1)``.  ``n`` must be at least 1: a residual over no
+    sample would certify nothing.
+    """
+    if not n >= 1:
+        raise ConfigurationError(f"n must be at least 1, got {n!r}")
     m = max(4, int(math.ceil(math.sqrt(2.0 * n))))
     pts = pair.domain.grid_points(m, m)
     while len(pts) < n:
         m = int(m * 1.5) + 1
         pts = pair.domain.grid_points(m, m)
-    r1, _ = pair.first.inverse(pts)
-    r2, _ = pair.second.inverse(pts)
-    return r1, r2
-
-
-def kernel_condition_residual(pair: PairGeometry, kernels: KernelPair, n: int = 1024) -> float:
-    """Worst relative mismatch between the two sides of the kernel condition.
-
-    The left side is the factor ratio of the two families at the
-    intersection point; the right side is ``V2(r2) / V1(r1)``.  The ray
-    pairs are those through ``n`` or more points of the domain
-    (:func:`sample_intersections`).
-    """
-    r1, r2 = sample_intersections(pair, n)
-    x, _, _ = intersect(pair.first, pair.second, r1, r2)
-    inside = pair.domain.contains(x)
-    if not np.all(inside):
-        k = int(np.flatnonzero(~inside)[0])
-        raise DomainError(
-            f"ray pair ({float(r1[k])!r}, {float(r2[k])!r}) meets outside the image domain"
-        )
-    lhs = _factor(pair.first, x) / _factor(pair.second, x)
+    r1, t1 = pair.first.inverse(pts)
+    r2, t2 = pair.second.inverse(pts)
+    lhs = (pair.first.weight(r1, t1) * pair.first.jacobian_inv(pts)) / (
+        pair.second.weight(r2, t2) * pair.second.jacobian_inv(pts)
+    )
     rhs = kernels.v2(r2) / kernels.v1(r1)
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         raise EvaluationError("kernel condition produced a non-finite value")
     return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))))
-
-
-# ---------------------------------------------------------------------------
-# Principal-value variant of the parallel-fan condition
-
-
-def _gap_trapezoid(r: np.ndarray, y: np.ndarray, holes: list[tuple[float, float]]) -> float:
-    keep = np.ones(r.shape, dtype=bool)
-    for lo, hi in holes:
-        keep &= ~((r > lo) & (r < hi))
-    total = 0.0
-    idx = np.flatnonzero(keep)
-    if idx.size < 2:
-        return 0.0
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    start = 0
-    for b in list(breaks) + [idx.size - 1]:
-        seg = idx[start : b + 1]
-        if seg.size >= 2:
-            total += float(np.trapezoid(y[seg], r[seg]))
-        start = b + 1
-    return total
-
-
-def pv_hilbert_residual(target, pair: PairGeometry, eps_values) -> float:
-    """Symmetric-exclusion principal-value form of the parallel-fan condition.
-
-    Both side integrals exclude a symmetric ``eps`` neighborhood of their
-    stated center (the vertex offset on view 1, the family angle on view 2);
-    the residual left-minus-right is evaluated for each ``eps`` and
-    extrapolated to ``eps -> 0`` by first-order Richardson over the last
-    three values.
-
-    Raises
-    ------
-    ResolutionError
-        If a genuinely singular parameter falls strictly inside a grid and
-        closer than half a bin to a sample node: the symmetric cancellation
-        the principal value relies on is then unreliable at this resolution.
-    """
-    if pair.kind != "par-fan" or pair.second.mu != 0.0:
-        raise ConfigurationError("the principal-value condition applies to unweighted parallel-fan pairs")
-    eps_values = [float(e) for e in eps_values]
-    if len(eps_values) < 3:
-        raise ConfigurationError("need at least three eps values for extrapolation")
-    if any(e <= 0 for e in eps_values):
-        raise ConfigurationError("eps values must be positive")
-    eps_values = sorted(eps_values, reverse=True)
-    d1, d2 = target
-    theta = pair.first.theta
-    fan = pair.second
-    s0 = float(fan.vertex_xy @ direction(theta))
-
-    # Genuine singularities: the vertex offset on view 1; the angles where
-    # the fan ray is parallel to the family lines on view 2.
-    sing2 = [
-        lift_angle(theta + 0.5 * math.pi, fan.theta0),
-        lift_angle(theta - 0.5 * math.pi, fan.theta0),
-    ]
-    for grid, sing in ((d1.grid, [s0]), (d2.grid, sing2)):
-        for s in sing:
-            if grid.lo < s < grid.hi:
-                dist = float(np.min(np.abs(grid.centers - s)))
-                if dist < 0.5 * grid.width * (1.0 - 1e-12):
-                    raise ResolutionError(
-                        f"singular parameter {s!r} lies within half a bin of a sample node"
-                    )
-
-    centers2 = [lift_angle(theta, fan.theta0), lift_angle(theta + math.pi, fan.theta0)]
-    r1 = d1.grid.centers
-    r2 = d2.grid.centers
-    with np.errstate(divide="ignore"):
-        y1 = d1.values / (r1 - s0)
-        y2 = d2.values / np.cos(theta - r2)
-    values = []
-    for eps in eps_values:
-        holes1 = [(s0 - eps, s0 + eps)]
-        holes2 = [(c - eps, c + eps) for c in centers2] + [(s - eps, s + eps) for s in sing2]
-        left = _gap_trapezoid(r1, y1, holes1)
-        right = _gap_trapezoid(r2, y2, holes2)
-        values.append(left - right)
-    a1 = 2.0 * values[-2] - values[-3]
-    a2 = 2.0 * values[-1] - values[-2]
-    return (4.0 * a2 - a1) / 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,6 @@ class EvaluationError(ProjPairError, RuntimeError):
     """A kernel or integrand produced a non-finite value at a sample."""
 
 
-class ResolutionError(ProjPairError, RuntimeError):
-    """A grid is too coarse (or misaligned) for the requested computation."""
-
-
 class DegenerateKernelError(ProjPairError, ValueError):
     """A kernel vanishes identically on the sampled range."""
 

@@ -306,7 +306,10 @@ class ImageDomain:
             raise ConfigurationError("polygon needs at least three (x, y) vertices")
         if not np.all(np.isfinite(v)):
             raise ConfigurationError("polygon vertices must be finite")
-        if _polygon_area(v) < 0:
+        area = _polygon_area(v)
+        if area == 0:
+            raise ConfigurationError("polygon vertices enclose no area")
+        if area < 0:
             v = v[::-1].copy()
         c = v.mean(axis=0)
         return ImageDomain(kind="polygon", center=(float(c[0]), float(c[1])), vertices=v)

@@ -393,6 +393,8 @@ def test_malformed_number_is_a_configuration_error(tmp_path, capsys, command, te
 
 
 SMALL_SOLVE = "[image]\nnx = 24\nny = 24\n[solver]\nmax_iter = 5\n"
+# three collinear vertices: a segment, not a domain
+ZERO_AREA_POLYGON = "[domain]\nkind = polygon\nvertices = -10 -10, 0 0, 10 10\n"
 
 
 @pytest.mark.parametrize("command, text, options", [
@@ -407,9 +409,12 @@ SMALL_SOLVE = "[image]\nnx = 24\nny = 24\n[solver]\nmax_iter = 5\n"
     ("solve", "[solver]\nmax_iter = -1\n", ()),
     ("solve", "", ("--max-iter", "-1")),
     ("solve", "[image]\nnx = 0\n", ()),
+    ("separability", ZERO_AREA_POLYGON, ()),
+    ("check", ZERO_AREA_POLYGON, ()),
 ], ids=["separability-n1", "separability-n2", "separability-option-n1-zero",
         "check-tol", "check-option-tol", "solve-tol", "solve-option-tol", "solve-pgm-window",
-        "solve-max-iter", "solve-option-max-iter", "solve-nx-zero"])
+        "solve-max-iter", "solve-option-max-iter", "solve-nx-zero",
+        "separability-zero-area-polygon", "check-zero-area-polygon"])
 def test_out_of_range_value_is_a_configuration_error(tmp_path, capsys, command, text, options):
     assert_configuration_error(tmp_path, capsys, command, text, options)
 

@@ -1,4 +1,4 @@
-"""Range-condition kernels, the log-LHS surface, G, separability, PV form."""
+"""Range-condition kernels, the kernel condition, the log-LHS surface, G, separability."""
 
 import math
 
@@ -83,10 +83,26 @@ def test_kernel_sign_constancy():
             assert (vals > 0).all() or (vals < 0).all()
 
 
+# a non-convex L: points of its bounding box outside it are not sampled
+L_SHAPE = pp.ImageDomain.polygon([(-20, -20), (20, -20), (20, 0), (0, 0), (0, 20), (-20, 20)])
+
+
 def test_kernel_condition_residual_all_kinds():
-    for pair in (parpar_pair(), parfan_pair(), pp.reference_pair(mu=0.0)):
+    pairs = [parpar_pair(), parfan_pair(), pp.reference_pair(mu=0.0),
+             pp.PairGeometry(pp.ParGeometry(0.3), pp.ParGeometry(1.9), L_SHAPE),
+             pp.PairGeometry(pp.ParGeometry(0.4), pp.FanGeometry((-90.0, 10.0), theta0=-math.pi), L_SHAPE),
+             pp.geometry.fan_pair(pp.REFERENCE_VERTEX_1, pp.REFERENCE_VERTEX_2, 0.0, L_SHAPE)]
+    for pair in pairs:
+        assert pp.check_pair_admissible(pair).passed
         K = pp.known_kernels(pair)
         assert pp.kernel_condition_residual(pair, K, n=2048) < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, -1, math.nan])
+def test_kernel_condition_residual_needs_a_sample(n):
+    pair = parpar_pair()
+    with pytest.raises(pp.ConfigurationError):
+        pp.kernel_condition_residual(pair, pp.known_kernels(pair), n=n)
 
 
 def test_kernel_condition_invariant_under_joint_scaling():
@@ -146,53 +162,6 @@ def test_pprc_sides_reject_singular_kernel():
                         label="singular")
     with np.errstate(divide="ignore"), pytest.raises(pp.EvaluationError):
         pp.pprc_sides(tgt, bad)
-
-
-# --- principal-value form for the parallel-fan pair --------------------------
-
-
-def test_pv_hilbert_range_data():
-    pair = parfan_pair()
-    rng = np.random.default_rng(42)
-    ph = pp.random_phantom(rng, pair.domain, n_bumps=2, radius_range=(2.5, 5.0))
-    tgt = fine_target(pair, ph)
-    resid = pp.pv_hilbert_residual(tgt, pair, [0.2, 0.1, 0.05])
-    assert abs(resid) < 1e-10
-
-
-def test_pv_hilbert_odd_symmetry():
-    """Even data about the vertex offset makes the weighted integrand odd, so
-    the symmetric exclusion cancels the view-1 side; the other view is zero."""
-    pair = pp.PairGeometry(
-        pp.ParGeometry(0.0), pp.FanGeometry((-60.0, 0.0), theta0=-math.pi),
-        pp.ImageDomain.disc((2.0, -1.0), 16.0))
-    s0 = -60.0
-    g1_grid = pp.DetectorGrid(1, 32, s0 - 1.0, s0 + 1.0)
-    g1 = np.exp(-((g1_grid.centers - s0) ** 2))
-    g2_grid = pp.DetectorGrid(2, 16, 0.1, 0.3)
-    tgt = pp.ProjectionData(g1_grid, g1), pp.ProjectionData(g2_grid, np.zeros(16))
-    resid = pp.pv_hilbert_residual(tgt, pair, [0.5, 0.25, 0.125])
-    assert abs(resid) < 1e-12
-
-
-def test_pv_hilbert_resolution_error():
-    # an odd bin count puts the singular offset exactly on a sample node
-    pair = pp.PairGeometry(
-        pp.ParGeometry(0.0), pp.FanGeometry((-60.0, 0.0), theta0=-math.pi),
-        pp.ImageDomain.disc((2.0, -1.0), 16.0))
-    g1_grid = pp.DetectorGrid(1, 31, -61.0, -59.0)
-    g2_grid = pp.DetectorGrid(2, 16, 0.1, 0.3)
-    tgt = pp.ProjectionData(g1_grid, np.ones(31)), pp.ProjectionData(g2_grid, np.zeros(16))
-    with pytest.raises(pp.ResolutionError):
-        pp.pv_hilbert_residual(tgt, pair, [0.5, 0.25, 0.125])
-
-
-def test_pv_hilbert_requires_par_fan():
-    tgt = pp.reference_target(*pp.reference_grids(64))
-    with pytest.raises(pp.ConfigurationError):
-        pp.pv_hilbert_residual(tgt, pp.reference_pair(mu=0.0), [0.4, 0.2, 0.1])
-    with pytest.raises(pp.ConfigurationError):
-        pp.pv_hilbert_residual(tgt, weighted_parfan_pair(), [0.4, 0.2, 0.1])
 
 
 # --- the log-LHS surface and G -----------------------------------------------

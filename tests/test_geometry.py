@@ -300,6 +300,15 @@ def test_contains_xy_any_broadcast_shape(dom, shapes):
     np.testing.assert_array_equal(dom.contains(np.stack([xx, yy], axis=-1)), want)
 
 
+@pytest.mark.parametrize("vertices", [
+    [[-10.0, -10.0], [0.0, 0.0], [10.0, 10.0]],  # collinear
+    [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [10.0, 0.0]],  # an edge and back
+], ids=["collinear", "doubled-back"])
+def test_polygon_with_zero_area_is_refused(vertices):
+    with pytest.raises(pp.ConfigurationError, match="no area"):
+        pp.ImageDomain.polygon(vertices)
+
+
 def test_disc_domain_contains_and_chord():
     dom = pp.ImageDomain.disc((1.0, -2.0), 5.0)
     assert dom.contains(np.array([[1.0, -2.0]]))[0]

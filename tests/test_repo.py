@@ -1,6 +1,6 @@
-"""Repository-level checks: no unused imports in the package, the README's
-library quick start runs as written, and its config example and the config
-keys it names match the CLI's schema."""
+"""Repository-level checks: no unused imports or private names in the
+package, the README's library quick start runs as written, and its config
+example and the config keys it names match the CLI's schema."""
 
 import ast
 import contextlib
@@ -28,6 +28,22 @@ def test_no_unused_module_level_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used)
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_private_module_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = sorted(private - read)
+    assert not unused, f"{path.name}: private names never read in their module: {unused}"
 
 
 def test_readme_quick_start_runs():
