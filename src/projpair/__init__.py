@@ -54,7 +54,7 @@ from .phantom import (
     random_phantom,
     reference_target,
 )
-from .projector import QuadratureSpec, continuity_bound_check, project_values, project_view
+from .projector import continuity_bound_check, project_values, project_view
 from .discrete import (
     DetectorGrid,
     ImageGrid,

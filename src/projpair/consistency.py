@@ -188,7 +188,6 @@ def separability_test(
     L: np.ndarray,
     r1_values: np.ndarray,
     r2_values: np.ndarray,
-    threshold: float | None = None,
 ) -> SeparabilityReport:
     """Test whether ``L[i, j] ~ a(r1_i) + b(r2_j)`` on the valid entries.
 
@@ -202,9 +201,10 @@ def separability_test(
     both rows share.  The report is the one the plain loop over row pairs
     gives: the same subtractions, and the first maximum in row-pair then
     column order.  ``scale`` is the largest ``|L|`` and must be at most half
-    the largest float, so no difference overflows; the default threshold is
-    ``1e-8 * scale``.  A surface is separable exactly when D vanishes
-    identically.
+    the largest float, so no difference overflows.  The verdict is
+    ``separable`` when the largest D is at most the threshold
+    ``1e-8 * scale``, a fixed rule.  A surface is separable exactly when D
+    vanishes identically.
 
     Row pairs that provably cannot reach the maximum are skipped.  The
     spread is a seminorm of the row
@@ -277,8 +277,7 @@ def separability_test(
                 -float(np.fmin.reduce(work, axis=None, initial=np.inf)))
     if scale > 0.5 * np.finfo(float).max:
         raise ConfigurationError(f"|L| reaches {scale:.6g}; row differences would overflow")
-    if threshold is None:
-        threshold = 1e-8 * scale
+    threshold = 1e-8 * scale
     # columns each row pair shares, n2 - c_i - c_j + (columns both miss), in
     # exact integers; the last term is nonzero only between rows missing
     # some column, and is counted on their bit-packed masks

@@ -11,6 +11,7 @@ import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -82,13 +83,20 @@ class ImageGrid:
         ys = -0.5 * self.extent + dy * (np.arange(self.ny) + 0.5)
         return xs, ys
 
-    def center_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        """Abscissae and ordinates of the centers of the pixels the mask keeps
-        (every pixel without a mask), in flat order, as two contiguous arrays."""
+    @cached_property
+    def center_xy(self) -> np.ndarray:
+        """Abscissae (row 0) and ordinates (row 1) of the centers of the
+        pixels the mask keeps (every pixel without a mask), in flat order.
+
+        Formed once per grid and read-only: the operator build reads the
+        two contiguous rows, and :func:`rasterize` their transpose, with
+        no copy."""
         xs, ys = self.pixel_axes()
         shape = (self.ny, self.nx)
         keep = np.ones(shape, dtype=bool) if self.mask is None else self.mask.reshape(shape)
-        return np.broadcast_to(xs, shape)[keep], np.repeat(ys, np.count_nonzero(keep, axis=1))
+        xy = np.stack((np.broadcast_to(xs, shape)[keep], np.repeat(ys, np.count_nonzero(keep, axis=1))))
+        xy.flags.writeable = False
+        return xy
 
     @staticmethod
     def from_domain(nx: int, ny: int, domain: ImageDomain, extent: float = DEFAULT_EXTENT) -> "ImageGrid":
@@ -174,10 +182,11 @@ class ProjectionData:
 def rasterize(func: Callable, grid: ImageGrid) -> np.ndarray:
     """Sample ``func`` at pixel centers, zero outside the mask.
 
-    ``func`` maps points of shape (n, 2) to n values.  With a mask it is
-    called on the centers of the masked pixels only.
+    ``func`` maps points of shape (n, 2) to n values; it gets a read-only
+    view of the grid's centers.  With a mask it is called on the centers of
+    the masked pixels only.
     """
-    vals = np.asarray(func(np.stack(grid.center_xy(), axis=-1)), dtype=float).ravel()
+    vals = np.asarray(func(grid.center_xy.T), dtype=float).ravel()
     if grid.mask is None:
         return vals
     image = np.zeros(grid.n_pixels)
@@ -373,7 +382,7 @@ class PairOperator:
         self._idx = np.flatnonzero(image.mask)
         if self._idx.size == 0:
             raise ConfigurationError("the image mask keeps no pixel inside the domain")
-        x, y = image.center_xy()
+        x, y = image.center_xy
         kernels = known_kernels(pair)
         kerns = (None, None) if kernels is None else (kernels.v1, kernels.v2)
         self._tables = [

@@ -242,9 +242,20 @@ def intersect(first, second, r1, r2):
 # Image domains
 
 
-def _polygon_area(verts: np.ndarray) -> float:
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _polygon_area(verts: np.ndarray) -> tuple[float, float]:
+    """Signed shoelace area of the vertices and the rounding it is known to.
+
+    The area is taken about the vertices' mean, so that its own rounding
+    scales with their spread ``R = max |v - mean|``.  Rounding a vertex to
+    doubles moves it by up to ``sqrt(2) u M``, with ``M = max |v|`` and
+    ``u = eps / 2``, and moving vertex ``i`` by ``d`` changes the area by
+    ``cross(d, v[i+1] - v[i-1]) / 2``, at most ``sqrt(2) u M R``; so an
+    area within ``n * eps * M * R`` of zero may be zero."""
+    d = verts - verts.mean(axis=0)
+    x, y = d[:, 0], d[:, 1]
+    area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    size = float(np.max(np.hypot(verts[:, 0], verts[:, 1])))
+    return area, len(verts) * np.finfo(float).eps * size * float(np.max(np.hypot(x, y)))
 
 
 def _finite_center(center) -> tuple[float, float]:
@@ -306,8 +317,8 @@ class ImageDomain:
             raise ConfigurationError("polygon needs at least three (x, y) vertices")
         if not np.all(np.isfinite(v)):
             raise ConfigurationError("polygon vertices must be finite")
-        area = _polygon_area(v)
-        if area == 0:
+        area, slack = _polygon_area(v)
+        if abs(area) <= slack:
             raise ConfigurationError("polygon vertices enclose no area")
         if area < 0:
             v = v[::-1].copy()

@@ -14,6 +14,12 @@ from .geometry import HALF_FAN_ANGLE, ImageDomain
 
 # Angular half-width of the support of the inconceivable target on view 2.
 SUPPORT_HALF_ANGLE = math.atan2(1.0, 6.0)
+# random_phantom's placement rule: bump radii drawn from this range, the
+# gap kept to the domain boundary, and the draws before it gives up.  A
+# fixed rule, not a setting.
+_RADIUS_RANGE = (3.0, 8.0)
+_CLEARANCE = 1.0
+_MAX_TRIES = 5000
 
 
 @dataclass(frozen=True)
@@ -143,34 +149,32 @@ def phantom_l2_norm(phantom: Phantom) -> float:
     return math.sqrt(total)
 
 
-def random_phantom(
-    rng: np.random.Generator,
-    domain: ImageDomain,
-    n_bumps: int = 3,
-    radius_range: tuple[float, float] = (3.0, 8.0),
-    clearance: float = 1.0,
-    max_tries: int = 5000,
-) -> Phantom:
+def random_phantom(rng: np.random.Generator, domain: ImageDomain, n_bumps: int = 3) -> Phantom:
     """Random bumps with pairwise disjoint supports strictly inside the domain.
 
-    Amplitudes are drawn uniformly from ``[0.5, 2)``.
+    Each draw takes a centre uniformly in the domain's bounding box, a
+    radius uniformly in ``_RADIUS_RANGE`` and an amplitude uniformly in
+    ``[0.5, 2)``.  A bump is kept when its centre lies in the domain, its
+    support stays ``_CLEARANCE`` from the boundary and half that from every
+    bump already kept.  Raises ``ConfigurationError`` if ``n_bumps`` are not
+    placed within ``_MAX_TRIES`` draws.
     """
     boundary = domain.boundary_points(720)
     xmin, xmax, ymin, ymax = domain.bbox()
     bumps: list[Bump] = []
     tries = 0
     while len(bumps) < n_bumps:
-        if tries >= max_tries:
+        if tries >= _MAX_TRIES:
             raise ConfigurationError("could not place the requested bumps inside the domain")
         tries += 1
         c = np.array([rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)])
-        radius = rng.uniform(*radius_range)
+        radius = rng.uniform(*_RADIUS_RANGE)
         if not domain.contains(c):
             continue
-        if float(np.min(np.hypot(*(boundary - c).T))) < radius + clearance:
+        if float(np.min(np.hypot(*(boundary - c).T))) < radius + _CLEARANCE:
             continue
         if any(
-            math.hypot(c[0] - b.center[0], c[1] - b.center[1]) < radius + b.radius + 0.5 * clearance
+            math.hypot(c[0] - b.center[0], c[1] - b.center[1]) < radius + b.radius + 0.5 * _CLEARANCE
             for b in bumps
         ):
             continue

@@ -8,12 +8,19 @@ with ``T(r)`` the arc-parameter set where the ray meets the support of
 ``f``.  Integration limits come from exact ray/disc intersections with the
 individual bump supports; each bump is integrated independently (projection
 is linear in ``f``), so overlapping supports need no special casing.
+
+Each chord is integrated by one fixed rule: composite Gauss-Legendre with
+``_ORDER`` points per panel, from ``_INIT_PANELS`` panels doubled until a
+ray's value changes by at most ``max(_ABS_TOL, _REL_FLOOR * |value|)``, at
+most ``_MAX_REFINE`` doublings.  A ray leaves the batch at the doubling
+where it settles, and each ray gets the same floating-point operations
+whichever rays share its batch, so batched and one-at-a-time evaluation
+agree bitwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,29 +30,13 @@ from .errors import AccuracyError, ConfigurationError
 from .geometry import FanGeometry, ImageDomain, ParGeometry, view_range
 from .phantom import Phantom, phantom_l2_norm
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive composite Gauss-Legendre settings.
-
-    Panels are doubled until the value changes by less than
-    ``max(abs_tol, rel_floor * |value|)`` per ray; ``max_refine`` doublings
-    at most.  A ray leaves the batch at the doubling where it settles, and
-    each ray gets the same floating-point operations whichever rays share
-    its batch, so batched and one-at-a-time evaluation agree bitwise.
-    """
-
-    order: int = 16
-    abs_tol: float = 1e-10
-    rel_floor: float = 1e-14
-    max_refine: int = 12
-    init_panels: int = 2
-
-    def __post_init__(self):
-        if self.order < 2 or self.max_refine < 1 or self.init_panels < 1:
-            raise ValueError("quadrature spec needs order >= 2, max_refine >= 1, init_panels >= 1")
-
-
+# The ray quadrature's rule, as the module docstring states it.  A fixed
+# rule, not a setting.
+_ORDER = 16
+_ABS_TOL = 1e-10
+_REL_FLOOR = 1e-14
+_MAX_REFINE = 12
+_INIT_PANELS = 2
 # Quadrature nodes per row block of one doubling: 1 MB per float64 array, so
 # a doubling's (rays, nodes) temporaries stay that size whatever the ray
 # count.  A fixed rule, not a setting.
@@ -62,11 +53,11 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _bump_line_integrals(geom, bump, r, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bump_line_integrals(geom, bump, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted line integrals of one bump for the flat ray parameters ``r``.
 
     Returns ``(values, late, drift)``: ``late`` indexes the rays that did not
-    settle within ``spec.max_refine`` doublings, ``drift`` their change at
+    settle within ``_MAX_REFINE`` doublings, ``drift`` their change at
     the last one, and ``values`` holds each ray's settled (or last) value.
     Each doubling evaluates only the rays that have not settled yet; a
     ray's arithmetic does not depend on which rays share its batch, so
@@ -93,7 +84,7 @@ def _bump_line_integrals(geom, bump, r, spec: QuadratureSpec) -> tuple[np.ndarra
     cx, cy = c
     r2 = bump.radius**2
 
-    nodes, weights = _gl_rule(spec.order)
+    nodes, weights = _gl_rule(_ORDER)
 
     def composite(panels: int, live: np.ndarray) -> np.ndarray:
         edges = np.linspace(0.0, 1.0, panels + 1)
@@ -141,15 +132,15 @@ def _bump_line_integrals(geom, bump, r, spec: QuadratureSpec) -> tuple[np.ndarra
         return out
 
     live = np.arange(idx.size)
-    vals = composite(spec.init_panels, live)
+    vals = composite(_INIT_PANELS, live)
     final = np.empty_like(vals)
-    panels = spec.init_panels
-    for _ in range(spec.max_refine):
+    panels = _INIT_PANELS
+    for _ in range(_MAX_REFINE):
         panels *= 2
         new = composite(panels, live)
         final[live] = new
         delta = np.abs(new - vals)
-        moving = ~(delta <= np.maximum(spec.abs_tol, spec.rel_floor * np.abs(new)))
+        moving = ~(delta <= np.maximum(_ABS_TOL, _REL_FLOOR * np.abs(new)))
         live, vals, delta = live[moving], new[moving], delta[moving]
         if not live.size:
             break
@@ -157,17 +148,17 @@ def _bump_line_integrals(geom, bump, r, spec: QuadratureSpec) -> tuple[np.ndarra
     return out, idx[live], delta
 
 
-def project_values(geom, f: Phantom, r, spec: QuadratureSpec | None = None) -> np.ndarray:
+def project_values(geom, f: Phantom, r) -> np.ndarray:
     """Projection values for ray parameters ``r`` (any shape, scalars too).
 
     Raises ``ConfigurationError`` for an unsupported family or a non-finite
-    parameter.  If some ray does not settle, every bump is still integrated
+    parameter.  If some ray does not settle within the module's fixed rule
+    (``_MAX_REFINE`` doublings), every bump is still integrated
     and one ``AccuracyError`` carries their summed best estimate and the
     largest last change among the rays that did not settle.
     """
     if not isinstance(geom, (ParGeometry, FanGeometry)):
         raise ConfigurationError(f"unsupported geometry type {type(geom).__name__}")
-    spec = spec or QuadratureSpec()
     r = np.asarray(r, dtype=float)
     flat = r.ravel()
     if not np.all(np.isfinite(flat)):
@@ -176,29 +167,27 @@ def project_values(geom, f: Phantom, r, spec: QuadratureSpec | None = None) -> n
     late = np.zeros(flat.shape, dtype=bool)
     drifts = []
     for bump in f.bumps:
-        vals, idx, drift = _bump_line_integrals(geom, bump, flat, spec)
+        vals, idx, drift = _bump_line_integrals(geom, bump, flat)
         total += vals
         late[idx] = True
         drifts.append(drift)
     total = total.reshape(r.shape)
     if np.any(late):
         raise AccuracyError(
-            f"ray quadrature did not settle for {np.count_nonzero(late)} ray(s) after {spec.max_refine} refinements",
+            f"ray quadrature did not settle for {np.count_nonzero(late)} ray(s) after {_MAX_REFINE} refinements",
             best_estimate=total,
             achieved_tol=float(np.max(np.concatenate(drifts))),
         )
     return total
 
 
-def project_view(geom, f: Phantom, grid: DetectorGrid, spec: QuadratureSpec | None = None) -> ProjectionData:
+def project_view(geom, f: Phantom, grid: DetectorGrid) -> ProjectionData:
     """Projection sampled at the bin centers of a detector grid."""
-    vals = project_values(geom, f, grid.centers, spec)
+    vals = project_values(geom, f, grid.centers)
     return ProjectionData(grid=grid, values=vals)
 
 
-def continuity_bound_check(
-    geom, f: Phantom, domain: ImageDomain, spec: QuadratureSpec | None = None
-) -> tuple[float, float]:
+def continuity_bound_check(geom, f: Phantom, domain: ImageDomain) -> tuple[float, float]:
     """Evaluate both sides of the L2 continuity bound ``||Pf|| <= c ||f||``.
 
     The constant is ``sqrt(sup_r |T(r)| * sup |det D(inverse)|) * sup weight``
@@ -221,7 +210,7 @@ def continuity_bound_check(
     half = 0.5 * (edges[1] - edges[0])
     rq = (mids[:, None] + half * nodes[None, :]).ravel()
     wq = np.tile(half * weights, panels)
-    pv = project_values(geom, f, rq, spec)
+    pv = project_values(geom, f, rq)
     lhs = math.sqrt(float(wq @ (pv * pv)))
 
     # rhs: the continuity constant times the phantom norm.

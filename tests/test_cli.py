@@ -393,8 +393,10 @@ def test_malformed_number_is_a_configuration_error(tmp_path, capsys, command, te
 
 
 SMALL_SOLVE = "[image]\nnx = 24\nny = 24\n[solver]\nmax_iter = 5\n"
-# three collinear vertices: a segment, not a domain
+# three collinear vertices: a segment, not a domain; the second set is
+# collinear only up to the rounding of its decimals
 ZERO_AREA_POLYGON = "[domain]\nkind = polygon\nvertices = -10 -10, 0 0, 10 10\n"
+ROUNDED_ZERO_AREA_POLYGON = "[domain]\nkind = polygon\nvertices = 1.1 0.6, 12.1 17.1, 25.3 36.9\n"
 
 
 @pytest.mark.parametrize("command, text, options", [
@@ -411,10 +413,13 @@ ZERO_AREA_POLYGON = "[domain]\nkind = polygon\nvertices = -10 -10, 0 0, 10 10\n"
     ("solve", "[image]\nnx = 0\n", ()),
     ("separability", ZERO_AREA_POLYGON, ()),
     ("check", ZERO_AREA_POLYGON, ()),
+    ("separability", ROUNDED_ZERO_AREA_POLYGON, ()),
+    ("check", ROUNDED_ZERO_AREA_POLYGON, ()),
 ], ids=["separability-n1", "separability-n2", "separability-option-n1-zero",
         "check-tol", "check-option-tol", "solve-tol", "solve-option-tol", "solve-pgm-window",
         "solve-max-iter", "solve-option-max-iter", "solve-nx-zero",
-        "separability-zero-area-polygon", "check-zero-area-polygon"])
+        "separability-zero-area-polygon", "check-zero-area-polygon",
+        "separability-rounded-zero-area-polygon", "check-rounded-zero-area-polygon"])
 def test_out_of_range_value_is_a_configuration_error(tmp_path, capsys, command, text, options):
     assert_configuration_error(tmp_path, capsys, command, text, options)
 

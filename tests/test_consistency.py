@@ -148,8 +148,7 @@ def test_pprc_vanishes_on_range_data():
     rng = np.random.default_rng(41)
     for pair in (parpar_pair(), parfan_pair()):
         K = pp.known_kernels(pair)
-        ph = pp.random_phantom(rng, pair.domain, n_bumps=2,
-                               radius_range=(2.5, 5.0))
+        ph = pp.random_phantom(rng, pair.domain, n_bumps=2)
         tgt = fine_target(pair, ph)
         i1, i2 = pp.pprc_sides(tgt, K)
         assert abs(i1 - i2) < 1e-6 * (abs(i1) + abs(i2) + 1.0)
@@ -350,16 +349,19 @@ def test_separability_needs_valid_quadruple():
 
 
 def test_separability_threshold_semantics():
+    # additive plus eps * r1 * r2, so max |D| = eps; scale = 3 + eps, and the
+    # threshold 1e-8 * scale falls between 1e-9 and 1e-7
     r1 = np.linspace(0.0, 1.0, 10)
     r2 = np.linspace(0.0, 1.0, 10)
-    L = r1[:, None] * r2[None, :]  # multiplicative, clearly non-separable
-    rep = pp.separability_test(L, r1, r2)
-    assert rep.verdict == "non-separable"
-    forced = pp.separability_test(L, r1, r2, threshold=10.0)
-    assert forced.verdict == "separable"
+    for eps, verdict in [(0.0, "separable"), (1e-9, "separable"),
+                         (1e-7, "non-separable"), (1.0, "non-separable")]:
+        L = 1.0 + r1[:, None] + r2[None, :] + eps * r1[:, None] * r2[None, :]
+        rep = pp.separability_test(L, r1, r2)
+        assert rep.threshold == 1e-8 * rep.scale
+        assert rep.verdict == verdict
 
 
-def _reference_separability(L, r1_values, r2_values, threshold=None, valid=None):
+def _reference_separability(L, r1_values, r2_values, valid=None):
     """The plain loop over row pairs that ``separability_test`` must equal."""
     L = np.asarray(L, dtype=float)
     n1, n2 = L.shape
@@ -371,8 +373,7 @@ def _reference_separability(L, r1_values, r2_values, threshold=None, valid=None)
         valid = np.asarray(valid, bool) & np.isfinite(L)
     work = np.where(valid, L, np.nan)
     scale = float(np.max(np.abs(work[valid]))) if np.any(valid) else 0.0
-    if threshold is None:
-        threshold = 1e-8 * scale
+    threshold = 1e-8 * scale
     best = -1.0
     arg = (0, 0, 0, 0)
     with np.errstate(invalid="ignore"):

@@ -443,11 +443,14 @@ def test_center_xy_are_the_masked_pixel_centers(masked):
     grid = pp.ImageGrid.from_domain(53, 41, MASK_DOMAINS["comb"], extent=66.0)
     if not masked:
         grid = pp.ImageGrid(53, 41, 66.0)
-    x, y = grid.center_xy()
+    x, y = grid.center_xy
     idx = np.arange(grid.n_pixels) if grid.mask is None else np.flatnonzero(grid.mask)
     want = pixel_centers(grid, idx)
     assert x.flags.c_contiguous and y.flags.c_contiguous
     assert x.tobytes() == want[:, 0].copy().tobytes() and y.tobytes() == want[:, 1].copy().tobytes()
+    # formed once per grid, and shared read-only
+    assert grid.center_xy is grid.center_xy
+    assert not x.flags.writeable and not y.flags.writeable
 
 
 def _reference_tables(op):
@@ -510,7 +513,7 @@ def test_window_tables_bitwise_with_blocks_outside_the_detector():
     image = pp.ImageGrid.from_domain(300, 300, pair.domain)
     dets = [pp.DetectorGrid(d.view, 12, d.lo, d.lo + 0.05 * (d.hi - d.lo)) for d in pp.reference_grids()]
     op = pp.PairOperator(pair, image, *dets)
-    x, y = image.center_xy()
+    x, y = image.center_xy
     block = pp.discrete._BLOCK
     for geom, det in zip((pair.first, pair.second), dets):
         r, _ = geom.inverse_xy(x, y)
@@ -532,7 +535,7 @@ def test_window_tables_bitwise_on_many_blocks(mu):
     # at 400 bins view 1's widest footprints (three bins) lie in blocks 2 to
     # 4 only, so the width is a maximum taken across both threads
     op = pp.reference_operator(nx=420, n_bins=400, mu=mu)
-    x, y = op.image.center_xy()
+    x, y = op.image.center_xy
     block = pp.discrete._BLOCK
     assert -(-x.size // block) == 5
     r, t = op.pair.first.inverse_xy(x, y)

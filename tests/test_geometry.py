@@ -303,10 +303,20 @@ def test_contains_xy_any_broadcast_shape(dom, shapes):
 @pytest.mark.parametrize("vertices", [
     [[-10.0, -10.0], [0.0, 0.0], [10.0, 10.0]],  # collinear
     [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [10.0, 0.0]],  # an edge and back
-], ids=["collinear", "doubled-back"])
+    # three points of one line, collinear but for the rounding of their
+    # decimals: the plain shoelace gives -5.0e-14 and 5.8e-11
+    [[1.1, 0.6], [12.1, 17.1], [25.3, 36.9]],
+    [[1000.1, 1000.3], [1001.2, 1003.6], [1003.4, 1010.2]],
+], ids=["collinear", "doubled-back", "collinear-rounded", "collinear-rounded-far"])
 def test_polygon_with_zero_area_is_refused(vertices):
     with pytest.raises(pp.ConfigurationError, match="no area"):
         pp.ImageDomain.polygon(vertices)
+
+
+def test_thin_polygon_is_kept():
+    # a height of 1e-9 is far above what rounding 10-unit vertices can make
+    dom = pp.ImageDomain.polygon([[0.0, 0.0], [5.0, 1e-9], [10.0, 0.0]])
+    assert dom.contains(np.array([[5.0, 1e-10]]))[0]
 
 
 def test_disc_domain_contains_and_chord():

@@ -136,9 +136,10 @@ def test_exponential_weight_changes_value():
     assert damped > flat * math.exp(-0.154 * 102.0)
 
 
-def _reference_line_integrals(geom, bump, r, spec):
+def _reference_line_integrals(geom, bump, r):
     """The all-rays refinement loop, kept as the bitwise oracle: every ray is
-    re-evaluated at every doubling until the last one settles."""
+    re-evaluated at every doubling until the last one settles.  It reads the
+    projector's rule constants, so a test that tightens them tightens both."""
     if not isinstance(geom, (pp.ParGeometry, pp.FanGeometry)):
         raise pp.ConfigurationError(f"unsupported geometry type {type(geom).__name__}")
     r = np.asarray(r, dtype=float)
@@ -164,7 +165,7 @@ def _reference_line_integrals(geom, bump, r, spec):
     dv = dirs[idx]
     rr = r[idx]
 
-    nodes, weights = np.polynomial.legendre.leggauss(spec.order)
+    nodes, weights = np.polynomial.legendre.leggauss(projector._ORDER)
 
     def composite(panels: int) -> np.ndarray:
         edges = np.linspace(0.0, 1.0, panels + 1)
@@ -185,16 +186,16 @@ def _reference_line_integrals(geom, bump, r, spec):
         # unlike @ which picks BLAS blockings by shape
         return (t1 - t0) * np.sum(fval * wt * w, axis=-1)
 
-    vals = composite(spec.init_panels)
+    vals = composite(projector._INIT_PANELS)
     settled = np.zeros(vals.shape, dtype=bool)
     final = vals.copy()
-    panels = spec.init_panels
+    panels = projector._INIT_PANELS
     delta = np.full(vals.shape, np.inf)
-    for _ in range(spec.max_refine):
+    for _ in range(projector._MAX_REFINE):
         panels *= 2
         new = composite(panels)
         delta = np.abs(new - vals)
-        tol = np.maximum(spec.abs_tol, spec.rel_floor * np.abs(new))
+        tol = np.maximum(projector._ABS_TOL, projector._REL_FLOOR * np.abs(new))
         just = ~settled & (delta <= tol)
         final[just] = new[just]
         settled |= just
@@ -206,7 +207,7 @@ def _reference_line_integrals(geom, bump, r, spec):
         final[~settled] = vals[~settled]
         out[idx] = final
         raise pp.AccuracyError(
-            f"ray quadrature did not settle for {bad} ray(s) after {spec.max_refine} refinements",
+            f"ray quadrature did not settle for {bad} ray(s) after {projector._MAX_REFINE} refinements",
             best_estimate=out,
             achieved_tol=float(np.max(delta[~settled])),
         )
@@ -214,20 +215,28 @@ def _reference_line_integrals(geom, bump, r, spec):
     return out
 
 
-def _outcome(project, geom, bump, r, spec):
+def _outcome(project, geom, bump, r):
     """Values of a one-bump projection, or the fields of its AccuracyError."""
     try:
-        vals = project(geom, pp.Phantom((bump,)), r, spec)
+        vals = project(geom, pp.Phantom((bump,)), r)
     except pp.AccuracyError as err:
         return str(err), err.best_estimate.tobytes(), err.achieved_tol
     return vals.tobytes()
 
 
-def _reference_project(geom, phantom, r, spec):
+def _reference_project(geom, phantom, r):
     total = np.zeros(np.shape(r))
     for bump in phantom.bumps:
-        total += _reference_line_integrals(geom, bump, r, spec)
+        total += _reference_line_integrals(geom, bump, r)
     return total
+
+
+def _tighten(monkeypatch, max_refine=3):
+    """A rule no ray meets: two points per panel, one panel to start, an
+    absolute tolerance below any change and no relative floor."""
+    for name, value in (("_ORDER", 2), ("_ABS_TOL", 1e-16), ("_REL_FLOOR", 0.0),
+                        ("_MAX_REFINE", max_refine), ("_INIT_PANELS", 1)):
+        monkeypatch.setattr(projector, name, value)
 
 
 BUMP = pp.Bump((4.0, -6.0), 7.0, 1.0)
@@ -263,9 +272,7 @@ RAY_SETS = {
 def test_live_ray_loop_equals_all_rays_loop_bitwise(family, rays):
     geom = FAMILIES[family]
     r = _rays(geom, RAY_SETS[rays](np.random.default_rng(len(family) * 31 + len(rays))))
-    spec = pp.QuadratureSpec()
-    assert _outcome(pp.project_values, geom, BUMP, r, spec) == \
-        _outcome(_reference_project, geom, BUMP, r, spec)
+    assert _outcome(pp.project_values, geom, BUMP, r) == _outcome(_reference_project, geom, BUMP, r)
 
 
 @pytest.mark.parametrize("mu", [0.0, -0.154])
@@ -273,21 +280,18 @@ def test_clipped_fan_chords_equal_all_rays_loop_bitwise(mu):
     # the vertex lies inside the support, so t_min = 0 clips every chord
     geom = pp.FanGeometry((5.0, -4.0), theta0=-math.pi, mu=mu)
     r = np.random.default_rng(5).uniform(-math.pi, math.pi, 600)
-    spec = pp.QuadratureSpec()
-    assert _outcome(pp.project_values, geom, BUMP, r, spec) == \
-        _outcome(_reference_project, geom, BUMP, r, spec)
+    assert _outcome(pp.project_values, geom, BUMP, r) == _outcome(_reference_project, geom, BUMP, r)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("max_refine", [1, 3])
-def test_accuracy_error_fields_equal_all_rays_loop(family, max_refine):
+def test_accuracy_error_fields_equal_all_rays_loop(monkeypatch, family, max_refine):
     geom = FAMILIES[family]
     r = _rays(geom, np.random.default_rng(max_refine).uniform(-1.3, 1.3, 64))
-    spec = pp.QuadratureSpec(order=2, abs_tol=1e-16, rel_floor=0.0,
-                             max_refine=max_refine, init_panels=1)
-    want = _outcome(_reference_project, geom, BUMP, r, spec)
+    _tighten(monkeypatch, max_refine)
+    want = _outcome(_reference_project, geom, BUMP, r)
     assert isinstance(want, tuple)
-    assert _outcome(pp.project_values, geom, BUMP, r, spec) == want
+    assert _outcome(pp.project_values, geom, BUMP, r) == want
 
 
 def test_random_phantom_equals_all_rays_loop_bitwise():
@@ -295,9 +299,7 @@ def test_random_phantom_equals_all_rays_loop_bitwise():
     ph = pp.random_phantom(np.random.default_rng(3), pair.domain)
     for geom in (pair.first, pair.second):
         r = np.linspace(*pp.view_range(geom, pair.domain), 4096)
-        spec = pp.QuadratureSpec()
-        np.testing.assert_array_equal(pp.project_values(geom, ph, r),
-                                      _reference_project(geom, ph, r, spec))
+        np.testing.assert_array_equal(pp.project_values(geom, ph, r), _reference_project(geom, ph, r))
 
 
 @pytest.mark.parametrize("mu", [0.0, -0.154])
@@ -306,12 +308,17 @@ def test_row_blocks_equal_one_block_bitwise(monkeypatch, mu, block):
     # 1 node per block leaves one ray per block; 1000 leaves a short last block
     geom = pp.FanGeometry((-90.0, 5.0), theta0=-math.pi, mu=mu)
     r = _rays(geom, np.linspace(-1.2, 1.2, 257))
-    tight = pp.QuadratureSpec(order=2, abs_tol=1e-16, rel_floor=0.0, max_refine=3, init_panels=1)
-    specs = (pp.QuadratureSpec(), tight)
-    want = [_outcome(pp.project_values, geom, BUMP, r, spec) for spec in specs]
+
+    def outcomes():
+        default = _outcome(pp.project_values, geom, BUMP, r)
+        with monkeypatch.context() as tight:
+            _tighten(tight)
+            return [default, _outcome(pp.project_values, geom, BUMP, r)]
+
+    want = outcomes()
     assert isinstance(want[1], tuple)
     monkeypatch.setattr(projector, "_BLOCK_NODES", block)
-    assert [_outcome(pp.project_values, geom, BUMP, r, spec) for spec in specs] == want
+    assert outcomes() == want
 
 
 def test_gauss_legendre_rule_is_read_only():
@@ -338,20 +345,19 @@ def test_settled_rays_leave_the_batch():
     phantom = pp.Phantom((BUMP,))
     vals = pp.project_values(geom, phantom, r)
     levels = rows.copy()
-    np.testing.assert_array_equal(vals, _reference_project(geom, phantom, r, pp.QuadratureSpec()))
+    np.testing.assert_array_equal(vals, _reference_project(geom, phantom, r))
     assert levels[0] == 200
     assert levels[-1] < levels[0]
 
 
-def test_accuracy_error_sums_every_bump():
-    spec = pp.QuadratureSpec(order=2, abs_tol=1e-16, rel_floor=0.0,
-                             max_refine=3, init_panels=1)
+def test_accuracy_error_sums_every_bump(monkeypatch):
+    _tighten(monkeypatch)
     geom = pp.ParGeometry(0.0)
     r = np.array([-12.0, 4.0])
 
     def estimate(phantom):
         with pytest.raises(pp.AccuracyError) as info:
-            pp.project_values(geom, phantom, r, spec=spec)
+            pp.project_values(geom, phantom, r)
         return info.value
 
     both = estimate(PHANTOM)
@@ -381,19 +387,11 @@ def test_project_values_rejects_non_finite_rays(geom, bad):
         pp.project_values(geom, PHANTOM, [bad, 4.0])
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        pp.QuadratureSpec(order=1)
-    with pytest.raises(ValueError):
-        pp.QuadratureSpec(max_refine=0)
-
-
-def test_accuracy_error_carries_best_estimate():
-    spec = pp.QuadratureSpec(order=2, abs_tol=1e-16, rel_floor=0.0,
-                             max_refine=1, init_panels=1)
+def test_accuracy_error_carries_best_estimate(monkeypatch):
+    _tighten(monkeypatch, max_refine=1)
     geom = pp.ParGeometry(0.0)
     with pytest.raises(pp.AccuracyError) as info:
-        pp.project_values(geom, PHANTOM, np.array([4.0]), spec=spec)
+        pp.project_values(geom, PHANTOM, np.array([4.0]))
     err = info.value
     assert np.isfinite(err.best_estimate).all()
     assert err.achieved_tol > 1e-16
