@@ -365,6 +365,22 @@ class PairOperator:
     lie on one side.  The windows are then one bin wider on each side and
     hold footprint plus correction.  Each view then needs at least three
     bins.  For mu != 0 no correction exists or is added.
+
+    Any mask will do, and ``project --mode discrete`` builds the operator
+    over the pixels its phantom covers only.  Its views are bitwise those of
+    the operator over the whole domain when both tables have the same width:
+    each column is built from its own pixel alone, and a pixel left out
+    would only add ``0 * w`` (+0.0 or -0.0) to ``bincount`` sums that start
+    at +0.0, which changes none of them.  The width follows the widest
+    footprint among the pixels built, so fewer pixels can make it narrower.
+    A window clipped at the upper range end then starts at another bin and
+    its deposits are summed in another ``off`` row, and the mu = 0
+    correction solves over fewer rows, so the last digits of a few bins can
+    change.  Measured with random phantoms: no case at 200^2 to 1000^2 with
+    2 x 100 or 2 x 400 bins (84 phantoms, both mu), nor at mu = -0.154 with
+    pixels wider than a bin; at mu = 0, 7 of 16 at 100^2 with 2 x 400 bins
+    (up to 13 bins, relative 1.1e-15) and 29 of 48 one-bump phantoms at
+    120^2 with 2 x 4 bins (up to 6 bins, relative 5.6e-16).
     """
 
     def __init__(self, pair: PairGeometry, image: ImageGrid, det1: DetectorGrid, det2: DetectorGrid):

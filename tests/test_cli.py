@@ -163,6 +163,94 @@ def test_project_discrete_reruns_byte_identical(tmp_path, mu):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+OUTSIDE_PHANTOM = "[phantom]\nkind = list\nbumps = 200 200 3 1\n"  # far outside the domain
+
+
+def _discrete_views_over_the_domain(tmp_path, text, seed):
+    """The CSV bytes of both views of ``project --mode discrete``, with the
+    operator built over every pixel of the domain mask."""
+    cfg, _, _ = cli._load_config(write_config(tmp_path, text, name="oracle.ini"))
+    pair = cli._build_pair(cfg)
+    dets = cli._build_detectors(cfg, pair)
+    sec = cfg["image"]
+    image = pp.ImageGrid.from_domain(sec["nx"], sec["ny"], pair.domain, sec["extent"])
+    f = pp.rasterize(cli._build_phantom(cfg, pair, seed), image)
+    views = np.split(pp.PairOperator(pair, image, *dets).forward(f), [dets[0].n_bins])
+    out = []
+    for view, (det, g) in enumerate(zip(dets, views), start=1):
+        path = tmp_path / f"oracle{view}.csv"
+        pp.write_projection_csv(path, pp.ProjectionData(grid=det, values=g))
+        out.append(path.read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("nx, mu, seed, phantom", [
+    (200, "-0.154", 1, ""), (200, "-0.154", 2, ""), (200, "0", 3, ""), (200, "0", 4, ""),
+    (400, "-0.154", 5, ""), (400, "0", 6, ""),
+    (200, "-0.154", 7, OUTSIDE_PHANTOM), (200, "0", 7, OUTSIDE_PHANTOM),
+], ids=["200-weighted-1", "200-weighted-2", "200-mu0-3", "200-mu0-4", "400-weighted-5", "400-mu0-6",
+        "outside-weighted", "outside-mu0"])
+def test_project_discrete_views_equal_the_whole_domain_build(tmp_path, nx, mu, seed, phantom):
+    """The operator is built over the phantom's pixels only, and the views
+    are bitwise those of the operator over the whole domain mask."""
+    text = f"[geometry]\nmu = {mu}\n[image]\nnx = {nx}\nny = {nx}\n{phantom}"
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert run(["project", "--mode", "discrete", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == 0
+    want = _discrete_views_over_the_domain(tmp_path, text, seed)
+    assert [(out / "view1.csv").read_bytes(), (out / "view2.csv").read_bytes()] == want
+    # a phantom outside the domain projects to +0.0 in every bin
+    zero = all(row.endswith(b",0") for view in want for row in view.splitlines()[3:])
+    assert zero == bool(phantom)
+
+
+def test_project_discrete_builds_the_operator_over_the_phantoms_pixels(tmp_path, monkeypatch):
+    # both calls go through cli's names, which the bench's tracer wraps
+    built, rasterized = [], []
+
+    def operator(pair, image, *dets):
+        built.append(image)
+        return pp.PairOperator(pair, image, *dets)
+
+    def rasterize(func, grid):
+        rasterized.append(grid)
+        return pp.rasterize(func, grid)
+
+    monkeypatch.setattr(cli, "PairOperator", operator)
+    monkeypatch.setattr(cli, "rasterize", rasterize)
+    cfg = write_config(tmp_path, "[image]\nnx = 300\nny = 300\n")
+    assert run(["project", "--mode", "discrete", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    _, f = pp.read_image(tmp_path / "o" / "phantom.img")
+    (image,), (domain,) = built, rasterized
+    assert np.count_nonzero(image.mask) == np.count_nonzero(f) > 0
+    assert np.array_equal(image.mask, f != 0)
+    # a random three-bump phantom covers a small part of the domain
+    assert np.count_nonzero(f) < 0.5 * np.count_nonzero(domain.mask)
+
+
+@pytest.mark.parametrize("phantom", ["", OUTSIDE_PHANTOM, "[phantom]\nkind = list\nbumps = 0 0 30 1\n"],
+                         ids=["random", "outside", "large"])
+@pytest.mark.parametrize("text, message", [
+    ("[geometry]\nkind = par-fan\n", "the discrete pair operator supports fan-fan pairs"),
+    ("[geometry]\nkind = par-par\n", "the discrete pair operator supports fan-fan pairs"),
+    ("[geometry]\nvertex1 = 0 20\n", "pair geometry is not admissible; failing margins: "),
+    ("[image]\nnx = 32\nny = 48\n", "pixel-driven operator requires square pixels"),
+    ("[image]\nnx = 1\nny = 1\n", "the image mask keeps no pixel inside the domain"),
+    ("[geometry]\nmu = 0\n[detectors]\nbins2 = 2\n",
+     "view 2 has 2 bins; the mu = 0 operator needs at least 3 to keep the range condition exact"),
+    ("[geometry]\nkind = par-fan\n[image]\nnx = 1\nny = 1\n", "the discrete pair operator supports fan-fan pairs"),
+    ("[geometry]\nmu = 0\n[image]\nnx = 1\nny = 1\n[detectors]\nbins1 = 2\n",
+     "the image mask keeps no pixel inside the domain"),
+], ids=["par-fan", "par-par", "inadmissible", "non-square", "empty-domain-mask", "mu0-two-bins",
+        "par-fan-empty-mask", "empty-mask-two-bins"])
+def test_project_discrete_refusals_whatever_the_phantom_covers(tmp_path, capsys, text, message, phantom):
+    cfg = write_config(tmp_path, text + phantom)
+    assert run(["project", "--mode", "discrete", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_project_mode_flag_overrides_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "[project]\nmode = discrete\n[image]\nnx = 24\nny = 24\n[detectors]\nbins1 = 16\nbins2 = 16\n")
     code = run(["project", "--config", cfg, "--mode", "continuous",
