@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -113,11 +114,11 @@ def kernel_condition_residual(pair: PairGeometry, kernels: KernelPair, n: int = 
     the ray ``r2`` of the second, with ``r1`` and ``r2`` from each family's
     ``inverse`` at ``x``.  The left side is the ratio of the two families'
     ``weight * jacobian_inv`` factors at ``x``; the right side is
-    ``V2(r2) / V1(r1)``.  ``n`` must be at least 1: a residual over no
-    sample would certify nothing.
+    ``V2(r2) / V1(r1)``.  ``n`` must be an integer of at least 1: a
+    residual over no sample would certify nothing.
     """
-    if not n >= 1:
-        raise ConfigurationError(f"n must be at least 1, got {n!r}")
+    if not (isinstance(n, Integral) and n >= 1):
+        raise ConfigurationError(f"n must be an integer of at least 1, got {n!r}")
     m = max(4, int(math.ceil(math.sqrt(2.0 * n))))
     pts = pair.domain.grid_points(m, m)
     while len(pts) < n:

@@ -12,6 +12,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -50,6 +51,8 @@ class ImageGrid:
     mask: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if not (isinstance(self.nx, Integral) and isinstance(self.ny, Integral)):
+            raise ConfigurationError("image grid pixel counts must be integers")
         if self.nx < 1 or self.ny < 1:
             raise ConfigurationError("image grid needs at least one pixel per axis")
         if not 0 < self.extent < math.inf:
@@ -142,6 +145,8 @@ class DetectorGrid:
     def __post_init__(self):
         if self.view not in (1, 2):
             raise ConfigurationError("view must be 1 or 2")
+        if not isinstance(self.n_bins, Integral):
+            raise ConfigurationError("the number of bins must be an integer")
         if self.n_bins < 1:
             raise ConfigurationError("need at least one bin")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -254,7 +259,8 @@ def _kernel_moment_fix(
 
 def _view_table(geom, det: DetectorGrid, kern: Callable | None, x, y, delta: float, area: float):
     """One view's window table ``(start, weights)`` over the pixels centred at
-    ``x``, ``y``, with ``delta`` the pixel side: see :class:`PairOperator`."""
+    ``x``, ``y``, with ``delta`` the pixel side: see :class:`PairOperator`.
+    Built on the calling thread, block by block."""
     m = x.size
     n = det.n_bins
     pad = 0 if kern is None else 1  # room for the correction's neighbour bins
@@ -263,10 +269,10 @@ def _view_table(geom, det: DetectorGrid, kern: Callable | None, x, y, delta: flo
     r_all = coeff_all = None
     if kern is not None:  # the correction reads them again in pass 2
         r_all, coeff_all = np.empty(m), np.empty(m)
-
-    def footprints(s: slice) -> float:
-        """Pass 1 on one block: footprints ``[a, b)`` in bin units and density.
-        Returns the widest footprint, in bins it touches."""
+    # Pass 1: each pixel's footprint [a, b) in bin units and its density,
+    # and each block's widest footprint, in bins it touches
+    spans = []
+    for s in blocks:
         r, t = geom.inverse_xy(x[s], y[s])
         w = delta / t  # angular footprint width
         coeff = area * np.exp(geom.mu * t) / t  # projected mass per unit f
@@ -278,15 +284,12 @@ def _view_table(geom, det: DetectorGrid, kern: Callable | None, x, y, delta: flo
             r_all[s], coeff_all[s] = r, coeff
         touched = np.ceil(b[s])
         touched -= np.floor(a[s])
-        return np.max(touched, initial=1.0)
-
-    span = np.max(two_threads(footprints, blocks))
-    width = min(n, int(span) + 2 * pad)
+        spans.append(np.max(touched, initial=1.0))
+    width = min(n, int(np.max(spans)) + 2 * pad)
     start = np.empty(m, dtype=np.int64)
     weights = np.empty((width, m))
-
-    def fill(s: slice) -> None:
-        """Pass 2 on one block: its columns of ``start`` and ``weights``."""
+    # Pass 2: each block's columns of start and weights
+    for s in blocks:
         a_s, b_s = a[s], b[s]
         start[s], _ = _window(a_s, b_s, n, pad, width)
         # The bin edges k and k + 1 are exact in float, so they are formed
@@ -303,8 +306,6 @@ def _view_table(geom, det: DetectorGrid, kern: Callable | None, x, y, delta: flo
         if kern is not None:
             sel, change = _kernel_moment_fix(det, a_s, b_s, r_all[s], coeff_all[s], kern, start[s], weights[:, s])
             weights[:, s.start + sel] += change.T
-
-    two_threads(fill, blocks)
     return start, weights
 
 
@@ -335,18 +336,16 @@ class PairOperator:
     dropped.  Forward and adjoint read the same table, so they are exact
     transposes of each other.
 
-    Each view's table is built in blocks of ``_BLOCK`` pixels, in two
-    passes: the first finds each pixel's footprint ``[a, b)`` in bin units
-    and its density, and the widest footprint, the second places the
-    windows, fills them and applies the mu = 0 correction below.  Each pass
-    shares its blocks between two threads (:func:`two_threads`) and joins
-    them before the next; a block writes only its own pixels' entries, and
-    the widest footprint is a maximum, the same in any order.  Every step
-    works on one pixel at a time, so the table is bitwise the same as one
-    built on all pixels at once, on one core or two, but a block's
-    temporaries stay in cache and are never larger than a block.  The views
-    are built one after the other, so one view's per-pixel arrays are alive
-    at a time.  An image of one block is built on the calling thread alone.
+    Each view's table is built on one thread, in blocks of ``_BLOCK``
+    pixels, in two passes over the blocks: the first finds each pixel's
+    footprint ``[a, b)`` in bin units and its density, and the widest
+    footprint, the second places the windows, fills them and applies the
+    mu = 0 correction below.  Every step works on one pixel at a time, so
+    the table is bitwise the same as one built on all pixels at once, but a
+    block's temporaries stay in cache and are never larger than a block.
+    The two views are built on two threads (:func:`two_threads`), as
+    ``check`` projects them, so both views' per-pixel arrays are alive at
+    once; view 1's error is raised first, else view 2's.
 
     When the pair admits kernels (``known_kernels(pair)`` is not None, the
     unweighted mu = 0 pair) each deposit is corrected so that the sampled,
@@ -401,10 +400,8 @@ class PairOperator:
         x, y = image.center_xy
         kernels = known_kernels(pair)
         kerns = (None, None) if kernels is None else (kernels.v1, kernels.v2)
-        self._tables = [
-            _view_table(geom, det, kern, x, y, dx, image.pixel_area)
-            for geom, det, kern in zip((pair.first, pair.second), self.dets, kerns)
-        ]
+        views = ((pair.first, det1, kerns[0]), (pair.second, det2, kerns[1]))
+        self._tables = two_threads(lambda view: _view_table(*view, x, y, dx, image.pixel_area), views)
 
     @property
     def shape(self) -> tuple[int, int]:

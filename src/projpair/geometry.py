@@ -73,27 +73,9 @@ def cross2(a, b):
 
 
 def lift_angle(angle, theta0):
-    """Shift ``angle`` by a multiple of 2*pi into ``[theta0, theta0 + 2*pi)``.
-
-    Equal, bit for bit, to ``np.mod(angle - theta0, 2*pi) + theta0``.  When
-    every ``u = angle - theta0`` lies in ``[-2*pi, 2*pi)`` (an ``arctan2``
-    angle against a branch start in ``[-pi, pi]`` nearly always does),
-    ``np.mod`` returns the sum ``u + 2*pi`` for ``u < 0`` and ``u`` itself
-    otherwise (+0.0 for u = -2*pi or +-0.0), and the same sums are computed
-    here without a division.  The one difference, u = -0.0 kept as -0.0,
-    vanishes when theta0 is added: u is -0.0 only for angle -0.0 and theta0
-    +0.0, and both sums are then +0.0.  Any other input, u = 2*pi and NaN
-    included, goes through ``np.mod``.
-    """
-    u = np.asarray(angle, dtype=float) - theta0
-    two_pi = 2.0 * math.pi
-    # initial=0.0 lets an empty array through and, lying in the interval,
-    # changes no other verdict; a NaN fails both comparisons
-    if np.min(u, initial=0.0) >= -two_pi and np.max(u, initial=0.0) < two_pi:
-        u = np.where(u < 0.0, u + two_pi, u)
-    else:
-        u = np.mod(u, two_pi)
-    return u + theta0
+    """Shift ``angle`` by a multiple of 2*pi into ``[theta0, theta0 + 2*pi)``:
+    ``np.mod(angle - theta0, 2*pi) + theta0``."""
+    return np.mod(np.asarray(angle, dtype=float) - theta0, 2.0 * math.pi) + theta0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Run a function over a list of items on two threads.
+"""Run a function on the two items of a pair, one on each of two threads.
 
-numpy releases the GIL in its array passes, so two threads working on large
-arrays run on two cores.  Two is a fixed rule, not a setting.
+The library's one concurrency rule: a pair's two views run on two threads,
+one view each, whether they are projected (``check``, ``solve`` with a
+phantom target, continuous ``project``) or built into the discrete
+operator's window tables.  numpy releases the GIL in its array passes, so
+the two threads run on two cores.  Two is a fixed rule, not a setting.
 """
 
 from __future__ import annotations
@@ -14,43 +17,30 @@ R = TypeVar("R")
 
 
 def two_threads(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """``[fn(item) for item in items]``, shared between this thread and one worker.
+    """``[fn(items[0]), fn(items[1])]``: item 1 on one worker thread, item 0
+    on this one.
 
-    Each thread takes the next item not yet taken, in item order, so the
-    results come back in item order.  Once an item has failed no further
-    item is started; after both threads have finished, the error of the
-    lowest-indexed failed item is raised, which is the error a serial loop
-    would raise (every item before it has been taken, and has finished).
-    No thread is left running.  Fewer than two items run inline on this
-    thread, and no thread is started.
+    Both items run to their end and the worker is joined before anything is
+    raised, so no thread is left running.  Then item 0's error is raised
+    first, else item 1's, which is the error a serial loop would raise.
+    Any number of items other than two is refused.
     """
-    if len(items) < 2:
-        return [fn(item) for item in items]
-    results: list = [None] * len(items)
-    errors: dict[int, BaseException] = {}
-    lock = threading.Lock()
-    taken = 0
+    if len(items) != 2:
+        raise ValueError(f"two_threads runs exactly two items, got {len(items)}")
+    second: dict[str, object] = {}
 
     def run() -> None:
-        nonlocal taken
-        while True:
-            with lock:
-                i = taken
-                if i == len(items) or errors:
-                    return
-                taken += 1
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:  # re-raised on the calling thread
-                with lock:
-                    errors[i] = exc
+        try:
+            second["result"] = fn(items[1])
+        except BaseException as exc:  # re-raised on the calling thread
+            second["error"] = exc
 
     worker = threading.Thread(target=run, name="projpair-worker")
     worker.start()
     try:
-        run()
+        first = fn(items[0])
     finally:
         worker.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    if "error" in second:
+        raise second["error"]
+    return [first, second["result"]]

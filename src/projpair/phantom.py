@@ -31,6 +31,8 @@ class Bump:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (*self.center, self.radius, self.amplitude)):
+            raise ConfigurationError("bump center, radius and amplitude must be finite")
         if self.radius <= 0:
             raise ConfigurationError("bump radius must be positive")
 

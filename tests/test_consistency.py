@@ -98,11 +98,17 @@ def test_kernel_condition_residual_all_kinds():
         assert pp.kernel_condition_residual(pair, K, n=2048) < 1e-12
 
 
-@pytest.mark.parametrize("n", [0, -1, math.nan])
+@pytest.mark.parametrize("n", [0, -1, math.nan, math.inf, 2.5, 16.0])
 def test_kernel_condition_residual_needs_a_sample(n):
     pair = parpar_pair()
     with pytest.raises(pp.ConfigurationError):
         pp.kernel_condition_residual(pair, pp.known_kernels(pair), n=n)
+
+
+def test_kernel_condition_residual_takes_numpy_integers():
+    pair = parpar_pair()
+    K = pp.known_kernels(pair)
+    assert pp.kernel_condition_residual(pair, K, n=np.int64(256)) == pp.kernel_condition_residual(pair, K, n=256)
 
 
 def test_kernel_condition_invariant_under_joint_scaling():

@@ -294,6 +294,17 @@ def test_detector_grid_centers():
         pp.DetectorGrid(1, 0, 0.0, 1.0)
     with pytest.raises(pp.ConfigurationError):
         pp.DetectorGrid(1, 4, 1.0, 0.5)
+    with pytest.raises(pp.ConfigurationError):
+        pp.DetectorGrid(1, 2.5, 0.0, 1.0)
+    assert pp.DetectorGrid(1, np.int64(4), 0.0, 1.0).centers.tobytes() == det.centers.tobytes()
+
+
+def test_image_grid_counts_are_integers():
+    with pytest.raises(pp.ConfigurationError):
+        pp.ImageGrid(2.5, 2.5)
+    with pytest.raises(pp.ConfigurationError):
+        pp.ImageGrid(4, 4.0)
+    assert pp.ImageGrid(np.int64(4), np.int32(3)).n_pixels == 12
 
 
 def test_projection_data_validates_length():
@@ -345,12 +356,18 @@ def test_image_grid_keeps_a_read_only_copy_of_the_mask():
         lambda: pp.ImageDomain.polygon([[0.0, 0.0], [1.0, 0.0], [0.0, math.nan]]),
         lambda: pp.ProjectionData(pp.DetectorGrid(1, 3, 0.0, 1.0), [1.0, math.nan, 0.0]),
         lambda: pp.ProjectionData(pp.DetectorGrid(2, 2, 0.0, 1.0), [-math.inf, 0.0]),
+        lambda: pp.Bump((0.0, 0.0), math.nan),
+        lambda: pp.Bump((0.0, 0.0), math.inf),
+        lambda: pp.Bump((math.nan, 0.0), 5.0),
+        lambda: pp.Bump((0.0, -math.inf), 5.0),
+        lambda: pp.Bump((0.0, 0.0), 5.0, math.nan),
     ],
     ids=[
         "grid-extent-nan", "grid-extent-inf", "detector-hi-inf", "detector-lo-inf",
         "disc-radius-nan", "disc-radius-inf", "disc-center-nan", "rect-width-nan",
         "rect-height-nan", "rect-center-inf", "polygon-vertex-nan", "data-value-nan",
-        "data-value-inf",
+        "data-value-inf", "bump-radius-nan", "bump-radius-inf", "bump-center-nan",
+        "bump-center-inf", "bump-amplitude-nan",
     ],
 )
 def test_constructors_reject_non_finite_numbers(build):
@@ -522,18 +539,11 @@ def test_window_tables_bitwise_with_blocks_outside_the_detector():
     _assert_tables_equal_bitwise(op)
 
 
-def _block_of(x):
-    """Index of the build block whose abscissae ``x`` are: a view into the
-    operator's array of all the masked pixels' abscissae."""
-    offset = x.__array_interface__["data"][0] - x.base.__array_interface__["data"][0]
-    return offset // x.itemsize // pp.discrete._BLOCK
-
-
 @pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "moment-fix"])
 def test_window_tables_bitwise_on_many_blocks(mu):
-    # 420^2 keeps 136 934 pixels, five blocks shared between two threads;
-    # at 400 bins view 1's widest footprints (three bins) lie in blocks 2 to
-    # 4 only, so the width is a maximum taken across both threads
+    # 420^2 keeps 136 934 pixels, five blocks; at 400 bins view 1's widest
+    # footprints (three bins) lie in blocks 2 to 4 only, so the width is a
+    # maximum taken across blocks
     op = pp.reference_operator(nx=420, n_bins=400, mu=mu)
     x, y = op.image.center_xy
     block = pp.discrete._BLOCK
@@ -547,32 +557,33 @@ def test_window_tables_bitwise_on_many_blocks(mu):
     _assert_tables_equal_bitwise(op)
 
 
-def test_build_raises_the_first_failed_blocks_error(monkeypatch):
-    # blocks 2 and later (counting from 0) fail, each with its own message;
-    # block 2 fails only after block 3 has, so its error is the later one
+def test_build_raises_view_1s_error_after_both_views_finish(monkeypatch):
+    # both views fail, each with its own message; view 1 fails only after
+    # view 2 has, so its error is the later one, and the one a serial build
+    # would raise
     pair = pp.reference_pair(-0.154)
-    image = pp.ImageGrid.from_domain(420, 420, pair.domain)
+    image = pp.ImageGrid.from_domain(256, 256, pair.domain)
     inverse_xy = pp.FanGeometry.inverse_xy
-    block3_failed = threading.Event()
+    view2_failed = threading.Event()
 
     def failing_inverse_xy(self, x, y):
-        k = _block_of(x)
-        if k < 2:
+        if not np.shares_memory(x, image.center_xy):  # not the table build
             return inverse_xy(self, x, y)
-        if k == 2:
-            assert block3_failed.wait(10.0)
-        if k == 3:
-            block3_failed.set()
-        raise pp.ConfigurationError(f"block {k} failed")
+        if self is pair.first:
+            assert view2_failed.wait(10.0)
+            raise pp.ConfigurationError("view 1 failed")
+        view2_failed.set()
+        raise pp.ConfigurationError("view 2 failed")
 
     monkeypatch.setattr(pp.FanGeometry, "inverse_xy", failing_inverse_xy)
     threads = threading.active_count()
-    with pytest.raises(pp.ConfigurationError, match="block 2 failed"):
+    with pytest.raises(pp.ConfigurationError, match="view 1 failed"):
         pp.PairOperator(pair, image, *pp.reference_grids(60))
+    assert view2_failed.is_set()
     assert threading.active_count() == threads
 
 
-def test_only_builds_over_one_block_start_threads(monkeypatch):
+def test_every_build_starts_exactly_one_worker(monkeypatch):
     started = []
 
     class CountedThread(threading.Thread):
@@ -581,11 +592,12 @@ def test_only_builds_over_one_block_start_threads(monkeypatch):
             super().start()
 
     monkeypatch.setattr(pp.parallel.threading, "Thread", CountedThread)
-    # 120^2 is one block; 256^2 two, one worker per pass and view
-    for nx, workers in ((120, 0), (256, 4)):
+    # 120^2 is one block and 256^2 two; either way view 2 is built on the
+    # one worker and each view's blocks one after the other
+    for nx in (120, 256):
         started.clear()
         pp.reference_operator(nx=nx, n_bins=60)
-        assert len(started) == workers
+        assert started == ["projpair-worker"]
 
 
 @pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "moment-fix"])

@@ -1,6 +1,6 @@
-"""The two-thread map: item order, the serial loop's error, no thread left behind."""
+"""The pair runner: item order, item 0 on the calling thread, the serial
+loop's error, no thread left behind, exactly two items."""
 
-import sys
 import threading
 
 import pytest
@@ -8,71 +8,55 @@ import pytest
 from projpair.parallel import two_threads
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7])
-def test_results_come_in_item_order(n):
+def test_results_come_in_item_order():
     threads = threading.active_count()
-    assert two_threads(lambda i: i * i, list(range(n))) == [i * i for i in range(n)]
+    assert two_threads(lambda i: i * i, [3, 4]) == [9, 16]
     assert threading.active_count() == threads
 
 
-def test_fewer_than_two_items_run_on_the_calling_thread():
-    assert two_threads(lambda _: threading.current_thread(), ["only"]) == [threading.current_thread()]
+def test_item_0_runs_on_the_calling_thread_and_item_1_on_a_worker():
+    got = two_threads(lambda _: threading.current_thread(), ["first", "second"])
+    assert got[0] is threading.current_thread()
+    assert got[1] is not threading.current_thread()
+    assert not got[1].is_alive()
 
 
-def test_every_item_runs_once_under_fast_switching():
-    # far more items than threads and a switch interval a thousand times
-    # shorter than the default: two threads taking one item would show up
-    # as a repeated index, a lost one as a missing index
-    calls = []
-
-    def square(i):
-        calls.append(i)
-        return i * i
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            calls.clear()
-            assert two_threads(square, range(500)) == [i * i for i in range(500)]
-            assert sorted(calls) == list(range(500))
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_raises_the_lowest_indexed_error_after_both_threads_finish():
-    # item 1 fails only after item 2 has failed: the serial loop's error is
-    # item 1's, though item 2's came first
-    item2_failed = threading.Event()
+def _failing(failing):
+    """An item function that raises for the items in ``failing``; item 0
+    waits until item 1 has finished, so item 1's error is the earlier one."""
+    item1_done = threading.Event()
     finished = []
 
     def run(i):
         try:
-            if i == 1:
-                assert item2_failed.wait(10.0)
-            if i in (1, 2):
+            if i == 0:
+                assert item1_done.wait(10.0)
+            if i in failing:
                 raise ValueError(f"item {i} failed")
             return i
         finally:
-            if i == 2:
-                item2_failed.set()
+            if i == 1:
+                item1_done.set()
             finished.append(i)
 
+    return run, finished
+
+
+@pytest.mark.parametrize("failing, message", [((0, 1), "item 0 failed"), ((1,), "item 1 failed"),
+                                              ((0,), "item 0 failed")], ids=["both", "item-1", "item-0"])
+def test_raises_item_0s_error_first_after_both_items_finish(failing, message):
+    run, finished = _failing(failing)
     threads = threading.active_count()
-    with pytest.raises(ValueError, match="item 1 failed"):
-        two_threads(run, range(4))
+    with pytest.raises(ValueError, match=message):
+        two_threads(run, [0, 1])
     assert threading.active_count() == threads
-    assert {0, 1, 2} <= set(finished)
+    assert sorted(finished) == [0, 1]
 
 
-def test_no_item_starts_after_a_failure():
+@pytest.mark.parametrize("n", [0, 1, 3, 7])
+def test_any_other_item_count_is_refused(n):
     calls = []
-
-    def run(i):
-        calls.append(i)
-        if i == 3:
-            raise ValueError("item 3 failed")
-
-    with pytest.raises(ValueError, match="item 3 failed"):
-        two_threads(run, range(1000))
-    assert set(range(4)) <= set(calls) and len(calls) < 1000
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="exactly two items"):
+        two_threads(calls.append, list(range(n)))
+    assert calls == [] and threading.active_count() == threads
