@@ -276,7 +276,7 @@ def _build_detectors(cfg: dict, pair: PairGeometry) -> tuple[DetectorGrid, Detec
                 lo, hi = math.radians(lo), math.radians(hi)
                 lo = float(lift_angle(lo, geom.theta0))
                 hi = float(lift_angle(hi, geom.theta0))
-                if hi <= lo:
+                if hi < lo:  # the range crosses the branch cut
                     hi += 2.0 * math.pi
         else:
             lo, hi = view_range(geom, pair.domain, n_boundary=4096)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -46,7 +47,6 @@ REFERENCE_VERTEX_1 = (0.0, 80.0)
 REFERENCE_VERTEX_2 = (-80.0, 0.0)
 ATTENUATION_MU = -0.154
 HALF_FAN_ANGLE = math.atan2(5.0, 12.0)
-DOMAIN_HALF_EXTENT = 35.0
 
 # Boundary points sampled by the admissibility checks and, by default, by
 # view_range.
@@ -89,6 +89,10 @@ class ParGeometry:
     theta: float
     t_min = -math.inf
     mu = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ConfigurationError("parallel view angle must be finite")
 
     def ray(self, r):
         """``(origin, direction)`` of the line at offset ``r``."""
@@ -136,6 +140,8 @@ class FanGeometry:
 
     def __post_init__(self):
         object.__setattr__(self, "vertex", (float(self.vertex[0]), float(self.vertex[1])))
+        if not all(map(math.isfinite, (*self.vertex, self.theta0, self.mu))):
+            raise ConfigurationError("fan vertex, branch angle and mu must be finite")
 
     @property
     def vertex_xy(self) -> np.ndarray:
@@ -247,27 +253,17 @@ def _finite_center(center) -> tuple[float, float]:
     return cx, cy
 
 
-def _clip_halfplane(verts: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
-    # Sutherland-Hodgman clip of a polygon against a . x <= b.
-    out = []
-    n = len(verts)
-    for i in range(n):
-        p, q = verts[i], verts[(i + 1) % n]
-        pin = float(a @ p) <= b
-        qin = float(a @ q) <= b
-        if pin:
-            out.append(p)
-        if pin != qin:
-            s = (b - float(a @ p)) / float(a @ (q - p))
-            out.append(p + s * (q - p))
-    return np.array(out, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class ImageDomain:
     """Bounded open image domain: rectangle, disc, or simple polygon.
 
     Construct through :meth:`rectangle`, :meth:`disc` or :meth:`polygon`.
+    A disc is its ``center`` and ``radius``; every other domain is its
+    ``vertices``, counterclockwise, from which its bounding box, boundary
+    samples and chords are taken.  The domain keeps a read-only copy of
+    them.  A rectangle also keeps its ``half_widths`` for its membership
+    rule, which is strict where a polygon's is half-open
+    (:meth:`contains_xy`).
     """
 
     kind: str
@@ -276,15 +272,24 @@ class ImageDomain:
     radius: float = 0.0
     vertices: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.vertices is not None:
+            # a read-only copy: a later edit of the caller's array would
+            # move the edges away from the center and checks taken here
+            v = np.array(self.vertices, dtype=float)
+            v.flags.writeable = False
+            object.__setattr__(self, "vertices", v)
+
     @staticmethod
     def rectangle(half_width: float, half_height: float, center=(0.0, 0.0)) -> "ImageDomain":
+        """Open axis-aligned rectangle; its corners go counterclockwise from
+        the bottom-left one."""
         if not (0 < half_width < math.inf and 0 < half_height < math.inf):
             raise ConfigurationError("rectangle half-widths must be positive and finite")
-        return ImageDomain(
-            kind="rectangle",
-            center=_finite_center(center),
-            half_widths=(float(half_width), float(half_height)),
-        )
+        cx, cy = _finite_center(center)
+        hx, hy = float(half_width), float(half_height)
+        corners = [[cx - hx, cy - hy], [cx + hx, cy - hy], [cx + hx, cy + hy], [cx - hx, cy + hy]]
+        return ImageDomain(kind="rectangle", center=(cx, cy), half_widths=(hx, hy), vertices=corners)
 
     @staticmethod
     def disc(center, radius: float) -> "ImageDomain":
@@ -303,7 +308,7 @@ class ImageDomain:
         if abs(area) <= slack:
             raise ConfigurationError("polygon vertices enclose no area")
         if area < 0:
-            v = v[::-1].copy()
+            v = v[::-1]
         c = v.mean(axis=0)
         return ImageDomain(kind="polygon", center=(float(c[0]), float(c[1])), vertices=v)
 
@@ -376,10 +381,6 @@ class ImageDomain:
 
     def bbox(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) of the closure."""
-        if self.kind == "rectangle":
-            cx, cy = self.center
-            hx, hy = self.half_widths
-            return cx - hx, cx + hx, cy - hy, cy + hy
         if self.kind == "disc":
             cx, cy = self.center
             r = self.radius
@@ -393,12 +394,12 @@ class ImageDomain:
 
     def boundary_points(self, n: int) -> np.ndarray:
         """``n`` points on the boundary, spaced by arc length, shape (n, 2)."""
-        if n < 3:
-            raise ConfigurationError("need at least three boundary samples")
+        if not (isinstance(n, Integral) and n >= 3):
+            raise ConfigurationError(f"need an integer of at least 3 boundary samples, got {n!r}")
         if self.kind == "disc":
             a = 2.0 * math.pi * (np.arange(n) + 0.5) / n
             return np.array(self.center) + self.radius * direction(a)
-        verts = self._as_polygon_vertices()
+        verts = self.vertices
         seg = np.roll(verts, -1, axis=0) - verts
         lengths = np.hypot(seg[:, 0], seg[:, 1])
         cum = np.concatenate([[0.0], np.cumsum(lengths)])
@@ -408,17 +409,6 @@ class ImageDomain:
         idx = np.clip(idx, 0, len(verts) - 1)
         frac = (s - cum[idx]) / lengths[idx]
         return verts[idx] + frac[:, None] * seg[idx]
-
-    def _as_polygon_vertices(self) -> np.ndarray:
-        if self.kind == "polygon":
-            return self.vertices
-        if self.kind == "rectangle":
-            cx, cy = self.center
-            hx, hy = self.half_widths
-            return np.array(
-                [[cx - hx, cy - hy], [cx + hx, cy - hy], [cx + hx, cy + hy], [cx - hx, cy + hy]]
-            )
-        raise ConfigurationError("disc has no polygon representation")
 
     def chord_length(self, origin, dir_vec, t_min: float = -math.inf) -> float:
         """Total length of ``{t : origin + t*dir_vec in domain, t > t_min}``.
@@ -436,7 +426,7 @@ class ImageDomain:
                 return 0.0
             t0, t1 = -b - math.sqrt(disc), -b + math.sqrt(disc)
             return max(0.0, t1 - max(t0, t_min))
-        verts = self._as_polygon_vertices()
+        verts = self.vertices
         ts = []
         n = len(verts)
         for i in range(n):
@@ -506,7 +496,8 @@ class AdmissibilityReport:
     """Outcome of an admissibility check.
 
     ``margins`` maps named inequalities to their worst-case slack over the
-    boundary sampling; every entry must exceed the threshold for ``passed``.
+    boundary sampling; every entry must exceed zero for ``passed``, so a NaN
+    margin fails.
     """
 
     passed: bool
@@ -515,7 +506,7 @@ class AdmissibilityReport:
     def require(self) -> None:
         """Raise ConfigurationError naming the failing margins unless passed."""
         if not self.passed:
-            bad = {k: v for k, v in self.margins.items() if v <= 0}
+            bad = {k: v for k, v in self.margins.items() if not v > 0.0}
             raise ConfigurationError(f"pair geometry is not admissible; failing margins: {bad}")
 
 
@@ -662,24 +653,19 @@ def fan_pair(vertex1, vertex2, mu: float, domain: ImageDomain) -> PairGeometry:
 
 
 def reference_domain() -> ImageDomain:
-    """Convex polygon used by the shipped experiment.
+    """Convex octagon used by the shipped experiment.
 
-    The square of half-extent 35 clipped so that, seen from either reference
-    vertex, the domain subtends exactly the half fan angle atan(5/12).
+    The square of half-extent 35 cut so that, seen from either reference
+    vertex, the domain subtends exactly the half fan angle atan(5/12): it
+    keeps the points with |y| <= (5/12)(x + 80), inside view 2's wedge
+    from (-80, 0), and |x| <= (5/12)(80 - y), inside view 1's wedge from
+    (0, 80).  The wedges' edges cut the square's at x = 4 (bottom and
+    top), y = -4 (right and left), x = 18.75 (top) and y = -18.75 (left),
+    and meet each other at (-400/17, 400/17).  The octagon maps onto
+    itself under (x, y) -> (-y, -x), which swaps the two views.
     """
-    h = DOMAIN_HALF_EXTENT
-    square = np.array([[-h, -h], [h, -h], [h, h], [-h, h]])
-    # |y| <= (5/12)(x + 80)  and  |x| <= (5/12)(80 - y), as a.x <= b rows.
-    halfplanes = [
-        (np.array([-5.0, 12.0]), 400.0),
-        (np.array([-5.0, -12.0]), 400.0),
-        (np.array([12.0, 5.0]), 400.0),
-        (np.array([-12.0, 5.0]), 400.0),
-    ]
-    verts = square
-    for a, b in halfplanes:
-        verts = _clip_halfplane(verts, a, b)
-    return ImageDomain.polygon(verts)
+    return ImageDomain.polygon([[4.0, -35.0], [35.0, -35.0], [35.0, -4.0], [18.75, 35.0], [4.0, 35.0],
+                                [-400.0 / 17.0, 400.0 / 17.0], [-35.0, -4.0], [-35.0, -18.75]])
 
 
 def reference_pair(mu: float = ATTENUATION_MU) -> PairGeometry:

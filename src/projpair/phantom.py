@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -158,9 +159,11 @@ def random_phantom(rng: np.random.Generator, domain: ImageDomain, n_bumps: int =
     radius uniformly in ``_RADIUS_RANGE`` and an amplitude uniformly in
     ``[0.5, 2)``.  A bump is kept when its centre lies in the domain, its
     support stays ``_CLEARANCE`` from the boundary and half that from every
-    bump already kept.  Raises ``ConfigurationError`` if ``n_bumps`` are not
-    placed within ``_MAX_TRIES`` draws.
+    bump already kept.  Raises ``ConfigurationError`` if ``n_bumps`` is not
+    an integer, or if ``n_bumps`` are not placed within ``_MAX_TRIES`` draws.
     """
+    if not isinstance(n_bumps, Integral):
+        raise ConfigurationError(f"the number of bumps must be an integer, got {n_bumps!r}")
     boundary = domain.boundary_points(720)
     xmin, xmax, ymin, ymax = domain.bbox()
     bumps: list[Bump] = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -46,7 +47,8 @@ def cgne_solve(A, g: np.ndarray, max_iter: int = 1000, tol: float = 0.0) -> Cgne
     the solve starts.  Stops when the relative residual reaches
     ``tol``, when the normal residual vanishes at working precision
     (least-squares optimum, ``stop_reason == "normal_residual_zero"``), or
-    after ``max_iter`` iterations.  ``residual_history[k]`` is the relative
+    after ``max_iter`` iterations.  ``max_iter`` is a nonnegative integer and
+    ``tol`` a nonnegative number.  ``residual_history[k]`` is the relative
     residual after ``k`` iterations; entry 0 is 1 for any nonzero target.
 
     The least-squares stop is the relative normal-residual rule of Paige and
@@ -71,8 +73,10 @@ def cgne_solve(A, g: np.ndarray, max_iter: int = 1000, tol: float = 0.0) -> Cgne
         fwd, adj = A.forward, A.adjoint
     else:
         raise ConfigurationError("operator must be a 2-d array or have forward and adjoint methods")
-    if max_iter < 0:
-        raise ConfigurationError("max_iter must be nonnegative")
+    if not (isinstance(max_iter, Integral) and max_iter >= 0):
+        raise ConfigurationError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
+    if not tol >= 0.0:  # a NaN or negative tolerance never stops the solve
+        raise ConfigurationError(f"tol must be a nonnegative number, got {tol!r}")
     g = np.asarray(g, dtype=float).ravel()
     g_norm = math.sqrt(_sumsq(g))
     if g_norm == 0.0:

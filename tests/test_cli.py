@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface in temp directories."""
 
+import math
 import os
 import subprocess
 import sys
@@ -503,13 +504,24 @@ ROUNDED_ZERO_AREA_POLYGON = "[domain]\nkind = polygon\nvertices = 1.1 0.6, 12.1 
     ("check", ZERO_AREA_POLYGON, ()),
     ("separability", ROUNDED_ZERO_AREA_POLYGON, ()),
     ("check", ROUNDED_ZERO_AREA_POLYGON, ()),
+    ("project", "[detectors]\nrange1_deg = 250 250\n", ()),
 ], ids=["separability-n1", "separability-n2", "separability-option-n1-zero",
         "check-tol", "check-option-tol", "solve-tol", "solve-option-tol", "solve-pgm-window",
         "solve-max-iter", "solve-option-max-iter", "solve-nx-zero",
         "separability-zero-area-polygon", "check-zero-area-polygon",
-        "separability-rounded-zero-area-polygon", "check-rounded-zero-area-polygon"])
+        "separability-rounded-zero-area-polygon", "check-rounded-zero-area-polygon",
+        "project-zero-width-fan-range"])
 def test_out_of_range_value_is_a_configuration_error(tmp_path, capsys, command, text, options):
     assert_configuration_error(tmp_path, capsys, command, text, options)
+
+
+def test_fan_range_across_the_branch_cut_wraps(tmp_path):
+    # the reference views' cut is at 135 degrees: 130 lifts to 490, above 140
+    cfg = write_config(tmp_path, "[detectors]\nrange1_deg = 130 140\n")
+    assert run(["project", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    header = (tmp_path / "o" / "view1.csv").read_text().splitlines()[1]
+    _, _, lo, hi = (float(v) for v in header.lstrip("# ").split(","))
+    assert lo == pytest.approx(math.radians(490.0)) and hi == pytest.approx(math.radians(500.0))
 
 
 def test_zero_tolerance_is_accepted(tmp_path):

@@ -361,13 +361,20 @@ def test_image_grid_keeps_a_read_only_copy_of_the_mask():
         lambda: pp.Bump((math.nan, 0.0), 5.0),
         lambda: pp.Bump((0.0, -math.inf), 5.0),
         lambda: pp.Bump((0.0, 0.0), 5.0, math.nan),
+        lambda: pp.ParGeometry(math.nan),
+        lambda: pp.FanGeometry((math.nan, 80.0)),
+        lambda: pp.FanGeometry((0.0, 80.0), theta0=math.nan),
+        lambda: pp.FanGeometry((0.0, 80.0), mu=math.nan),
+        lambda: pp.FanGeometry((0.0, 80.0), mu=math.inf),
+        lambda: pp.geometry.fan_pair((math.nan, 80.0), (-80.0, 0.0), 0.0, pp.reference_domain()),
     ],
     ids=[
         "grid-extent-nan", "grid-extent-inf", "detector-hi-inf", "detector-lo-inf",
         "disc-radius-nan", "disc-radius-inf", "disc-center-nan", "rect-width-nan",
         "rect-height-nan", "rect-center-inf", "polygon-vertex-nan", "data-value-nan",
         "data-value-inf", "bump-radius-nan", "bump-radius-inf", "bump-center-nan",
-        "bump-center-inf", "bump-amplitude-nan",
+        "bump-center-inf", "bump-amplitude-nan", "par-theta-nan", "fan-vertex-nan",
+        "fan-theta0-nan", "fan-mu-nan", "fan-mu-inf", "fan-pair-vertex-nan",
     ],
 )
 def test_constructors_reject_non_finite_numbers(build):

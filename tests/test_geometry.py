@@ -352,6 +352,82 @@ def test_reference_domain_membership():
     assert not dom.contains(outside).any()
 
 
+def test_reference_octagon_is_its_own_mirror_image():
+    """(x, y) -> (-y, -x) swaps the two reference views, so it maps the
+    vertex set onto itself, bit for bit."""
+    v = pp.reference_domain().vertices
+    corners = {(x.hex(), y.hex()) for x, y in v.tolist()}
+    assert len(corners) == 8
+    assert {((-y).hex(), (-x).hex()) for x, y in v.tolist()} == corners
+
+
+RECT = pp.ImageDomain.rectangle(20.0, 13.5, center=(3.25, -4.1))
+
+
+def test_rectangle_vertices_are_its_corners_counterclockwise():
+    (cx, cy), (hx, hy) = RECT.center, RECT.half_widths
+    want = [[cx - hx, cy - hy], [cx + hx, cy - hy], [cx + hx, cy + hy], [cx - hx, cy + hy]]
+    assert RECT.vertices.tolist() == want
+    x, y = RECT.vertices.T
+    assert np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) > 0
+
+
+def test_rectangle_queries_equal_those_of_its_polygon_bitwise():
+    poly = pp.ImageDomain.polygon(RECT.vertices)
+    assert poly.bbox() == RECT.bbox()
+    for n in (3, 4, 5, 7, 64, 720, 1024, 4096):
+        assert poly.boundary_points(n).tobytes() == RECT.boundary_points(n).tobytes()
+    rng = np.random.default_rng(4)
+    for t_min in (-math.inf, 0.0, 5.0):
+        for _ in range(20):
+            a = rng.uniform(0.0, 2.0 * math.pi)
+            o, d = rng.uniform(-40.0, 40.0, 2), np.array([math.cos(a), math.sin(a)])
+            assert poly.chord_length(o, d, t_min) == RECT.chord_length(o, d, t_min)
+
+
+def test_rectangle_left_edge_is_outside_but_its_polygon_keeps_it():
+    # the one difference left: the rectangle is strict, the polygon half-open
+    (cx, cy), (hx, _) = RECT.center, RECT.half_widths
+    left = np.array([cx - hx, cy])
+    assert not RECT.contains(left)
+    assert pp.ImageDomain.polygon(RECT.vertices).contains(left)
+
+
+@pytest.mark.parametrize("build", [
+    lambda src: pp.ImageDomain.polygon(src),
+    lambda src: pp.ImageDomain.polygon(src[::-1]),  # clockwise: reversed
+], ids=["counterclockwise", "clockwise"])
+def test_domain_keeps_a_read_only_copy_of_its_vertices(build):
+    source = np.array([[-10.0, -10.0], [10.0, -10.0], [10.0, 10.0], [-10.0, 10.0]])
+    dom = build(source)
+    before = dom.vertices.tolist()
+    source[1:3, 0] = 20.0  # would move the right edge past (15, 0)
+    assert not dom.contains(np.array([15.0, 0.0]))
+    assert dom.bbox() == (-10.0, 10.0, -10.0, 10.0)
+    assert dom.vertices.tolist() == before and not np.shares_memory(dom.vertices, source)
+    for d in (dom, RECT):
+        with pytest.raises(ValueError):
+            d.vertices[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", [3.5, 2, math.inf])
+def test_boundary_points_needs_an_integer_count_of_at_least_three(n):
+    with pytest.raises(pp.ConfigurationError):
+        RECT.boundary_points(n)
+
+
+def test_boundary_points_takes_numpy_integers():
+    assert RECT.boundary_points(np.int64(6)).tobytes() == RECT.boundary_points(6).tobytes()
+
+
+def test_require_names_every_failing_margin():
+    report = pp.AdmissibilityReport(passed=False, margins={"a": math.nan, "b": 1.0, "c": -1.0, "d": 0.0})
+    with pytest.raises(pp.ConfigurationError) as exc:
+        report.require()
+    assert "'a'" in str(exc.value) and "'c'" in str(exc.value) and "'d'" in str(exc.value)
+    assert "'b'" not in str(exc.value)
+
+
 def test_view_ranges_match_exact_wedges():
     pair = pp.reference_pair()
     (lo1, hi1), (lo2, hi2) = pp.reference_view_ranges()
@@ -428,9 +504,9 @@ def test_lift_angle_equals_mod_rule_bitwise(theta0):
     # u itself, and u + theta0 so that angle - theta0 lands on u where it can
     for a in (u, u + theta0, np.array([-0.0, 0.0]) + 0.0 * theta0):
         assert _same_bits(pp.lift_angle(a, theta0), _mod_lift(a, theta0))
-        for v in a:  # one value at a time takes the fast path more often
+        for v in a:  # one value at a time: scalar inputs, 0-d results
             assert _same_bits(pp.lift_angle(v, theta0), _mod_lift(v, theta0))
-    # NaN sends the whole batch through np.mod
+    # a NaN stays NaN and leaves its neighbours' results as they are
     a = np.array([0.5, math.nan, -1.0])
     assert _same_bits(pp.lift_angle(a, theta0), _mod_lift(a, theta0))
     assert _same_bits(pp.lift_angle([1.0, -2.0], theta0), _mod_lift([1.0, -2.0], theta0))

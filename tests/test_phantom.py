@@ -173,6 +173,13 @@ def test_random_phantom_respects_domain_and_clearance():
                 assert d > bi.radius + bj.radius
 
 
+def test_random_phantom_needs_an_integer_count():
+    dom = pp.reference_domain()
+    with pytest.raises(pp.ConfigurationError, match="integer"):
+        pp.random_phantom(np.random.default_rng(3), dom, n_bumps=1.5)
+    assert len(pp.random_phantom(np.random.default_rng(3), dom, n_bumps=np.int64(2)).bumps) == 2
+
+
 def test_random_phantom_exhaustion():
     # a bump of radius >= 3 kept 1 from the boundary needs a disc of radius > 4
     dom = pp.ImageDomain.disc((0.0, 0.0), 4.0)

@@ -1,9 +1,11 @@
 """Repository-level checks: no unused imports or private names in the
-package, the README's library quick start runs as written, and its config
-example and the config keys it names match the CLI's schema."""
+package, the README's library quick start runs as written, its config
+example and the config keys it names match the CLI's schema, and the
+code-line counter in tools/ counts what it says."""
 
 import ast
 import contextlib
+import importlib.util
 import io
 import re
 from pathlib import Path
@@ -68,3 +70,37 @@ def test_readme_config_matches_the_schema(tmp_path):
     assert len(named) >= 4
     unknown = [f"[{section}] {key}" for section, key in named if key not in cli._SCHEMA.get(section, ())]
     assert not unknown, f"README.md names config keys that _SCHEMA lacks: {unknown}"
+
+
+CODE_LINES_SNIPPET = '''"""Module docstring
+over two lines."""
+
+import os  # a trailing comment
+
+# a comment line
+
+
+def join(a,
+         b):
+    """Function docstring."""
+    return os.path.join(
+        a,
+        b,
+    )
+
+
+class Box:
+    "Class docstring."
+    text = """a string
+that is no docstring"""
+'''
+
+
+def test_code_line_counter_known_answer():
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    # import; def and its continued line; return and the call's four lines;
+    # class; the two lines of the string assigned to text
+    assert code_lines.code_lines(CODE_LINES_SNIPPET) == 10
+    assert code_lines.code_lines("") == 0

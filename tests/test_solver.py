@@ -97,6 +97,19 @@ def test_operator_validation():
         pp.cgne_solve(np.eye(2), np.ones(2), max_iter=-1)
 
 
+@pytest.mark.parametrize("options", [
+    {"max_iter": 2.5}, {"max_iter": math.inf}, {"tol": -1.0}, {"tol": math.nan},
+], ids=["max-iter-fraction", "max-iter-inf", "tol-negative", "tol-nan"])
+def test_counts_and_tolerances_that_cannot_stop_are_refused(options):
+    with pytest.raises(pp.ConfigurationError):
+        pp.cgne_solve(np.eye(2), np.ones(2), **options)
+
+
+def test_numpy_integer_max_iter_is_accepted():
+    state = pp.cgne_solve(np.diag([1.0, 2.0]), np.ones(2), max_iter=np.int64(1))
+    assert state.iterations == 1
+
+
 def test_roundoff_annihilated_target_stops_on_floor():
     # A = P B with P an orthonormal basis of the complement of W: W^T A is
     # roundoff only, and the target's W component is unreachable
