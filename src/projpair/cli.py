@@ -273,6 +273,11 @@ def _build_detectors(cfg: dict, pair: PairGeometry) -> tuple[DetectorGrid, Detec
         if spec:
             lo, hi = spec
             if isinstance(geom, FanGeometry):
+                # ends a whole turn apart lift to equal angles, or to
+                # angles an ulp apart either way: no width to give them
+                if (hi - lo) % 360.0 == 0.0:
+                    raise ConfigurationError(f"[detectors] range{view}_deg = {lo:g} {hi:g}: "
+                                             "the ends are a whole number of turns apart")
                 lo, hi = math.radians(lo), math.radians(hi)
                 lo = float(lift_angle(lo, geom.theta0))
                 hi = float(lift_angle(hi, geom.theta0))

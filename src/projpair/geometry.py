@@ -260,8 +260,9 @@ class ImageDomain:
     Construct through :meth:`rectangle`, :meth:`disc` or :meth:`polygon`.
     A disc is its ``center`` and ``radius``; every other domain is its
     ``vertices``, counterclockwise, from which its bounding box, boundary
-    samples and chords are taken.  The domain keeps a read-only copy of
-    them.  A rectangle also keeps its ``half_widths`` for its membership
+    samples and chords are taken, so a domain built directly with no
+    ``vertices`` and a ``kind`` other than ``"disc"`` is refused.  The
+    domain keeps a read-only copy of them.  A rectangle also keeps its ``half_widths`` for its membership
     rule, which is strict where a polygon's is half-open
     (:meth:`contains_xy`).
     """
@@ -273,6 +274,8 @@ class ImageDomain:
     vertices: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.kind != "disc" and self.vertices is None:
+            raise ConfigurationError(f"a {self.kind!r} domain needs its vertices")
         if self.vertices is not None:
             # a read-only copy: a later edit of the caller's array would
             # move the edges away from the center and checks taken here
@@ -638,6 +641,8 @@ def fan_pair(vertex1, vertex2, mu: float, domain: ImageDomain) -> PairGeometry:
     """Fan-fan pair with one ``mu`` whose views share the branch cut
     ``theta0 = angle of perp(s * (vertex2 - vertex1))``, ``s`` the orientation
     sign: the cut points away from the domain's side of the vertex line."""
+    if not np.all(np.isfinite([vertex1, vertex2])):
+        raise ConfigurationError("fan vertices must be finite")
     s = _orientation(vertex1, vertex2, domain)
     pd = perp(s * (np.asarray(vertex2, dtype=float) - np.asarray(vertex1, dtype=float)))
     theta0 = math.atan2(pd[1], pd[0])

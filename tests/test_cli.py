@@ -505,12 +505,15 @@ ROUNDED_ZERO_AREA_POLYGON = "[domain]\nkind = polygon\nvertices = 1.1 0.6, 12.1 
     ("separability", ROUNDED_ZERO_AREA_POLYGON, ()),
     ("check", ROUNDED_ZERO_AREA_POLYGON, ()),
     ("project", "[detectors]\nrange1_deg = 250 250\n", ()),
+    ("project", "[detectors]\nrange1_deg = 250 610\n", ()),
+    ("project", "[detectors]\nrange2_deg = -110 250\n", ()),
 ], ids=["separability-n1", "separability-n2", "separability-option-n1-zero",
         "check-tol", "check-option-tol", "solve-tol", "solve-option-tol", "solve-pgm-window",
         "solve-max-iter", "solve-option-max-iter", "solve-nx-zero",
         "separability-zero-area-polygon", "check-zero-area-polygon",
         "separability-rounded-zero-area-polygon", "check-rounded-zero-area-polygon",
-        "project-zero-width-fan-range"])
+        "project-zero-width-fan-range", "project-whole-turn-fan-range",
+        "project-whole-turn-fan-range-below"])
 def test_out_of_range_value_is_a_configuration_error(tmp_path, capsys, command, text, options):
     assert_configuration_error(tmp_path, capsys, command, text, options)
 

@@ -367,6 +367,8 @@ def test_image_grid_keeps_a_read_only_copy_of_the_mask():
         lambda: pp.FanGeometry((0.0, 80.0), mu=math.nan),
         lambda: pp.FanGeometry((0.0, 80.0), mu=math.inf),
         lambda: pp.geometry.fan_pair((math.nan, 80.0), (-80.0, 0.0), 0.0, pp.reference_domain()),
+        lambda: pp.geometry.fan_pair((math.inf, 80.0), (-80.0, 0.0), 0.0, pp.reference_domain()),
+        lambda: pp.geometry.fan_pair((0.0, 80.0), (-80.0, -math.inf), 0.0, pp.reference_domain()),
     ],
     ids=[
         "grid-extent-nan", "grid-extent-inf", "detector-hi-inf", "detector-lo-inf",
@@ -375,6 +377,7 @@ def test_image_grid_keeps_a_read_only_copy_of_the_mask():
         "data-value-inf", "bump-radius-nan", "bump-radius-inf", "bump-center-nan",
         "bump-center-inf", "bump-amplitude-nan", "par-theta-nan", "fan-vertex-nan",
         "fan-theta0-nan", "fan-mu-nan", "fan-mu-inf", "fan-pair-vertex-nan",
+        "fan-pair-vertex-inf", "fan-pair-vertex2-inf",
     ],
 )
 def test_constructors_reject_non_finite_numbers(build):

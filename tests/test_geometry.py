@@ -410,6 +410,14 @@ def test_domain_keeps_a_read_only_copy_of_its_vertices(build):
             d.vertices[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("kind", ["rectangle", "polygon"])
+def test_domain_without_vertices_is_refused_unless_a_disc(kind):
+    # bbox, boundary_points and chord_length read only the vertices
+    with pytest.raises(pp.ConfigurationError):
+        pp.ImageDomain(kind=kind, half_widths=(10.0, 10.0))
+    assert pp.ImageDomain(kind="disc", radius=10.0).bbox() == (-10.0, 10.0, -10.0, 10.0)
+
+
 @pytest.mark.parametrize("n", [3.5, 2, math.inf])
 def test_boundary_points_needs_an_integer_count_of_at_least_three(n):
     with pytest.raises(pp.ConfigurationError):

@@ -8,10 +8,10 @@ line of a string that is not a docstring.  Standard library only.
 
 Usage::
 
-    python3 tools/code_lines.py [PACKAGE_DIR]
+    python3 tools/code_lines.py
 
-prints one ``count  module`` line per module of ``PACKAGE_DIR`` (default
-``src/projpair`` next to this script) and a ``total`` line.
+prints one ``count  module`` line per module of ``src/projpair`` and a
+``total`` line.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "projpair"
+def main() -> int:
+    package = Path(__file__).resolve().parents[1] / "src" / "projpair"
     total = 0
     for path in sorted(package.glob("*.py")):
         n = code_lines(path.read_text(encoding="utf-8"))
@@ -57,4 +57,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
