@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .consistency import (
+    _require_view_order,
     eval_G,
     expo_surface,
     known_kernels,
@@ -317,7 +318,9 @@ def _build_target(cfg, pair, dets, seed) -> tuple[ProjectionData, ProjectionData
     if sec["kind"] == "files":
         if not sec["file1"] or not sec["file2"]:
             raise ConfigurationError("target kind 'files' needs file1 and file2")
-        return read_projection_csv(sec["file1"]), read_projection_csv(sec["file2"])
+        target = read_projection_csv(sec["file1"]), read_projection_csv(sec["file2"])
+        _require_view_order(data.grid for data in target)
+        return target
     return _project_pair(pair, _build_phantom(cfg, pair, seed), dets)
 
 
@@ -416,6 +419,7 @@ def cmd_check(args) -> int:
     dets = _build_detectors(cfg, pair)
     kernels = known_kernels(pair)
     target = None if kernels is None else _build_target(cfg, pair, dets, args.seed)
+    sides = None if kernels is None else pprc_sides(target, kernels)
     outdir = Path(args.out)
     _write_common(outdir, raw, resolved)
     if kernels is None:
@@ -427,7 +431,7 @@ def cmd_check(args) -> int:
         )
         return 2
     worst_name = min(admiss.margins, key=admiss.margins.get)
-    left, right = pprc_sides(target, kernels)
+    left, right = sides
     residual = left - right
     scale = max(abs(left), abs(right))
     rel = abs(residual) / scale if scale > 0 else abs(residual)
@@ -542,11 +546,11 @@ def cmd_solve(args) -> int:
     target = _build_target(cfg, pair, dets, args.seed)
     for data, det in zip(target, dets):
         # exact: the files' .17g numbers read back to the same floats
-        have = (data.grid.view, data.grid.n_bins, data.grid.lo, data.grid.hi)
-        want = (det.view, det.n_bins, det.lo, det.hi)
+        have = (data.grid.n_bins, data.grid.lo, data.grid.hi)
+        want = (det.n_bins, det.lo, det.hi)
         if have != want:
             raise ConfigurationError(
-                f"target view {det.view} has (view, n_bins, lo, hi) = {have}, [detectors] gives {want}")
+                f"target view {det.view} has (n_bins, lo, hi) = {have}, [detectors] gives {want}")
     g = np.concatenate([d.values for d in target])
     outdir = Path(args.out)
     _write_common(outdir, raw, resolved)

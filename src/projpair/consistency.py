@@ -87,9 +87,25 @@ def known_kernels(pair: PairGeometry) -> KernelPair | None:
     return KernelPair(v1=kernel, v2=kernel, label="fan-fan unweighted")
 
 
+def _require_view_order(grids) -> None:
+    """Refuse a pair's two detector grids unless they come as view 1, view 2:
+    the kernels ``V1, V2`` and the pair's two families are matched by slot."""
+    tags = tuple(g.view for g in grids)
+    if tags != (1, 2):
+        raise ConfigurationError(f"a pair's detector grids must be views (1, 2) in that order, got views {tags}")
+
+
 def pprc_sides(target, kernels: KernelPair) -> tuple[float, float]:
-    """Trapezoid estimates of ``integral g1 V1`` and ``integral g2 V2``."""
+    """Trapezoid estimates of ``integral g1 V1`` and ``integral g2 V2``.
+
+    Raises ``ConfigurationError`` unless the target's views come in the
+    order (1, 2), or if a view has fewer than 2 bins: the trapezoid rule
+    over one bin center is 0, which would pass any target as consistent.
+    """
     d1, d2 = target
+    _require_view_order((d1.grid, d2.grid))
+    if min(d1.grid.n_bins, d2.grid.n_bins) < 2:
+        raise ConfigurationError("the range-condition sides need at least 2 bins per view")
     total = []
     for data, kern in ((d1, kernels.v1), (d2, kernels.v2)):
         r = data.grid.centers

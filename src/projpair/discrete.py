@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .consistency import known_kernels
+from .consistency import _require_view_order, known_kernels
 from .errors import ConfigurationError
 from .geometry import (
     ATTENUATION_MU,
@@ -385,6 +385,7 @@ class PairOperator:
     def __init__(self, pair: PairGeometry, image: ImageGrid, det1: DetectorGrid, det2: DetectorGrid):
         if pair.kind != "fan-fan":
             raise ConfigurationError("the discrete pair operator supports fan-fan pairs")
+        _require_view_order((det1, det2))
         check_pair_admissible(pair).require()
         dx, dy = image.pixel_size
         if abs(dx - dy) > 1e-12 * dx:

@@ -9,7 +9,7 @@ the two threads run on two cores.  Two is a fixed rule, not a setting.
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -27,20 +27,8 @@ def two_threads(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """
     if len(items) != 2:
         raise ValueError(f"two_threads runs exactly two items, got {len(items)}")
-    second: dict[str, object] = {}
-
-    def run() -> None:
-        try:
-            second["result"] = fn(items[1])
-        except BaseException as exc:  # re-raised on the calling thread
-            second["error"] = exc
-
-    worker = threading.Thread(target=run, name="projpair-worker")
-    worker.start()
-    try:
+    # leaving the block joins the worker, also when item 0 raises
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="projpair-worker") as pool:
+        second = pool.submit(fn, items[1])
         first = fn(items[0])
-    finally:
-        worker.join()
-    if "error" in second:
-        raise second["error"]
-    return [first, second["result"]]
+    return [first, second.result()]

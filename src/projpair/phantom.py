@@ -76,25 +76,53 @@ def bump_eval(phantom: Phantom, points) -> np.ndarray:
         dx, dy = x[band] - cx, dy[band]
         s2 = (dx**2 + dy**2) / (b.radius**2)
         inside = s2 < 1.0
-        with np.errstate(divide="ignore", over="ignore"):
-            flat[band[inside]] += b.amplitude * np.exp(-1.0 / np.maximum(1.0 - s2[inside], 1e-300))
+        flat[band[inside]] += b.amplitude * _bump_profile(s2[inside])
     return out
+
+
+def _bump_profile(s2: np.ndarray, p: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """The bump profile ``exp(-p / (1 - s2))`` at the array ``s2`` of squared
+    scaled radii.
+
+    At and beyond the support edge (``s2 >= 1``) it is ``exp(-p / 1e-300)``,
+    which is +0.0.  With ``out`` given (it may be ``s2`` itself) the profile
+    is written into it in place and no temporary is made.
+    """
+    fval = np.subtract(1.0, s2, out=out)
+    np.maximum(fval, 1e-300, out=fval)
+    np.divide(-p, fval, out=fval)
+    with np.errstate(under="ignore"):
+        np.exp(fval, out=fval)
+    return fval
+
+
+@lru_cache(maxsize=None)
+def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only:
+    every caller, on any thread, shares the same two arrays."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _composite_gl(lo: float, hi: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on ``[lo, hi]``: ``panels`` equal panels
+    of ``order`` points each.  Returns ``(nodes, weights)`` of length
+    ``panels * order``, the nodes ascending panel by panel."""
+    nodes, weights = _gl_rule(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    return (mids[:, None] + half * nodes[None, :]).ravel(), np.tile(half * weights, panels)
 
 
 @lru_cache(maxsize=None)
 def _radial_moment(p: float) -> float:
     # integral over [0, 1] of s * exp(-p / (1 - s^2)) ds by composite
     # Gauss-Legendre; the integrand is smooth and flat at s = 1.
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    panels = 16
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        s = 0.5 * (b - a) * (nodes + 1.0) + a
-        with np.errstate(divide="ignore", over="ignore"):
-            vals = s * np.exp(-p / np.maximum(1.0 - s * s, 1e-300))
-        total += 0.5 * (b - a) * float(weights @ vals)
-    return total
+    s, w = _composite_gl(0.0, 1.0, 16, 24)
+    return float(w @ (s * _bump_profile(s * s, p)))
 
 
 def mollifier_unit_mass() -> float:
@@ -136,20 +164,10 @@ def phantom_l2_norm(phantom: Phantom) -> float:
     xmax = max(b.center[0] + b.radius for b in phantom.bumps)
     ymin = min(b.center[1] - b.radius for b in phantom.bumps)
     ymax = max(b.center[1] + b.radius for b in phantom.bumps)
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    panels = 24
-    xedges = np.linspace(xmin, xmax, panels + 1)
-    yedges = np.linspace(ymin, ymax, panels + 1)
-    total = 0.0
-    for xa, xb in zip(xedges[:-1], xedges[1:]):
-        xs = 0.5 * (xb - xa) * (nodes + 1.0) + xa
-        for ya, yb in zip(yedges[:-1], yedges[1:]):
-            ys = 0.5 * (yb - ya) * (nodes + 1.0) + ya
-            xx, yy = np.meshgrid(xs, ys)
-            pts = np.stack([xx, yy], axis=-1)
-            vals = bump_eval(phantom, pts) ** 2
-            total += 0.25 * (xb - xa) * (yb - ya) * float(weights @ vals @ weights)
-    return math.sqrt(total)
+    xs, wx = _composite_gl(xmin, xmax, 24, 32)
+    ys, wy = _composite_gl(ymin, ymax, 24, 32)
+    vals = bump_eval(phantom, np.stack(np.meshgrid(xs, ys), axis=-1)) ** 2
+    return math.sqrt(float(wy @ vals @ wx))
 
 
 def random_phantom(rng: np.random.Generator, domain: ImageDomain, n_bumps: int = 3) -> Phantom:

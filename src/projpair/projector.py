@@ -9,26 +9,25 @@ with ``T(r)`` the arc-parameter set where the ray meets the support of
 individual bump supports; each bump is integrated independently (projection
 is linear in ``f``), so overlapping supports need no special casing.
 
-Each chord is integrated by one fixed rule: composite Gauss-Legendre with
-``_ORDER`` points per panel, from ``_INIT_PANELS`` panels doubled until a
-ray's value changes by at most ``max(_ABS_TOL, _REL_FLOOR * |value|)``, at
-most ``_MAX_REFINE`` doublings.  A ray leaves the batch at the doubling
-where it settles, and each ray gets the same floating-point operations
-whichever rays share its batch, so batched and one-at-a-time evaluation
-agree bitwise.
+Each chord is integrated by one fixed rule: the composite Gauss-Legendre
+rule of ``phantom._composite_gl`` with ``_ORDER`` points per panel, from
+``_INIT_PANELS`` panels doubled until a ray's value changes by at most
+``max(_ABS_TOL, _REL_FLOOR * |value|)``, at most ``_MAX_REFINE`` doublings.
+A ray leaves the batch at the doubling where it settles, and each ray gets
+the same floating-point operations whichever rays share its batch, so
+batched and one-at-a-time evaluation agree bitwise.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .discrete import DetectorGrid, ProjectionData
 from .errors import AccuracyError, ConfigurationError
 from .geometry import FanGeometry, ImageDomain, ParGeometry, view_range
-from .phantom import Phantom, phantom_l2_norm
+from .phantom import Phantom, _bump_profile, _composite_gl, phantom_l2_norm
 
 # The ray quadrature's rule, as the module docstring states it.  A fixed
 # rule, not a setting.
@@ -41,16 +40,6 @@ _INIT_PANELS = 2
 # a doubling's (rays, nodes) temporaries stay that size whatever the ray
 # count.  A fixed rule, not a setting.
 _BLOCK_NODES = 1 << 17
-
-
-@lru_cache(maxsize=None)
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only:
-    every caller, on any thread, shares the same two arrays."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
 
 
 def _bump_line_integrals(geom, bump, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,15 +73,9 @@ def _bump_line_integrals(geom, bump, r) -> tuple[np.ndarray, np.ndarray, np.ndar
     cx, cy = c
     r2 = bump.radius**2
 
-    nodes, weights = _gl_rule(_ORDER)
-
     def composite(panels: int, live: np.ndarray) -> np.ndarray:
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
         # unit-interval nodes of every panel, shape (panels * order,)
-        u = (mids[:, None] + half * nodes[None, :]).ravel()
-        w = np.tile(half * weights, panels)
+        u, w = _composite_gl(0.0, 1.0, panels, _ORDER)
         # per-coordinate (rays, nodes) scratch arrays, reused by every row
         # block; a unit weight never reads t again, so py overwrites it
         rows = max(1, min(live.size, _BLOCK_NODES // u.size))
@@ -116,12 +99,8 @@ def _bump_line_integrals(geom, bump, r) -> tuple[np.ndarray, np.ndarray, np.ndar
             s2 = xb
             s2 += yb
             s2 /= r2
-            fval = np.subtract(1.0, s2, out=yb)
-            np.maximum(fval, 1e-300, out=fval)
-            np.divide(-1.0, fval, out=fval)
-            # outside the support (s2 >= 1) this is exp(-1 / 1e-300) = +0.0
-            with np.errstate(divide="ignore", over="ignore"):
-                np.exp(fval, out=fval)
+            # +0.0 outside the support (s2 >= 1)
+            fval = _bump_profile(s2, out=yb)
             fval *= bump.amplitude
             if geom.mu != 0.0:  # a unit weight multiplies by exactly 1
                 fval *= geom.weight(rr[blk, None], tb)
@@ -203,13 +182,7 @@ def continuity_bound_check(geom, f: Phantom, domain: ImageDomain) -> tuple[float
     lo, hi = lo - pad, hi + pad
 
     # lhs: composite Gauss-Legendre in r of the squared projection.
-    nodes, weights = _gl_rule(16)
-    panels = 48
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    rq = (mids[:, None] + half * nodes[None, :]).ravel()
-    wq = np.tile(half * weights, panels)
+    rq, wq = _composite_gl(lo, hi, 48, 16)
     pv = project_values(geom, f, rq)
     lhs = math.sqrt(float(wq @ (pv * pv)))
 

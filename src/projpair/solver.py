@@ -13,6 +13,7 @@ from numbers import Integral
 
 import numpy as np
 
+from .consistency import _require_view_order
 from .errors import ConfigurationError, DegenerateKernelError, DivergenceError, EvaluationError
 
 EPS = float(np.finfo(float).eps)
@@ -137,8 +138,10 @@ def predicted_residual_floor(target, kernels) -> float:
     unweighted ``(V1, -V2)``.
 
     A zero floor means the target is not obstructed by this condition.
+    Raises ``ConfigurationError`` unless the views come in the order (1, 2).
     """
     views = tuple(target)
+    _require_view_order(v.grid for v in views)
     g = np.concatenate([np.asarray(v.values, float).ravel() for v in views])
     w = np.concatenate(
         [

@@ -507,13 +507,15 @@ ROUNDED_ZERO_AREA_POLYGON = "[domain]\nkind = polygon\nvertices = 1.1 0.6, 12.1 
     ("project", "[detectors]\nrange1_deg = 250 250\n", ()),
     ("project", "[detectors]\nrange1_deg = 250 610\n", ()),
     ("project", "[detectors]\nrange2_deg = -110 250\n", ()),
+    ("check", "[geometry]\nmu = 0\n[detectors]\nbins1 = 1\nbins2 = 1\n", ()),
+    ("check", "[geometry]\nmu = 0\n[detectors]\nbins2 = 1\n", ()),
 ], ids=["separability-n1", "separability-n2", "separability-option-n1-zero",
         "check-tol", "check-option-tol", "solve-tol", "solve-option-tol", "solve-pgm-window",
         "solve-max-iter", "solve-option-max-iter", "solve-nx-zero",
         "separability-zero-area-polygon", "check-zero-area-polygon",
         "separability-rounded-zero-area-polygon", "check-rounded-zero-area-polygon",
         "project-zero-width-fan-range", "project-whole-turn-fan-range",
-        "project-whole-turn-fan-range-below"])
+        "project-whole-turn-fan-range-below", "check-one-bin-views", "check-one-bin-view2"])
 def test_out_of_range_value_is_a_configuration_error(tmp_path, capsys, command, text, options):
     assert_configuration_error(tmp_path, capsys, command, text, options)
 
@@ -565,6 +567,26 @@ def test_solve_refuses_target_files_on_other_detectors(tmp_path, capsys, detecto
     # files written on the configured grid read back to the same floats
     cfg = write_config(tmp_path, "[detectors]\n" + detectors + files + SMALL_SOLVE, name="match.ini")
     assert run(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+
+
+def test_target_files_must_hold_view_1_then_view_2(tmp_path, capsys):
+    # par-fan, mu = 0, 512 bins: swapped, check gave INCONSISTENT (exit 1)
+    # where the files in order are consistent
+    cfg = write_config(tmp_path, "[geometry]\nkind = par-fan\nmu = 0\n[detectors]\nbins1 = 512\nbins2 = 512\n",
+                       name="project.ini")
+    assert run(["project", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "p")]) == 0
+    view1, view2 = tmp_path / "p" / "view1.csv", tmp_path / "p" / "view2.csv"
+    geometry = "[geometry]\nkind = par-fan\nmu = 0\n[target]\nkind = files\n"
+    for file1, file2 in ((view2, view1), (view1, view1), (view2, view2)):
+        assert_configuration_error(tmp_path, capsys, "check", geometry + f"file1 = {file1}\nfile2 = {file2}\n")
+    cfg = write_config(tmp_path, geometry + f"file1 = {view1}\nfile2 = {view2}\n", name="ordered.ini")
+    assert run(["check", "--config", cfg, "--out", str(tmp_path / "ordered")]) == 0
+    assert "verdict = consistent" in capsys.readouterr().out
+    # solve reads the target through the same files branch
+    assert run(["project", "--out", str(tmp_path / "f")]) == 0
+    capsys.readouterr()
+    swapped = f"[target]\nkind = files\nfile1 = {tmp_path / 'f' / 'view2.csv'}\nfile2 = {tmp_path / 'f' / 'view1.csv'}\n"
+    assert_configuration_error(tmp_path, capsys, "solve", swapped + SMALL_SOLVE)
 
 
 def test_percent_in_a_config_value_is_literal(tmp_path):

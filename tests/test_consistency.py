@@ -160,6 +160,27 @@ def test_pprc_vanishes_on_range_data():
         assert abs(i1 - i2) < 1e-6 * (abs(i1) + abs(i2) + 1.0)
 
 
+def test_pprc_sides_refuse_views_out_of_order():
+    # swapped, the sides were (0.000697, 0.0): the kernels met the wrong views
+    K = pp.known_kernels(pp.reference_pair(mu=0.0))
+    tgt = pp.reference_target(*pp.reference_grids(100))
+    with pytest.raises(pp.ConfigurationError, match="in that order"):
+        pp.pprc_sides(tgt[::-1], K)
+    with pytest.raises(pp.ConfigurationError, match="in that order"):
+        pp.pprc_sides((tgt[0], tgt[0]), K)
+
+
+@pytest.mark.parametrize("bins", [(1, 1), (1, 100), (100, 1)])
+def test_pprc_sides_refuse_a_one_bin_view(bins):
+    # the trapezoid rule over one bin center is 0: data (0, 123) gave sides
+    # (0, 0), a consistent verdict, where the residual floor is 87.2
+    K = pp.known_kernels(pp.reference_pair(mu=0.0))
+    grids = [pp.DetectorGrid(g.view, n, g.lo, g.hi) for g, n in zip(pp.reference_grids(), bins)]
+    tgt = [pp.ProjectionData(g, np.full(g.n_bins, 123.0 * (g.view - 1))) for g in grids]
+    with pytest.raises(pp.ConfigurationError, match="at least 2 bins"):
+        pp.pprc_sides(tgt, K)
+
+
 def test_pprc_sides_reject_singular_kernel():
     tgt = pp.reference_target(*pp.reference_grids(64))
     c = tgt[0].grid.centers[10]

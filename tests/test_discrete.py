@@ -284,6 +284,16 @@ def test_operator_rejects_bad_configurations():
         pp.PairOperator(pair, pp.ImageGrid(2, 2, 70.0), d1, d2)  # empty mask
 
 
+@pytest.mark.parametrize("views", [(2, 1), (1, 1), (2, 2)])
+def test_operator_refuses_detector_grids_out_of_view_order(views):
+    # view 2's grid in slot 1 projected a 64^2 image of ones onto 0 nonzero bins
+    pair = pp.reference_pair()
+    grids = pp.reference_grids(n_bins=16)
+    dets = [pp.DetectorGrid(v, g.n_bins, g.lo, g.hi) for v, g in zip(views, grids)]
+    with pytest.raises(pp.ConfigurationError, match=r"views \(1, 2\) in that order"):
+        pp.PairOperator(pair, pp.ImageGrid.from_domain(64, 64, pair.domain), *dets)
+
+
 def test_detector_grid_centers():
     det = pp.DetectorGrid(1, 4, 0.0, 1.0)
     np.testing.assert_allclose(det.centers, [0.125, 0.375, 0.625, 0.875], rtol=0)
@@ -601,13 +611,14 @@ def test_every_build_starts_exactly_one_worker(monkeypatch):
             started.append(self.name)
             super().start()
 
-    monkeypatch.setattr(pp.parallel.threading, "Thread", CountedThread)
+    # the worker pool starts its threads through threading.Thread
+    monkeypatch.setattr(threading, "Thread", CountedThread)
     # 120^2 is one block and 256^2 two; either way view 2 is built on the
     # one worker and each view's blocks one after the other
     for nx in (120, 256):
         started.clear()
         pp.reference_operator(nx=nx, n_bins=60)
-        assert started == ["projpair-worker"]
+        assert started == ["projpair-worker_0"]
 
 
 @pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "moment-fix"])

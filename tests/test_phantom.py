@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import projpair as pp
+from projpair.phantom import _bump_profile, _composite_gl
 
 UNIT_BUMP_MASS = 0.46651239317833015
 
@@ -97,6 +98,45 @@ def test_bump_eval_band_edges_bitwise():
     assert ph(x).tobytes() == dense_bump_eval(ph, x).tobytes()
     grid = np.stack(np.meshgrid(np.linspace(-60, 60, 201), np.linspace(-60, 60, 173)), axis=-1)
     assert ph(grid).tobytes() == dense_bump_eval(ph, grid).tobytes()
+
+
+@pytest.mark.parametrize("panels, order", [(1, 1), (3, 5), (4, 16)])
+def test_composite_rule_integrates_polynomials_exactly(panels, order):
+    # on [1, 3], away from the origin, every x^k with k <= 2 * order - 1
+    nodes, weights = _composite_gl(1.0, 3.0, panels, order)
+    assert nodes.shape == weights.shape == (panels * order,)
+    assert np.all(np.diff(nodes) > 0) and 1.0 < nodes[0] and nodes[-1] < 3.0
+    for k in range(2 * order):
+        exact = (3.0 ** (k + 1) - 1.0) / (k + 1)
+        assert abs(float(weights @ nodes**k) - exact) < 1e-14 * exact
+
+
+def test_bump_profile_is_positive_zero_at_and_beyond_the_edge():
+    for p in (1.0, 2.0):
+        vals = _bump_profile(np.array([1.0, np.nextafter(1.0, 2.0), 1.5, 1e300, np.inf]), p)
+        assert np.all(vals == 0.0) and not np.any(np.signbit(vals))
+
+
+def test_bump_profile_inside_the_support_and_in_place():
+    s2 = np.array([0.0, 0.25, 0.5, 0.9, np.nextafter(1.0, 0.0)])
+    for p in (1.0, 2.0):
+        want = np.exp(-p / (1.0 - s2))
+        assert _bump_profile(s2, p).tobytes() == want.tobytes()
+        out = np.empty_like(s2)
+        assert _bump_profile(s2, p, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        same = s2.copy()
+        _bump_profile(same, p, out=same)
+        assert same.tobytes() == want.tobytes()
+
+
+def test_bump_eval_is_amplitude_times_the_profile():
+    bump = pp.Bump((1.5, -2.0), 3.0, 1.75)
+    pts = np.random.default_rng(9).uniform(-3.0, 6.0, size=(500, 2))
+    s2 = ((pts[:, 0] - 1.5) ** 2 + (pts[:, 1] + 2.0) ** 2) / bump.radius**2
+    assert 0 < np.count_nonzero(s2 < 1.0) < s2.size
+    got = pp.bump_eval(pp.Phantom((bump,)), pts)
+    assert got.tobytes() == (bump.amplitude * _bump_profile(s2)).tobytes()
 
 
 def test_bump_validation():

@@ -322,7 +322,7 @@ def test_row_blocks_equal_one_block_bitwise(monkeypatch, mu, block):
 
 
 def test_gauss_legendre_rule_is_read_only():
-    nodes, weights = projector._gl_rule(16)
+    nodes, weights = pp.phantom._gl_rule(16)
     with pytest.raises(ValueError):
         nodes[0] = 0.0
     with pytest.raises(ValueError):

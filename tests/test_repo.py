@@ -1,7 +1,7 @@
 """Repository-level checks: no unused imports or private names in the
 package, the README's library quick start runs as written, its config
 example and the config keys it names match the CLI's schema, and the
-code-line counter in tools/ counts what it says."""
+code-line and exported-name counter in tools/ counts what it says."""
 
 import ast
 import contextlib
@@ -96,11 +96,27 @@ that is no docstring"""
 '''
 
 
-def test_code_line_counter_known_answer():
+def load_code_lines():
     spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
     code_lines = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(code_lines)
+    return code_lines
+
+
+def test_code_line_counter_known_answer():
+    code_lines = load_code_lines()
     # import; def and its continued line; return and the call's four lines;
     # class; the two lines of the string assigned to text
     assert code_lines.code_lines(CODE_LINES_SNIPPET) == 10
     assert code_lines.code_lines("") == 0
+
+
+def test_exported_name_counter_known_answer():
+    code_lines = load_code_lines()
+    # path, a, c and d; not os (a plain import), annotations (from
+    # __future__) or e (not at the top level)
+    source = CODE_LINES_SNIPPET + (
+        "from __future__ import annotations\nfrom os import path\nfrom .m import (\n    a,\n    b as c,\n)\n"
+        "from .n import d\nimport sys\nif sys:\n    from .o import e\n")
+    assert code_lines.exported_names(source) == 4
+    assert code_lines.exported_names((ROOT / "src" / "projpair" / "__init__.py").read_text(encoding="utf-8")) == 66

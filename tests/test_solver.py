@@ -181,6 +181,12 @@ def test_floor_sums_pairwise():
     assert pp.predicted_residual_floor(tgt, kernels) == want
 
 
+def test_floor_refuses_views_out_of_order():
+    tgt = small_target([1.0, 2.0], [3.0, 4.0])
+    with pytest.raises(pp.ConfigurationError, match="in that order"):
+        pp.predicted_residual_floor(tgt[::-1], flat_kernels())
+
+
 def test_floor_rejects_degenerate_kernels():
     tgt = small_target([1.0, 2.0], [3.0, 4.0])
     with pytest.raises(pp.DegenerateKernelError):

@@ -1,4 +1,4 @@
-"""Count the code lines of the projpair package.
+"""Count the code lines and the exported names of the projpair package.
 
 A code line is a line that holds a token other than a comment or a line,
 indent or dedent marker, and that lies outside every module, class and
@@ -10,8 +10,9 @@ Usage::
 
     python3 tools/code_lines.py
 
-prints one ``count  module`` line per module of ``src/projpair`` and a
-``total`` line.
+prints one ``count  module`` line per module of ``src/projpair``, a
+``total`` line and an ``exported names`` line: the number of names that
+``src/projpair/__init__.py`` binds with its ``from ... import`` statements.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def exported_names(source: str) -> int:
+    """Number of names the module ``source`` binds with its top-level
+    ``from ... import`` statements, ``from __future__`` aside."""
+    froms = [node for node in ast.parse(source).body if isinstance(node, ast.ImportFrom)]
+    return sum(len(node.names) for node in froms if node.module != "__future__")
+
+
 def main() -> int:
     package = Path(__file__).resolve().parents[1] / "src" / "projpair"
     total = 0
@@ -53,6 +61,7 @@ def main() -> int:
         total += n
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
+    print(f"{exported_names((package / '__init__.py').read_text(encoding='utf-8')):6d}  exported names")
     return 0
 
 
