@@ -193,7 +193,10 @@ def _load_config(path: str | None, **overrides: dict) -> tuple[dict, str, str]:
         p = Path(path)
         if not p.is_file():
             raise ConfigurationError(f"config file not found: {path}")
-        raw = p.read_text(encoding="utf-8")
+        try:
+            raw = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
         try:
             cp.read_string(raw)
         except configparser.Error as exc:
@@ -630,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed < 0:
             parser.error(f"argument --seed: must be non-negative, got {args.seed}")
         return args.func(args)
-    except ProjPairError as exc:
+    except (ProjPairError, OSError) as exc:  # OSError: an --out that cannot be made or written
         print(f"error: {exc}", file=sys.stderr)
         return 5
 

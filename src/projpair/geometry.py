@@ -11,9 +11,10 @@ a vector by ninety degrees counterclockwise, so
 ``perp(a) . b == cross(a, b)``.
 
 Each family states its ray once: ``ray(r)`` returns ``(origin, direction)``
-with a unit direction, and
+with a unit direction.  Both families share one point and one weight::
 
     point(r, t) = origin + t * direction,   t > t_min
+    weight(r, t) = exp(mu * t)
 
 A parallel family indexed by signed offset ``r`` has lines (``t_min = -inf``)::
 
@@ -78,12 +79,30 @@ def lift_angle(angle, theta0):
     return np.mod(np.asarray(angle, dtype=float) - theta0, 2.0 * math.pi) + theta0
 
 
+class _Family:
+    """The rules both curve families share, read through their ``ray``,
+    ``t_min`` and ``mu``."""
+
+    def point(self, r, t):
+        """``origin + t * direction`` on the ray ``r``; ``t`` must exceed ``t_min``."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t <= self.t_min):
+            raise DomainError(f"ray parameter t must exceed t_min = {self.t_min}")
+        origin, e = self.ray(r)
+        return origin + t[..., None] * e
+
+    def weight(self, r, t):
+        """``exp(mu * t)``, broadcast over ``r`` and ``t``."""
+        r, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(t, float))
+        return np.exp(self.mu * t)
+
+
 # ---------------------------------------------------------------------------
 # Parallel family
 
 
 @dataclass(frozen=True)
-class ParGeometry:
+class ParGeometry(_Family):
     """Parallel-beam family at angle ``theta``; unit weight (``mu = 0``)."""
 
     theta: float
@@ -100,11 +119,6 @@ class ParGeometry:
         d = direction(self.theta)
         return r[..., None] * d, np.broadcast_to(perp(d), r.shape + (2,))
 
-    def point(self, r, t):
-        """Point at offset ``r``, arc parameter ``t`` on the parallel family."""
-        origin, e = self.ray(r)
-        return origin + np.asarray(t, dtype=float)[..., None] * e
-
     def inverse(self, x):
         """Return ``(r, t)`` with ``self.point(r, t) == x``. Exact inverse."""
         x = np.asarray(x, dtype=float)
@@ -115,17 +129,13 @@ class ParGeometry:
         x = np.asarray(x, dtype=float)
         return np.ones(x.shape[:-1], dtype=float)
 
-    def weight(self, r, t):
-        r, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(t, float))
-        return np.ones_like(t)
-
 
 # ---------------------------------------------------------------------------
 # Fan family
 
 
 @dataclass(frozen=True, eq=False)
-class FanGeometry:
+class FanGeometry(_Family):
     """Fan-beam family from ``vertex``; exponential weight ``exp(mu * t)``.
 
     ``theta0`` fixes the angular branch ``[theta0, theta0 + 2*pi)`` on which
@@ -151,14 +161,6 @@ class FanGeometry:
         """``(origin, direction)`` of the half-line at absolute angle ``r``."""
         r = np.asarray(r, dtype=float)
         return np.broadcast_to(self.vertex_xy, r.shape + (2,)), direction(r)
-
-    def point(self, r, t):
-        """Point at distance ``t > 0`` along the ray at absolute angle ``r``."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0):
-            raise DomainError("fan parameter t must be positive")
-        origin, e = self.ray(r)
-        return origin + t[..., None] * e
 
     def inverse(self, x):
         """Return ``(r, t)``: ray angle on the branch and distance to the vertex.
@@ -186,10 +188,6 @@ class FanGeometry:
         """|det of the derivative of the inverse fan map| = 1 / |x - vertex|."""
         _, t = self.inverse(x)
         return 1.0 / t
-
-    def weight(self, r, t):
-        r, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(t, float))
-        return np.exp(self.mu * t)
 
 
 # ---------------------------------------------------------------------------
@@ -416,32 +414,31 @@ class ImageDomain:
     def chord_length(self, origin, dir_vec, t_min: float = -math.inf) -> float:
         """Total length of ``{t : origin + t*dir_vec in domain, t > t_min}``.
 
-        ``dir_vec`` must be a unit vector for the result to be a length.
+        ``dir_vec`` must be a unit vector for the result to be a length.  The
+        line's crossings with the boundary, sorted, cut it into pieces; a piece
+        counts, from ``t_min`` on, when its midpoint lies inside.
         """
         o = np.asarray(origin, dtype=float)
         d = np.asarray(dir_vec, dtype=float)
+        ts = []  # where the line crosses the boundary
         if self.kind == "disc":
             oc = o - np.array(self.center)
             b = float(oc @ d)
             c = float(oc @ oc) - self.radius**2
             disc = b * b - c
-            if disc <= 0:
-                return 0.0
-            t0, t1 = -b - math.sqrt(disc), -b + math.sqrt(disc)
-            return max(0.0, t1 - max(t0, t_min))
-        verts = self.vertices
-        ts = []
-        n = len(verts)
-        for i in range(n):
-            p, q = verts[i], verts[(i + 1) % n]
-            e = q - p
-            den = cross2(d, e)
-            if abs(den) < 1e-300:
-                continue
-            s = cross2(p - o, e) / den
-            u = cross2(p - o, d) / den
-            if -1e-12 <= u <= 1.0 + 1e-12:
-                ts.append(s)
+            if disc > 0:
+                ts = [-b - math.sqrt(disc), -b + math.sqrt(disc)]
+        else:
+            verts = self.vertices
+            for p, q in zip(verts, np.roll(verts, -1, axis=0)):
+                e = q - p
+                den = cross2(d, e)
+                if abs(den) < 1e-300:
+                    continue
+                s = cross2(p - o, e) / den
+                u = cross2(p - o, d) / den
+                if -1e-12 <= u <= 1.0 + 1e-12:
+                    ts.append(s)
         if len(ts) < 2:
             return 0.0
         ts = sorted(ts)
@@ -503,8 +500,11 @@ class AdmissibilityReport:
     margin fails.
     """
 
-    passed: bool
     margins: dict[str, float]
+
+    @property
+    def passed(self) -> bool:
+        return all(m > 0.0 for m in self.margins.values())
 
     def require(self) -> None:
         """Raise ConfigurationError naming the failing margins unless passed."""
@@ -535,35 +535,31 @@ def check_fan_admissible(geom: FanGeometry, domain: ImageDomain) -> Admissibilit
     complement of the largest circular gap between the boundary samples'
     ray angles, so it does not depend on where the cut splits them.
     """
-    pts = domain.boundary_points(_BOUNDARY_SAMPLES)
+    return AdmissibilityReport(_fan_margins(geom, domain, domain.boundary_points(_BOUNDARY_SAMPLES)))
+
+
+def _fan_margins(geom: FanGeometry, domain: ImageDomain, pts: np.ndarray, r=None) -> dict[str, float]:
+    """:func:`check_fan_admissible`'s margins from the boundary samples
+    ``pts`` and, when given, their ray angles ``r``; without them the angles
+    are taken only if the vertex clears the boundary."""
     dist = float(np.min(np.hypot(*(pts - geom.vertex_xy).T)))
     if domain.contains(geom.vertex_xy):
         dist = -dist
-    margins = {"vertex_clearance": dist}
+    branch = -math.inf
     if dist > 0:
-        r, _ = geom.inverse(pts)
+        if r is None:
+            r, _ = geom.inverse(pts)
         u = np.sort(r) - geom.theta0  # cut at 0 and 2*pi
         gaps = np.diff(u, append=u[0] + 2.0 * math.pi)
         i = int(np.argmax(gaps))
         if i == u.size - 1:  # the largest gap holds the cut
-            margins["branch_clearance"] = float(min(u[0], 2.0 * math.pi - u[-1]))
+            branch = float(min(u[0], 2.0 * math.pi - u[-1]))
         else:
-            margins["branch_clearance"] = -float(min(u[i], 2.0 * math.pi - u[i + 1]))
-    else:
-        margins["branch_clearance"] = -math.inf
-    passed = all(m > 0.0 for m in margins.values())
-    return AdmissibilityReport(passed=passed, margins=margins)
+            branch = -float(min(u[i], 2.0 * math.pi - u[i + 1]))
+    return {"vertex_clearance": dist, "branch_clearance": branch}
 
 
-def _parpar_margins(g1: ParGeometry, g2: ParGeometry) -> dict[str, float]:
-    d = math.remainder(g1.theta - g2.theta, math.pi)
-    return {"angle_separation": abs(d)}
-
-
-def _parfan_margins(g1: ParGeometry, g2: FanGeometry, domain: ImageDomain) -> dict[str, float]:
-    pts = domain.boundary_points(_BOUNDARY_SAMPLES)
-    r1, _ = g1.inverse(pts)
-    r2, _ = g2.inverse(pts)
+def _parfan_margins(g1: ParGeometry, g2: FanGeometry, r1, r2) -> dict[str, float]:
     s0 = float(g2.vertex_xy @ direction(g1.theta))
     lo, hi = float(np.min(r1)), float(np.max(r1))
     offset = min(abs(s0 - lo), abs(s0 - hi))
@@ -585,15 +581,10 @@ def _orientation(vertex1, vertex2, domain: ImageDomain) -> int:
     return 1 if cross2(domain.reference_point() - v1, dl) > 0 else -1
 
 
-def _fanfan_margins(g1: FanGeometry, g2: FanGeometry, domain: ImageDomain) -> dict[str, float]:
+def _fanfan_margins(g1: FanGeometry, g2: FanGeometry, domain: ImageDomain, pts, r1, r2) -> dict[str, float]:
     dl = g2.vertex_xy - g1.vertex_xy
     norm_dl = float(np.hypot(*dl))
-    if norm_dl < DENOM_TOL:
-        raise ConfigurationError("fan vertices coincide")
     s = _orientation(g1.vertex_xy, g2.vertex_xy, domain)
-    pts = domain.boundary_points(_BOUNDARY_SAMPLES)
-    r1, _ = g1.inverse(pts)
-    r2, _ = g2.inverse(pts)
     d1, d2 = direction(r1), direction(r2)
     return {
         "line_clearance": float(np.min(s * cross2(pts - g1.vertex_xy, dl) / norm_dl)),
@@ -611,22 +602,25 @@ def check_pair_admissible(pair: PairGeometry) -> AdmissibilityReport:
     the orientation sign that makes the domain sit on the positive side of
     the line through the two vertices (:func:`pair_orientation`) is folded
     into the margins, so admissibility never depends on the labeling order
-    of the vertices.
+    of the vertices.  The boundary is sampled once, and each family's ray
+    parameters are taken on it once.
     """
-    kind = pair.kind
-    if kind == "par-par":
-        margins = _parpar_margins(pair.first, pair.second)
-    elif kind == "par-fan":
-        margins = _parfan_margins(pair.first, pair.second, pair.domain)
-        margins.update({"fan_" + k: v for k, v in check_fan_admissible(pair.second, pair.domain).margins.items()})
-    elif kind == "fan-fan":
-        margins = _fanfan_margins(pair.first, pair.second, pair.domain)
-        for tag, geom in (("fan1_", pair.first), ("fan2_", pair.second)):
-            margins.update({tag + k: v for k, v in check_fan_admissible(geom, pair.domain).margins.items()})
-    else:  # pragma: no cover - PairGeometry forbids (fan, par)
-        raise ConfigurationError(f"unsupported pair kind {kind!r}")
-    passed = all(m > 0.0 for m in margins.values())
-    return AdmissibilityReport(passed=passed, margins=margins)
+    g1, g2, domain = pair.first, pair.second, pair.domain
+    if pair.kind == "par-par":
+        return AdmissibilityReport({"angle_separation": abs(math.remainder(g1.theta - g2.theta, math.pi))})
+    if pair.kind == "fan-fan" and np.hypot(*(g2.vertex_xy - g1.vertex_xy)) < DENOM_TOL:
+        raise ConfigurationError("fan vertices coincide")
+    pts = domain.boundary_points(_BOUNDARY_SAMPLES)
+    (r1, _), (r2, _) = g1.inverse(pts), g2.inverse(pts)
+    if pair.kind == "par-fan":
+        margins = _parfan_margins(g1, g2, r1, r2)
+        fans = (("fan_", g2, r2),)
+    else:
+        margins = _fanfan_margins(g1, g2, domain, pts, r1, r2)
+        fans = (("fan1_", g1, r1), ("fan2_", g2, r2))
+    for tag, geom, r in fans:
+        margins.update({tag + k: v for k, v in _fan_margins(geom, domain, pts, r).items()})
+    return AdmissibilityReport(margins)
 
 
 def pair_orientation(pair: PairGeometry) -> int:

@@ -36,6 +36,8 @@ class Bump:
             raise ConfigurationError("bump center, radius and amplitude must be finite")
         if self.radius <= 0:
             raise ConfigurationError("bump radius must be positive")
+        if not math.isfinite(float(self.radius) * float(self.radius)):
+            raise ConfigurationError("bump radius squared must be finite")
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,22 @@ def test_check_projected_phantom_is_consistent(tmp_path, capsys):
     assert "admissible = True" in out
 
 
+@pytest.mark.parametrize("domain", [
+    "kind = disc\n",
+    "kind = rectangle\nhalf_width = 20\nhalf_height = 15\ncenter = 3 -2\n",
+], ids=["disc", "rectangle"])
+def test_check_par_fan_over_a_disc_or_rectangle_is_consistent(tmp_path, capsys, domain):
+    cfg = write_config(
+        tmp_path,
+        "[geometry]\nkind = par-fan\nvertex2 = -90 10\nmu = 0\n"
+        f"[domain]\n{domain}"
+        "[detectors]\nbins1 = 512\nbins2 = 512\n[target]\nkind = phantom\n",
+    )
+    assert run(["check", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "admissible = True" in out and "verdict = consistent" in out
+
+
 def test_check_config_used_and_resolved_written(tmp_path):
     raw = "[geometry]\nmu = 0\n"
     cfg = write_config(tmp_path, raw)
@@ -450,6 +466,26 @@ def test_missing_and_malformed_config(tmp_path, capsys):
     assert err.count("error:") == 2
 
 
+def test_config_file_that_is_not_utf8_is_a_configuration_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"[geometry]\nmu = \xff\n")
+    assert run(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["F", "F/o"], ids=["out-is-a-file", "out-below-a-file"])
+def test_out_that_cannot_be_created_is_a_runtime_error(tmp_path, capsys, out):
+    (tmp_path / "F").write_text("kept\n", encoding="utf-8")
+    cfg = write_config(tmp_path, "[geometry]\nmu = 0\n")
+    assert run(["check", "--config", cfg, "--out", str(tmp_path / out)]) == 5
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "cfg.ini"]
+    assert (tmp_path / "F").read_text(encoding="utf-8") == "kept\n"
+
+
 def assert_configuration_error(tmp_path, capsys, command, text, options=()):
     # every configuration error is found before the output directory exists
     cfg = write_config(tmp_path, text, name="bad.ini")
@@ -509,13 +545,19 @@ ROUNDED_ZERO_AREA_POLYGON = "[domain]\nkind = polygon\nvertices = 1.1 0.6, 12.1 
     ("project", "[detectors]\nrange2_deg = -110 250\n", ()),
     ("check", "[geometry]\nmu = 0\n[detectors]\nbins1 = 1\nbins2 = 1\n", ()),
     ("check", "[geometry]\nmu = 0\n[detectors]\nbins2 = 1\n", ()),
+    ("project", "[phantom]\nkind = list\nbumps = 0 0 1e155 1\n", ()),
+    ("check", "[geometry]\nvertex1 = -80 0\nvertex2 = -80 0\n", ()),
+    ("solve", "[geometry]\nvertex1 = -80 0\nvertex2 = -80 0\n", ()),
+    ("separability", "[geometry]\nvertex1 = -80 0\nvertex2 = -80 0\n", ("--n1", "8", "--n2", "8")),
 ], ids=["separability-n1", "separability-n2", "separability-option-n1-zero",
         "check-tol", "check-option-tol", "solve-tol", "solve-option-tol", "solve-pgm-window",
         "solve-max-iter", "solve-option-max-iter", "solve-nx-zero",
         "separability-zero-area-polygon", "check-zero-area-polygon",
         "separability-rounded-zero-area-polygon", "check-rounded-zero-area-polygon",
         "project-zero-width-fan-range", "project-whole-turn-fan-range",
-        "project-whole-turn-fan-range-below", "check-one-bin-views", "check-one-bin-view2"])
+        "project-whole-turn-fan-range-below", "check-one-bin-views", "check-one-bin-view2",
+        "project-bump-radius-square-overflows", "check-coinciding-vertices", "solve-coinciding-vertices",
+        "separability-coinciding-vertices"])
 def test_out_of_range_value_is_a_configuration_error(tmp_path, capsys, command, text, options):
     assert_configuration_error(tmp_path, capsys, command, text, options)
 

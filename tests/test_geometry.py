@@ -67,6 +67,13 @@ def test_fan_point_rejects_nonpositive_t():
         geom.point(1.0, -2.0)
 
 
+def test_par_point_refuses_only_minus_infinity():
+    geom = pp.ParGeometry(0.3)
+    with pytest.raises(pp.DomainError, match="t_min = -inf"):
+        geom.point(1.0, -math.inf)
+    assert np.all(np.isfinite(geom.point(1.0, [-1e300, 0.0, 1e300])))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(
     vertex=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
@@ -145,6 +152,9 @@ def test_weight_conventions():
     assert par.weight(0.0, 5.0) == 1.0
     assert fan0.weight(0.0, 7.0) == 1.0
     assert abs(fan.weight(0.0, 7.0) - math.exp(-0.154 * 7.0)) < 1e-15
+    # exactly 1 for every finite t, in the broadcast shape of r and t
+    w = par.weight(np.zeros((2, 1)), [-1e300, -7.5, -0.0, 0.0, 3.25, 1e300])
+    assert w.shape == (2, 6) and np.all(w == 1.0)
 
 
 # --- intersections ---------------------------------------------------------
@@ -331,6 +341,24 @@ def test_disc_domain_contains_and_chord():
     assert abs(length - 2.0 * math.sqrt(25.0 - 9.0)) < 1e-12
 
 
+def test_disc_chord_that_misses_or_touches_is_zero():
+    dom = pp.ImageDomain.disc((1.0, -2.0), 5.0)
+    up = np.array([0.0, 1.0])
+    assert dom.chord_length(np.array([7.0, -20.0]), up) == 0.0
+    # x = 6 touches the disc at (6, -2): the discriminant is exactly 0
+    assert dom.chord_length(np.array([6.0, -20.0]), up) == 0.0
+
+
+@pytest.mark.parametrize("dom", [pp.ImageDomain.disc((1.0, -2.0), 5.0), pp.ImageDomain.rectangle(5.0, 5.0, (1.0, -2.0))],
+                         ids=["disc", "rectangle"])
+def test_chord_that_ends_before_t_min_is_zero(dom):
+    # the vertical line through the center crosses y = -7 and y = 3 at t = 13 and 23
+    o, up = np.array([1.0, -20.0]), np.array([0.0, 1.0])
+    assert abs(dom.chord_length(o, up, 18.0) - 5.0) < 1e-12
+    assert dom.chord_length(o, up, 23.0) == 0.0
+    assert dom.chord_length(o, up, 40.0) == 0.0
+
+
 def test_reference_domain_polygon_vertices():
     """The clipped square has eight corners; the two oblique cuts meet the
     square and each other where elementary line intersections put them."""
@@ -429,11 +457,53 @@ def test_boundary_points_takes_numpy_integers():
 
 
 def test_require_names_every_failing_margin():
-    report = pp.AdmissibilityReport(passed=False, margins={"a": math.nan, "b": 1.0, "c": -1.0, "d": 0.0})
+    report = pp.AdmissibilityReport(margins={"a": math.nan, "b": 1.0, "c": -1.0, "d": 0.0})
     with pytest.raises(pp.ConfigurationError) as exc:
         report.require()
     assert "'a'" in str(exc.value) and "'c'" in str(exc.value) and "'d'" in str(exc.value)
     assert "'b'" not in str(exc.value)
+
+
+@pytest.mark.parametrize("margins, passed", [
+    ({"a": 1.0, "b": 2.0}, True), ({"a": 1.0, "b": -0.5}, False), ({"a": 0.0}, False), ({"a": math.nan}, False),
+])
+def test_report_passed_is_read_from_its_margins(margins, passed):
+    report = pp.AdmissibilityReport(margins)
+    assert report.passed is passed
+    if not passed:
+        with pytest.raises(pp.ConfigurationError):
+            report.require()
+
+
+def test_parallel_pair_at_one_angle_is_not_admissible():
+    dom = pp.ImageDomain.disc((0.0, 0.0), 10.0)
+    report = pp.check_pair_admissible(pp.PairGeometry(pp.ParGeometry(0.3), pp.ParGeometry(0.3), dom))
+    assert report.margins == {"angle_separation": 0.0}
+    assert not report.passed
+
+
+def test_coinciding_fan_vertices_are_refused():
+    pair = pp.PairGeometry(pp.FanGeometry((-80.0, 0.0)), pp.FanGeometry((-80.0, 0.0)), pp.reference_domain())
+    with pytest.raises(pp.ConfigurationError, match="fan vertices coincide"):
+        pp.check_pair_admissible(pair)
+
+
+def test_pair_fan_margins_equal_the_single_fan_check():
+    ref = pp.reference_pair()
+    parfan = pp.PairGeometry(pp.ParGeometry(0.0), ref.second, ref.domain)
+    for pair, fans in ((ref, {"fan1_": ref.first, "fan2_": ref.second}), (parfan, {"fan_": ref.second})):
+        margins = pp.check_pair_admissible(pair).margins
+        for tag, geom in fans.items():
+            for key, value in pp.check_fan_admissible(geom, pair.domain).margins.items():
+                assert margins[tag + key] == value
+
+
+def test_fan_vertex_on_a_boundary_sample_gets_margins():
+    dom = pp.ImageDomain.disc((0.0, 0.0), 10.0)
+    vertex = dom.boundary_points(1024)[0]
+    report = pp.check_fan_admissible(pp.FanGeometry(tuple(vertex)), dom)
+    assert report.margins == {"vertex_clearance": 0.0, "branch_clearance": -math.inf}
+    assert not report.passed
 
 
 def test_view_ranges_match_exact_wedges():

@@ -1,7 +1,8 @@
 """Repository-level checks: no unused imports or private names in the
 package, the README's library quick start runs as written, its config
 example and the config keys it names match the CLI's schema, and the
-code-line and exported-name counter in tools/ counts what it says."""
+code-line, exported-name and settable-value counter in tools/ counts what
+it says."""
 
 import ast
 import contextlib
@@ -120,3 +121,59 @@ def test_exported_name_counter_known_answer():
         "from .n import d\nimport sys\nif sys:\n    from .o import e\n")
     assert code_lines.exported_names(source) == 4
     assert code_lines.exported_names((ROOT / "src" / "projpair" / "__init__.py").read_text(encoding="utf-8")) == 66
+
+
+SETTABLE_PACKAGE = {
+    "__init__.py": "from __future__ import annotations\nfrom .m import C, D, E, f\nfrom .cli import main\n",
+    "m.py": '''from dataclasses import dataclass
+
+
+def f(a, b=1, *, c=2, d):
+    pass
+
+
+def g(x=1):
+    pass
+
+
+@dataclass(frozen=True)
+class C:
+    x: int
+    y: float = 0.0
+    z = 3
+
+    def method(self, k=1):
+        pass
+
+    def _private(self, k=1):
+        pass
+
+    @staticmethod
+    def make(a, b=2, c=3):
+        pass
+
+
+@dataclass
+class D:
+    w: int
+
+
+class E:
+    n: int
+
+    def run(self, v=0):
+        pass
+''',
+    "cli.py": "def main(argv=None):\n    pass\n\n\n_SCHEMA = {\"a\": {\"k1\": 1, \"k2\": 2}, \"b\": {\"k3\": 3}}\n",
+}
+
+
+def test_settable_value_counter_known_answer(tmp_path):
+    code_lines = load_code_lines()
+    for name, text in SETTABLE_PACKAGE.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    # f's b and c; C's fields x and y (not z), method's k and make's b and c
+    # (not _private's k); D's w; E's run's v (E is no dataclass, so not n);
+    # main's argv; the three _SCHEMA keys.  g is not exported.
+    assert code_lines.settable_values(tmp_path) == 2 + 5 + 1 + 1 + 1 + 3
+    assert code_lines.settable_values(ROOT / "src" / "projpair") == 88

@@ -1,4 +1,5 @@
-"""Count the code lines and the exported names of the projpair package.
+"""Count the code lines, the exported names and the settable values of the
+projpair package.
 
 A code line is a line that holds a token other than a comment or a line,
 indent or dedent marker, and that lies outside every module, class and
@@ -11,8 +12,12 @@ Usage::
     python3 tools/code_lines.py
 
 prints one ``count  module`` line per module of ``src/projpair``, a
-``total`` line and an ``exported names`` line: the number of names that
-``src/projpair/__init__.py`` binds with its ``from ... import`` statements.
+``total`` line, an ``exported names`` line: the number of names that
+``src/projpair/__init__.py`` binds with its ``from ... import`` statements,
+and a ``settable values`` line: the defaulted parameters of the exported
+top-level functions, the annotated fields of the exported ``@dataclass``
+classes, the defaulted parameters of the exported classes' public methods,
+and the keys across the sections of ``cli._SCHEMA``.
 """
 
 from __future__ import annotations
@@ -53,6 +58,40 @@ def exported_names(source: str) -> int:
     return sum(len(node.names) for node in froms if node.module != "__future__")
 
 
+def _defaults(func: ast.FunctionDef) -> int:
+    return len(func.args.defaults) + sum(d is not None for d in func.args.kw_defaults)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+               for d in cls.decorator_list)
+
+
+def settable_values(package: Path) -> int:
+    """Number of values a caller of the package ``package`` can set: see the
+    module docstring.  Every module ``__init__.py`` imports from is parsed,
+    not imported."""
+    exported: dict[str, set[str]] = {}
+    for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            exported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    count = 0
+    for module, names in exported.items():
+        for node in ast.parse((package / f"{module}.py").read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                count += _defaults(node)
+            elif isinstance(node, ast.ClassDef) and node.name in names:
+                if _is_dataclass(node):
+                    count += sum(isinstance(item, ast.AnnAssign) for item in node.body)
+                count += sum(_defaults(item) for item in node.body
+                             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+    for node in ast.parse((package / "cli.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_SCHEMA" for t in node.targets):
+            count += sum(len(section.keys) for section in node.value.values)
+    return count
+
+
 def main() -> int:
     package = Path(__file__).resolve().parents[1] / "src" / "projpair"
     total = 0
@@ -62,6 +101,7 @@ def main() -> int:
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
     print(f"{exported_names((package / '__init__.py').read_text(encoding='utf-8')):6d}  exported names")
+    print(f"{settable_values(package):6d}  settable values")
     return 0
 
 
