@@ -77,6 +77,7 @@ from .consistency import (
     kernel_condition_residual,
     known_kernels,
     pprc_sides,
+    predicted_residual_floor,
     separability_test,
 )
-from .solver import CgneState, cgne_solve, predicted_residual_floor
+from .solver import CgneState, cgne_solve

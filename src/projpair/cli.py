@@ -29,6 +29,7 @@ from .consistency import (
     expo_surface,
     known_kernels,
     pprc_sides,
+    predicted_residual_floor,
     separability_test,
 )
 from .discrete import (
@@ -58,7 +59,7 @@ from .geometry import (
 from .parallel import two_threads
 from .phantom import Bump, Phantom, random_phantom, reference_target
 from .projector import project_view
-from .solver import cgne_solve, predicted_residual_floor
+from .solver import cgne_solve
 
 
 # Value parsers: each takes a config value's text (stripped by configparser)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, EvaluationError
+from .errors import ConfigurationError, DegenerateKernelError, DomainError, EvaluationError
 from .geometry import (
     DENOM_TOL,
     PairGeometry,
@@ -95,26 +95,73 @@ def _require_view_order(grids) -> None:
         raise ConfigurationError(f"a pair's detector grids must be views (1, 2) in that order, got views {tags}")
 
 
+def _kernel_samples(grid, kern) -> np.ndarray:
+    """``kern`` at the bin centers of ``grid``: the one place a kernel is
+    sampled on a detector.  Raises ``EvaluationError`` naming the view and
+    the first center where the kernel is not finite."""
+    r = grid.centers
+    v = np.asarray(kern(r), dtype=float)
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise EvaluationError(f"view {grid.view} kernel value not finite at r = {float(r[bad][0])!r}")
+    return v
+
+
+def _range_weights(target, kernels: KernelPair, min_bins: int = 1) -> tuple[np.ndarray, np.ndarray, int]:
+    """The discretized range condition ``<g, W> = 0`` of a target.
+
+    Returns ``g`` (view 1's bins, then view 2's), the sampled, width-weighted
+    kernels ``W = (width1 * V1, -width2 * V2)`` on the same layout, and view
+    1's bin count.  Bin-average data of any image satisfy it to the order of
+    the midpoint rule, and the data of the mu = 0 :class:`PairOperator`
+    exactly.  Raises ``ConfigurationError`` unless the views come as (1, 2)
+    with at least ``min_bins`` bins each, refused in that order.
+    """
+    views = tuple(target)
+    _require_view_order(v.grid for v in views)
+    if min(v.grid.n_bins for v in views) < min_bins:
+        raise ConfigurationError(f"the range-condition sides need at least {min_bins} bins per view")
+    g = np.concatenate([v.values for v in views])
+    w = np.concatenate([views[0].grid.width * _kernel_samples(views[0].grid, kernels.v1),
+                        -views[1].grid.width * _kernel_samples(views[1].grid, kernels.v2)])
+    return g, w, views[0].grid.n_bins
+
+
 def pprc_sides(target, kernels: KernelPair) -> tuple[float, float]:
-    """Trapezoid estimates of ``integral g1 V1`` and ``integral g2 V2``.
+    """The two halves of ``<g, W>``: ``sum g1 V1 width1`` and
+    ``sum g2 V2 width2``, midpoint estimates of ``integral g1 V1`` and
+    ``integral g2 V2`` (see :func:`_range_weights`).
 
     Raises ``ConfigurationError`` unless the target's views come in the
-    order (1, 2), or if a view has fewer than 2 bins: the trapezoid rule
-    over one bin center is 0, which would pass any target as consistent.
+    order (1, 2), or if a view has fewer than 2 bins: a side is then one
+    kernel sample times one datum, a midpoint rule over the whole range
+    whose error is as large as the side, so its verdict says nothing.
     """
-    d1, d2 = target
-    _require_view_order((d1.grid, d2.grid))
-    if min(d1.grid.n_bins, d2.grid.n_bins) < 2:
-        raise ConfigurationError("the range-condition sides need at least 2 bins per view")
-    total = []
-    for data, kern in ((d1, kernels.v1), (d2, kernels.v2)):
-        r = data.grid.centers
-        w = np.asarray(kern(r), dtype=float)
-        if not np.all(np.isfinite(w)):
-            bad = r[~np.isfinite(w)][0]
-            raise EvaluationError(f"kernel value not finite at r = {bad!r}")
-        total.append(float(np.trapezoid(data.values * w, r)))
-    return total[0], total[1]
+    g, w, n1 = _range_weights(target, kernels, min_bins=2)
+    return float(np.add.reduce(g[:n1] * w[:n1])), float(-np.add.reduce(g[n1:] * w[n1:]))
+
+
+def predicted_residual_floor(target, kernels: KernelPair) -> float:
+    """Lower bound for the achievable data residual, from a range condition.
+
+    ``W`` of :func:`_range_weights` annihilates every consistent data vector,
+    so the component of the target along it can never be matched:
+
+        floor = |<g, W>| / ||W||,
+
+    both sums pairwise (numpy's ``add.reduce``), as :func:`cgne_solve` sums.
+    With equal bin widths the weights cancel and the floor is that of the
+    unweighted ``(V1, -V2)``.  A zero floor means the target is not
+    obstructed by this condition.
+
+    Raises ``ConfigurationError`` unless the views come in the order (1, 2),
+    and ``DegenerateKernelError`` if the kernels vanish on both grids.
+    """
+    g, w, _ = _range_weights(target, kernels)
+    w_norm = math.sqrt(np.add.reduce(w * w))
+    if w_norm < 1e-300:
+        raise DegenerateKernelError("kernels vanish identically on the sampled ranges")
+    return abs(float(np.add.reduce(g * w))) / w_norm
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +321,8 @@ def separability_test(
     ``projpair separability --n1 640 --n2 640``, 1 122 of 205 761 at
     mu = -0.154, from 15 of the 54 blocks of 12 rows, and none at mu = 0;
     on noise with no structure, nearly all.  Memory: the ``n1 x n1``
-    shared-column counts, one largest ``U`` per row, and blocks of about
-    512 KB.
+    shared-column counts, a float copy of the masks of the rows missing a
+    sample, one largest ``U`` per row, and blocks of about 512 KB.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2:
@@ -295,19 +342,16 @@ def separability_test(
     if scale > 0.5 * np.finfo(float).max:
         raise ConfigurationError(f"|L| reaches {scale:.6g}; row differences would overflow")
     threshold = 1e-8 * scale
-    # columns each row pair shares, n2 - c_i - c_j + (columns both miss), in
-    # exact integers; the last term is nonzero only between rows missing
-    # some column, and is counted on their bit-packed masks
+    # columns each row pair shares, n2 - c_i - c_j + (columns both miss); the
+    # last term is nonzero only between rows missing some column, and is one
+    # product of their 0/1 masks, exact in any summation order: every partial
+    # sum is an integer below 2**53
     miss = ~valid
     count = np.count_nonzero(miss, axis=1)
     shared = n2 - count[:, None] - count[None, :]
     some = np.flatnonzero(count)
-    words = np.packbits(miss[some], axis=1)
-    words = np.pad(words, ((0, 0), (0, -words.shape[1] % 8))).view(np.uint64)
-    block = max(1, 65536 // max(1, words.size))
-    for a in range(0, some.size, block):
-        both = np.bitwise_count(words[a : a + block, None] & words).sum(axis=-1, dtype=np.int64)
-        shared[some[a : a + block, None], some] += both
+    m = miss[some].astype(float)
+    shared[np.ix_(some, some)] += (m @ m.T).astype(np.int64)
     rows = max(1, 65536 // n2)
     buf = np.empty((rows, n2))
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .consistency import _require_view_order, known_kernels
+from .consistency import _kernel_samples, _require_view_order, known_kernels
 from .errors import ConfigurationError
 from .geometry import (
     ATTENUATION_MU,
@@ -153,6 +153,8 @@ class DetectorGrid:
             raise ConfigurationError("detector range must be finite")
         if not self.hi > self.lo:
             raise ConfigurationError("detector range must have hi > lo")
+        if not math.isfinite(self.hi - self.lo):
+            raise ConfigurationError(f"view {self.view} detector range width hi - lo overflows")
 
     @property
     def width(self) -> float:
@@ -228,7 +230,11 @@ def _kernel_moment_fix(
     offset-major, shape ``(width, n)``; every window must cover the pixel's
     footprint plus one bin each side.  Returns ``(sel, change)``: the table
     columns of the corrected pixels and the change to add to their weights,
-    shape ``(sel.size, width)``, zero outside each pixel's support.
+    shape ``(sel.size, width)``, zero outside each pixel's support.  ``V(c_k)``
+    is gathered from the view's one kernel sampling
+    (:func:`~projpair.consistency._kernel_samples`), the ``W`` that ``check``
+    and the residual floor read, so a kernel not finite at any bin center is
+    refused whichever pixels are built.
     """
     n = det.n_bins
     if n < 3:
@@ -239,11 +245,11 @@ def _kernel_moment_fix(
     bins = start[sel, None] + np.arange(weights.shape[0])
     lo, length = _window(a, b, n, 1)
     valid = (bins >= lo[:, None]) & (bins < (lo + length)[:, None])
-    c = det.lo + det.width * (bins + 0.5)
-    vc = np.asarray(kern(c), float)
+    c = det.centers[bins]
+    vc = _kernel_samples(det, kern)[bins]
     vr = np.asarray(kern(r), float)
-    if not (np.all(np.isfinite(vc)) and np.all(np.isfinite(vr))):
-        raise ConfigurationError(f"range-condition kernel is not finite on the view {det.view} detector range")
+    if not np.all(np.isfinite(vr)):
+        raise ConfigurationError(f"range-condition kernel is not finite at a view {det.view} pixel's ray angle")
     # The three moments in centred, scaled form: mass, offset from r in bins,
     # and kernel relative to V(r) minus the mass term, with targets
     # (coeff / width, 0, 0).

@@ -36,8 +36,9 @@ class Bump:
             raise ConfigurationError("bump center, radius and amplitude must be finite")
         if self.radius <= 0:
             raise ConfigurationError("bump radius must be positive")
-        if not math.isfinite(float(self.radius) * float(self.radius)):
-            raise ConfigurationError("bump radius squared must be finite")
+        # bump_eval divides by radius**2: 0 makes 0/0 at the center
+        if not 0.0 < float(self.radius) * float(self.radius) < math.inf:
+            raise ConfigurationError("bump radius squared must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
-"""Conjugate-gradient solve of the normal equations, and the residual floor
-predicted by a range condition.
+"""Conjugate-gradient solve of the normal equations.
 
 Started from zero, the iteration converges to the minimum-norm least-squares
 solution; the data-space residual norm is non-increasing at every step.
@@ -13,8 +12,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .consistency import _require_view_order
-from .errors import ConfigurationError, DegenerateKernelError, DivergenceError, EvaluationError
+from .errors import ConfigurationError, DivergenceError
 
 EPS = float(np.finfo(float).eps)
 NORMAL_RESIDUAL_FACTOR = 1e3  # c in the stop ||A^T r|| <= c * eps * ||A|| * ||r||
@@ -122,36 +120,3 @@ def cgne_solve(A, g: np.ndarray, max_iter: int = 1000, tol: float = 0.0) -> Cgne
         p = s + beta * p
     return CgneState(iterate=x, residual_history=np.array(history), iterations=k, stop_reason=stop)
 
-
-def predicted_residual_floor(target, kernels) -> float:
-    """Lower bound for the achievable data residual, from a range condition.
-
-    The kernels, sampled at the bin centers, weighted by the bin widths and
-    packed as ``W = (width1 * V1, -width2 * V2)``, annihilate every
-    consistent data vector (bin-average data satisfy
-    ``sum g1 V1 width1 = sum g2 V2 width2``); the component of the target
-    along ``W`` can never be matched:
-
-        floor = |<g, W>| / ||W||.
-
-    With equal bin widths the weights cancel and the floor is that of the
-    unweighted ``(V1, -V2)``.
-
-    A zero floor means the target is not obstructed by this condition.
-    Raises ``ConfigurationError`` unless the views come in the order (1, 2).
-    """
-    views = tuple(target)
-    _require_view_order(v.grid for v in views)
-    g = np.concatenate([np.asarray(v.values, float).ravel() for v in views])
-    w = np.concatenate(
-        [
-            views[0].grid.width * np.asarray(kernels.v1(views[0].grid.centers), float).ravel(),
-            -views[1].grid.width * np.asarray(kernels.v2(views[1].grid.centers), float).ravel(),
-        ]
-    )
-    if not np.all(np.isfinite(w)):
-        raise EvaluationError("kernel sample not finite on the detector grid")
-    w_norm = math.sqrt(_sumsq(w))
-    if w_norm < 1e-300:
-        raise DegenerateKernelError("kernels vanish identically on the sampled ranges")
-    return abs(float(np.add.reduce(g * w))) / w_norm

@@ -546,6 +546,7 @@ ROUNDED_ZERO_AREA_POLYGON = "[domain]\nkind = polygon\nvertices = 1.1 0.6, 12.1 
     ("check", "[geometry]\nmu = 0\n[detectors]\nbins1 = 1\nbins2 = 1\n", ()),
     ("check", "[geometry]\nmu = 0\n[detectors]\nbins2 = 1\n", ()),
     ("project", "[phantom]\nkind = list\nbumps = 0 0 1e155 1\n", ()),
+    ("check", "[geometry]\nmu = 0\n[target]\nkind = phantom\n[phantom]\nkind = list\nbumps = 0 0 1e-200 1\n", ()),
     ("check", "[geometry]\nvertex1 = -80 0\nvertex2 = -80 0\n", ()),
     ("solve", "[geometry]\nvertex1 = -80 0\nvertex2 = -80 0\n", ()),
     ("separability", "[geometry]\nvertex1 = -80 0\nvertex2 = -80 0\n", ("--n1", "8", "--n2", "8")),
@@ -556,7 +557,8 @@ ROUNDED_ZERO_AREA_POLYGON = "[domain]\nkind = polygon\nvertices = 1.1 0.6, 12.1 
         "separability-rounded-zero-area-polygon", "check-rounded-zero-area-polygon",
         "project-zero-width-fan-range", "project-whole-turn-fan-range",
         "project-whole-turn-fan-range-below", "check-one-bin-views", "check-one-bin-view2",
-        "project-bump-radius-square-overflows", "check-coinciding-vertices", "solve-coinciding-vertices",
+        "project-bump-radius-square-overflows", "check-bump-radius-square-underflows",
+        "check-coinciding-vertices", "solve-coinciding-vertices",
         "separability-coinciding-vertices"])
 def test_out_of_range_value_is_a_configuration_error(tmp_path, capsys, command, text, options):
     assert_configuration_error(tmp_path, capsys, command, text, options)
@@ -629,6 +631,20 @@ def test_target_files_must_hold_view_1_then_view_2(tmp_path, capsys):
     capsys.readouterr()
     swapped = f"[target]\nkind = files\nfile1 = {tmp_path / 'f' / 'view2.csv'}\nfile2 = {tmp_path / 'f' / 'view1.csv'}\n"
     assert_configuration_error(tmp_path, capsys, "solve", swapped + SMALL_SOLVE)
+
+
+def test_check_accepts_the_discrete_projection_of_the_mu0_operator(tmp_path, capsys):
+    # the bump touches view 1's wedge edge, so its last two bins hold 0.419
+    # and 0.033: the trapezoid sides dropped half of each and called the
+    # operator's own data INCONSISTENT (relative 5.3e-3, exit 1)
+    cfg = write_config(tmp_path, "[geometry]\nmu = 0\n[phantom]\nkind = list\nbumps = 27 10 2 1\n", name="p.ini")
+    assert run(["project", "--mode", "discrete", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+    assert pp.read_projection_csv(tmp_path / "p" / "view1.csv").values[-1] > 0.03
+    files = f"file1 = {tmp_path / 'p' / 'view1.csv'}\nfile2 = {tmp_path / 'p' / 'view2.csv'}\n"
+    cfg = write_config(tmp_path, "[geometry]\nmu = 0\n[target]\nkind = files\n" + files, name="c.ini")
+    capsys.readouterr()
+    assert run(["check", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert "verdict = consistent" in capsys.readouterr().out
 
 
 def test_percent_in_a_config_value_is_literal(tmp_path):

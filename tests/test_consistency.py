@@ -160,6 +160,20 @@ def test_pprc_vanishes_on_range_data():
         assert abs(i1 - i2) < 1e-6 * (abs(i1) + abs(i2) + 1.0)
 
 
+def test_pprc_vanishes_on_range_data_of_the_mu0_operator():
+    # the sides are the two halves of <g, W> with the W the moment fix makes
+    # every column annihilate: the trapezoid rule over the bin centers gave
+    # a worst relative residual of 1.3e-3 here
+    op = pp.reference_operator(nx=64, n_bins=40, mu=0.0)
+    K = pp.known_kernels(op.pair)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        g = op.forward(rng.uniform(size=op.image.n_pixels))
+        tgt = [pp.ProjectionData(det, part) for det, part in zip(op.dets, np.split(g, [op.dets[0].n_bins]))]
+        i1, i2 = pp.pprc_sides(tgt, K)
+        assert abs(i1 - i2) <= 1e-14 * max(abs(i1), abs(i2))
+
+
 def test_pprc_sides_refuse_views_out_of_order():
     # swapped, the sides were (0.000697, 0.0): the kernels met the wrong views
     K = pp.known_kernels(pp.reference_pair(mu=0.0))

@@ -309,6 +309,13 @@ def test_detector_grid_centers():
     assert pp.DetectorGrid(1, np.int64(4), 0.0, 1.0).centers.tobytes() == det.centers.tobytes()
 
 
+def test_detector_range_width_must_be_finite():
+    # both ends finite, their difference not: every center was inf
+    with pytest.raises(pp.ConfigurationError, match="width"):
+        pp.DetectorGrid(1, 4, -1e308, 1e308)
+    assert pp.DetectorGrid(1, 4, -1e307, 1e307).width == 5e306
+
+
 def test_image_grid_counts_are_integers():
     with pytest.raises(pp.ConfigurationError):
         pp.ImageGrid(2.5, 2.5)
@@ -693,3 +700,18 @@ def test_pgm_writer(tmp_path):
     assert len(raw) == len(b"P5\n8 6\n255\n") + 48
     body = raw[len(b"P5\n8 6\n255\n"):]
     assert max(body) == 255 and min(body) == 0
+
+
+def test_moment_fix_refuses_a_kernel_not_finite_at_any_bin_center():
+    # one pixel over bin 2 of 10, its window bins 1 to 3; the kernel is NaN
+    # only at the last center, outside that window, and was accepted
+    det = pp.DetectorGrid(1, 10, 0.0, 1.0)
+    a, b = np.array([2.0]), np.array([3.0])
+    r, coeff = np.array([0.25]), np.array([0.1])
+    start, weights = np.array([1]), np.array([[0.0], [1.0], [0.0]])
+    def kern(x):
+        return np.where(x > 0.9, np.nan, 1.0 + x)
+    sel, _ = pp.discrete._kernel_moment_fix(det, a, b, r, coeff, lambda x: 1.0 + x, start, weights)
+    assert sel.tolist() == [0]
+    with pytest.raises(pp.EvaluationError, match="view 1 kernel value not finite at r = 0.95"):
+        pp.discrete._kernel_moment_fix(det, a, b, r, coeff, kern, start, weights)

@@ -146,14 +146,17 @@ def test_bump_validation():
         pp.Bump((0.0, 0.0), 0.0, 1.0)
 
 
-def test_bump_radius_square_must_be_finite_but_may_underflow():
+def test_bump_radius_square_must_be_positive_and_finite():
     with pytest.raises(pp.ConfigurationError, match="squared"):
         pp.Bump((0.0, 0.0), 1e155)
     assert pp.Bump((0.0, 0.0), 1e154).radius == 1e154
-    # 1e-300 squared underflows to 0: the bump is kept and projects to zeros
-    tiny = pp.Phantom((pp.Bump((0.0, 0.0), 1e-300),))
-    data = pp.project_view(pp.ParGeometry(0.0), tiny, pp.DetectorGrid(1, 8, -1.0, 1.0))
-    assert np.all(data.values == 0.0)
+    # 1e-200 squared underflows to 0, and bump_eval divided 0 by 0 at the
+    # center; the smallest radius kept still evaluates there
+    for radius in (1e-200, 1e-300):
+        with pytest.raises(pp.ConfigurationError, match="squared"):
+            pp.Bump((0.0, 0.0), radius)
+    tiny = pp.Phantom((pp.Bump((0.0, 0.0), 1e-160),))
+    assert pp.bump_eval(tiny, np.zeros((1, 2))).tolist() == [math.exp(-1.0)]
 
 
 def test_phantom_mass_scales_with_radius_and_amplitude():
