@@ -367,18 +367,20 @@ def cmd_project(args) -> int:
     """Both views of the phantom, by quadrature or, in discrete mode, as
     :meth:`PairOperator.forward` of the rasterized phantom ``f``.
 
-    The discrete operator is built over the pixels where ``f != 0`` only (a
-    random three-bump phantom covers about 4 to 12% of the domain).  A
-    pixel left out would add ``0 * w`` (+0.0 or -0.0) to sums that start at
-    +0.0, so the views are bitwise those of the operator over the whole
-    domain, except where the smaller pixel set narrows the window table: a
-    window clipped at the upper range end then moves, and the mu = 0
-    correction is solved over fewer rows, which can change the last digits
-    of a few bins (see :class:`PairOperator`).  A phantom that misses the
-    domain builds the whole domain, so the views are zeros and every
-    refusal of the build (pair kind, admissibility, square pixels, an empty
-    domain mask, fewer than 3 bins at mu = 0) is raised whatever the
-    phantom covers.
+    Domain membership and ``f`` are computed only within the bumps' boxes
+    of pixel rows and columns (``ImageGrid._bump_cover``, which says why
+    ``f`` is bitwise that of the whole domain), and the discrete operator is
+    built over the pixels where ``f != 0`` only (a random three-bump
+    phantom covers about 4 to 12% of the domain).  A pixel left out would
+    add ``0 * w`` (+0.0 or -0.0) to sums that start at +0.0, so the views
+    are bitwise those of the operator over the whole domain, except where
+    the smaller pixel set narrows the window table: a window clipped at the
+    upper range end then moves, and the mu = 0 correction is solved over
+    fewer rows, which can change the last digits of a few bins (see
+    :class:`PairOperator`).  A phantom that misses the domain builds the
+    whole domain, so the views are zeros and every refusal of the build
+    (pair kind, admissibility, square pixels, an empty domain mask, fewer
+    than 3 bins at mu = 0) is raised whatever the phantom covers.
     """
     cfg, raw, resolved = _load_config(args.config, project={"mode": args.mode})
     mode = cfg["project"]["mode"]
@@ -387,10 +389,12 @@ def cmd_project(args) -> int:
     ph = _build_phantom(cfg, pair, args.seed)
     op = None
     if mode == "discrete":
-        image = _build_image(cfg, pair)
-        f = rasterize(ph, image)
+        sec = cfg["image"]
+        cover = ImageGrid._bump_cover(sec["nx"], sec["ny"], sec["extent"], pair.domain, ph.bumps)
+        f = rasterize(ph, cover)
         support = f != 0
-        op = PairOperator(pair, replace(image, mask=support if support.any() else image.mask), *dets)
+        image = replace(cover, mask=support) if support.any() else _build_image(cfg, pair)
+        op = PairOperator(pair, image, *dets)
     outdir = Path(args.out)
     _write_common(outdir, raw, resolved)
     (outdir / "phantom_used.txt").write_text(_phantom_text(ph), encoding="ascii")

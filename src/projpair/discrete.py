@@ -112,20 +112,65 @@ class ImageGrid:
         deposits break the range-condition structure of the discrete
         system.
 
-        The five points are tested row by row: :meth:`ImageDomain.contains_xy`
-        gets the shifted abscissae ``xs + sx`` against the column of shifted
-        ordinates ``ys[:, None] + sy``, so a polygon's edge crossings are
-        computed once per pixel row, not once per pixel.
+        The five points are tested row by row (:func:`_inside`), so a
+        polygon's edge crossings are computed once per pixel row, not once
+        per pixel.
+        """
+        grid = ImageGrid(nx=nx, ny=ny, extent=extent)
+        return ImageGrid(nx=nx, ny=ny, extent=extent, mask=_inside(domain, grid, *grid.pixel_axes()))
+
+    @staticmethod
+    def _bump_cover(nx: int, ny: int, extent: float, domain: ImageDomain, bumps) -> "ImageGrid":
+        """Grid whose mask keeps the pixels of :meth:`from_domain`'s mask that
+        lie in some bump's box of pixel rows and columns.
+
+        ``bumps`` are taken by their ``center`` and ``radius`` (``phantom``
+        imports this module).  A bump's box is the rows with
+        ``|ys - cy| < radius`` and the columns with ``|xs - cx| < radius``,
+        each one contiguous slice of the monotone axes, and membership is
+        tested only within it (:func:`_inside`); overlapping boxes test
+        their common pixels twice, with the same result.
+
+        :func:`rasterize` of the bumps' phantom on this grid is bitwise the
+        image on :meth:`from_domain`'s grid.  The box is the test
+        :func:`~projpair.phantom.bump_eval` makes, on the same floats, before
+        it evaluates a bump: outside it ``|dx| >= radius`` or
+        ``|dy| >= radius``, so by monotone rounding ``s2 >= 1`` there and that
+        bump adds nothing.  A domain pixel outside every box holds +0.0 on
+        both grids, and at every pixel inside a box each bump's contribution
+        is added in bump order, as on the whole domain.
         """
         grid = ImageGrid(nx=nx, ny=ny, extent=extent)
         xs, ys = grid.pixel_axes()
-        ys = ys[:, None]
-        hx, hy = 0.5 * grid.pixel_size[0], 0.5 * grid.pixel_size[1]
-        mask = domain.contains_xy(xs, ys)
-        for sx in (-hx, hx):
-            for sy in (-hy, hy):
-                mask &= domain.contains_xy(xs + sx, ys + sy)
+        mask = np.zeros((ny, nx), dtype=bool)
+        for b in bumps:
+            cx, cy = b.center
+            rows = np.flatnonzero(np.abs(ys - cy) < b.radius)
+            cols = np.flatnonzero(np.abs(xs - cx) < b.radius)
+            if rows.size and cols.size:
+                r, c = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+                mask[r, c] |= _inside(domain, grid, xs[c], ys[r])
         return ImageGrid(nx=nx, ny=ny, extent=extent, mask=mask)
+
+
+def _inside(domain: ImageDomain, grid: ImageGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Which of ``grid``'s pixels centred at the abscissae ``xs`` and the
+    ordinates ``ys`` have their centre and four corners inside ``domain``,
+    shape ``(ys.size, xs.size)``.
+
+    :meth:`ImageDomain.contains_xy` gets the shifted abscissae ``xs + sx``
+    against the column of shifted ordinates ``ys[:, None] + sy``.  ``xs`` and
+    ``ys`` are slices of the grid's own :meth:`ImageGrid.pixel_axes`, and
+    each point's test depends on that point alone, so a pixel gets the same
+    answer in any slice that holds it.
+    """
+    ys = ys[:, None]
+    hx, hy = 0.5 * grid.pixel_size[0], 0.5 * grid.pixel_size[1]
+    mask = domain.contains_xy(xs, ys)
+    for sx in (-hx, hx):
+        for sy in (-hy, hy):
+            mask &= domain.contains_xy(xs + sx, ys + sy)
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,7 +417,9 @@ class PairOperator:
     bins.  For mu != 0 no correction exists or is added.
 
     Any mask will do, and ``project --mode discrete`` builds the operator
-    over the pixels its phantom covers only.  Its views are bitwise those of
+    over the pixels its phantom covers only, having tested domain membership
+    and evaluated the phantom only within the bumps' boxes of pixel rows and
+    columns (:meth:`ImageGrid._bump_cover`).  Its views are bitwise those of
     the operator over the whole domain when both tables have the same width:
     each column is built from its own pixel alone, and a pixel left out
     would only add ``0 * w`` (+0.0 or -0.0) to ``bincount`` sums that start

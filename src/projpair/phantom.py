@@ -61,12 +61,14 @@ def bump_eval(phantom: Phantom, points) -> np.ndarray:
 
     Each bump's exponential is evaluated only at the points inside its
     support, ``|x - center| < radius``; it contributes nothing elsewhere.
-    The support test itself runs only on the band ``|y - cy| < radius``.
-    That is exact: off the band ``fl(dy**2) >= fl(radius * radius)`` by
-    monotone rounding, so ``s2`` is at least 1 less a few ulp (``radius**2``
-    may be one ulp off ``radius * radius``); any such point the full test
-    would keep adds ``exp(-1 / (1 - s2)) = 0`` times the amplitude, a zero,
-    to a sum that never holds -0.0, which leaves it unchanged.
+    The support test itself runs only in the box ``|y - cy| < radius``
+    (the band) and ``|x - cx| < radius``, so no offset from a bump far away
+    is squared.  That is exact: outside the box ``fl(dx**2)`` or
+    ``fl(dy**2)`` is at least ``fl(radius * radius)`` by monotone rounding,
+    so ``s2`` is at least 1 less a few ulp (``radius**2`` may be one ulp off
+    ``radius * radius``); any such point the full test would keep adds
+    ``exp(-1 / (1 - s2)) = 0`` times the amplitude, a zero, to a sum that
+    never holds -0.0, which leaves it unchanged.
     """
     p = np.asarray(points, dtype=float)
     out = np.zeros(p.shape[:-1], dtype=float)
@@ -76,7 +78,10 @@ def bump_eval(phantom: Phantom, points) -> np.ndarray:
         cx, cy = b.center
         dy = y - cy
         band = np.flatnonzero(np.abs(dy) < b.radius)
-        dx, dy = x[band] - cx, dy[band]
+        dx = x[band] - cx
+        near = np.abs(dx) < b.radius
+        band, dx = band[near], dx[near]
+        dy = dy[band]
         s2 = (dx**2 + dy**2) / (b.radius**2)
         inside = s2 < 1.0
         flat[band[inside]] += b.amplitude * _bump_profile(s2[inside])

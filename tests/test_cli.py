@@ -181,6 +181,11 @@ def test_project_discrete_reruns_byte_identical(tmp_path, mu):
 
 
 OUTSIDE_PHANTOM = "[phantom]\nkind = list\nbumps = 200 200 3 1\n"  # far outside the domain
+OVERLAP_PHANTOM = "[phantom]\nkind = list\nbumps = 20 5 12 1; 10 0 8 -0.7\n"
+STRADDLE_PHANTOM = "[phantom]\nkind = list\nbumps = 26.875 15.5 5 1\n"  # across a slanted edge
+LARGE_PHANTOM = "[phantom]\nkind = list\nbumps = 0 0 60 0.3\n"  # its support holds the grid
+# the last bump's offsets from every pixel overflow when squared
+FAR_PHANTOM = "[phantom]\nkind = list\nbumps = 20 5 12 1; 10 0 8 -0.7; 1e300 0 1e153 1\n"
 
 
 def _discrete_views_over_the_domain(tmp_path, text, seed):
@@ -205,8 +210,13 @@ def _discrete_views_over_the_domain(tmp_path, text, seed):
     (200, "-0.154", 1, ""), (200, "-0.154", 2, ""), (200, "0", 3, ""), (200, "0", 4, ""),
     (400, "-0.154", 5, ""), (400, "0", 6, ""),
     (200, "-0.154", 7, OUTSIDE_PHANTOM), (200, "0", 7, OUTSIDE_PHANTOM),
+    (200, "-0.154", 8, OVERLAP_PHANTOM), (200, "0", 8, OVERLAP_PHANTOM),
+    (200, "-0.154", 9, STRADDLE_PHANTOM), (200, "0", 9, STRADDLE_PHANTOM),
+    (200, "-0.154", 10, LARGE_PHANTOM), (200, "0", 10, LARGE_PHANTOM),
+    (200, "-0.154", 11, FAR_PHANTOM), (200, "0", 11, FAR_PHANTOM),
 ], ids=["200-weighted-1", "200-weighted-2", "200-mu0-3", "200-mu0-4", "400-weighted-5", "400-mu0-6",
-        "outside-weighted", "outside-mu0"])
+        "outside-weighted", "outside-mu0", "overlap-weighted", "overlap-mu0", "straddle-weighted",
+        "straddle-mu0", "large-weighted", "large-mu0", "far-weighted", "far-mu0"])
 def test_project_discrete_views_equal_the_whole_domain_build(tmp_path, nx, mu, seed, phantom):
     """The operator is built over the phantom's pixels only, and the views
     are bitwise those of the operator over the whole domain mask."""
@@ -218,7 +228,7 @@ def test_project_discrete_views_equal_the_whole_domain_build(tmp_path, nx, mu, s
     assert [(out / "view1.csv").read_bytes(), (out / "view2.csv").read_bytes()] == want
     # a phantom outside the domain projects to +0.0 in every bin
     zero = all(row.endswith(b",0") for view in want for row in view.splitlines()[3:])
-    assert zero == bool(phantom)
+    assert zero == (phantom == OUTSIDE_PHANTOM)
 
 
 def test_project_discrete_builds_the_operator_over_the_phantoms_pixels(tmp_path, monkeypatch):
@@ -238,11 +248,16 @@ def test_project_discrete_builds_the_operator_over_the_phantoms_pixels(tmp_path,
     cfg = write_config(tmp_path, "[image]\nnx = 300\nny = 300\n")
     assert run(["project", "--mode", "discrete", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     _, f = pp.read_image(tmp_path / "o" / "phantom.img")
-    (image,), (domain,) = built, rasterized
+    (image,), (cover,) = built, rasterized
     assert np.count_nonzero(image.mask) == np.count_nonzero(f) > 0
     assert np.array_equal(image.mask, f != 0)
     # a random three-bump phantom covers a small part of the domain
+    domain = pp.ImageGrid.from_domain(300, 300, pp.reference_domain())
     assert np.count_nonzero(f) < 0.5 * np.count_nonzero(domain.mask)
+    # and is rasterized only on domain pixels in its bumps' boxes
+    assert not np.any(cover.mask & ~domain.mask)
+    assert np.all(cover.mask[f != 0])
+    assert np.count_nonzero(cover.mask) < np.count_nonzero(domain.mask)
 
 
 @pytest.mark.parametrize("phantom", ["", OUTSIDE_PHANTOM, "[phantom]\nkind = list\nbumps = 0 0 30 1\n"],

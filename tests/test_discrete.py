@@ -483,6 +483,35 @@ def test_mask_matches_five_contains_calls(name, shape):
     np.testing.assert_array_equal(grid.mask, oracle)
 
 
+COVER_BUMPS = (
+    pp.Bump((0.0, 0.0), 8.0), pp.Bump((5.0, 3.0), 6.0, -0.5),  # overlapping, both signs
+    pp.Bump((-20.0, -12.0), 6.0),  # across the rectangle's and the disc's edges
+    pp.Bump((26.875, 15.5), 5.0),  # across the reference domain's slanted edge
+    pp.Bump((33.0, 20.0), 6.0), pp.Bump((-34.0, -34.0), 4.0),  # clipped by the grid's edges
+    pp.Bump((120.0, 0.0), 5.0), pp.Bump((0.0, -90.0), 5.0),  # outside the grid
+)
+
+
+@pytest.mark.parametrize("shape", [(97, 83), (61, 37)], ids=["97x83", "61x37"])
+@pytest.mark.parametrize("name", MASK_DOMAINS)
+def test_bump_cover_is_the_domain_mask_within_the_bumps_boxes(name, shape):
+    nx, ny = shape
+    domain = MASK_DOMAINS[name]
+    cover = pp.ImageGrid._bump_cover(nx, ny, 70.0, domain, COVER_BUMPS)
+    full = pp.ImageGrid.from_domain(nx, ny, domain, extent=70.0)
+    centers = pixel_centers(full)
+    boxes = np.zeros(full.n_pixels, dtype=bool)
+    for b in COVER_BUMPS:
+        d = np.abs(centers - b.center)
+        boxes |= (d[:, 0] < b.radius) & (d[:, 1] < b.radius)
+    oracle = five_point_mask(pp.ImageGrid(nx, ny, 70.0), domain)
+    assert (oracle & boxes).any() and (oracle & ~boxes).any()
+    np.testing.assert_array_equal(cover.mask, oracle & boxes)
+    # the phantom is rasterized to the same bits on either grid
+    ph = pp.Phantom(COVER_BUMPS)
+    assert pp.rasterize(ph, cover).tobytes() == pp.rasterize(ph, full).tobytes()
+
+
 @pytest.mark.parametrize("masked", [True, False])
 def test_center_xy_are_the_masked_pixel_centers(masked):
     grid = pp.ImageGrid.from_domain(53, 41, MASK_DOMAINS["comb"], extent=66.0)

@@ -80,9 +80,9 @@ def test_bump_eval_equals_dense_formula():
 
 
 def test_bump_eval_band_edges_bitwise():
-    """Points exactly on the band edges |y - cy| = radius, and just inside,
-    for radii whose radius**2 is not radius * radius, give the bits of the
-    full evaluation."""
+    """Points exactly on the band edges |y - cy| = radius and the column
+    edges |x - cx| = radius, and just inside, for radii whose radius**2 is
+    not radius * radius, give the bits of the full evaluation."""
     radii = [r for r in np.random.default_rng(2).uniform(1.0, 50.0, 20000) if r**2 != r * r][:4]
     assert len(radii) == 4
     bumps = tuple(pp.Bump((3.0 * i - 4.5, 1.25 * i), float(r), (-1.0) ** i * (i + 0.5))
@@ -94,10 +94,24 @@ def test_bump_eval_band_edges_bitwise():
         for y in (cy + b.radius, cy - b.radius, np.nextafter(cy + b.radius, cy), np.nextafter(cy - b.radius, cy)):
             for dx in (0.0, 1e-300, -1e-9, 1e-7, 0.5):
                 pts.append((cx + dx, y))
+        for x in (cx + b.radius, cx - b.radius, np.nextafter(cx + b.radius, cx), np.nextafter(cx - b.radius, cx)):
+            for dy in (0.0, 1e-300, -1e-9, 1e-7, 0.5):
+                pts.append((x, cy + dy))
     x = np.array(pts)
     assert ph(x).tobytes() == dense_bump_eval(ph, x).tobytes()
     grid = np.stack(np.meshgrid(np.linspace(-60, 60, 201), np.linspace(-60, 60, 173)), axis=-1)
     assert ph(grid).tobytes() == dense_bump_eval(ph, grid).tobytes()
+
+
+def test_bump_eval_squares_no_offset_from_a_bump_far_away():
+    """A bump whose offsets from the points overflow when squared adds
+    nothing, and raises no overflow warning (an error under the test
+    configuration)."""
+    near = (pp.Bump((20.0, 5.0), 12.0, 1.0), pp.Bump((10.0, 0.0), 8.0, -0.7))
+    far = pp.Bump((1e300, 0.0), 1e153, 1.0)
+    x = np.stack(np.meshgrid(np.linspace(-35, 35, 71), np.linspace(-35, 35, 53)), axis=-1)
+    assert pp.Phantom(near + (far,))(x).tobytes() == pp.Phantom(near)(x).tobytes()
+    np.testing.assert_array_equal(pp.Phantom((far,))(x), 0.0)
 
 
 @pytest.mark.parametrize("panels, order", [(1, 1), (3, 5), (4, 16)])
