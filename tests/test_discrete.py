@@ -211,6 +211,27 @@ def test_kernels_annihilate_mu_zero_range():
         assert np.linalg.norm(W @ A) <= 1e-14 * np.linalg.norm(A, 2) * np.linalg.norm(W)
 
 
+def test_mu_zero_operator_converges_to_bin_averages():
+    """Criterion 9's measure at mu = 0: the discrete views of a smooth
+    phantom approach the bin averages of its continuous projections, with
+    order >= 1 in the pixel size from 200^2 to 800^2 (2 x 100 bins)."""
+    pair = pp.reference_pair(mu=0.0)
+    ph = pp.random_phantom(np.random.default_rng(20240501), pair.domain, n_bumps=3)
+    x, w = np.polynomial.legendre.leggauss(8)
+    d1, d2 = pp.reference_grids(100)
+    ref = []
+    for geom, det in ((pair.first, d1), (pair.second, d2)):
+        r = (det.lo + det.width * (np.arange(det.n_bins)[:, None] + 0.5 * (1.0 + x))).ravel()
+        ref.append(pp.project_values(geom, ph, r).reshape(det.n_bins, 8) @ (w / 2.0))
+    ref = np.concatenate(ref)
+    errs = []
+    for nx in (200, 400, 800):
+        op = pp.reference_operator(nx=nx, n_bins=100, mu=0.0)
+        errs.append(np.linalg.norm(op.forward(pp.rasterize(ph, op.image)) - ref) / np.linalg.norm(ref))
+    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    assert min(orders) >= 1.0, (errs, orders)
+
+
 def test_mu_zero_operator_needs_three_bins():
     pair, image, d1, _ = small_setup(mu=0.0)
     d2 = pp.DetectorGrid(2, 2, *pp.view_range(pair.second, pair.domain))
