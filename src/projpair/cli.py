@@ -375,12 +375,11 @@ def cmd_project(args) -> int:
     add ``0 * w`` (+0.0 or -0.0) to sums that start at +0.0, so the views
     are bitwise those of the operator over the whole domain, except where
     the smaller pixel set narrows the window table: a window clipped at the
-    upper range end then moves, and the mu = 0 correction is solved over
-    fewer rows, which can change the last digits of a few bins (see
-    :class:`PairOperator`).  A phantom that misses the domain builds the
-    whole domain, so the views are zeros and every refusal of the build
-    (pair kind, admissibility, square pixels, an empty domain mask, fewer
-    than 3 bins at mu = 0) is raised whatever the phantom covers.
+    upper range end then moves, which can change the last digits of a few
+    bins (see :class:`PairOperator`).  A phantom that misses the domain
+    builds the whole domain, so the views are zeros and every refusal of the
+    build (pair kind, admissibility, square pixels, an empty domain mask) is
+    raised whatever the phantom covers.
     """
     cfg, raw, resolved = _load_config(args.config, project={"mode": args.mode})
     mode = cfg["project"]["mode"]

@@ -95,16 +95,23 @@ def _require_view_order(grids) -> None:
         raise ConfigurationError(f"a pair's detector grids must be views (1, 2) in that order, got views {tags}")
 
 
-def _kernel_samples(grid, kern) -> np.ndarray:
-    """``kern`` at the bin centers of ``grid``: the one place a kernel is
-    sampled on a detector.  Raises ``EvaluationError`` naming the view and
-    the first center where the kernel is not finite."""
-    r = grid.centers
-    v = np.asarray(kern(r), dtype=float)
-    bad = ~np.isfinite(v)
-    if bad.any():
-        raise EvaluationError(f"view {grid.view} kernel value not finite at r = {float(r[bad][0])!r}")
-    return v
+def _kernel_samples(grids, kernels: KernelPair) -> np.ndarray:
+    """The sampled, width-weighted kernels ``W = (width1 * V1, -width2 * V2)``
+    at the bin centers of a pair's two detector grids, view 1's bins, then
+    view 2's.  The one place a kernel is sampled on a detector, and the one
+    ``W`` that ``check``, the residual floor and the mu = 0
+    :class:`~projpair.discrete.PairOperator` read, so its refusal is the
+    only one: ``EvaluationError`` naming the view and the first center where
+    the kernel is not finite, view 1's before view 2's."""
+    parts = []
+    for grid, kern, sign in zip(grids, (kernels.v1, kernels.v2), (1.0, -1.0)):
+        r = grid.centers
+        v = np.asarray(kern(r), dtype=float)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise EvaluationError(f"view {grid.view} kernel value not finite at r = {float(r[bad][0])!r}")
+        parts.append(sign * grid.width * v)
+    return np.concatenate(parts)
 
 
 def _range_weights(target, kernels: KernelPair, min_bins: int = 1) -> tuple[np.ndarray, np.ndarray, int]:
@@ -122,9 +129,7 @@ def _range_weights(target, kernels: KernelPair, min_bins: int = 1) -> tuple[np.n
     if min(v.grid.n_bins for v in views) < min_bins:
         raise ConfigurationError(f"the range-condition sides need at least {min_bins} bins per view")
     g = np.concatenate([v.values for v in views])
-    w = np.concatenate([views[0].grid.width * _kernel_samples(views[0].grid, kernels.v1),
-                        -views[1].grid.width * _kernel_samples(views[1].grid, kernels.v2)])
-    return g, w, views[0].grid.n_bins
+    return g, _kernel_samples([v.grid for v in views], kernels), views[0].grid.n_bins
 
 
 def pprc_sides(target, kernels: KernelPair) -> tuple[float, float]:

@@ -246,80 +246,14 @@ def rasterize(func: Callable, grid: ImageGrid) -> np.ndarray:
     return image
 
 
-def _window(a: np.ndarray, b: np.ndarray, n: int, pad: int, width=None):
-    """Place a window over each footprint ``[a, b)`` (bin units) and ``pad`` bins each side.
-
-    Footprints are clipped to the ``n`` bins and every window lies inside
-    ``[0, n)``.  ``width`` is one window length for all footprints or, when
-    None, each footprint's clipped length plus ``2 * pad``, capped at ``n``.
-    Returns ``(start, width)``: each window's first bin and its length.
-    """
-    first = np.clip(np.floor(a), 0, n - 1).astype(np.int64)
-    if width is None:
-        last = np.clip(np.ceil(b) - 1, 0, n - 1).astype(np.int64)
-        width = np.minimum(n, last - first + 1 + 2 * pad)
-    return np.clip(first - pad, 0, n - width), width
-
-
-def _kernel_moment_fix(
-    det: DetectorGrid, a, b, r, coeff, kern: Callable, start, weights
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signed per-pixel corrections making the sampled kernel annihilate a column.
-
-    For each pixel whose ray angle ``r`` lies inside the detector range, finds
-    the minimum-norm change of its deposit, over the footprint bins plus one
-    neighbour on each side (two on one side at a range end), after which the
-    deposit has mass ``coeff``, centroid ``r`` and kernel moment
-    ``sum_k A_k * V(c_k) * width = coeff * V(r)``.  ``start`` and ``weights``
-    are the view's window table holding the plain deposits, ``weights``
-    offset-major, shape ``(width, n)``; every window must cover the pixel's
-    footprint plus one bin each side.  Returns ``(sel, change)``: the table
-    columns of the corrected pixels and the change to add to their weights,
-    shape ``(sel.size, width)``, zero outside each pixel's support.  ``V(c_k)``
-    is gathered from the view's one kernel sampling
-    (:func:`~projpair.consistency._kernel_samples`), the ``W`` that ``check``
-    and the residual floor read, so a kernel not finite at any bin center is
-    refused whichever pixels are built.
-    """
-    n = det.n_bins
-    if n < 3:
-        raise ConfigurationError(
-            f"view {det.view} has {n} bins; the mu = 0 operator needs at least 3 to keep the range condition exact")
-    sel = np.flatnonzero((a + b >= 0.0) & (a + b <= 2.0 * n))
-    a, b, r, coeff = a[sel], b[sel], r[sel], coeff[sel]
-    bins = start[sel, None] + np.arange(weights.shape[0])
-    lo, length = _window(a, b, n, 1)
-    valid = (bins >= lo[:, None]) & (bins < (lo + length)[:, None])
-    c = det.centers[bins]
-    vc = _kernel_samples(det, kern)[bins]
-    vr = np.asarray(kern(r), float)
-    if not np.all(np.isfinite(vr)):
-        raise ConfigurationError(f"range-condition kernel is not finite at a view {det.view} pixel's ray angle")
-    # The three moments in centred, scaled form: mass, offset from r in bins,
-    # and kernel relative to V(r) minus the mass term, with targets
-    # (coeff / width, 0, 0).
-    cols = np.stack([np.ones_like(c), (c - r[:, None]) / det.width, vc / vr[:, None] - 1.0], axis=-1)
-    cols *= valid[..., None]
-    defect = np.stack([coeff / det.width, np.zeros_like(r), np.zeros_like(r)], axis=-1)
-    # the deposits pixel-major and contiguous, as the moment sums read them
-    defect -= np.einsum("pk,pkm->pm", np.ascontiguousarray(weights[:, sel].T), cols)
-    q, rr = np.linalg.qr(cols)
-    z = np.linalg.solve(np.swapaxes(rr, -1, -2), defect[..., None])
-    return sel, (q @ z)[..., 0] * valid
-
-
-def _view_table(geom, det: DetectorGrid, kern: Callable | None, x, y, delta: float, area: float):
+def _view_table(geom, det: DetectorGrid, x, y, delta: float, area: float):
     """One view's window table ``(start, weights)`` over the pixels centred at
     ``x``, ``y``, with ``delta`` the pixel side: see :class:`PairOperator`.
     Built on the calling thread, block by block."""
     m = x.size
     n = det.n_bins
-    pad = 0 if kern is None else 1  # room for the correction's neighbour bins
     blocks = [slice(i, i + _BLOCK) for i in range(0, m, _BLOCK)]
     a, b, density = np.empty(m), np.empty(m), np.empty(m)
-    r_all = coeff_all = None
-    if kern is not None:  # the correction reads them again in pass 2
-        r_all, coeff_all = np.empty(m), np.empty(m)
     # Pass 1: each pixel's footprint [a, b) in bin units and its density,
     # and each block's widest footprint, in bins it touches
     spans = []
@@ -331,18 +265,17 @@ def _view_table(geom, det: DetectorGrid, kern: Callable | None, x, y, delta: flo
         np.divide(r - det.lo, det.width, out=a[s])
         a[s] -= 0.5 * w / det.width
         np.add(a[s], w / det.width, out=b[s])
-        if kern is not None:
-            r_all[s], coeff_all[s] = r, coeff
         touched = np.ceil(b[s])
         touched -= np.floor(a[s])
         spans.append(np.max(touched, initial=1.0))
-    width = min(n, int(np.max(spans)) + 2 * pad)
+    width = min(n, int(np.max(spans)))
     start = np.empty(m, dtype=np.int64)
     weights = np.empty((width, m))
-    # Pass 2: each block's columns of start and weights
+    # Pass 2: each block's columns of start and weights; a window starts at
+    # its footprint's first bin, clipped so that it lies inside the detector
     for s in blocks:
         a_s, b_s = a[s], b[s]
-        start[s], _ = _window(a_s, b_s, n, pad, width)
+        start[s] = np.clip(np.floor(a_s), 0, n - width)
         # The bin edges k and k + 1 are exact in float, so they are formed
         # from one float copy of start into one scratch buffer.
         first = start[s].astype(float)
@@ -354,9 +287,6 @@ def _view_table(geom, det: DetectorGrid, kern: Callable | None, x, y, delta: flo
             row -= np.maximum(a_s, edge, out=edge)
             np.maximum(row, 0.0, out=row)
             row *= density[s]
-        if kern is not None:
-            sel, change = _kernel_moment_fix(det, a_s, b_s, r_all[s], coeff_all[s], kern, start[s], weights[:, s])
-            weights[:, s.start + sel] += change.T
     return start, weights
 
 
@@ -390,31 +320,29 @@ class PairOperator:
     Each view's table is built on one thread, in blocks of ``_BLOCK``
     pixels, in two passes over the blocks: the first finds each pixel's
     footprint ``[a, b)`` in bin units and its density, and the widest
-    footprint, the second places the windows, fills them and applies the
-    mu = 0 correction below.  Every step works on one pixel at a time, so
-    the table is bitwise the same as one built on all pixels at once, but a
-    block's temporaries stay in cache and are never larger than a block.
-    The two views are built on two threads (:func:`two_threads`), as
-    ``check`` projects them, so both views' per-pixel arrays are alive at
-    once; view 1's error is raised first, else view 2's.
+    footprint, the second places the windows and fills them.  Every step
+    works on one pixel at a time, so the table is bitwise the same as one
+    built on all pixels at once, but a block's temporaries stay in cache and
+    are never larger than a block.  The two views are built on two threads
+    (:func:`two_threads`), as ``check`` projects them, so both views'
+    per-pixel arrays are alive at once; view 1's error is raised first,
+    else view 2's.
 
     When the pair admits kernels (``known_kernels(pair)`` is not None, the
-    unweighted mu = 0 pair) each deposit is corrected so that the sampled,
-    width-weighted kernels ``W = (width1 * V1, -width2 * V2)`` annihilate
-    every column exactly, not just approximately: besides its mass, the
-    deposit of a pixel whose ray angle lies in the detector range gets its
-    centroid at that angle and the kernel moment
-    ``sum_k A_kj * V(c_k) * width = area * V(r_j) / t_j``, which the
-    kernel condition makes equal across the two views.  The kernel
-    ``V = 1 / (perp(direction(r)) . dl)`` is a secant, convex where
-    positive, so by Jensen's inequality no non-negative splat meets all
-    three moments; the correction is the minimum-norm signed change over
-    the footprint bins plus one neighbour on each side.  At desk scale
-    (200^2, 2 x 100 bins) the most negative corrected entry is -15% of the
-    pixel's total deposit, and -30% in an end bin, where both neighbours
-    lie on one side.  The windows are then one bin wider on each side and
-    hold footprint plus correction.  Each view then needs at least three
-    bins.  For mu != 0 no correction exists or is added.
+    unweighted mu = 0 pair) the data are projected off the sampled,
+    width-weighted kernels ``W = (width1 * V1, -width2 * V2)`` of
+    :func:`~projpair.consistency._kernel_samples`, the ``W`` that ``check``
+    and the residual floor read: with ``P = I - W W^T / ||W||^2``,
+    :meth:`forward` returns ``P (A f)`` and :meth:`adjoint` ``A^T (P g)``.
+    ``P`` is symmetric, so the two stay transposes of each other, and
+    ``<W, forward(f)> = 0`` to roundoff for every ``f``: the discrete range
+    condition holds exactly, as the continuous one does, and the residual
+    floor of an obstructed target is the condition's, not a discretization
+    artifact that CGNE could fit.  The splat alone meets it only to about
+    1e-6 relative (random images at 200^2, 2 x 100 bins), and exact bin
+    averages of a smooth image to 6e-7, so ``P`` moves the views by no more
+    than the splat's own error.  For mu != 0 there is no ``W`` and no
+    projection.
 
     Any mask will do, and ``project --mode discrete`` builds the operator
     over the pixels its phantom covers only, having tested domain membership
@@ -426,13 +354,10 @@ class PairOperator:
     at +0.0, which changes none of them.  The width follows the widest
     footprint among the pixels built, so fewer pixels can make it narrower.
     A window clipped at the upper range end then starts at another bin and
-    its deposits are summed in another ``off`` row, and the mu = 0
-    correction solves over fewer rows, so the last digits of a few bins can
-    change.  Measured with random phantoms: no case at 200^2 to 1000^2 with
-    2 x 100 or 2 x 400 bins (84 phantoms, both mu), nor at mu = -0.154 with
-    pixels wider than a bin; at mu = 0, 7 of 16 at 100^2 with 2 x 400 bins
-    (up to 13 bins, relative 1.1e-15) and 29 of 48 one-bump phantoms at
-    120^2 with 2 x 4 bins (up to 6 bins, relative 5.6e-16).
+    its deposits are summed in another ``off`` row, so the last digits of a
+    few bins can change.  Measured with random phantoms, at either mu: no
+    case in 39 three-bump phantoms at 100^2 to 1000^2 with 2 x 100 or
+    2 x 400 bins, nor in 48 one-bump phantoms at 120^2 with 2 x 4 bins.
     """
 
     def __init__(self, pair: PairGeometry, image: ImageGrid, det1: DetectorGrid, det2: DetectorGrid):
@@ -451,10 +376,11 @@ class PairOperator:
         self._idx = np.flatnonzero(image.mask)
         if self._idx.size == 0:
             raise ConfigurationError("the image mask keeps no pixel inside the domain")
-        x, y = image.center_xy
         kernels = known_kernels(pair)
-        kerns = (None, None) if kernels is None else (kernels.v1, kernels.v2)
-        views = ((pair.first, det1, kerns[0]), (pair.second, det2, kerns[1]))
+        w = None if kernels is None else _kernel_samples(self.dets, kernels)
+        self._unit_w = None if w is None else w / math.sqrt(np.add.reduce(w * w))
+        x, y = image.center_xy
+        views = ((pair.first, det1), (pair.second, det2))
         self._tables = two_threads(lambda view: _view_table(*view, x, y, dx, image.pixel_area), views)
 
     @property
@@ -476,13 +402,21 @@ class PairOperator:
             for off, row in enumerate(weights):
                 # start <= n_bins - width, so the count has exactly n_bins - off bins
                 gv[off:] += np.bincount(start, weights=fm * row, minlength=gv.size - off)
-        return g
+        return self._project(g)
+
+    def _project(self, g: np.ndarray) -> np.ndarray:
+        """``P g = g - u <u, g>`` for the unit kernels ``u = W / ||W||`` when
+        the pair has them, else ``g`` itself.  The dot product is numpy's
+        pairwise sum, the same on any number of BLAS threads."""
+        u = self._unit_w
+        return g if u is None else g - u * np.add.reduce(u * g)
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
         """Exact transpose of :meth:`forward`, on the same flat data layout."""
         g = np.asarray(g, dtype=float).ravel()
         if g.size != self.shape[0]:
             raise ConfigurationError("data vector has the wrong length")
+        g = self._project(g)
         acc = np.zeros(self._idx.size)
         for gv, (start, weights) in zip(np.split(g, [self.dets[0].n_bins]), self._tables):
             for off, row in enumerate(weights):

@@ -82,7 +82,10 @@ def bump_eval(phantom: Phantom, points) -> np.ndarray:
         near = np.abs(dx) < b.radius
         band, dx = band[near], dx[near]
         dy = dy[band]
-        s2 = (dx**2 + dy**2) / (b.radius**2)
+        # near the largest radius Bump accepts, dx**2 + dy**2 may overflow
+        # to inf: then s2 is inf and the point lies outside the support
+        with np.errstate(over="ignore"):
+            s2 = (dx**2 + dy**2) / (b.radius**2)
         inside = s2 < 1.0
         flat[band[inside]] += b.amplitude * _bump_profile(s2[inside])
     return out

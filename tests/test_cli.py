@@ -268,12 +268,10 @@ def test_project_discrete_builds_the_operator_over_the_phantoms_pixels(tmp_path,
     ("[geometry]\nvertex1 = 0 20\n", "pair geometry is not admissible; failing margins: "),
     ("[image]\nnx = 32\nny = 48\n", "pixel-driven operator requires square pixels"),
     ("[image]\nnx = 1\nny = 1\n", "the image mask keeps no pixel inside the domain"),
-    ("[geometry]\nmu = 0\n[detectors]\nbins2 = 2\n",
-     "view 2 has 2 bins; the mu = 0 operator needs at least 3 to keep the range condition exact"),
     ("[geometry]\nkind = par-fan\n[image]\nnx = 1\nny = 1\n", "the discrete pair operator supports fan-fan pairs"),
     ("[geometry]\nmu = 0\n[image]\nnx = 1\nny = 1\n[detectors]\nbins1 = 2\n",
      "the image mask keeps no pixel inside the domain"),
-], ids=["par-fan", "par-par", "inadmissible", "non-square", "empty-domain-mask", "mu0-two-bins",
+], ids=["par-fan", "par-par", "inadmissible", "non-square", "empty-domain-mask",
         "par-fan-empty-mask", "empty-mask-two-bins"])
 def test_project_discrete_refusals_whatever_the_phantom_covers(tmp_path, capsys, text, message, phantom):
     cfg = write_config(tmp_path, text + phantom)
@@ -281,6 +279,21 @@ def test_project_discrete_refusals_whatever_the_phantom_covers(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("phantom", ["", OUTSIDE_PHANTOM, "[phantom]\nkind = list\nbumps = 0 0 30 1\n"],
+                         ids=["random", "outside", "large"])
+def test_project_discrete_mu0_two_bins_checks_consistent(tmp_path, capsys, phantom):
+    # two bins on view 2 were refused (exit 5) while the mu = 0 operator
+    # needed three to keep the range condition; its views now satisfy it
+    cfg = write_config(tmp_path, "[geometry]\nmu = 0\n[detectors]\nbins2 = 2\n" + phantom, name="p.ini")
+    assert run(["project", "--mode", "discrete", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+    assert pp.read_projection_csv(tmp_path / "p" / "view2.csv").values.size == 2
+    files = f"file1 = {tmp_path / 'p' / 'view1.csv'}\nfile2 = {tmp_path / 'p' / 'view2.csv'}\n"
+    cfg = write_config(tmp_path, "[geometry]\nmu = 0\n[target]\nkind = files\n" + files, name="c.ini")
+    capsys.readouterr()
+    assert run(["check", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert "verdict = consistent" in capsys.readouterr().out
 
 
 def test_project_mode_flag_overrides_config(tmp_path, capsys):

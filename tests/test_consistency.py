@@ -161,8 +161,8 @@ def test_pprc_vanishes_on_range_data():
 
 
 def test_pprc_vanishes_on_range_data_of_the_mu0_operator():
-    # the sides are the two halves of <g, W> with the W the moment fix makes
-    # every column annihilate: the trapezoid rule over the bin centers gave
+    # the sides are the two halves of <g, W> with the W the operator projects
+    # its data off: the trapezoid rule over the bin centers gave
     # a worst relative residual of 1.3e-3 here
     op = pp.reference_operator(nx=64, n_bins=40, mu=0.0)
     K = pp.known_kernels(op.pair)

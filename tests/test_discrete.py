@@ -232,14 +232,18 @@ def test_mu_zero_operator_converges_to_bin_averages():
     assert min(orders) >= 1.0, (errs, orders)
 
 
-def test_mu_zero_operator_needs_three_bins():
-    pair, image, d1, _ = small_setup(mu=0.0)
-    d2 = pp.DetectorGrid(2, 2, *pp.view_range(pair.second, pair.domain))
-    with pytest.raises(pp.ConfigurationError):
-        pp.PairOperator(pair, image, d1, d2)
-    # the weighted operator has no moment correction and takes two bins
-    pair, image, d1, _ = small_setup()
-    pp.PairOperator(pair, image, d1, d2)
+@pytest.mark.parametrize("bins", [2, 1])
+def test_mu_zero_operator_with_few_bins_annihilates_its_range(bins):
+    # the range condition needs no minimum bin count: with one bin per view
+    # the range is the one line of the plane orthogonal to W
+    pair, image, _, _ = small_setup(mu=0.0)
+    dets = [pp.DetectorGrid(v, bins, *pp.view_range(g, pair.domain)) for v, g in ((1, pair.first), (2, pair.second))]
+    op = pp.PairOperator(pair, image, *dets)
+    kernels = pp.known_kernels(pair)
+    W = np.concatenate([dets[0].width * kernels.v1(dets[0].centers), -dets[1].width * kernels.v2(dets[1].centers)])
+    A = np.stack([op.adjoint(e) for e in np.eye(op.shape[0])])
+    assert np.linalg.norm(A) > 0
+    assert np.linalg.norm(W @ A) <= 1e-14 * np.linalg.norm(A, 2) * np.linalg.norm(W)
 
 
 def test_mass_conservation_random_image():
@@ -555,10 +559,8 @@ def _reference_tables(op):
     image = op.image
     centers = pixel_centers(image, np.flatnonzero(image.mask))
     delta, area = image.pixel_size[0], image.pixel_area
-    kernels = pp.known_kernels(op.pair)
-    kerns = (None, None) if kernels is None else (kernels.v1, kernels.v2)
     tables = []
-    for geom, det, kern in zip((op.pair.first, op.pair.second), op.dets, kerns):
+    for geom, det in zip((op.pair.first, op.pair.second), op.dets):
         d = centers - geom.vertex_xy
         t = np.hypot(d[..., 0], d[..., 1])
         r = np.mod(np.arctan2(d[..., 1], d[..., 0]) - geom.theta0, 2.0 * math.pi) + geom.theta0
@@ -568,18 +570,14 @@ def _reference_tables(op):
         a = (r - det.lo) / det.width - 0.5 * w / det.width
         b = a + w / det.width
         n = det.n_bins
-        pad = 0 if kern is None else 1
-        width = min(n, int(np.max(np.ceil(b) - np.floor(a), initial=1)) + 2 * pad)
+        width = min(n, int(np.max(np.ceil(b) - np.floor(a), initial=1)))
         first = np.clip(np.floor(a), 0, n - 1).astype(np.int64)
-        start = np.clip(first - pad, 0, n - width)
+        start = np.clip(first, 0, n - width)
         weights = np.empty((width, a.size))
         for off in range(width):
             k = start + off
             col = np.minimum(b, k + 1.0) - np.maximum(a, k)
             weights[off] = np.clip(col, 0.0, None) * density
-        if kern is not None:
-            sel, change = pp.discrete._kernel_moment_fix(det, a, b, r, coeff, kern, start, weights)
-            weights[:, sel] += change.T
         tables.append((start, weights))
     return tables
 
@@ -591,7 +589,7 @@ def _assert_tables_equal_bitwise(op):
         assert weights.tobytes() == want_weights.tobytes()  # sign bits of zeros too
 
 
-@pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "moment-fix"])
+@pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "unweighted"])
 def test_window_tables_equal_per_column_loop_bitwise(mu):
     # 120^2 is one build block, 256^2 two (50 550 masked pixels)
     for nx, blocks in ((120, 1), (256, 2)):
@@ -603,7 +601,7 @@ def test_window_tables_equal_per_column_loop_bitwise(mu):
 def test_window_tables_bitwise_with_blocks_outside_the_detector():
     # mu = 0, each detector over the low 5% of its view range: at 300^2
     # (69 554 masked pixels, three blocks) some blocks have no pixel whose
-    # ray angle lies in the range, so the correction has nothing to do there
+    # ray angle lies in the range, so every window there is clipped
     pair = pp.reference_pair(0.0)
     image = pp.ImageGrid.from_domain(300, 300, pair.domain)
     dets = [pp.DetectorGrid(d.view, 12, d.lo, d.lo + 0.05 * (d.hi - d.lo)) for d in pp.reference_grids()]
@@ -617,7 +615,7 @@ def test_window_tables_bitwise_with_blocks_outside_the_detector():
     _assert_tables_equal_bitwise(op)
 
 
-@pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "moment-fix"])
+@pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "unweighted"])
 def test_window_tables_bitwise_on_many_blocks(mu):
     # 420^2 keeps 136 934 pixels, five blocks; at 400 bins view 1's widest
     # footprints (three bins) lie in blocks 2 to 4 only, so the width is a
@@ -679,17 +677,32 @@ def test_every_build_starts_exactly_one_worker(monkeypatch):
         assert started == ["projpair-worker_0"]
 
 
-@pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "moment-fix"])
+@pytest.mark.parametrize("mu", [-0.154, 0.0], ids=["weighted", "unweighted"])
 def test_forward_adjoint_equal_per_offset_loop_bitwise(mu):
     # two build blocks; the loop forms every start + off and counts into all
-    # bins, where the operator counts start into the bins from off on
+    # bins, where the operator counts start into the bins from off on.  At
+    # mu = 0 both sides of the loop are projected off the unit kernels u:
+    # P v = v - u <u, v>, pairwise summed
     op = pp.reference_operator(nx=256, n_bins=60, mu=mu)
     rng = np.random.default_rng(37)
     f = rng.normal(size=op.image.n_pixels)
     g = rng.normal(size=op.shape[0])
+    kernels = pp.known_kernels(op.pair)
+    if kernels is None:
+        assert mu != 0.0
+
+        def project(v):
+            return v
+    else:
+        e1, e2 = op.dets
+        W = np.concatenate([e1.width * kernels.v1(e1.centers), -e2.width * kernels.v2(e2.centers)])
+        u = W / math.sqrt(np.add.reduce(W * W))
+
+        def project(v):
+            return v - u * np.add.reduce(u * v)
     idx = np.flatnonzero(op.image.mask)
     want_g, acc = [], np.zeros(idx.size)
-    for gv, (start, weights) in zip(np.split(g, [op.dets[0].n_bins]), op._tables):
+    for gv, (start, weights) in zip(np.split(project(g), [op.dets[0].n_bins]), op._tables):
         out = np.zeros(gv.size)
         for off in range(weights.shape[0]):
             out += np.bincount(start + off, weights=f[idx] * weights[off], minlength=gv.size)
@@ -697,7 +710,7 @@ def test_forward_adjoint_equal_per_offset_loop_bitwise(mu):
         want_g.append(out)
     want_f = np.zeros(op.image.n_pixels)
     want_f[idx] = acc
-    assert op.forward(f).tobytes() == np.concatenate(want_g).tobytes()
+    assert op.forward(f).tobytes() == project(np.concatenate(want_g)).tobytes()
     assert op.adjoint(g).tobytes() == want_f.tobytes()
 
 
@@ -752,16 +765,16 @@ def test_pgm_writer(tmp_path):
     assert max(body) == 255 and min(body) == 0
 
 
-def test_moment_fix_refuses_a_kernel_not_finite_at_any_bin_center():
-    # one pixel over bin 2 of 10, its window bins 1 to 3; the kernel is NaN
-    # only at the last center, outside that window, and was accepted
-    det = pp.DetectorGrid(1, 10, 0.0, 1.0)
-    a, b = np.array([2.0]), np.array([3.0])
-    r, coeff = np.array([0.25]), np.array([0.1])
-    start, weights = np.array([1]), np.array([[0.0], [1.0], [0.0]])
-    def kern(x):
-        return np.where(x > 0.9, np.nan, 1.0 + x)
-    sel, _ = pp.discrete._kernel_moment_fix(det, a, b, r, coeff, lambda x: 1.0 + x, start, weights)
-    assert sel.tolist() == [0]
-    with pytest.raises(pp.EvaluationError, match="view 1 kernel value not finite at r = 0.95"):
-        pp.discrete._kernel_moment_fix(det, a, b, r, coeff, kern, start, weights)
+def test_operator_refuses_a_kernel_not_finite_at_a_bin_center(monkeypatch):
+    # the kernels enter the operator only at the bin centers, through the W
+    # that check reads, and a NaN at one center is refused as check refuses it
+    pair, image, d1, d2 = small_setup(mu=0.0, bins=(9, 13))
+    kernels = pp.known_kernels(pair)
+    bad = float(d1.centers[6])
+
+    def v1(r):
+        return np.where(r == bad, np.nan, kernels.v1(r))
+
+    monkeypatch.setattr(pp.discrete, "known_kernels", lambda p: pp.KernelPair(v1, kernels.v2, kernels.label))
+    with pytest.raises(pp.EvaluationError, match=f"^view 1 kernel value not finite at r = {bad!r}$"):
+        pp.PairOperator(pair, image, d1, d2)

@@ -114,6 +114,19 @@ def test_bump_eval_squares_no_offset_from_a_bump_far_away():
     np.testing.assert_array_equal(pp.Phantom((far,))(x), 0.0)
 
 
+def test_bump_eval_is_silent_where_the_sum_of_squares_overflows():
+    # both offsets pass the box test, but dx**2 + dy**2 = 2e308 overflows
+    # (numpy warned, an error under the test configuration); the point is
+    # outside the support and adds +0.0, and the others keep their bits
+    ph = pp.Phantom((pp.Bump((0.0, 0.0), 1.2e154, 1.0),))
+    x = np.array([[1e154, 1e154], [0.0, 0.0], [1e154, 0.0], [6e153, -6e153]])
+    got = ph(x)
+    assert got[0] == 0.0 and not np.signbit(got[0]) and got[1] > 0.0
+    with np.errstate(over="ignore"):
+        want = dense_bump_eval(ph, x)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("panels, order", [(1, 1), (3, 5), (4, 16)])
 def test_composite_rule_integrates_polynomials_exactly(panels, order):
     # on [1, 3], away from the origin, every x^k with k <= 2 * order - 1
