@@ -284,8 +284,8 @@ def test_project_discrete_refusals_whatever_the_phantom_covers(tmp_path, capsys,
 @pytest.mark.parametrize("phantom", ["", OUTSIDE_PHANTOM, "[phantom]\nkind = list\nbumps = 0 0 30 1\n"],
                          ids=["random", "outside", "large"])
 def test_project_discrete_mu0_two_bins_checks_consistent(tmp_path, capsys, phantom):
-    # two bins on view 2 were refused (exit 5) while the mu = 0 operator
-    # needed three to keep the range condition; its views now satisfy it
+    # the mu = 0 operator takes any bin count, and its views satisfy the
+    # range condition with two bins on view 2 too
     cfg = write_config(tmp_path, "[geometry]\nmu = 0\n[detectors]\nbins2 = 2\n" + phantom, name="p.ini")
     assert run(["project", "--mode", "discrete", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
     assert pp.read_projection_csv(tmp_path / "p" / "view2.csv").values.size == 2

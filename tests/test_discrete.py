@@ -688,18 +688,15 @@ def test_forward_adjoint_equal_per_offset_loop_bitwise(mu):
     f = rng.normal(size=op.image.n_pixels)
     g = rng.normal(size=op.shape[0])
     kernels = pp.known_kernels(op.pair)
-    if kernels is None:
-        assert mu != 0.0
-
-        def project(v):
-            return v
-    else:
+    u = None
+    if kernels is not None:
         e1, e2 = op.dets
         W = np.concatenate([e1.width * kernels.v1(e1.centers), -e2.width * kernels.v2(e2.centers)])
         u = W / math.sqrt(np.add.reduce(W * W))
 
-        def project(v):
-            return v - u * np.add.reduce(u * v)
+    def project(v):
+        return v if u is None else v - u * np.add.reduce(u * v)
+
     idx = np.flatnonzero(op.image.mask)
     want_g, acc = [], np.zeros(idx.size)
     for gv, (start, weights) in zip(np.split(project(g), [op.dets[0].n_bins]), op._tables):

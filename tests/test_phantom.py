@@ -116,8 +116,9 @@ def test_bump_eval_squares_no_offset_from_a_bump_far_away():
 
 def test_bump_eval_is_silent_where_the_sum_of_squares_overflows():
     # both offsets pass the box test, but dx**2 + dy**2 = 2e308 overflows
-    # (numpy warned, an error under the test configuration); the point is
-    # outside the support and adds +0.0, and the others keep their bits
+    # to inf, with no warning (an error under the test configuration); the
+    # point is outside the support and adds +0.0, and the others keep
+    # their bits
     ph = pp.Phantom((pp.Bump((0.0, 0.0), 1.2e154, 1.0),))
     x = np.array([[1e154, 1e154], [0.0, 0.0], [1e154, 0.0], [6e153, -6e153]])
     got = ph(x)
