@@ -91,18 +91,22 @@ def bump_eval(phantom: Phantom, points) -> np.ndarray:
     return out
 
 
-def _bump_profile(s2: np.ndarray, p: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+def _bump_profile(s2: np.ndarray, p=1.0, out: np.ndarray | None = None) -> np.ndarray:
     """The bump profile ``exp(-p / (1 - s2))`` at the array ``s2`` of squared
-    scaled radii.
+    scaled radii, with ``p`` broadcast against ``s2`` (a column of per-ray
+    ``p`` against a row of per-node ``s2``, say).
 
     At and beyond the support edge (``s2 >= 1``) it is ``exp(-p / 1e-300)``,
-    which is +0.0.  With ``out`` given (it may be ``s2`` itself) the profile
-    is written into it in place and no temporary is made.
+    which is +0.0 for ``p > 0``.  With ``out`` given (of the broadcast
+    shape) the profile is written into it; ``1 - s2`` is formed in place
+    when ``out`` is ``s2`` itself, else in a temporary of ``s2``'s shape.
     """
-    fval = np.subtract(1.0, s2, out=out)
+    fval = np.subtract(1.0, s2, out=s2 if out is s2 else None)
     np.maximum(fval, 1e-300, out=fval)
-    np.divide(-p, fval, out=fval)
-    with np.errstate(under="ignore"):
+    # a divide that overflows to -inf gives exp(-inf) = +0.0, the value the
+    # exponent's size already implies
+    with np.errstate(over="ignore", under="ignore"):
+        fval = np.divide(-p, fval, out=out)
         np.exp(fval, out=fval)
     return fval
 

@@ -9,18 +9,32 @@ with ``T(r)`` the arc-parameter set where the ray meets the support of
 individual bump supports; each bump is integrated independently (projection
 is linear in ``f``), so overlapping supports need no special casing.
 
+Each chord is integrated in its own coordinate.  A line at distance ``h``
+from a bump's centre (radius ``R``) crosses its support where
+``|t + b| < sq``, with ``b`` the centre's foot on the line and
+``sq = sqrt((R - h)(R + h))``.  In ``v = (t + b) / sq`` the bump factor is
+``exp(-p / (1 - v**2))`` with ``p = R**2 / sq**2``, and ``dt = sq dv``.  A
+chord that ``t_min`` cuts runs over ``v`` in ``[v0, 1]``; every other chord
+has ``v0 = -1``.
+
 Each chord is integrated by one fixed rule: the composite Gauss-Legendre
-rule of ``phantom._composite_gl`` with ``_ORDER`` points per panel, from
-``_INIT_PANELS`` panels doubled until a ray's value changes by at most
+rule of ``phantom._composite_gl`` with ``_ORDER`` points per panel, the
+panels counted on the chord's ``[v0, 1]`` in ``v``, from ``_INIT_PANELS``
+panels doubled until a ray's value changes by at most
 ``max(_ABS_TOL, _REL_FLOOR * |value|)``, at most ``_MAX_REFINE`` doublings.
-A ray leaves the batch at the doubling where it settles, and each ray gets
-the same floating-point operations whichever rays share its batch, so
-batched and one-at-a-time evaluation agree bitwise.
+An uncut chord's bump factor is even in ``v``, so its rule is evaluated on
+the half of its panels that cover ``[0, 1]``, each node paired with its
+mirror, of weight ``weight(r, sq v - b) + weight(r, -sq v - b)`` (2 at
+``mu = 0``): the same nodes, on half the profile evaluations.  A ray
+leaves the batch at the doubling where it settles, and each ray gets the
+same floating-point operations whichever rays share its batch, so batched
+and one-at-a-time evaluation agree bitwise.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +44,8 @@ from .geometry import FanGeometry, ImageDomain, ParGeometry, view_range
 from .phantom import Phantom, _bump_profile, _composite_gl, phantom_l2_norm
 
 # The ray quadrature's rule, as the module docstring states it.  A fixed
-# rule, not a setting.
+# rule, not a setting.  _INIT_PANELS is even, so that an uncut chord's
+# panels split at its midpoint v = 0.
 _ORDER = 16
 _ABS_TOL = 1e-10
 _REL_FLOOR = 1e-14
@@ -40,6 +55,86 @@ _INIT_PANELS = 2
 # a doubling's (rays, nodes) temporaries stay that size whatever the ray
 # count.  A fixed rule, not a setting.
 _BLOCK_NODES = 1 << 17
+
+
+@lru_cache(maxsize=None)
+def _unit_rule(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_composite_gl(0, 1, panels, order)``, cached and read-only like
+    ``phantom._gl_rule``."""
+    nodes, weights = _composite_gl(0.0, 1.0, panels, order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _chords(geom, bump, r) -> tuple[np.ndarray, np.ndarray]:
+    """The rays of ``r`` that cross the bump's support, as ``(idx, chords)``:
+    their indices in ``r`` and a (5, n) array of rows ``r``, ``b``, ``sq``,
+    ``p`` and ``v0`` (the module docstring names them)."""
+    origins, dirs = geom.ray(r)
+    oc = origins - np.asarray(bump.center, dtype=float)
+    # the centre's distance from each line, compared with the radius before
+    # anything is squared: a bump far from every ray overflows nothing, and
+    # (R - h)(R + h) does not cancel as b*b - (|oc|**2 - R**2) does
+    h = np.abs(dirs[:, 0] * oc[:, 1] - dirs[:, 1] * oc[:, 0])
+    R = bump.radius
+    idx = np.flatnonzero(h < R)
+    disc = (R - h[idx]) * (R + h[idx])
+    b = np.sum(oc[idx] * dirs[idx], axis=-1)
+    sq = np.sqrt(disc)
+    keep = (disc > 0.0) & (sq - b > geom.t_min)
+    idx, disc, b, sq = idx[keep], disc[keep], b[keep], sq[keep]
+    v0 = np.full(idx.size, -1.0)
+    cut = -b - sq < geom.t_min
+    v0[cut] = (geom.t_min + b[cut]) / sq[cut]
+    return idx, np.stack((r[idx], b, sq, R**2 / disc, v0))
+
+
+def _chord_integrals(geom, panels: int, chords: np.ndarray, mirrored: bool) -> np.ndarray:
+    """``integral of exp(-p / (1 - v**2)) * weight(r, sq v - b) dv`` over each
+    chord's ``[v0, 1]``, by the rule of ``panels`` panels there.
+
+    ``mirrored`` takes the uncut chords' form of the same rule: the
+    ``panels / 2`` panels on ``[0, 1]``, each node paired with its mirror
+    (``v0`` must be -1).  Rays are taken in row blocks of at most
+    ``_BLOCK_NODES`` nodes, and each ray's value does not depend on which
+    rays share its block.
+    """
+    r, b, sq, p, v0 = chords
+    u, w = _unit_rule(panels // 2 if mirrored else panels, _ORDER)
+    if mirrored and geom.mu == 0.0:
+        w = 2.0 * w  # a node and its mirror, each of unit weight
+    s2 = u * u
+    rows = max(1, min(r.size, _BLOCK_NODES // u.size))
+    buf = np.empty((rows, u.size))
+    v = None if mirrored else np.empty_like(buf)
+    out = np.empty(r.size)
+    for lo in range(0, r.size, rows):
+        blk = slice(lo, lo + rows)
+        f = buf[:r[blk].size]
+        if mirrored:
+            _bump_profile(s2, p[blk, None], out=f)
+        else:
+            vb = np.multiply.outer(1.0 - v0[blk], u, out=v[:f.shape[0]])
+            vb += v0[blk, None]
+            np.square(vb, out=f)
+            _bump_profile(f, p[blk, None], out=f)
+        if geom.mu != 0.0:  # a unit weight multiplies by exactly 1
+            rb, bb, sb = r[blk, None], b[blk, None], sq[blk, None]
+            if mirrored:
+                t = np.multiply.outer(sq[blk], u)
+                f *= geom.weight(rb, t - bb) + geom.weight(rb, -t - bb)
+            else:
+                vb *= sb
+                vb -= bb
+                f *= geom.weight(rb, vb)
+        f *= w
+        # np.sum keeps the reduction order independent of the batch size,
+        # unlike @ which picks BLAS blockings by shape
+        out[blk] = np.sum(f, axis=-1)
+    if not mirrored:
+        out *= 1.0 - v0
+    return out
 
 
 def _bump_line_integrals(geom, bump, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -53,70 +148,24 @@ def _bump_line_integrals(geom, bump, r) -> tuple[np.ndarray, np.ndarray, np.ndar
     batched and one-at-a-time results agree bitwise.
     """
     out = np.zeros(r.shape)
-    origins, dirs = geom.ray(r)
-    c = np.asarray(bump.center, dtype=float)
-    oc = origins - c
-    b = np.sum(oc * dirs, axis=-1)
-    c0 = np.sum(oc * oc, axis=-1) - bump.radius**2
-    disc = b * b - c0
-    hit = disc > 0.0
-    sq = np.sqrt(disc[hit])
-    t0 = np.maximum(-b[hit] - sq, geom.t_min)
-    t1 = -b[hit] + sq
-    ok = t1 > t0
-    idx = np.flatnonzero(hit)[ok]
-    t0, t1 = t0[ok], t1[ok]
-    span = t1 - t0
-    ox, oy = origins[idx, 0], origins[idx, 1]
-    dx, dy = dirs[idx, 0], dirs[idx, 1]
-    rr = r[idx]
-    cx, cy = c
-    r2 = bump.radius**2
+    idx, chords = _chords(geom, bump, r)
+    cut = chords[4] != -1.0
+    scale = bump.amplitude * chords[2]
 
-    def composite(panels: int, live: np.ndarray) -> np.ndarray:
-        # unit-interval nodes of every panel, shape (panels * order,)
-        u, w = _composite_gl(0.0, 1.0, panels, _ORDER)
-        # per-coordinate (rays, nodes) scratch arrays, reused by every row
-        # block; a unit weight never reads t again, so py overwrites it
-        rows = max(1, min(live.size, _BLOCK_NODES // u.size))
-        t = np.empty((rows, u.size))
-        px = np.empty_like(t)
-        py = t if geom.mu == 0.0 else np.empty_like(t)
-        out = np.empty(live.size)
-        for lo in range(0, live.size, rows):
-            blk = live[lo:lo + rows]
-            tb, xb, yb = t[:blk.size], px[:blk.size], py[:blk.size]
-            np.multiply.outer(span[blk], u, out=tb)
-            tb += t0[blk, None]
-            np.multiply(tb, dx[blk, None], out=xb)
-            xb += ox[blk, None]
-            xb -= cx
-            np.square(xb, out=xb)
-            np.multiply(tb, dy[blk, None], out=yb)
-            yb += oy[blk, None]
-            yb -= cy
-            np.square(yb, out=yb)
-            s2 = xb
-            s2 += yb
-            s2 /= r2
-            # +0.0 outside the support (s2 >= 1)
-            fval = _bump_profile(s2, out=yb)
-            fval *= bump.amplitude
-            if geom.mu != 0.0:  # a unit weight multiplies by exactly 1
-                fval *= geom.weight(rr[blk, None], tb)
-            fval *= w
-            # np.sum keeps the reduction order independent of the batch size,
-            # unlike @ which picks BLAS blockings by shape
-            out[lo:lo + blk.size] = span[blk] * np.sum(fval, axis=-1)
-        return out
+    def level(panels: int, live: np.ndarray) -> np.ndarray:
+        vals = np.empty(live.size)
+        part = cut[live]
+        for sel, mirrored in ((~part, True), (part, False)):
+            vals[sel] = _chord_integrals(geom, panels, chords[:, live[sel]], mirrored)
+        return scale[live] * vals
 
     live = np.arange(idx.size)
-    vals = composite(_INIT_PANELS, live)
+    vals = level(_INIT_PANELS, live)
     final = np.empty_like(vals)
     panels = _INIT_PANELS
     for _ in range(_MAX_REFINE):
         panels *= 2
-        new = composite(panels, live)
+        new = level(panels, live)
         final[live] = new
         delta = np.abs(new - vals)
         moving = ~(delta <= np.maximum(_ABS_TOL, _REL_FLOOR * np.abs(new)))

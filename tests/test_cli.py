@@ -148,6 +148,32 @@ def test_project_continuous(tmp_path):
     assert body.splitlines()[1].split() == ["5", "-10", "6", "1"]
 
 
+@pytest.mark.parametrize("config, bump", [
+    ("[geometry]\nkind = fan-fan\nmu = 0\n", pp.Bump((0.0, 80.0), 3.0, 1.0)),
+    ("", pp.Bump((1e300, 0.0), 1e153, 1.0)),
+], ids=["vertex-in-bump", "far-bump"])
+def test_project_continuous_edge_bumps_under_warnings_as_errors(tmp_path, config, bump):
+    # view 1's vertex lies inside the first bump, so t_min cuts its chords;
+    # the second bump is too far away for |centre - vertex|**2 to be finite
+    x, y = bump.center
+    cfg = write_config(tmp_path, f"{config}[phantom]\nkind = list\nbumps = {x!r} {y!r} {bump.radius!r} 1\n")
+    src = str(Path(pp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "projpair.cli", "project", "--mode", "continuous",
+                           "--config", cfg, "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    pair = pp.reference_pair(0.0) if config else pp.reference_pair()
+    views = [pp.read_projection_csv(out / f"view{k}.csv") for k in (1, 2)]
+    for geom, data in zip((pair.first, pair.second), views):
+        want = pp.project_values(geom, pp.Phantom((bump,)), data.grid.centers)
+        assert data.values.tobytes() == want.tobytes()
+    if config:
+        assert views[0].values.max() > 0
+    else:
+        assert not np.any(views[0].values) and not np.any(views[1].values)
+
+
 def test_project_discrete_writes_image(tmp_path):
     cfg = write_config(
         tmp_path,

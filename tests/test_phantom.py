@@ -158,6 +158,20 @@ def test_bump_profile_inside_the_support_and_in_place():
         assert same.tobytes() == want.tobytes()
 
 
+def test_bump_profile_broadcasts_p_against_s2():
+    # a column of per-ray p against a row of per-node s2, as the projector
+    # calls it: each row is the profile at that p, bitwise
+    s2 = np.array([0.0, 0.25, 0.9, np.nextafter(1.0, 0.0), 1.0])
+    p = np.array([[1.0], [2.5], [1e12]])
+    out = np.empty((3, 5))
+    assert _bump_profile(s2, p, out=out) is out
+    for row, pk in zip(out, p[:, 0]):
+        assert row.tobytes() == _bump_profile(s2, pk).tobytes()
+    assert s2[1] == 0.25
+    # a large p at the edge overflows the divide quietly to exp(-inf) = +0.0
+    assert out[2, -1] == 0.0 and not np.signbit(out[2, -1])
+
+
 def test_bump_eval_is_amplitude_times_the_profile():
     bump = pp.Bump((1.5, -2.0), 3.0, 1.75)
     pts = np.random.default_rng(9).uniform(-3.0, 6.0, size=(500, 2))

@@ -102,6 +102,15 @@ def test_projection_zero_off_support():
     np.testing.assert_array_equal(vals, 0.0)
 
 
+@pytest.mark.parametrize("geom", [pp.ParGeometry(0.0), pp.FanGeometry((0.0, 80.0), theta0=-math.pi, mu=-0.154)],
+                         ids=["par", "fan-mu"])
+def test_far_bump_projects_to_zeros_without_overflow(geom):
+    # |centre - origin|**2 overflows; the distance from the line does not
+    far = pp.Phantom((pp.Bump((1e300, 0.0), 1e153, 1.0),))
+    vals = pp.project_values(geom, far, np.linspace(-1.0, 1.0, 33))
+    assert vals.tobytes() == np.zeros(33).tobytes()
+
+
 def test_projection_rejects_unsupported_geometry():
     with pytest.raises(pp.ConfigurationError):
         pp.project_values(object(), PHANTOM, np.array([0.0]))
@@ -138,53 +147,72 @@ def test_exponential_weight_changes_value():
 
 def _reference_line_integrals(geom, bump, r):
     """The all-rays refinement loop, kept as the bitwise oracle: every ray is
-    re-evaluated at every doubling until the last one settles.  It reads the
-    projector's rule constants, so a test that tightens them tightens both."""
+    re-evaluated at every doubling until the last one settles.  It repeats
+    the projector's per-node arithmetic in the chord coordinate
+    ``v = (t + b) / sq`` (uncut chords by their mirrored half, cut ones on
+    all nodes of ``[v0, 1]``), and it reads the projector's rule constants,
+    so a test that tightens them tightens both."""
     if not isinstance(geom, (pp.ParGeometry, pp.FanGeometry)):
         raise pp.ConfigurationError(f"unsupported geometry type {type(geom).__name__}")
     r = np.asarray(r, dtype=float)
     out = np.zeros(r.shape)
     origins, dirs = geom.ray(r)
-    c = np.asarray(bump.center, dtype=float)
-    oc = origins - c
-    b = np.sum(oc * dirs, axis=-1)
-    c0 = np.sum(oc * oc, axis=-1) - bump.radius**2
-    disc = b * b - c0
-    hit = disc > 0.0
-    if not np.any(hit):
+    oc = origins - np.asarray(bump.center, dtype=float)
+    R = bump.radius
+    h = np.abs(dirs[:, 0] * oc[:, 1] - dirs[:, 1] * oc[:, 0])
+    near = h < R
+    if not np.any(near):
         return out
-    sq = np.sqrt(disc[hit])
-    t0 = np.maximum(-b[hit] - sq, geom.t_min)
-    t1 = -b[hit] + sq
-    ok = t1 > t0
+    disc = (R - h[near]) * (R + h[near])
+    b = np.sum(oc[near] * dirs[near], axis=-1)
+    sq = np.sqrt(disc)
+    ok = (disc > 0.0) & (sq - b > geom.t_min)
     if not np.any(ok):
         return out
-    idx = np.flatnonzero(hit)[ok]
-    t0, t1 = t0[ok], t1[ok]
-    o = origins[idx]
-    dv = dirs[idx]
-    rr = r[idx]
+    idx = np.flatnonzero(near)[ok]
+    disc, b, sq, rr = disc[ok], b[ok], sq[ok], r[idx]
+    p = R**2 / disc
+    cut = -b - sq < geom.t_min
+    v0 = np.where(cut, (geom.t_min + b) / np.where(cut, sq, 1.0), -1.0)
 
     nodes, weights = np.polynomial.legendre.leggauss(projector._ORDER)
 
-    def composite(panels: int) -> np.ndarray:
+    def unit(panels):
         edges = np.linspace(0.0, 1.0, panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
         # unit-interval nodes of every panel, shape (panels * order,)
-        u = (mids[:, None] + half * nodes[None, :]).ravel()
-        w = np.tile(half * weights, panels)
-        t = t0[:, None] + (t1 - t0)[:, None] * u[None, :]
-        pts = o[:, None, :] + t[..., None] * dv[:, None, :]
-        dloc = pts - c
-        s2 = (dloc[..., 0] ** 2 + dloc[..., 1] ** 2) / bump.radius**2
-        with np.errstate(divide="ignore", over="ignore"):
-            fval = np.where(s2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - s2, 1e-300)), 0.0)
-        fval *= bump.amplitude
-        wt = geom.weight(rr[:, None], t)
+        return (mids[:, None] + half * nodes[None, :]).ravel(), np.tile(half * weights, panels)
+
+    def profile(s2, p):
+        with np.errstate(over="ignore", under="ignore"):
+            return np.exp(-p / np.maximum(1.0 - s2, 1e-300))
+
+    def composite(panels: int) -> np.ndarray:
+        integral = np.empty(rr.shape)
+        # uncut chords: the panels / 2 panels on [0, 1], each node paired
+        # with its mirror -v
+        u, w = unit(panels // 2)
+        m = ~cut
+        fval = profile(u * u, p[m, None])
+        if geom.mu == 0.0:
+            w = 2.0 * w
+        else:
+            t = sq[m, None] * u
+            fval *= geom.weight(rr[m, None], t - b[m, None]) + geom.weight(rr[m, None], -t - b[m, None])
+        fval *= w
         # np.sum keeps the reduction order independent of the batch size,
         # unlike @ which picks BLAS blockings by shape
-        return (t1 - t0) * np.sum(fval * wt * w, axis=-1)
+        integral[m] = np.sum(fval, axis=-1)
+        # cut chords: all the panels on [v0, 1]
+        u, w = unit(panels)
+        v = (1.0 - v0[cut, None]) * u + v0[cut, None]
+        fval = profile(v * v, p[cut, None])
+        if geom.mu != 0.0:
+            fval *= geom.weight(rr[cut, None], v * sq[cut, None] - b[cut, None])
+        fval *= w
+        integral[cut] = np.sum(fval, axis=-1) * (1.0 - v0[cut])
+        return bump.amplitude * sq * integral
 
     vals = composite(projector._INIT_PANELS)
     settled = np.zeros(vals.shape, dtype=bool)
@@ -232,10 +260,11 @@ def _reference_project(geom, phantom, r):
 
 
 def _tighten(monkeypatch, max_refine=3):
-    """A rule no ray meets: two points per panel, one panel to start, an
-    absolute tolerance below any change and no relative floor."""
+    """A rule no ray meets: two points per panel, two panels to start (the
+    rule's panel counts are even), an absolute tolerance below any change
+    and no relative floor."""
     for name, value in (("_ORDER", 2), ("_ABS_TOL", 1e-16), ("_REL_FLOOR", 0.0),
-                        ("_MAX_REFINE", max_refine), ("_INIT_PANELS", 1)):
+                        ("_MAX_REFINE", max_refine), ("_INIT_PANELS", 2)):
         monkeypatch.setattr(projector, name, value)
 
 
@@ -284,6 +313,22 @@ def test_clipped_fan_chords_equal_all_rays_loop_bitwise(mu):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("panels", [2, 16, 512])
+def test_mirrored_half_rule_equals_the_full_node_rule(family, panels):
+    # the full-node rule on [v0, 1] = [-1, 1] has the same nodes as the
+    # mirrored half, so the two differ by roundoff only
+    geom = FAMILIES[family]
+    r = _rays(geom, np.linspace(-0.95, 0.95, 101))
+    idx, chords = projector._chords(geom, BUMP, r)
+    np.testing.assert_array_equal(idx, np.arange(r.size))
+    np.testing.assert_array_equal(chords[4], -1.0)
+    half = projector._chord_integrals(geom, panels, chords, True)
+    full = projector._chord_integrals(geom, panels, chords, False)
+    assert np.all(half > 0)
+    np.testing.assert_allclose(half, full, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("max_refine", [1, 3])
 def test_accuracy_error_fields_equal_all_rays_loop(monkeypatch, family, max_refine):
     geom = FAMILIES[family]
@@ -323,6 +368,17 @@ def test_row_blocks_equal_one_block_bitwise(monkeypatch, mu, block):
 
 def test_gauss_legendre_rule_is_read_only():
     nodes, weights = pp.phantom._gl_rule(16)
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights *= 2.0
+
+
+def test_unit_rule_is_the_cached_read_only_composite_rule():
+    nodes, weights = projector._unit_rule(8, 16)
+    assert projector._unit_rule(8, 16)[0] is nodes
+    for got, want in zip((nodes, weights), pp.phantom._composite_gl(0.0, 1.0, 8, 16)):
+        assert got.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         nodes[0] = 0.0
     with pytest.raises(ValueError):
