@@ -11,7 +11,7 @@ is linear in ``f``), so overlapping supports need no special casing.
 
 Each chord is integrated in its own coordinate.  A line at distance ``h``
 from a bump's centre (radius ``R``) crosses its support where
-``|t + b| < sq``, with ``b`` the centre's foot on the line and
+``|t + b| < sq``, with ``t = -b`` the foot of the centre on the line and
 ``sq = sqrt((R - h)(R + h))``.  In ``v = (t + b) / sq`` the bump factor is
 ``exp(-p / (1 - v**2))`` with ``p = R**2 / sq**2``, and ``dt = sq dv``.  A
 chord that ``t_min`` cuts runs over ``v`` in ``[v0, 1]``; every other chord
@@ -45,15 +45,19 @@ from .phantom import Phantom, _bump_profile, _composite_gl, phantom_l2_norm
 
 # The ray quadrature's rule, as the module docstring states it.  A fixed
 # rule, not a setting.  _INIT_PANELS is even, so that an uncut chord's
-# panels split at its midpoint v = 0.
+# panels split at its midpoint v = 0, and the first settle test compares 8
+# with 16 panels: from 2 or 4, two successive values of a central ray
+# (p near 1) can agree to _ABS_TOL while both are 5e-10 times amplitude * sq
+# off the integral.
 _ORDER = 16
 _ABS_TOL = 1e-10
 _REL_FLOOR = 1e-14
 _MAX_REFINE = 12
-_INIT_PANELS = 2
+_INIT_PANELS = 8
 # Quadrature nodes per row block of one doubling: 1 MB per float64 array, so
 # a doubling's (rays, nodes) temporaries stay that size whatever the ray
-# count.  A fixed rule, not a setting.
+# count, until one ray's nodes exceed it (past 8 192 panels).  A fixed
+# rule, not a setting.
 _BLOCK_NODES = 1 << 17
 
 

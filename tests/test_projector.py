@@ -312,6 +312,55 @@ def test_clipped_fan_chords_equal_all_rays_loop_bitwise(mu):
     assert _outcome(pp.project_values, geom, BUMP, r) == _outcome(_reference_project, geom, BUMP, r)
 
 
+def coordinate_gl(geom, phantom, r, panels=256):
+    """Composite Gauss-Legendre in the arc parameter ``t`` over each exact
+    support interval of ``ray_segments``, ``panels`` panels of 16 points,
+    with each node's point formed in the plane and its squared distance from
+    the centre taken there: the projector's former arithmetic, at one fixed
+    rule far finer than any ray here needs."""
+    mu = getattr(geom, "mu", 0.0)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    half = 0.5 / panels
+    u = ((np.arange(panels) + 0.5)[:, None] / panels + half * nodes).ravel()
+    w = np.tile(half * weights, panels)
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    total = np.zeros(r.shape)
+    for bump in phantom.bumps:
+        for i, ri in enumerate(r):
+            seg = ray_segments(geom, ri, bump)
+            if seg is None:
+                continue
+            t0, t1 = seg
+            t = t0 + (t1 - t0) * u
+            origin, e = geom.ray(ri)
+            d = origin + t[:, None] * e - np.asarray(bump.center)
+            s2 = (d[:, 0] ** 2 + d[:, 1] ** 2) / bump.radius**2
+            with np.errstate(under="ignore"):
+                f = np.exp(-1.0 / np.maximum(1.0 - s2, 1e-300)) * np.exp(mu * t)
+            total[i] += bump.amplitude * (t1 - t0) * float(np.sum(f * w))
+    return total
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("rays", RAY_SETS)
+def test_values_within_tolerance_of_the_coordinate_form_rule(family, rays):
+    geom = FAMILIES[family]
+    r = _rays(geom, RAY_SETS[rays](np.random.default_rng(len(family) * 31 + len(rays))))
+    phantom = pp.Phantom((BUMP,))
+    got = pp.project_values(geom, phantom, r)
+    assert np.max(np.abs(got - coordinate_gl(geom, phantom, r))) <= projector._ABS_TOL
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.154])
+def test_clipped_fan_values_within_tolerance_of_the_coordinate_form_rule(mu):
+    geom = pp.FanGeometry((5.0, -4.0), theta0=-math.pi, mu=mu)
+    r = np.random.default_rng(5).uniform(-math.pi, math.pi, 600)
+    phantom = pp.Phantom((BUMP,))
+    got = pp.project_values(geom, phantom, r)
+    assert np.all(got > 0)
+    assert np.max(np.abs(got - coordinate_gl(geom, phantom, r))) <= projector._ABS_TOL
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("panels", [2, 16, 512])
 def test_mirrored_half_rule_equals_the_full_node_rule(family, panels):
