@@ -100,18 +100,20 @@ def _chord_integrals(geom, panels: int, chords: np.ndarray, mirrored: bool) -> n
 
     ``mirrored`` takes the uncut chords' form of the same rule: the
     ``panels / 2`` panels on ``[0, 1]``, each node paired with its mirror
-    (``v0`` must be -1).  Rays are taken in row blocks of at most
+    (``v0`` must be -1).  Rays are taken in row blocks of about
     ``_BLOCK_NODES`` nodes, and each ray's value does not depend on which
     rays share its block.
     """
     r, b, sq, p, v0 = chords
     u, w = _unit_rule(panels // 2 if mirrored else panels, _ORDER)
-    if mirrored and geom.mu == 0.0:
-        w = 2.0 * w  # a node and its mirror, each of unit weight
-    s2 = u * u
     rows = max(1, min(r.size, _BLOCK_NODES // u.size))
     buf = np.empty((rows, u.size))
-    v = None if mirrored else np.empty_like(buf)
+    if mirrored:
+        s2 = u * u
+        if geom.mu == 0.0:
+            w = 2.0 * w  # a node and its mirror, each of unit weight
+    else:
+        v = np.empty_like(buf)
     out = np.empty(r.size)
     for lo in range(0, r.size, rows):
         blk = slice(lo, lo + rows)
@@ -124,12 +126,12 @@ def _chord_integrals(geom, panels: int, chords: np.ndarray, mirrored: bool) -> n
             np.square(vb, out=f)
             _bump_profile(f, p[blk, None], out=f)
         if geom.mu != 0.0:  # a unit weight multiplies by exactly 1
-            rb, bb, sb = r[blk, None], b[blk, None], sq[blk, None]
+            rb, bb = r[blk, None], b[blk, None]
             if mirrored:
                 t = np.multiply.outer(sq[blk], u)
                 f *= geom.weight(rb, t - bb) + geom.weight(rb, -t - bb)
             else:
-                vb *= sb
+                vb *= sq[blk, None]
                 vb -= bb
                 f *= geom.weight(rb, vb)
         f *= w
