@@ -276,11 +276,10 @@ def separability_test(
     vanishes identically.
 
     Row pairs that provably cannot reach the maximum are skipped.  The
-    spread is a seminorm of the row
-    difference, so ``S(i, it) <= S(i, k) + S(k, it)`` for any row ``k``
-    without a NaN.  Up to eight such *reference rows*, evenly spaced, each
-    cost one pass over ``L`` for their spreads against every row, and give
-    every pair the upper bound
+    spread is a seminorm of the row difference, so ``S(i, it) <= S(i, k) +
+    S(k, it)`` for any row ``k`` without a NaN.  Up to eight such *reference
+    rows*, evenly spaced, each cost one pass over ``L`` for their spreads
+    against every row, and give every pair the upper bound
 
         U(i, it) = min_k (S(i, k) + S(k, it)) * (1 + 4 eps) + 8 eps * scale.
 
@@ -297,37 +296,56 @@ def separability_test(
     every entry is a multiple of ``eta`` far below ``2**53 eta``, so every
     difference and sum is exact and no margin is needed.
 
-    A first pass forms the bounds once, a block of rows at a time, and
-    keeps each row's largest ``U``; the spread of each row against the
-    partner with that ``U`` is read, and the largest spread found, there
-    or against a reference row, is a lower bound ``LB`` on the maximum.
-    The scan then walks, in order, the rows whose largest ``U`` reaches the
-    final ``LB``, forming the bounds again for their blocks only, and for
-    each such row ``i`` reads the rows from the first to the last
-    ``it > i`` with ``U >= max(LB, best so far)``, in blocks of about
-    512 KB, with the strict ``>`` update of the plain loop.  Every pair
-    attaining the maximum is read, and every value read is one the plain
-    loop computes, so the first maximum is the same.
+    Blocks of rows are bounded before rows.  With ``P(k, I)`` the largest
+    spread of a row of block ``I`` against reference row ``k`` (rows with no
+    valid sample, whose spreads are NaN, aside), the block bound
+
+        B(I, J) = min_k (P(k, I) + P(k, J)) * (1 + 4 eps) + 8 eps * scale
+
+    is at least ``U`` of every pair with a row in ``I`` and a row in ``J``:
+    it makes the same roundings on larger terms, and each is monotone.  The
+    largest spread read against a reference row, or between two of the
+    eight rows farthest from the reference rows, is a lower bound ``LB`` on
+    the maximum.  The scan walks the blocks in order and skips a block
+    ``I`` whose ``B(I, J)`` is below ``max(LB, best so far)`` for every
+    ``J >= I``.  For the others it forms ``U`` of their rows against the
+    rows from the first to the last such ``J`` that reach it, and for each
+    row ``i`` reads the rows from the first to the last ``it > i`` with
+    ``U >= max(LB, best so far)``, in blocks of about 512 KB, with the
+    strict ``>`` update of the plain loop.  A pair attaining the maximum
+    has ``B >= U >= max(LB, best so far)`` throughout, so every such pair
+    is read, in row-pair order, and every value read is one the plain loop
+    computes: the first maximum is the same.
 
     A bound with a margin cannot prove a spread of 0, so rows that are an
     exact additive shift of a reference row are certified apart: with the
     error-free difference (TwoSum, Knuth) ``L[i] - L[k] = s + err``, a row
     whose ``s`` and ``err`` are both constant on its valid columns is such a
     shift, and two shifts of one reference row have a computed spread of
-    exactly 0.0.  Their pairs need no scan; the first of them sharing two
-    columns, noted in the first pass, is the answer when the maximum is 0.0
-    and no pair read reaches 0.0 before it.  With no complete row there is
-    no bound (``U = inf``) and every pair is read, as the plain loop does.
+    exactly 0.0.  Their pairs are never read; when the maximum is 0.0 the
+    answer is the first of them sharing two columns, unless a pair read
+    reaches 0.0 before it.  The first reference row that certifies every
+    row with a valid sample ends the work: every pair then spreads exactly
+    0.0, so the first pair sharing two columns is the first maximum, and no
+    further reference row, bound or read can change it.  With no complete
+    row there is no bound (``U = inf``) and every pair is read, as the
+    plain loop does.  Rows missing ``c_i`` and ``c_it`` samples share at
+    least ``n2 - c_i - c_it`` columns; when twice the largest count is at
+    most ``n2 - 2`` every pair shares two, and otherwise the columns a pair
+    shares are counted when it is read.
 
-    Cost: O(n1 * n2) per reference row and for ``LB``; O(n1^2) per
-    reference row for the bounds in the first pass, and again only for
-    the blocks the scan reads from; O(n2) per row pair read.  How many
-    pairs are read depends on the surface: on the 642 x 641 one of
-    ``projpair separability --n1 640 --n2 640``, 1 122 of 205 761 at
-    mu = -0.154, from 15 of the 54 blocks of 12 rows, and none at mu = 0;
-    on noise with no structure, nearly all.  Memory: the ``n1 x n1``
-    shared-column counts, a float copy of the masks of the rows missing a
-    sample, one largest ``U`` per row, and blocks of about 512 KB.
+    Cost: O(n1 * n2) per reference row, up to the first that certifies
+    every row; O(size * n1) per reference row for ``U`` of each block not
+    skipped; O(n2) per row pair read.  How many pairs are read depends on
+    the surface: on the 642 x 641 one of ``projpair separability --n1 640
+    --n2 640``, 1 122 of 205 761 at mu = -0.154, from 23 of the 54 blocks
+    of 12 rows, and none at mu = 0, where reference row 0 certifies every
+    row; on noise with no structure, nearly all.  Memory: no ``n1 x n1``
+    array.  ``U`` is formed ``step`` rows at a time, and a block has a
+    multiple of ``step`` rows, so that at most 512 KB hold ``U`` and at
+    most 512 KB the sums ``B`` is taken from; besides, the spreads against
+    the reference rows, a float copy of ``L`` with its masks, and a 512 KB
+    buffer for row differences.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2:
@@ -347,16 +365,17 @@ def separability_test(
     if scale > 0.5 * np.finfo(float).max:
         raise ConfigurationError(f"|L| reaches {scale:.6g}; row differences would overflow")
     threshold = 1e-8 * scale
-    # columns each row pair shares, n2 - c_i - c_j + (columns both miss); the
-    # last term is nonzero only between rows missing some column, and is one
-    # product of their 0/1 masks, exact in any summation order: every partial
-    # sum is an integer below 2**53
     miss = ~valid
     count = np.count_nonzero(miss, axis=1)
-    shared = n2 - count[:, None] - count[None, :]
-    some = np.flatnonzero(count)
-    m = miss[some].astype(float)
-    shared[np.ix_(some, some)] += (m @ m.T).astype(np.int64)
+    # then every pair shares n2 - c_i - c_j >= 2 columns at least
+    all_share = 2 * int(count.max(initial=0)) <= n2 - 2
+
+    def shares(i, its):
+        """Which rows ``its`` share two columns with row ``i``: n2 - c_i -
+        c_it + (the columns both miss), integers, so exact."""
+        both = np.count_nonzero(miss[its] & miss[i], axis=1) if count[i] else 0
+        return n2 - count[i] - count[its] + both >= 2
+
     rows = max(1, 65536 // n2)
     buf = np.empty((rows, n2))
 
@@ -368,6 +387,8 @@ def separability_test(
     refs = full[np.linspace(0, full.size - 1, min(8, full.size)).astype(np.intp)]
     S = np.empty((refs.size, n1))
     label = np.full(n1, -1)  # index of the reference row a row is an exact shift of
+    live = count < n2  # rows with a valid sample
+    shifted = False  # every such row a shift of one reference row
     for r, k in enumerate(refs):
         for a in range(0, n1, rows):
             b = min(a + rows, n1)
@@ -375,6 +396,7 @@ def separability_test(
         if label[k] >= 0:
             continue  # the same shifts as an earlier reference row's
         zero = np.flatnonzero(S[r] == 0.0)
+        shifts = 0
         for a in range(0, zero.size, rows):
             z = zero[a : a + rows]
             x, y = work[z], work[k]
@@ -383,56 +405,76 @@ def separability_test(
             err = (x - (s - bb)) + (-y - bb)
             exact = np.fmax.reduce(err, axis=1) == np.fmin.reduce(err, axis=1)
             label[z[exact & (label[z] < 0)]] = r
+            shifts += np.count_nonzero(exact)
+        if shifts == np.count_nonzero(live):
+            label[live] = r
+            shifted = True
+            break
     eps = float(np.finfo(float).eps)
     margin = 8.0 * eps * scale
-    step = max(1, min(rows, 65536 // (max(1, refs.size) * n1)))
+    lb = -1.0
+    if refs.size and not shifted:
+        lb = float(np.fmax.reduce(S.ravel(), initial=-1.0))
+        # the rows farthest from the reference rows, read against each other
+        far = np.fmax.reduce(S, axis=0)
+        far = np.argsort(np.where(np.isnan(far), -np.inf, far))[-min(8, rows) :]
+        for i in far:
+            lb = max(lb, float(np.fmax.reduce(spreads(far, i, far.size), initial=-1.0)))
+    # U of `step` rows against the rest sums (refs, step, n1) spreads, and
+    # the block bounds of `size`-row blocks (refs, nb, nb), each 512 KB at most
+    step = max(1, min(rows, 65536 // (max(1, refs.size) * max(1, n1))))
+    size = step * -(-max(1, n1) // (step * math.isqrt(65536 // max(1, refs.size))))
+    starts = np.arange(0, 0 if shifted else n1, size)  # no block to scan once shifted
+    # each block's largest spread against each reference row, NaN rows aside
+    peak = np.fmax.reduceat(S, starts, axis=1)
+    # B[I, J] >= U of every row of block I against every row of block J
+    B = np.min(peak[:, :, None] + peak[:, None, :], axis=0, initial=np.inf) * (1.0 + 4.0 * eps) + margin
+    B[np.tril_indices(starts.size, -1)] = -np.inf
 
-    def bounds(a, b):
-        """``U`` of rows a..b-1 against rows a..n1-1, -inf where a pair
-        needs no scan, and the mask of certified pairs sharing two columns."""
-        u = np.min(S[:, a:b, None] + S[:, None, a:], axis=0, initial=np.inf) * (1.0 + 4.0 * eps) + margin
+    def bounds(a, b, c, d):
+        """``U`` of rows a..b-1 against rows c..d-1, -inf unless ``it > i``
+        and the two rows are not shifts of one reference row."""
+        u = np.min(S[:, a:b, None] + S[:, None, c:d], axis=0, initial=np.inf) * (1.0 + 4.0 * eps) + margin
         lab = label[a:b, None]
-        pair = (np.arange(a, n1) > np.arange(a, b)[:, None]) & (shared[a:b, a:] >= 2)
-        zero = pair & (lab >= 0) & (lab == label[a:])
-        return np.where(pair & ~zero, u, -np.inf), zero
+        u[(np.arange(c, d) <= np.arange(a, b)[:, None]) | ((lab >= 0) & (lab == label[c:d]))] = -np.inf
+        return u
 
-    lb = float(np.fmax.reduce(S.ravel(), initial=-1.0))
-    top = np.empty(n1)  # each row's largest U
-    first_zero = None
-    for a in range(0, n1, step):
-        b = min(a + step, n1)
-        u, zero = bounds(a, b)
-        if first_zero is None and zero.any():
-            row, col = divmod(int(np.argmax(zero)), zero.shape[1])
-            first_zero = (a + row, a + col)
-        p = np.argmax(u, axis=1)
-        top[a:b] = u[np.arange(b - a), p]
-        i = np.flatnonzero(top[a:b] > -np.inf)
-        if i.size:
-            lb = max(lb, float(np.max(spreads(a + p[i], a + i, i.size))))
     best = -1.0
     arg = None
-    for a in range(0, n1, step):
-        b = min(a + step, n1)
-        read = a + np.flatnonzero(top[a:b] >= lb)
-        if read.size == 0:
-            continue  # no bounds again for a block with no row to read
-        u, _ = bounds(a, b)
-        for i in read:
-            its = a + np.flatnonzero(u[i - a] >= max(lb, best))
-            if its.size == 0:
-                continue
-            # the rows between two that need a scan are read too, in place
-            for c in range(its[0], its[-1] + 1, rows):
-                d = min(c + rows, its[-1] + 1)
-                spread = spreads(slice(c, d), i, d - c)
-                spread[shared[i, c:d] < 2] = -np.inf
-                k = int(np.argmax(spread))
-                if spread[k] > best:
-                    best = float(spread[k])
-                    arg = (int(i), int(c + k))
-    if first_zero is not None and best <= 0.0 and (arg is None or first_zero < arg):
-        best, arg = 0.0, first_zero
+    for I, a in enumerate(starts):
+        J = np.flatnonzero(B[I] >= max(lb, best))
+        if J.size == 0:
+            continue  # no pair of this block can reach the maximum
+        # the rows of the first to the last such block J, after row a
+        c0, c1 = max(a + 1, starts[J[0]]), min(n1, starts[J[-1]] + size)
+        for e in range(a, min(a + size, n1), step):
+            f = min(e + step, a + size, n1)
+            u = bounds(e, f, c0, c1)
+            for i in range(e, f):
+                its = c0 + np.flatnonzero(u[i - e] >= max(lb, best))
+                if its.size == 0:
+                    continue
+                # the rows between two that need a scan are read too, in place
+                for c in range(its[0], its[-1] + 1, rows):
+                    d = min(c + rows, its[-1] + 1)
+                    spread = spreads(slice(c, d), i, d - c)
+                    if not all_share:
+                        spread[~shares(i, slice(c, d))] = -np.inf
+                    k = int(np.argmax(spread))
+                    if spread[k] > best:
+                        best = float(spread[k])
+                        arg = (i, int(c + k))
+    if best <= 0.0:
+        # the first pair of shifts of one reference row sharing two columns,
+        # if before the first pair read: it spreads 0.0 without a read
+        for i in np.flatnonzero(label >= 0):
+            if arg is not None and i > arg[0]:
+                break
+            its = i + 1 + np.flatnonzero(label[i + 1 :] == label[i])
+            its = its if all_share else its[shares(i, its)]
+            if its.size and (arg is None or (i, its[0]) < arg):
+                best, arg = 0.0, (int(i), int(its[0]))
+                break
     if arg is None:
         raise ConfigurationError("not enough valid samples for any quadruple")
     i, it = arg

@@ -1,6 +1,7 @@
 """Range-condition kernels, the kernel condition, the log-LHS surface, G, separability."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -563,6 +564,29 @@ def _separability_inputs():
     L[140, 5] += 1.0
     L[145, 9] += 0.5
     cases["blocks-max-in-last"] = (L, None)
+    # a smooth surface of 200 rows in blocks of 40, with an all-NaN row in
+    # the block of the maximum's first row (126): its spreads are NaN, and a
+    # block maximum that took them in would skip the block
+    r1, r2 = surface_grids(200, 12)
+    L = pp.expo_surface(pp.reference_pair(MU), r1, r2)
+    L[130] = np.nan
+    cases["blocks-nan-row-smooth"] = (L, None)
+    # exact shifts of row 0 but for one bump each in rows 188 and 189, in
+    # the last of the blocks of 43 rows, which holds the maximum alone.  At
+    # |L| ~ 2**-1053 every operation is exact and the margin rounds to 0, so
+    # that block's bound equals the maximum: the block test must take it
+    L = (rng.integers(-50, 50, size=190)[:, None] + rng.integers(-50, 50, size=12)[None, :]).astype(float)
+    L[188, 3] += 1.0
+    L[189, 5] += 1.0
+    cases["blocks-max-last-pair-exact"] = (L * 2.0**-1060, None)
+    # exact shifts of row 0 with rows 0 and 1 missing three samples each:
+    # 2 * 3 = n2 - 2 columns, so rows 0 and 1 share two and are the answer;
+    # with n2 = 7 they share one, and the answer is rows 0 and 2
+    for n2, gap in ((8, 5), (7, 4)):
+        L = (rng.integers(-50, 50, size=10)[:, None] + rng.integers(-50, 50, size=n2)[None, :]).astype(float)
+        L[0, :3] = np.nan
+        L[1, gap:] = np.nan
+        cases[f"twice-missing-is-n2-minus-{n2 - 6}"] = (L, None)
     return cases
 
 
@@ -613,6 +637,61 @@ def test_separability_property_equals_reference_loop(n1, n2, nan, decimals, addi
     L = L * 2.0**exponent
     L[rng.random(L.shape) < nan] = np.nan
     assert_equals_reference_loop(L)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    kind=st.sampled_from(["noise", "bumps", "smooth", "shifts"]),
+    nan=st.sampled_from(["none", "odd-rows", "empty-row"]),
+    decimals=st.sampled_from([None, 0, 1]),
+    exponent=st.sampled_from([0, -1060, 990]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_separability_property_equals_reference_loop_over_blocks(kind, nan, decimals, exponent, seed):
+    """Shapes of many row blocks, 150 to 1000 rows: NaNs only in odd rows
+    leave at least 8 complete rows, hence blocks of at most
+    65536 // (8 * 150) = 54 rows.  A few bumps on an additive surface or a
+    small smooth term keep most block pairs provably short of the maximum;
+    noise keeps few.  The shape comes from the seed, evenly spread."""
+    rng = np.random.default_rng(seed)
+    n1, n2 = int(rng.integers(150, 1001)), int(rng.integers(2, 10))
+    a, b = rng.normal(size=(n1, 1)), rng.normal(size=(1, n2))
+    if decimals is not None:
+        a, b = np.round(a, decimals), np.round(b, decimals)
+    if kind == "noise":
+        L = rng.normal(size=(n1, n2))
+        L = L if decimals is None else np.round(L, decimals)
+    elif kind == "smooth":
+        L = a + b + 1e-3 * np.sin(np.outer(np.linspace(0.0, 3.0, n1), np.linspace(0.0, 2.0, n2)))
+    else:
+        L = a + b if kind == "bumps" else (rng.integers(-50, 50, (n1, 1)) + rng.integers(-50, 50, (1, n2))).astype(float)
+        for _ in range(rng.integers(0, 4)):
+            L[rng.integers(n1), rng.integers(n2)] += 1.0
+    L = L * 2.0**exponent
+    if nan == "odd-rows":
+        L[1::2][rng.random((n1 // 2, n2)) < 0.1] = np.nan
+    elif nan == "empty-row":
+        L[rng.integers(n1)] = np.nan
+    assert_equals_reference_loop(L)
+
+
+@pytest.mark.parametrize("mu", [MU, 0.0])
+def test_separability_memory_stays_bounded(mu):
+    """The 3002 x 9 surface of ``projpair separability --n1 3000 --n2 8``:
+    no n1 x n1 array, as 3002**2 int64 shared-column counts would take
+    72 MB.  Blocks hold several ``step`` chunks of rows here, which no
+    other test compares with the reference loop."""
+    pair = pp.reference_pair(mu)
+    r1, r2 = cli._separability_axes(pair.first.theta0, 3000, 8)
+    L = pp.expo_surface(pair, r1, r2)
+    tracemalloc.start()
+    try:
+        got = pp.separability_test(L, r1, r2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert got == _reference_separability(L, r1, r2)
 
 
 @pytest.mark.parametrize("mu", [MU, 0.0])
