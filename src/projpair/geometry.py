@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -342,6 +343,9 @@ class ImageDomain:
         the rows from the first to the last one the edge crosses; rows in
         between that it misses compare against ``-inf``.  A row outside that
         span would XOR in all-False, so skipping it leaves the result exact.
+        An edge whose ordinates lie outside the rows' range is skipped
+        before any per-row work, so one point costs a few array operations
+        per edge its row crosses.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -362,21 +366,31 @@ class ImageDomain:
         yr = y.transpose(perm).reshape(n_rows)
         xr = np.broadcast_to(x, shape).transpose(perm).reshape(n_rows, n_cols)
         inside = np.zeros((n_rows, n_cols), dtype=bool)
-        v = self.vertices
-        n = len(v)
-        for i in range(n):
-            x1, y1 = v[i]
-            x2, y2 = v[(i + 1) % n]
-            crosses = (y1 > yr) != (y2 > yr)
-            rows = np.flatnonzero(crosses)
-            if rows.size == 0:  # a level edge, or one no row meets
-                continue
-            lo, hi = rows[0], rows[-1] + 1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi = x1 + (yr[lo:hi] - y1) * (x2 - x1) / (y2 - y1)
-            # a row the edge misses is crossed nowhere: x < -inf is false
-            inside[lo:hi] ^= xr[lo:hi] < np.where(crosses[lo:hi], xi, -np.inf)[:, None]
+        x1, y1, y2, dx, dy, bottom, top = self._edges
+        # only an edge whose ordinates [bottom, top) meet the rows' range can
+        # be crossed (NaN ordinates cross none); a level edge never is
+        live = (bottom <= np.fmax.reduce(yr, initial=-np.inf)) & (top > np.fmin.reduce(yr, initial=np.inf))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for e in np.flatnonzero(live).tolist():
+                crosses = (y1[e] > yr) != (y2[e] > yr)
+                rows = np.flatnonzero(crosses)
+                if rows.size == 0:
+                    continue
+                lo, hi = rows[0], rows[-1] + 1
+                xi = x1[e] + (yr[lo:hi] - y1[e]) * dx[e] / dy[e]
+                # a row the edge misses is crossed nowhere: x < -inf is false
+                inside[lo:hi] ^= xr[lo:hi] < np.where(crosses[lo:hi], xi, -np.inf)[:, None]
         return inside.reshape(permuted).transpose(np.argsort(perm))
+
+    @cached_property
+    def _edges(self) -> np.ndarray:
+        """Rows ``x1, y1, y2, x2 - x1, y2 - y1, min(y1, y2), max(y1, y2)``
+        of the polygon edges, each from a vertex ``(x1, y1)`` to the next,
+        ``(x2, y2)``."""
+        (x1, y1), (x2, y2) = self.vertices.T, np.roll(self.vertices, -1, axis=0).T
+        e = np.stack([x1, y1, y2, x2 - x1, y2 - y1, np.minimum(y1, y2), np.maximum(y1, y2)])
+        e.flags.writeable = False
+        return e
 
     # -- geometry queries ------------------------------------------------
 

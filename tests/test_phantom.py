@@ -268,6 +268,19 @@ def test_random_phantom_respects_domain_and_clearance():
                 assert d > bi.radius + bj.radius
 
 
+def test_random_phantom_draws_are_pinned():
+    """Seed 7 rejects 2 centres outside the reference domain, 5 too near its
+    boundary and 3 too near a kept bump before it keeps 3: the bumps, bit
+    for bit, and the generator's next draw pin the whole sequence."""
+    rng = np.random.default_rng(7)
+    ph = pp.random_phantom(rng, pp.reference_domain())
+    want = [["-0x1.33c498303a4fbp+4", "-0x1.bfa0a544c39c0p+3", "0x1.d7897f8d1b38ap+2", "0x1.040b3374bce50p-1"],
+            ["-0x1.ec1dc5ca557c0p+1", "0x1.4604ea6de1b00p-2", "0x1.711e80c9fa69ep+2", "0x1.fe45a8ecc3a0bp+0"],
+            ["0x1.71a748fb93a5ap+4", "-0x1.8300eb38f8ab1p+4", "0x1.15a1bc2aead11p+2", "0x1.d20c2c0c72851p+0"]]
+    assert [[float.hex(v) for v in (*b.center, b.radius, b.amplitude)] for b in ph.bumps] == want
+    assert rng.uniform() == 0.5097908098684232
+
+
 def test_random_phantom_needs_an_integer_count():
     dom = pp.reference_domain()
     with pytest.raises(pp.ConfigurationError, match="integer"):
