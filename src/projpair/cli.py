@@ -17,7 +17,6 @@ import configparser
 import io
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -371,7 +370,8 @@ def cmd_project(args) -> int:
     of pixel rows and columns (``ImageGrid._bump_cover``, which says why
     ``f`` is bitwise that of the whole domain), and the discrete operator is
     built over the pixels where ``f != 0`` only (a random three-bump
-    phantom covers about 4 to 12% of the domain).  A pixel left out would
+    phantom covers about 4 to 12% of the domain), their centres taken from
+    the cover's (``ImageGrid._keep``).  A pixel left out would
     add ``0 * w`` (+0.0 or -0.0) to sums that start at +0.0, so the views
     are bitwise those of the operator over the whole domain, except where
     the smaller pixel set narrows the window table: a window clipped at the
@@ -391,8 +391,8 @@ def cmd_project(args) -> int:
         sec = cfg["image"]
         cover = ImageGrid._bump_cover(sec["nx"], sec["ny"], sec["extent"], pair.domain, ph.bumps)
         f = rasterize(ph, cover)
-        support = f != 0
-        image = replace(cover, mask=support) if support.any() else _build_image(cfg, pair)
+        support = f[cover.mask] != 0
+        image = cover._keep(support) if support.any() else _build_image(cfg, pair)
         op = PairOperator(pair, image, *dets)
     outdir = Path(args.out)
     _write_common(outdir, raw, resolved)

@@ -101,6 +101,21 @@ class ImageGrid:
         xy.flags.writeable = False
         return xy
 
+    def _keep(self, keep: np.ndarray) -> "ImageGrid":
+        """The grid whose mask keeps the pixels this grid's mask keeps where
+        ``keep``, one flag per such pixel in flat order, is True.
+
+        Its :attr:`center_xy` are this grid's columns where ``keep``, the
+        same floats in the same order as it would form them, without a
+        pass over the whole grid: set as the cached value."""
+        mask = np.zeros(self.n_pixels, dtype=bool)
+        mask[np.flatnonzero(self.mask)[keep]] = True
+        grid = ImageGrid(nx=self.nx, ny=self.ny, extent=self.extent, mask=mask)
+        xy = np.stack([row[keep] for row in self.center_xy])
+        xy.flags.writeable = False
+        grid.__dict__["center_xy"] = xy
+        return grid
+
     @staticmethod
     def from_domain(nx: int, ny: int, domain: ImageDomain, extent: float = DEFAULT_EXTENT) -> "ImageGrid":
         """Grid whose mask keeps the pixels lying entirely inside ``domain``.

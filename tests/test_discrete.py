@@ -552,6 +552,23 @@ def test_center_xy_are_the_masked_pixel_centers(masked):
     assert not x.flags.writeable and not y.flags.writeable
 
 
+def test_keep_takes_the_centers_of_the_pixels_it_keeps():
+    """``project --mode discrete`` keeps the cover's pixels where the phantom
+    is nonzero, and their centres from the cover's."""
+    cover = pp.ImageGrid._bump_cover(97, 83, 70.0, MASK_DOMAINS["comb"], COVER_BUMPS)
+    keep = pp.rasterize(pp.Phantom(COVER_BUMPS), cover)[cover.mask] > 0
+    assert keep.any() and not keep.all()
+    grid = cover._keep(keep)
+    want_mask = np.zeros(cover.n_pixels, dtype=bool)
+    want_mask[np.flatnonzero(cover.mask)[keep]] = True
+    np.testing.assert_array_equal(grid.mask, want_mask)
+    fresh = pp.ImageGrid(97, 83, 70.0, mask=want_mask)
+    (x, y), (fx, fy) = grid.center_xy, fresh.center_xy
+    assert x.tobytes() == fx.tobytes() and y.tobytes() == fy.tobytes()
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+    assert not x.flags.writeable and grid.center_xy is grid.center_xy
+
+
 def _reference_tables(op):
     """Window tables built as the operator first built them: inverse on the
     stacked centres, np.mod for the branch, integer bin edges per column, all
