@@ -304,8 +304,7 @@ def separability_test(
 
     is at least ``U`` of every pair with a row in ``I`` and a row in ``J``:
     it makes the same roundings on larger terms, and each is monotone.  The
-    largest spread read against a reference row, or between two of the
-    eight rows farthest from the reference rows, is a lower bound ``LB`` on
+    largest spread read against a reference row is a lower bound ``LB`` on
     the maximum.  The scan walks the blocks in order and skips a block
     ``I`` whose ``B(I, J)`` is below ``max(LB, best so far)`` for every
     ``J >= I``.  For the others it forms ``U`` of their rows against the
@@ -329,10 +328,8 @@ def separability_test(
     0.0, so the first pair sharing two columns is the first maximum, and no
     further reference row, bound or read can change it.  With no complete
     row there is no bound (``U = inf``) and every pair is read, as the
-    plain loop does.  Rows missing ``c_i`` and ``c_it`` samples share at
-    least ``n2 - c_i - c_it`` columns; when twice the largest count is at
-    most ``n2 - 2`` every pair shares two, and otherwise the columns a pair
-    shares are counted when it is read.
+    plain loop does.  The columns a pair shares are counted when it is
+    read.
 
     Cost: O(n1 * n2) per reference row, up to the first that certifies
     every row; O(size * n1) per reference row for ``U`` of each block not
@@ -367,8 +364,6 @@ def separability_test(
     threshold = 1e-8 * scale
     miss = ~valid
     count = np.count_nonzero(miss, axis=1)
-    # then every pair shares n2 - c_i - c_j >= 2 columns at least
-    all_share = 2 * int(count.max(initial=0)) <= n2 - 2
 
     def shares(i, its):
         """Which rows ``its`` share two columns with row ``i``: n2 - c_i -
@@ -412,14 +407,8 @@ def separability_test(
             break
     eps = float(np.finfo(float).eps)
     margin = 8.0 * eps * scale
-    lb = -1.0
-    if refs.size and not shifted:
-        lb = float(np.fmax.reduce(S.ravel(), initial=-1.0))
-        # the rows farthest from the reference rows, read against each other
-        far = np.fmax.reduce(S, axis=0)
-        far = np.argsort(np.where(np.isnan(far), -np.inf, far))[-min(8, rows) :]
-        for i in far:
-            lb = max(lb, float(np.fmax.reduce(spreads(far, i, far.size), initial=-1.0)))
+    # once shifted, S is not filled past the certifying row, and unread
+    lb = -1.0 if shifted else float(np.fmax.reduce(S.ravel(), initial=-1.0))
     # U of `step` rows against the rest sums (refs, step, n1) spreads, and
     # the block bounds of `size`-row blocks (refs, nb, nb), each 512 KB at most
     step = max(1, min(rows, 65536 // (max(1, refs.size) * max(1, n1))))
@@ -458,8 +447,7 @@ def separability_test(
                 for c in range(its[0], its[-1] + 1, rows):
                     d = min(c + rows, its[-1] + 1)
                     spread = spreads(slice(c, d), i, d - c)
-                    if not all_share:
-                        spread[~shares(i, slice(c, d))] = -np.inf
+                    spread[~shares(i, slice(c, d))] = -np.inf
                     k = int(np.argmax(spread))
                     if spread[k] > best:
                         best = float(spread[k])
@@ -471,7 +459,7 @@ def separability_test(
             if arg is not None and i > arg[0]:
                 break
             its = i + 1 + np.flatnonzero(label[i + 1 :] == label[i])
-            its = its if all_share else its[shares(i, its)]
+            its = its[shares(i, its)]
             if its.size and (arg is None or (i, its[0]) < arg):
                 best, arg = 0.0, (int(i), int(its[0]))
                 break

@@ -111,7 +111,7 @@ class ImageGrid:
         mask = np.zeros(self.n_pixels, dtype=bool)
         mask[np.flatnonzero(self.mask)[keep]] = True
         grid = ImageGrid(nx=self.nx, ny=self.ny, extent=self.extent, mask=mask)
-        xy = np.stack([row[keep] for row in self.center_xy])
+        xy = self.center_xy.compress(keep, axis=1)
         xy.flags.writeable = False
         grid.__dict__["center_xy"] = xy
         return grid

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -366,31 +365,23 @@ class ImageDomain:
         yr = y.transpose(perm).reshape(n_rows)
         xr = np.broadcast_to(x, shape).transpose(perm).reshape(n_rows, n_cols)
         inside = np.zeros((n_rows, n_cols), dtype=bool)
-        x1, y1, y2, dx, dy, bottom, top = self._edges
-        # only an edge whose ordinates [bottom, top) meet the rows' range can
-        # be crossed (NaN ordinates cross none); a level edge never is
-        live = (bottom <= np.fmax.reduce(yr, initial=-np.inf)) & (top > np.fmin.reduce(yr, initial=np.inf))
+        y_lo, y_hi = float(np.fmin.reduce(yr, initial=np.inf)), float(np.fmax.reduce(yr, initial=-np.inf))
+        v = self.vertices.tolist()
         with np.errstate(divide="ignore", invalid="ignore"):
-            for e in np.flatnonzero(live).tolist():
-                crosses = (y1[e] > yr) != (y2[e] > yr)
+            for (x1, y1), (x2, y2) in zip(v, v[1:] + v[:1]):
+                # only an edge whose ordinates [min, max) meet the rows' range
+                # can be crossed (NaN ordinates cross none); a level edge never is
+                if not (min(y1, y2) <= y_hi and max(y1, y2) > y_lo):
+                    continue
+                crosses = (y1 > yr) != (y2 > yr)
                 rows = np.flatnonzero(crosses)
                 if rows.size == 0:
                     continue
                 lo, hi = rows[0], rows[-1] + 1
-                xi = x1[e] + (yr[lo:hi] - y1[e]) * dx[e] / dy[e]
+                xi = x1 + (yr[lo:hi] - y1) * (x2 - x1) / (y2 - y1)
                 # a row the edge misses is crossed nowhere: x < -inf is false
                 inside[lo:hi] ^= xr[lo:hi] < np.where(crosses[lo:hi], xi, -np.inf)[:, None]
         return inside.reshape(permuted).transpose(np.argsort(perm))
-
-    @cached_property
-    def _edges(self) -> np.ndarray:
-        """Rows ``x1, y1, y2, x2 - x1, y2 - y1, min(y1, y2), max(y1, y2)``
-        of the polygon edges, each from a vertex ``(x1, y1)`` to the next,
-        ``(x2, y2)``."""
-        (x1, y1), (x2, y2) = self.vertices.T, np.roll(self.vertices, -1, axis=0).T
-        e = np.stack([x1, y1, y2, x2 - x1, y2 - y1, np.minimum(y1, y2), np.maximum(y1, y2)])
-        e.flags.writeable = False
-        return e
 
     # -- geometry queries ------------------------------------------------
 
