@@ -341,10 +341,13 @@ def separability_test(
     array.  ``U`` is formed ``step`` rows at a time, and a block has a
     multiple of ``step`` rows, so that at most 512 KB hold ``U`` and at
     most 512 KB the sums ``B`` is taken from; besides, the spreads against
-    the reference rows, a float copy of ``L`` with its masks, and a 512 KB
-    buffer for row differences.
+    the reference rows, the mask of NaNs in ``L``, and three 512 KB buffers
+    for row differences and the TwoSum terms, which read runs of
+    consecutive rows as slices.  ``L`` itself is read in place, read-only,
+    unless it is not a C-contiguous float array or holds an infinity: then
+    a float copy is read, with NaN for each infinity.
     """
-    L = np.asarray(L, dtype=float)
+    L = np.ascontiguousarray(L, dtype=float)
     if L.ndim != 2:
         raise ConfigurationError("L must be a 2-d array of samples")
     n1, n2 = L.shape
@@ -354,15 +357,17 @@ def separability_test(
         raise ConfigurationError("axis value arrays must match the shape of L")
     if n2 < 2:
         raise ConfigurationError("not enough valid samples for any quadruple")
-    valid = np.isfinite(L)
-    work = np.where(valid, L, np.nan)
-    # max |L| over the valid entries, 0.0 if none, without a copy of them
-    scale = max(0.0, float(np.fmax.reduce(work, axis=None, initial=-np.inf)),
-                -float(np.fmin.reduce(work, axis=None, initial=np.inf)))
+    # max |L| over the valid entries, 0.0 if none; L is read in place unless
+    # it holds an infinity, which these reductions find
+    most, least = np.fmax.reduce(L, axis=None, initial=-np.inf), np.fmin.reduce(L, axis=None, initial=np.inf)
+    if most == np.inf or least == -np.inf:
+        L = np.where(np.isfinite(L), L, np.nan)
+        most, least = np.fmax.reduce(L, axis=None, initial=-np.inf), np.fmin.reduce(L, axis=None, initial=np.inf)
+    scale = max(0.0, float(most), -float(least))
     if scale > 0.5 * np.finfo(float).max:
         raise ConfigurationError(f"|L| reaches {scale:.6g}; row differences would overflow")
     threshold = 1e-8 * scale
-    miss = ~valid
+    miss = np.isnan(L)
     count = np.count_nonzero(miss, axis=1)
 
     def shares(i, its):
@@ -372,10 +377,10 @@ def separability_test(
         return n2 - count[i] - count[its] + both >= 2
 
     rows = max(1, 65536 // n2)
-    buf = np.empty((rows, n2))
+    buf = np.empty((3, rows, n2))
 
     def spreads(hi, lo, m):
-        diff = np.subtract(work[hi], work[lo], out=buf[:m])
+        diff = np.subtract(L[hi], L[lo], out=buf[0, :m])
         return np.fmax.reduce(diff, axis=1) - np.fmin.reduce(diff, axis=1)
 
     full = np.flatnonzero(count == 0)
@@ -390,17 +395,26 @@ def separability_test(
             S[r, a:b] = spreads(slice(a, b), k, b - a)
         if label[k] >= 0:
             continue  # the same shifts as an earlier reference row's
-        zero = np.flatnonzero(S[r] == 0.0)
+        # the runs of consecutive rows spreading 0.0, each read in slices
+        runs = np.flatnonzero(np.diff(S[r] == 0.0, prepend=False, append=False)).reshape(-1, 2)
+        y, neg = L[k], -L[k]
         shifts = 0
-        for a in range(0, zero.size, rows):
-            z = zero[a : a + rows]
-            x, y = work[z], work[k]
-            s = x - y  # TwoSum: x - y == s + err exactly
-            bb = s - x
-            err = (x - (s - bb)) + (-y - bb)
-            exact = np.fmax.reduce(err, axis=1) == np.fmin.reduce(err, axis=1)
-            label[z[exact & (label[z] < 0)]] = r
-            shifts += np.count_nonzero(exact)
+        for first, last in runs:
+            for a in range(first, last, rows):
+                b = min(a + rows, last)
+                x = L[a:b]
+                s, bb, err = buf[:, : b - a]
+                np.subtract(x, y, out=s)  # TwoSum: x - y == s + err exactly
+                np.subtract(s, x, out=bb)
+                # err = (x - (s - bb)) + (-y - bb)
+                np.subtract(s, bb, out=err)
+                np.subtract(x, err, out=err)
+                np.subtract(neg, bb, out=bb)
+                np.add(err, bb, out=err)
+                exact = np.fmax.reduce(err, axis=1) == np.fmin.reduce(err, axis=1)
+                lab = label[a:b]
+                lab[exact & (lab < 0)] = r
+                shifts += np.count_nonzero(exact)
         if shifts == np.count_nonzero(live):
             label[live] = r
             shifted = True
@@ -466,7 +480,7 @@ def separability_test(
     if arg is None:
         raise ConfigurationError("not enough valid samples for any quadruple")
     i, it = arg
-    diff = work[it] - work[i]
+    diff = L[it] - L[i]
     j_hi, j_lo = int(np.nanargmax(diff)), int(np.nanargmin(diff))
     verdict = "separable" if best <= threshold else "non-separable"
     return SeparabilityReport(
@@ -498,13 +512,17 @@ def expo_surface(pair: PairGeometry, r1_values: np.ndarray, r2_values: np.ndarra
     Raises
     ------
     ConfigurationError
-        Unless ``pair`` is fan-fan with one ``mu`` for both views.
+        Unless ``pair`` is fan-fan with one ``mu`` for both views, or if an
+        axis value is not finite, naming the axis.
     """
     if pair.kind != "fan-fan" or pair.first.mu != pair.second.mu:
         raise ConfigurationError("the exponential surface needs a fan-fan pair with one mu")
     mu = pair.first.mu
     r1 = np.asarray(r1_values, float)[:, None]
     r2 = np.asarray(r2_values, float)[None, :]
+    for name, r in (("r1", r1), ("r2", r2)):
+        if not np.isfinite(r).all():
+            raise ConfigurationError(f"{name} axis values must be finite")
     d1 = direction(r1)
     d2 = direction(r2)
     dl = pair.second.vertex_xy - pair.first.vertex_xy
@@ -516,29 +534,42 @@ def expo_surface(pair: PairGeometry, r1_values: np.ndarray, r2_values: np.ndarra
     # picks its kernel by shape and a per-axis form moves L in the last bits
     p1 = q1 @ dls
     p2 = q2 @ dls
-    n1, n2 = r1.shape[0], r2.shape[1]
-    L = np.empty((n1, n2))
-    # (q1 - q2) @ dl a block of rows at a time, one component plane at a
-    # time: the same bytes as the whole broadcast, several times faster, and
-    # a 512 KB buffer in place of an (n1, n2, 2) array
-    rows = max(1, 32768 // max(1, n2))
-    diff = np.empty((min(rows, n1), n2, 2))
-    for a in range(0, n1, rows):
-        b = min(a + rows, n1)
-        for k in (0, 1):
-            np.subtract(q1[a:b, :, k], q2[..., k], out=diff[: b - a, :, k])
-        np.matmul(diff[: b - a], dl, out=L[a:b])
-    del diff
     qx, qy = (np.ascontiguousarray(q1[..., k]) for k in (0, 1))
     ex, ey = (np.ascontiguousarray(d2[..., k]) for k in (0, 1))
-    den = qx * ex + qy * ey  # the same products as on strided views, faster
-    # |den| > DENOM_TOL without a float copy of den
-    valid = ((den > DENOM_TOL) | (den < -DENOM_TOL)) & (p1 > 0) & (p2 > 0)
-    # mu * (L / den) + log(p1) - log(p2), in place
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(L, den, out=L)
-        L *= mu
-        L += np.log(p1)
-        L -= np.log(p2)
-    L[~valid] = np.nan
+        log1, log2 = np.log(p1), np.log(p2)
+    n1, n2 = r1.shape[0], r2.shape[1]
+    L = np.empty((n1, n2))
+    # One block of rows at a time, each step of a block before the next
+    # block, in 512 KB buffers and smaller, so a block stays in cache and no
+    # temporary is as large as L: (q1 - q2) @ dl one component plane at a
+    # time (several times faster than the whole broadcast), den = qx * ex +
+    # qy * ey (the same products as on strided views, faster), the mask
+    # |den| > DENOM_TOL without a float copy of den, then mu * (L / den) +
+    # log(p1) - log(p2) in place.  Every entry takes the operations of the
+    # whole-array expression in its order, so L is the same bytes.
+    rows = max(1, 32768 // max(1, n2))
+    m = min(rows, n1)
+    bufs = np.empty((m, n2, 2)), np.empty((m, n2)), np.empty((m, n2)), np.empty((m, n2), bool), np.empty((m, n2), bool)
+    for a in range(0, n1, rows):
+        b = min(a + rows, n1)
+        out = L[a:b]
+        diff, den, prod, valid, low = (x[: b - a] for x in bufs)
+        for k in (0, 1):
+            np.subtract(q1[a:b, :, k], q2[..., k], out=diff[..., k])
+        np.matmul(diff, dl, out=out)
+        np.multiply(qx[a:b], ex, out=den)
+        np.multiply(qy[a:b], ey, out=prod)
+        np.add(den, prod, out=den)
+        np.greater(den, DENOM_TOL, out=valid)
+        np.less(den, -DENOM_TOL, out=low)
+        np.logical_or(valid, low, out=valid)
+        np.logical_and(valid, p1[a:b] > 0, out=valid)
+        np.logical_and(valid, p2 > 0, out=valid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(out, den, out=out)
+            out *= mu
+            out += log1[a:b]
+            out -= log2
+        np.putmask(out, np.logical_not(valid, out=low), np.nan)
     return L

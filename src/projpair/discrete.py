@@ -94,12 +94,9 @@ class ImageGrid:
         Formed once per grid and read-only: the operator build reads the
         two contiguous rows, and :func:`rasterize` their transpose, with
         no copy."""
-        xs, ys = self.pixel_axes()
         shape = (self.ny, self.nx)
         keep = np.ones(shape, dtype=bool) if self.mask is None else self.mask.reshape(shape)
-        xy = np.stack((np.broadcast_to(xs, shape)[keep], np.repeat(ys, np.count_nonzero(keep, axis=1))))
-        xy.flags.writeable = False
-        return xy
+        return _centers(*self.pixel_axes(), keep)
 
     def _keep(self, keep: np.ndarray) -> "ImageGrid":
         """The grid whose mask keeps the pixels this grid's mask keeps where
@@ -154,10 +151,16 @@ class ImageGrid:
         bump adds nothing.  A domain pixel outside every box holds +0.0 on
         both grids, and at every pixel inside a box each bump's contribution
         is added in bump order, as on the whole domain.
+
+        Its :attr:`center_xy` are taken within the union box of the bumps'
+        boxes, which holds every pixel the mask keeps, in the same flat
+        order: the same floats as from the whole grid, without a pass over
+        it.
         """
         grid = ImageGrid(nx=nx, ny=ny, extent=extent)
         xs, ys = grid.pixel_axes()
         mask = np.zeros((ny, nx), dtype=bool)
+        r0, r1, c0, c1 = ny, 0, nx, 0  # the union box, empty
         for b in bumps:
             cx, cy = b.center
             rows = np.flatnonzero(np.abs(ys - cy) < b.radius)
@@ -165,7 +168,19 @@ class ImageGrid:
             if rows.size and cols.size:
                 r, c = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
                 mask[r, c] |= _inside(domain, grid, xs[c], ys[r])
-        return ImageGrid(nx=nx, ny=ny, extent=extent, mask=mask)
+                r0, r1, c0, c1 = min(r0, r.start), max(r1, r.stop), min(c0, c.start), max(c1, c.stop)
+        cover = ImageGrid(nx=nx, ny=ny, extent=extent, mask=mask)
+        cover.__dict__["center_xy"] = _centers(xs[c0:c1], ys[r0:r1], mask[r0:r1, c0:c1])
+        return cover
+
+
+def _centers(xs: np.ndarray, ys: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Abscissae (row 0) and ordinates (row 1) of the pixels centred at
+    ``xs`` and ``ys`` where ``keep``, of shape ``(ys.size, xs.size)``, is
+    True, in flat order; read-only."""
+    xy = np.stack((np.broadcast_to(xs, keep.shape)[keep], np.repeat(ys, np.count_nonzero(keep, axis=1))))
+    xy.flags.writeable = False
+    return xy
 
 
 def _inside(domain: ImageDomain, grid: ImageGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

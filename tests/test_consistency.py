@@ -317,14 +317,16 @@ def _expo_surface_closed_form(pair, r1_values, r2_values):
 @pytest.mark.parametrize("mu", [MU, 0.0])
 def test_expo_surface_equals_closed_form_bitwise(mu):
     """On the 642 x 641 axes of ``projpair separability --n1 640 --n2 640``,
-    on one-row, one-column and odd shapes, and on angles all round the
-    circle, where parallel rays and undefined logs leave NaN."""
+    on one-row, one-column and odd shapes, on 3 x 40 001 (more columns than
+    a block of rows holds, so one row per block), and on angles all round
+    the circle, where parallel rays and undefined logs leave NaN."""
     pair = pp.reference_pair(mu)
     oblique = pp.geometry.fan_pair((25.0, 75.0), (-80.0, -20.0), mu, pp.reference_domain())
     r1, r2 = cli._separability_axes(pair.first.theta0, 640, 640)
     a1, a2 = cli._separability_axes(pair.first.theta0, 7, 13)
+    w1, w2 = cli._separability_axes(pair.first.theta0, 1, 40000)
     circle = np.linspace(0.0, 2.0 * math.pi, 37)
-    inputs = [(pair, r1, r2), (pair, r1[:1], r2), (pair, r1, r2[:1]), (pair, a1, a2),
+    inputs = [(pair, r1, r2), (pair, r1[:1], r2), (pair, r1, r2[:1]), (pair, a1, a2), (pair, w1, w2),
               (pair, circle, circle[::2]), (oblique, circle[:-1], circle)]
     for p, x, y in inputs:
         got = pp.expo_surface(p, x, y)
@@ -332,6 +334,17 @@ def test_expo_surface_equals_closed_form_bitwise(mu):
         assert got.shape == want.shape == (len(x), len(y))
         assert got.tobytes() == want.tobytes()
     assert np.isnan(pp.expo_surface(pair, circle, circle[::2])).any()
+
+
+@pytest.mark.parametrize("axis", ["r1", "r2"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_expo_surface_refuses_non_finite_axis_values(axis, bad):
+    """inf would warn in cos, and NaN would leave a row or column of NaN
+    without a word: both are refused, naming the axis."""
+    r = {"r1": np.linspace(4.5, 5.0, 3), "r2": np.linspace(2.5, 3.0, 4)}
+    r[axis][1] = bad
+    with pytest.raises(pp.ConfigurationError, match=f"^{axis} axis"):
+        pp.expo_surface(pp.reference_pair(), r["r1"], r["r2"])
 
 
 def test_expo_surface_needs_fan_fan_with_one_mu():
@@ -491,6 +504,12 @@ def _separability_inputs():
     cases["integer-ties"] = (rng.integers(-2, 3, size=(12, 9)).astype(float), None)
     cases["additive"] = (np.arange(9.0)[:, None] + np.arange(6.0)[None, :] ** 2, None)
     cases["one-shared-column"] = _one_shared_column()
+    # an infinity is not valid, as NaN is not
+    L = rng.normal(size=(23, 31))
+    L[rng.random(L.shape) < 0.1] = np.inf
+    L[rng.random(L.shape) < 0.1] = -np.inf
+    L[rng.random(L.shape) < 0.1] = np.nan
+    cases["inf-and-nan"] = (L, None)
     L = rng.normal(size=(70, 2048))
     L[rng.random(L.shape) < 0.1] = np.nan
     cases["blocks-70x2048"] = (L, None)
@@ -621,11 +640,13 @@ def test_separability_equals_reference_loop(name):
     decimals=st.sampled_from([None, 0, 1]),
     additive=st.booleans(),
     exponent=st.sampled_from([0, -1060, 990]),
+    inf=st.sampled_from([0.0, 0.05]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_separability_property_equals_reference_loop(n1, n2, nan, decimals, additive, exponent, seed):
+def test_separability_property_equals_reference_loop(n1, n2, nan, decimals, additive, exponent, inf, seed):
     """Random shapes and NaN densities; rounded values give ties, additive
-    ones certified rows, and the exponents subnormal or huge entries."""
+    ones certified rows, the exponents subnormal or huge entries, and
+    ``inf`` the share of entries set to +inf or -inf."""
     rng = np.random.default_rng(seed)
     if additive:
         a, b = rng.normal(size=(n1, 1)), rng.normal(size=(1, n2))
@@ -636,6 +657,8 @@ def test_separability_property_equals_reference_loop(n1, n2, nan, decimals, addi
         L = L if decimals is None else np.round(L, decimals)
     L = L * 2.0**exponent
     L[rng.random(L.shape) < nan] = np.nan
+    hit = rng.random(L.shape) < inf
+    L[hit] = np.copysign(np.inf, rng.normal(size=L.shape))[hit]
     assert_equals_reference_loop(L)
 
 
@@ -692,6 +715,40 @@ def test_separability_memory_stays_bounded(mu):
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert got == _reference_separability(L, r1, r2)
+
+
+@pytest.mark.parametrize("mu", [MU, 0.0])
+def test_separability_pipeline_memory_is_bounded(mu):
+    """The 642 x 641 surface of ``projpair separability --n1 640 --n2 640``:
+    ``expo_surface`` holds ``L`` and block buffers, no temporary as large as
+    ``L``, and ``separability_test`` reads ``L`` in place, with no copy."""
+    pair = pp.reference_pair(mu)
+    r1, r2 = cli._separability_axes(pair.first.theta0, 640, 640)
+    tracemalloc.start()
+    try:
+        L = pp.expo_surface(pair, r1, r2)
+        surface_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        pp.separability_test(L, r1, r2)
+        test_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert surface_peak <= L.nbytes + 2 * 2**20
+    assert test_peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("inf", [False, True])
+def test_separability_reads_a_read_only_surface_and_leaves_it_unchanged(inf):
+    r1, r2 = surface_grids(40, 37)
+    L = pp.expo_surface(pp.reference_pair(MU), r1, r2)
+    if inf:
+        L[3, 4], L[20, 7] = np.inf, -np.inf
+    want = _reference_separability(L, r1, r2)
+    L.flags.writeable = False
+    before = L.tobytes()
+    assert pp.separability_test(L, r1, r2) == want
+    assert L.tobytes() == before
 
 
 @pytest.mark.parametrize("mu", [MU, 0.0])

@@ -517,11 +517,15 @@ COVER_BUMPS = (
 )
 
 
+# a domain over the whole grid keeps the pixels on the bumps' union box's edges
+COVER_DOMAINS = {**MASK_DOMAINS, "over-the-grid": pp.ImageDomain.disc((0.0, 0.0), 100.0)}
+
+
 @pytest.mark.parametrize("shape", [(97, 83), (61, 37)], ids=["97x83", "61x37"])
-@pytest.mark.parametrize("name", MASK_DOMAINS)
+@pytest.mark.parametrize("name", COVER_DOMAINS)
 def test_bump_cover_is_the_domain_mask_within_the_bumps_boxes(name, shape):
     nx, ny = shape
-    domain = MASK_DOMAINS[name]
+    domain = COVER_DOMAINS[name]
     cover = pp.ImageGrid._bump_cover(nx, ny, 70.0, domain, COVER_BUMPS)
     full = pp.ImageGrid.from_domain(nx, ny, domain, extent=70.0)
     centers = pixel_centers(full)
@@ -535,6 +539,19 @@ def test_bump_cover_is_the_domain_mask_within_the_bumps_boxes(name, shape):
     # the phantom is rasterized to the same bits on either grid
     ph = pp.Phantom(COVER_BUMPS)
     assert pp.rasterize(ph, cover).tobytes() == pp.rasterize(ph, full).tobytes()
+    # the centres taken within the bumps' union box are a fresh grid's
+    fresh = pp.ImageGrid(nx, ny, 70.0, mask=cover.mask)
+    (x, y), (fx, fy) = cover.center_xy, fresh.center_xy
+    assert x.tobytes() == fx.tobytes() and y.tobytes() == fy.tobytes()
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+    assert not x.flags.writeable and cover.center_xy is cover.center_xy
+
+
+def test_bump_cover_of_bumps_off_the_grid_has_no_centers():
+    cover = pp.ImageGrid._bump_cover(61, 37, 70.0, MASK_DOMAINS["comb"], COVER_BUMPS[-2:])
+    assert not cover.mask.any()
+    assert cover.center_xy.shape == (2, 0) and cover.center_xy.dtype == float
+    assert pp.rasterize(pp.Phantom(COVER_BUMPS[-2:]), cover).tobytes() == np.zeros(61 * 37).tobytes()
 
 
 @pytest.mark.parametrize("masked", [True, False])
