@@ -253,6 +253,14 @@ class SeparabilityReport:
     verdict: str
 
 
+def _spreads(rows: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The spread ``max - min`` over its non-NaN columns of each row of
+    ``rows - row``, the differences formed in ``out``: the row-difference
+    step of :func:`separability_test`, every read of a row pair included."""
+    diff = np.subtract(rows, row, out=out)
+    return np.fmax.reduce(diff, axis=1) - np.fmin.reduce(diff, axis=1)
+
+
 def separability_test(
     L: np.ndarray,
     r1_values: np.ndarray,
@@ -379,10 +387,6 @@ def separability_test(
     rows = max(1, 65536 // n2)
     buf = np.empty((3, rows, n2))
 
-    def spreads(hi, lo, m):
-        diff = np.subtract(L[hi], L[lo], out=buf[0, :m])
-        return np.fmax.reduce(diff, axis=1) - np.fmin.reduce(diff, axis=1)
-
     full = np.flatnonzero(count == 0)
     refs = full[np.linspace(0, full.size - 1, min(8, full.size)).astype(np.intp)]
     S = np.empty((refs.size, n1))
@@ -392,7 +396,7 @@ def separability_test(
     for r, k in enumerate(refs):
         for a in range(0, n1, rows):
             b = min(a + rows, n1)
-            S[r, a:b] = spreads(slice(a, b), k, b - a)
+            S[r, a:b] = _spreads(L[a:b], L[k], buf[0, : b - a])
         if label[k] >= 0:
             continue  # the same shifts as an earlier reference row's
         # the runs of consecutive rows spreading 0.0, each read in slices
@@ -460,7 +464,7 @@ def separability_test(
                 # the rows between two that need a scan are read too, in place
                 for c in range(its[0], its[-1] + 1, rows):
                     d = min(c + rows, its[-1] + 1)
-                    spread = spreads(slice(c, d), i, d - c)
+                    spread = _spreads(L[c:d], L[i], buf[0, : d - c])
                     spread[~shares(i, slice(c, d))] = -np.inf
                     k = int(np.argmax(spread))
                     if spread[k] > best:

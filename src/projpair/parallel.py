@@ -4,7 +4,11 @@ The library's one concurrency rule: a pair's two views run on two threads,
 one view each, whether they are projected (``check``, ``solve`` with a
 phantom target, continuous ``project``) or built into the discrete
 operator's window tables.  numpy releases the GIL in its array passes, so
-the two threads run on two cores.  Two is a fixed rule, not a setting.
+the two threads overlap there; the Python steps between the passes hold it
+and run in turn.  Two is a fixed rule, not a setting.  Measured on 2 vCPUs:
+two threads shorten the whole-domain operator build and the projection of
+fan views of thousands of bins, and lengthen that of views of 100 bins, by
+about 1 ms a pair (``cli._project_pair`` gives the numbers).
 """
 
 from __future__ import annotations

@@ -205,18 +205,22 @@ def random_phantom(rng: np.random.Generator, domain: ImageDomain, n_bumps: int =
         if tries >= _MAX_TRIES:
             raise ConfigurationError("could not place the requested bumps inside the domain")
         tries += 1
-        c = np.array([rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)])
+        cx, cy = rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)
         radius = rng.uniform(*_RADIUS_RANGE)
-        if not domain.contains(c):
-            continue
-        if float(np.min(np.hypot(*(boundary - c).T))) < radius + _CLEARANCE:
-            continue
+        # a try draws its centre and radius before the tests, and its
+        # amplitude only once all three pass, so their order decides only
+        # the cost: cheapest first
         if any(
-            math.hypot(c[0] - b.center[0], c[1] - b.center[1]) < radius + b.radius + 0.5 * _CLEARANCE
+            math.hypot(cx - b.center[0], cy - b.center[1]) < radius + b.radius + 0.5 * _CLEARANCE
             for b in bumps
         ):
             continue
-        bumps.append(Bump(center=(float(c[0]), float(c[1])), radius=float(radius), amplitude=float(rng.uniform(0.5, 2.0))))
+        c = np.array([cx, cy])
+        if float(np.min(np.hypot(*(boundary - c).T))) < radius + _CLEARANCE:
+            continue
+        if not domain.contains(c):
+            continue
+        bumps.append(Bump(center=(cx, cy), radius=radius, amplitude=rng.uniform(0.5, 2.0)))
     return Phantom(bumps=tuple(bumps))
 
 

@@ -6,8 +6,10 @@ The projection of ``f`` along the ray with parameter ``r`` is
 
 with ``T(r)`` the arc-parameter set where the ray meets the support of
 ``f``.  Integration limits come from exact ray/disc intersections with the
-individual bump supports; each bump is integrated independently (projection
-is linear in ``f``), so overlapping supports need no special casing.
+individual bump supports: a ray has one chord per bump whose support it
+crosses, and its value is the sum of its chords' integrals (projection is
+linear in ``f``), so overlapping supports need no special casing.  The
+chords of all the bumps are integrated as one batch.
 
 Each chord is integrated in its own coordinate.  A line at distance ``h``
 from a bump's centre (radius ``R``) crosses its support where
@@ -20,15 +22,15 @@ has ``v0 = -1``.
 Each chord is integrated by one fixed rule: the composite Gauss-Legendre
 rule of ``phantom._composite_gl`` with ``_ORDER`` points per panel, the
 panels counted on the chord's ``[v0, 1]`` in ``v``, from ``_INIT_PANELS``
-panels doubled until a ray's value changes by at most
+panels doubled until a chord's value changes by at most
 ``max(_ABS_TOL, _REL_FLOOR * |value|)``, at most ``_MAX_REFINE`` doublings.
 An uncut chord's bump factor is even in ``v``, so its rule is evaluated on
 the half of its panels that cover ``[0, 1]``, each node paired with its
 mirror, of weight ``weight(r, sq v - b) + weight(r, -sq v - b)`` (2 at
-``mu = 0``): the same nodes, on half the profile evaluations.  A ray
-leaves the batch at the doubling where it settles, and each ray gets the
-same floating-point operations whichever rays share its batch, so batched
-and one-at-a-time evaluation agree bitwise.
+``mu = 0``): the same nodes, on half the profile evaluations.  A chord
+leaves the batch at the doubling where it settles, and each chord gets the
+same floating-point operations whichever chords share its batch, bump or
+ray, so batched and one-at-a-time evaluation agree bitwise.
 """
 
 from __future__ import annotations
@@ -143,20 +145,31 @@ def _chord_integrals(geom, panels: int, chords: np.ndarray, mirrored: bool) -> n
     return out
 
 
-def _bump_line_integrals(geom, bump, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted line integrals of one bump for the flat ray parameters ``r``.
+def project_values(geom, f: Phantom, r) -> np.ndarray:
+    """Projection values for ray parameters ``r`` (any shape, scalars too).
 
-    Returns ``(values, late, drift)``: ``late`` indexes the rays that did not
-    settle within ``_MAX_REFINE`` doublings, ``drift`` their change at
-    the last one, and ``values`` holds each ray's settled (or last) value.
-    Each doubling evaluates only the rays that have not settled yet; a
-    ray's arithmetic does not depend on which rays share its batch, so
-    batched and one-at-a-time results agree bitwise.
+    The chords of every bump are integrated as one batch, each doubling
+    evaluating only the chords that have not settled yet, and each ray's
+    value is the sum of its chords' values in bump order, from +0.0.
+
+    Raises ``ConfigurationError`` for an unsupported family or a non-finite
+    parameter.  If some chord does not settle within the module's fixed
+    rule (``_MAX_REFINE`` doublings), every chord is still integrated and
+    one ``AccuracyError`` carries the summed best estimate, the number of
+    rays with a chord that did not settle, and the largest last change
+    among those chords.
     """
-    out = np.zeros(r.shape)
-    idx, chords = _chords(geom, bump, r)
+    if not isinstance(geom, (ParGeometry, FanGeometry)):
+        raise ConfigurationError(f"unsupported geometry type {type(geom).__name__}")
+    r = np.asarray(r, dtype=float)
+    flat = r.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ConfigurationError("ray parameters must be finite numbers")
+    parts = [_chords(geom, bump, flat) for bump in f.bumps]
+    idx = np.concatenate([i for i, _ in parts])
+    chords = np.concatenate([c for _, c in parts], axis=1)
+    scale = np.concatenate([bump.amplitude * c[2] for bump, (_, c) in zip(f.bumps, parts)])
     cut = chords[4] != -1.0
-    scale = bump.amplitude * chords[2]
 
     def level(panels: int, live: np.ndarray) -> np.ndarray:
         vals = np.empty(live.size)
@@ -178,39 +191,17 @@ def _bump_line_integrals(geom, bump, r) -> tuple[np.ndarray, np.ndarray, np.ndar
         live, vals, delta = live[moving], new[moving], delta[moving]
         if not live.size:
             break
-    out[idx] = final
-    return out, idx[live], delta
-
-
-def project_values(geom, f: Phantom, r) -> np.ndarray:
-    """Projection values for ray parameters ``r`` (any shape, scalars too).
-
-    Raises ``ConfigurationError`` for an unsupported family or a non-finite
-    parameter.  If some ray does not settle within the module's fixed rule
-    (``_MAX_REFINE`` doublings), every bump is still integrated
-    and one ``AccuracyError`` carries their summed best estimate and the
-    largest last change among the rays that did not settle.
-    """
-    if not isinstance(geom, (ParGeometry, FanGeometry)):
-        raise ConfigurationError(f"unsupported geometry type {type(geom).__name__}")
-    r = np.asarray(r, dtype=float)
-    flat = r.ravel()
-    if not np.all(np.isfinite(flat)):
-        raise ConfigurationError("ray parameters must be finite numbers")
-    total = np.zeros(flat.shape)
-    late = np.zeros(flat.shape, dtype=bool)
-    drifts = []
-    for bump in f.bumps:
-        vals, idx, drift = _bump_line_integrals(geom, bump, flat)
-        total += vals
-        late[idx] = True
-        drifts.append(drift)
+    # bincount adds each ray's chords to +0.0 in bump order: the sum of a
+    # loop of ``total += values`` over the bumps, which also adds +0.0 where
+    # a bump misses the ray, changing no partial sum, as none is -0.0.  It
+    # returns integers when there is no chord.
+    total = np.bincount(idx, weights=final, minlength=flat.size).astype(float, copy=False)
     total = total.reshape(r.shape)
-    if np.any(late):
+    if live.size:
         raise AccuracyError(
-            f"ray quadrature did not settle for {np.count_nonzero(late)} ray(s) after {_MAX_REFINE} refinements",
+            f"ray quadrature did not settle for {np.unique(idx[live]).size} ray(s) after {_MAX_REFINE} refinements",
             best_estimate=total,
-            achieved_tol=float(np.max(np.concatenate(drifts))),
+            achieved_tol=float(np.max(delta)),
         )
     return total
 

@@ -761,6 +761,56 @@ def test_separability_cli_surface_equals_reference_loop(mu):
     assert pp.separability_test(L, r1, r2) == _reference_separability(L, r1, r2)
 
 
+def _shift_surface(kind):
+    """An additive surface, every row an exact shift of row 0, with NaN
+    holes in every row but row 0 (the first reference row).
+
+    ``big``: row 0 is ``2**53 + 1 + b`` and the other rows ``a + b``, with
+    ``b`` odd and ``a`` even, so a row minus row 0 is ``a - 2**53 - 1``,
+    which rounds: TwoSum's error term then holds the two parts
+    ``x - (s - bb)`` and ``-y - bb``, and the second changes from column to
+    column (with ``b`` mod 4) while their sum stays constant.  ``mu0``: the
+    unweighted reference pair's surface, which reference row 0 certifies
+    whole in ``projpair separability``."""
+    rng = np.random.default_rng(4)
+    if kind == "big":
+        n1, n2 = 50, 40
+        b = 2.0 * rng.integers(0, 500, n2) + 1.0
+        L = 2.0 * rng.integers(-500, 500, n1)[:, None] + b
+        L[0] = 2.0**53 + (b + 1.0)
+        assert set(b % 4) == {1.0, 3.0}
+    else:
+        L = pp.expo_surface(pp.reference_pair(0.0), *surface_grids(50, 40))
+    holes = rng.random(L.shape) < 0.1
+    holes[0] = False
+    L[holes] = np.nan
+    return L
+
+
+@pytest.mark.parametrize("kind", ["big", "mu0"])
+def test_separability_certifies_every_shift_in_one_pass(monkeypatch, kind):
+    """Reference row 0 certifies every row as an exact shift, so the only
+    row differences formed are those of its one pass, n1 rows, and no pair
+    is read.  A certificate that misses a row, or a TwoSum error term that
+    is not exact, sends the scan to more reference rows and to row pairs."""
+    L = _shift_surface(kind)
+    n1, n2 = L.shape
+    r1, r2 = np.arange(float(n1)), np.arange(float(n2))
+    want = _reference_separability(L, r1, r2)
+    read = []
+    spreads = pp.consistency._spreads
+
+    def counting(rows, row, out):
+        read.append(rows.shape[0])
+        return spreads(rows, row, out)
+
+    monkeypatch.setattr(pp.consistency, "_spreads", counting)
+    got = pp.separability_test(L, r1, r2)
+    assert got == want
+    assert got.max_abs_D == 0.0
+    assert sum(read) == n1
+
+
 def test_reference_loop_matches_brute_force():
     rng = np.random.default_rng(7)
     inputs = [_one_shared_column()]

@@ -377,6 +377,91 @@ def test_mirrored_half_rule_equals_the_full_node_rule(family, panels):
     np.testing.assert_allclose(half, full, rtol=1e-13, atol=0.0)
 
 
+# Overlapping supports, a negative amplitude, a bump around CUT_VERTEX and
+# one that none of the rays below meets (the tests check that it meets none).
+MULTI_BUMP = pp.Phantom((
+    BUMP,
+    pp.Bump((8.0, -2.0), 5.0, -0.6),
+    pp.Bump((5.0, -4.0), 2.0, 1.3),
+    pp.Bump((2.0, -9.0), 3.0, 0.8),
+    pp.Bump((-300.0, 250.0), 1.0, 1.0),
+))
+CUT_VERTEX = (5.0, -4.0)
+
+
+def _multi_bump_rays(geom, seed):
+    """Rays about BUMP, or for a fan about CUT_VERTEX all directions
+    except those within 0.1 of the far bump's."""
+    rng = np.random.default_rng(seed)
+    if isinstance(geom, pp.FanGeometry) and tuple(geom.vertex_xy) == CUT_VERTEX:
+        far = np.subtract(MULTI_BUMP.bumps[-1].center, CUT_VERTEX)
+        r = math.atan2(far[1], far[0]) + rng.uniform(0.1, 2.0 * math.pi - 0.1, 600)
+        r = (r + math.pi) % (2.0 * math.pi) - math.pi
+    else:
+        r = _rays(geom, rng.uniform(-1.6, 1.6, 257))
+    assert projector._chords(geom, MULTI_BUMP.bumps[-1], r)[0].size == 0
+    return r
+
+
+def _reference_outcome(geom, phantom, r):
+    """What ``project_values`` must give for ``phantom``, from one-bump
+    ``_reference_project`` calls: the values (or best estimates) summed in
+    bump order from +0.0; on an AccuracyError also the rays some bump leaves
+    unsettled, each counted once, which one-ray calls find as each ray's
+    arithmetic is its own, and the largest last change."""
+    total, tols, late = np.zeros(r.shape), [], np.zeros(r.shape, dtype=bool)
+    for bump in phantom.bumps:
+        one = pp.Phantom((bump,))
+        try:
+            total += _reference_project(geom, one, r)
+        except pp.AccuracyError as err:
+            total += err.best_estimate
+            tols.append(err.achieved_tol)
+            for i in range(r.size):
+                try:
+                    _reference_project(geom, one, r[i : i + 1])
+                except pp.AccuracyError:
+                    late[i] = True
+    if not tols:
+        return total.tobytes()
+    message = (f"ray quadrature did not settle for {np.count_nonzero(late)} ray(s) "
+               f"after {projector._MAX_REFINE} refinements")
+    return message, total.tobytes(), max(tols)
+
+
+def _phantom_outcome(geom, phantom, r):
+    try:
+        vals = pp.project_values(geom, phantom, r)
+    except pp.AccuracyError as err:
+        return str(err), err.best_estimate.tobytes(), err.achieved_tol
+    return vals.tobytes()
+
+
+MULTI_BUMP_FAMILIES = {
+    **FAMILIES,
+    "cut": pp.FanGeometry(CUT_VERTEX, theta0=-math.pi),
+    "cut-mu": pp.FanGeometry(CUT_VERTEX, theta0=-math.pi, mu=-0.154),
+}
+
+
+@pytest.mark.parametrize("family", MULTI_BUMP_FAMILIES)
+def test_multi_bump_values_equal_the_sum_of_one_bump_calls_bitwise(family):
+    geom = MULTI_BUMP_FAMILIES[family]
+    r = _multi_bump_rays(geom, 11)
+    total = np.zeros(r.shape)
+    for bump in MULTI_BUMP.bumps:
+        total += pp.project_values(geom, pp.Phantom((bump,)), r)
+    got = pp.project_values(geom, MULTI_BUMP, r)
+    assert got.tobytes() == total.tobytes()
+    assert got.tobytes() == _reference_outcome(geom, MULTI_BUMP, r)
+    # the chords the sums are made of: every bump but the far one meets rays,
+    # some rays meet three, and the fan about CUT_VERTEX cuts chords
+    chords = [projector._chords(geom, bump, r) for bump in MULTI_BUMP.bumps]
+    assert all(idx.size for idx, _ in chords[:-1])
+    assert np.max(np.bincount(np.concatenate([idx for idx, _ in chords]))) >= 3
+    assert np.any(np.concatenate([c[4] for _, c in chords]) != -1.0) == family.startswith("cut")
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("max_refine", [1, 3])
 def test_accuracy_error_fields_equal_all_rays_loop(monkeypatch, family, max_refine):
@@ -386,6 +471,10 @@ def test_accuracy_error_fields_equal_all_rays_loop(monkeypatch, family, max_refi
     want = _outcome(_reference_project, geom, BUMP, r)
     assert isinstance(want, tuple)
     assert _outcome(pp.project_values, geom, BUMP, r) == want
+    # several bumps: one error for all, some rays late in more than one bump
+    want = _reference_outcome(geom, MULTI_BUMP, r)
+    assert isinstance(want, tuple)
+    assert _phantom_outcome(geom, MULTI_BUMP, r) == want
 
 
 def test_random_phantom_equals_all_rays_loop_bitwise():
