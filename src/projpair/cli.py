@@ -17,7 +17,6 @@ import configparser
 import io
 import math
 import sys
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -332,11 +331,9 @@ def _project_pair(pair: PairGeometry, ph: Phantom, dets) -> tuple[ProjectionData
     """Both views of ``ph``, projected on two threads.  Each view's arithmetic
     is its own, so the values are those of two calls in turn; so are the
     errors: view 1's is raised first, then view 2's.  numpy releases the
-    GIL in the quadrature's array passes, but on 2 vCPUs the threads gain
-    only on large fan views: at 2 x 4 096 bins, 8.1-8.3 ms threaded against
-    9.2-10.7 ms in turn for par-fan and fan-fan, 7.5 against 7.2 ms for
-    par-par; at 2 x 100 bins, 2.5-2.8 ms threaded against 1.1-1.6 ms,
-    slower in every one of 60 trials per geometry."""
+    GIL in the quadrature's array passes.  On 2 vCPUs the threads gain on
+    views of thousands of bins and lose about 1 ms a pair at 100 bins
+    (ROADMAP's carried-over note on the two threads has the numbers)."""
     views = ((pair.first, dets[0]), (pair.second, dets[1]))
     first, second = two_threads(lambda view: project_view(view[0], ph, view[1]), views)
     return first, second
@@ -610,11 +607,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=20240501, help="seed for generated phantoms")
 
 
-@lru_cache(maxsize=None)
-def _parser() -> _ArgumentParser:
-    """The command-line parser, built on the first call of ``main`` and
-    reused by every later one: parsing leaves it unchanged, and each parse
-    fills a new namespace."""
+def main(argv: list[str] | None = None) -> int:
     parser = _ArgumentParser(prog="projpair", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -640,11 +633,7 @@ def _parser() -> _ArgumentParser:
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_solve)
-    return parser
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.seed < 0:

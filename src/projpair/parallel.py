@@ -7,8 +7,9 @@ operator's window tables.  numpy releases the GIL in its array passes, so
 the two threads overlap there; the Python steps between the passes hold it
 and run in turn.  Two is a fixed rule, not a setting.  Measured on 2 vCPUs:
 two threads shorten the whole-domain operator build and the projection of
-fan views of thousands of bins, and lengthen that of views of 100 bins, by
-about 1 ms a pair (``cli._project_pair`` gives the numbers).
+views of thousands of bins, and lengthen that of views of 100 bins, by
+about 1 ms a pair (ROADMAP's carried-over note on the two threads has the
+numbers).
 """
 
 from __future__ import annotations

@@ -73,20 +73,23 @@ def _unit_rule(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _chords(geom, bump, r) -> tuple[np.ndarray, np.ndarray]:
+def _chords(geom, bump, r, rays=None) -> tuple[np.ndarray, np.ndarray]:
     """The rays of ``r`` that cross the bump's support, as ``(idx, chords)``:
     their indices in ``r`` and a (5, n) array of rows ``r``, ``b``, ``sq``,
-    ``p`` and ``v0`` (the module docstring names them)."""
-    origins, dirs = geom.ray(r)
-    oc = origins - np.asarray(bump.center, dtype=float)
+    ``p`` and ``v0`` (the module docstring names them).  ``rays`` is
+    ``geom.ray(r)``, taken here when not given."""
+    origins, dirs = geom.ray(r) if rays is None else rays
+    cx, cy = bump.center
+    ox, oy = origins[:, 0] - cx, origins[:, 1] - cy
+    dx, dy = dirs[:, 0], dirs[:, 1]
     # the centre's distance from each line, compared with the radius before
     # anything is squared: a bump far from every ray overflows nothing, and
     # (R - h)(R + h) does not cancel as b*b - (|oc|**2 - R**2) does
-    h = np.abs(dirs[:, 0] * oc[:, 1] - dirs[:, 1] * oc[:, 0])
+    h = np.abs(dx * oy - dy * ox)
     R = bump.radius
     idx = np.flatnonzero(h < R)
     disc = (R - h[idx]) * (R + h[idx])
-    b = np.sum(oc[idx] * dirs[idx], axis=-1)
+    b = ox[idx] * dx[idx] + oy[idx] * dy[idx]
     sq = np.sqrt(disc)
     keep = (disc > 0.0) & (sq - b > geom.t_min)
     idx, disc, b, sq = idx[keep], disc[keep], b[keep], sq[keep]
@@ -165,7 +168,8 @@ def project_values(geom, f: Phantom, r) -> np.ndarray:
     flat = r.ravel()
     if not np.all(np.isfinite(flat)):
         raise ConfigurationError("ray parameters must be finite numbers")
-    parts = [_chords(geom, bump, flat) for bump in f.bumps]
+    rays = geom.ray(flat)
+    parts = [_chords(geom, bump, flat, rays) for bump in f.bumps]
     idx = np.concatenate([i for i, _ in parts])
     chords = np.concatenate([c for _, c in parts], axis=1)
     scale = np.concatenate([bump.amplitude * c[2] for bump, (_, c) in zip(f.bumps, parts)])

@@ -55,37 +55,6 @@ def test_usage_error_exits_5(tmp_path, monkeypatch, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_reused_parser_keeps_no_option_from_an_earlier_call(tmp_path, capsys):
-    cfg = write_config(tmp_path, "[geometry]\nmu = 0\n")
-    assert run(["check", "--config", cfg, "--tol", "1", "--out", str(tmp_path / "a")]) == 0
-    assert "  tol = 1\n" in capsys.readouterr().out
-    assert run(["check", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
-    assert f"  tol = {1e-6:.17g}\n" in capsys.readouterr().out
-    assert cli._parser() is cli._parser()
-
-
-@pytest.mark.parametrize("bad", [["check", "--bogus"], ["separability", "--n1", "x"], ["project", "--seed", "-1"]],
-                         ids=["unknown-option", "not-an-int", "negative-seed"])
-def test_call_after_a_usage_error_writes_what_a_fresh_process_writes(tmp_path, monkeypatch, capsys, bad):
-    monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, "[geometry]\nmu = 0\n[detectors]\nbins1 = 64\nbins2 = 64\n")
-    argv = ["check", "--config", cfg, "--seed", "5"]
-    assert run(bad) == 5
-    capsys.readouterr()
-    assert run([*argv, "--out", "reused"]) == 1
-    reused = capsys.readouterr().out
-    src = str(Path(pp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "projpair.cli", *argv, "--out", "fresh"],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stdout == reused
-    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "reused").iterdir())
-    for name in names:
-        assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
-
-
 def test_check_default_attenuated_pair_has_no_kernels(tmp_path, capsys):
     # the shipped default is the exponential fan-fan pair: nothing to check
     code = run(["check", "--out", str(tmp_path / "o")])
