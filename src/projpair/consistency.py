@@ -324,20 +324,20 @@ def separability_test(
     is read, in row-pair order, and every value read is one the plain loop
     computes: the first maximum is the same.
 
-    A bound with a margin cannot prove a spread of 0, so rows that are an
-    exact additive shift of a reference row are certified apart: with the
-    error-free difference (TwoSum, Knuth) ``L[i] - L[k] = s + err``, a row
-    whose ``s`` and ``err`` are both constant on its valid columns is such a
-    shift, and two shifts of one reference row have a computed spread of
-    exactly 0.0.  Their pairs are never read; when the maximum is 0.0 the
-    answer is the first of them sharing two columns, unless a pair read
-    reaches 0.0 before it.  The first reference row that certifies every
-    row with a valid sample ends the work: every pair then spreads exactly
-    0.0, so the first pair sharing two columns is the first maximum, and no
-    further reference row, bound or read can change it.  With no complete
-    row there is no bound (``U = inf``) and every pair is read, as the
-    plain loop does.  The columns a pair shares are counted when it is
-    read.
+    A bound with a margin cannot prove a spread of 0, so a surface that is
+    exactly additive is certified as a whole: when every row with a valid
+    sample spreads exactly 0.0 against a reference row ``k``, the
+    error-free differences (TwoSum, Knuth) ``L[i] - L[k] = s + err`` are
+    formed, and if ``err`` is constant on the valid columns of every such
+    row (``s`` is, its spread being 0.0), every row is an exact shift of
+    row ``k`` and every pair has a computed spread of exactly 0.0.  The
+    first pair sharing two columns is then the first maximum, and no
+    further reference row, bound or read can change it.  Otherwise the
+    scan goes on, and a pair of exact shifts of a reference row, whose
+    ``U`` is ``8 eps * scale``, is skipped whenever the maximum is above
+    that margin.  With no complete row there is no bound (``U = inf``) and
+    every pair is read, as the plain loop does.  The columns a pair shares
+    are counted when it is read.
 
     Cost: O(n1 * n2) per reference row, up to the first that certifies
     every row; O(size * n1) per reference row for ``U`` of each block not
@@ -350,7 +350,7 @@ def separability_test(
     multiple of ``step`` rows, so that at most 512 KB hold ``U`` and at
     most 512 KB the sums ``B`` is taken from; besides, the spreads against
     the reference rows, the mask of NaNs in ``L``, and three 512 KB buffers
-    for row differences and the TwoSum terms, which read runs of
+    for row differences and the TwoSum terms, which read blocks of
     consecutive rows as slices.  ``L`` itself is read in place, read-only,
     unless it is not a C-contiguous float array or holds an infinity: then
     a float copy is read, with NaN for each infinity.
@@ -390,37 +390,29 @@ def separability_test(
     full = np.flatnonzero(count == 0)
     refs = full[np.linspace(0, full.size - 1, min(8, full.size)).astype(np.intp)]
     S = np.empty((refs.size, n1))
-    label = np.full(n1, -1)  # index of the reference row a row is an exact shift of
     live = count < n2  # rows with a valid sample
-    shifted = False  # every such row a shift of one reference row
+    shifted = False  # every such row an exact shift of one reference row
     for r, k in enumerate(refs):
         for a in range(0, n1, rows):
             b = min(a + rows, n1)
             S[r, a:b] = _spreads(L[a:b], L[k], buf[0, : b - a])
-        if label[k] >= 0:
-            continue  # the same shifts as an earlier reference row's
-        # the runs of consecutive rows spreading 0.0, each read in slices
-        runs = np.flatnonzero(np.diff(S[r] == 0.0, prepend=False, append=False)).reshape(-1, 2)
+        if np.any(S[r, live] != 0.0):
+            continue  # some row is no shift of this reference row
         y, neg = L[k], -L[k]
-        shifts = 0
-        for first, last in runs:
-            for a in range(first, last, rows):
-                b = min(a + rows, last)
-                x = L[a:b]
-                s, bb, err = buf[:, : b - a]
-                np.subtract(x, y, out=s)  # TwoSum: x - y == s + err exactly
-                np.subtract(s, x, out=bb)
-                # err = (x - (s - bb)) + (-y - bb)
-                np.subtract(s, bb, out=err)
-                np.subtract(x, err, out=err)
-                np.subtract(neg, bb, out=bb)
-                np.add(err, bb, out=err)
-                exact = np.fmax.reduce(err, axis=1) == np.fmin.reduce(err, axis=1)
-                lab = label[a:b]
-                lab[exact & (lab < 0)] = r
-                shifts += np.count_nonzero(exact)
-        if shifts == np.count_nonzero(live):
-            label[live] = r
+        for a in range(0, n1, rows):
+            b = min(a + rows, n1)
+            x = L[a:b]
+            s, bb, err = buf[:, : b - a]
+            np.subtract(x, y, out=s)  # TwoSum: x - y == s + err exactly
+            np.subtract(s, x, out=bb)
+            # err = (x - (s - bb)) + (-y - bb)
+            np.subtract(s, bb, out=err)
+            np.subtract(x, err, out=err)
+            np.subtract(neg, bb, out=bb)
+            np.add(err, bb, out=err)
+            if not np.all((np.fmax.reduce(err, axis=1) == np.fmin.reduce(err, axis=1))[live[a:b]]):
+                break
+        else:
             shifted = True
             break
     eps = float(np.finfo(float).eps)
@@ -439,15 +431,20 @@ def separability_test(
     B[np.tril_indices(starts.size, -1)] = -np.inf
 
     def bounds(a, b, c, d):
-        """``U`` of rows a..b-1 against rows c..d-1, -inf unless ``it > i``
-        and the two rows are not shifts of one reference row."""
+        """``U`` of rows a..b-1 against rows c..d-1, -inf unless ``it > i``."""
         u = np.min(S[:, a:b, None] + S[:, None, c:d], axis=0, initial=np.inf) * (1.0 + 4.0 * eps) + margin
-        lab = label[a:b, None]
-        u[(np.arange(c, d) <= np.arange(a, b)[:, None]) | ((lab >= 0) & (lab == label[c:d]))] = -np.inf
+        u[np.arange(c, d) <= np.arange(a, b)[:, None]] = -np.inf
         return u
 
     best = -1.0
     arg = None
+    if shifted:
+        # every pair spreads exactly 0.0: the first pair sharing two columns
+        for i in np.flatnonzero(live):
+            its = i + 1 + np.flatnonzero(shares(i, slice(i + 1, n1)))
+            if its.size:
+                best, arg = 0.0, (int(i), int(its[0]))
+                break
     for I, a in enumerate(starts):
         J = np.flatnonzero(B[I] >= max(lb, best))
         if J.size == 0:
@@ -470,17 +467,6 @@ def separability_test(
                     if spread[k] > best:
                         best = float(spread[k])
                         arg = (i, int(c + k))
-    if best <= 0.0:
-        # the first pair of shifts of one reference row sharing two columns,
-        # if before the first pair read: it spreads 0.0 without a read
-        for i in np.flatnonzero(label >= 0):
-            if arg is not None and i > arg[0]:
-                break
-            its = i + 1 + np.flatnonzero(label[i + 1 :] == label[i])
-            its = its[shares(i, its)]
-            if its.size and (arg is None or (i, its[0]) < arg):
-                best, arg = 0.0, (int(i), int(its[0]))
-                break
     if arg is None:
         raise ConfigurationError("not enough valid samples for any quadruple")
     i, it = arg

@@ -179,7 +179,8 @@ def project_values(geom, f: Phantom, r) -> np.ndarray:
         vals = np.empty(live.size)
         part = cut[live]
         for sel, mirrored in ((~part, True), (part, False)):
-            vals[sel] = _chord_integrals(geom, panels, chords[:, live[sel]], mirrored)
+            if sel.any():
+                vals[sel] = _chord_integrals(geom, panels, chords[:, live[sel]], mirrored)
         return scale[live] * vals
 
     live = np.arange(idx.size)

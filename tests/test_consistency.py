@@ -565,6 +565,14 @@ def _separability_inputs():
             ["0x1.0p+0", "0x1.199999999999ap+0", "0x1.b333333333333p+0"],
             ["0x1.0p-1", "0x1.3333333333333p-1", "0x1.3333333333333p+0"]]
     cases["zero-spreads-not-shifts"] = (np.array([[float.fromhex(v) for v in row] for row in rows]), None)
+    # the same scaled up: 150 rows of 1026 columns, read in TwoSum blocks of
+    # 65536 // 1026 = 63 rows.  Rows A and A + 2**-8 alternate, exact shifts,
+    # but for row B in the last block, which spreads 0.0 against row A and
+    # one ulp against A + 2**-8: the certificate must check every block
+    A, B = cases["zero-spreads-not-shifts"][0][:2]
+    L = np.tile(np.array([A, A + 2.0**-8]), (75, 342))
+    L[-1] = np.tile(B, 342)
+    cases["zero-spreads-not-shifts-last-block"] = (L, None)
     # 150 rows and 8 reference rows make blocks of 65536 // (8 * 150) = 54
     # rows: 0-53, 54-107 and 108-149.  Rows 0-53 are exact shifts on columns
     # 0 and 1, the complete rows are 54-107, and rows 120 and 140 spread 0.0
@@ -809,6 +817,35 @@ def test_separability_certifies_every_shift_in_one_pass(monkeypatch, kind):
     assert got == want
     assert got.max_abs_D == 0.0
     assert sum(read) == n1
+
+
+def test_separability_bounds_alone_skip_pairs_of_shifts(monkeypatch):
+    """Exactly additive but for one bump in each of rows 20 and 21, with NaN
+    holes: the pairs of exact shifts, nearly all of the n1 (n1 - 1) / 2, have
+    ``U = 8 eps * scale``, below the maximum 2.0, so only the reference
+    passes and pairs holding a bumped row form row differences."""
+    rng = np.random.default_rng(0)
+    n1, n2 = 150, 20
+    L = (rng.integers(-50, 50, size=n1)[:, None] + rng.integers(-50, 50, size=n2)[None, :]).astype(float)
+    L[20, 5] += 1.0
+    L[21, 9] += 1.0
+    holes = rng.random(L.shape) < 0.1
+    holes[[20, 21, 20, 21], [5, 5, 9, 9]] = False
+    L[holes] = np.nan
+    r1, r2 = np.arange(float(n1)), np.arange(float(n2))
+    want = _reference_separability(L, r1, r2)
+    read = []
+    spreads = pp.consistency._spreads
+
+    def counting(rows, row, out):
+        read.append(rows.shape[0])
+        return spreads(rows, row, out)
+
+    monkeypatch.setattr(pp.consistency, "_spreads", counting)
+    got = pp.separability_test(L, r1, r2)
+    assert got == want
+    assert got.max_abs_D == 2.0
+    assert sum(read) <= 10 * n1 < n1 * (n1 - 1) // 2
 
 
 def test_reference_loop_matches_brute_force():

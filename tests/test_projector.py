@@ -602,3 +602,47 @@ def test_continuity_bound_reference_views():
     par = pp.ParGeometry(0.7)
     lhs, rhs = pp.continuity_bound_check(par, ph, pair.domain)
     assert lhs <= rhs * (1.0 + 1e-6)
+
+
+VERTEX_BUMP = pp.Phantom((pp.Bump((0.0, 80.0), 3.0, 1.0),))
+BATCHED_BUMPS = pp.Phantom((
+    pp.Bump((0.0, 80.0), 3.0, 1.0),
+    pp.Bump((2.0, 77.0), 5.0, -0.6),
+    pp.Bump((10.0, 20.0), 8.0, 1.2),
+    pp.Bump((14.0, 24.0), 6.0, 0.9),
+))
+
+
+@pytest.mark.parametrize("case, kinds", [
+    ("par", {True}),
+    ("fan", {True}),
+    # bumps = 0 80 3 1 of the continuous-projection CI step: view 1's
+    # vertex inside the bump cuts every chord
+    ("vertex-bump", {False}),
+    # that step's batched bumps at mu = -0.154: two bumps hold view 1's vertex
+    ("batched-bumps", {True, False}),
+])
+def test_each_doubling_integrates_only_the_chord_kinds_present(monkeypatch, case, kinds):
+    """A doubling calls ``_chord_integrals`` once per kind of chord it has
+    (uncut, mirrored; cut by ``t_min``, not mirrored), and not for a kind
+    with no chord: parallel views and fan views away from the vertex cut
+    none."""
+    if case in ("par", "fan"):
+        geom = FAMILIES["par"] if case == "par" else pp.reference_pair(0.0).first
+        phantom, r = pp.Phantom((BUMP,)), _rays(geom, np.linspace(-1.2, 1.2, 101))
+    else:
+        pair = pp.reference_pair(0.0 if case == "vertex-bump" else -0.154)
+        geom, phantom = pair.first, VERTEX_BUMP if case == "vertex-bump" else BATCHED_BUMPS
+        r = np.linspace(*pp.view_range(geom, pair.domain, n_boundary=4096), 100)
+    want = pp.project_values(geom, phantom, r)
+    calls = []
+    integrals = projector._chord_integrals
+
+    def counting(geom, panels, chords, mirrored):
+        calls.append((mirrored, chords.shape[1]))
+        return integrals(geom, panels, chords, mirrored)
+
+    monkeypatch.setattr(projector, "_chord_integrals", counting)
+    np.testing.assert_array_equal(pp.project_values(geom, phantom, r), want)
+    assert {mirrored for mirrored, _ in calls} == kinds
+    assert min(n for _, n in calls) > 0
