@@ -29,7 +29,6 @@ from .geometry import (
     ImageDomain,
     PairGeometry,
     ParGeometry,
-    check_fan_admissible,
     check_pair_admissible,
     cross2,
     direction,
@@ -48,9 +47,7 @@ from .phantom import (
     Phantom,
     bump_eval,
     inconceivable_g2,
-    mollifier_unit_mass,
     phantom_l2_norm,
-    phantom_mass,
     random_phantom,
     reference_target,
 )

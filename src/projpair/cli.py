@@ -334,9 +334,7 @@ def _project_pair(pair: PairGeometry, ph: Phantom, dets) -> tuple[ProjectionData
     GIL in the quadrature's array passes.  On 2 vCPUs the threads gain on
     views of thousands of bins and lose about 1 ms a pair at 100 bins
     (ROADMAP's carried-over note on the two threads has the numbers)."""
-    views = ((pair.first, dets[0]), (pair.second, dets[1]))
-    first, second = two_threads(lambda view: project_view(view[0], ph, view[1]), views)
-    return first, second
+    return two_threads(lambda view: project_view(view[0], ph, view[1]), (pair.first, dets[0]), (pair.second, dets[1]))
 
 
 def _write_common(outdir: Path, raw: str, resolved: str) -> None:

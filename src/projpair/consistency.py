@@ -29,7 +29,6 @@ from .geometry import (
     direction,
     pair_orientation,
     perp,
-    view_range,
 )
 
 
@@ -68,8 +67,8 @@ def known_kernels(pair: PairGeometry) -> KernelPair | None:
     if kind == "par-fan":
         theta = pair.first.theta
         s0 = float(pair.second.vertex_xy @ direction(theta))
-        lo1, hi1 = view_range(pair.first, pair.domain)
-        flip = -1.0 if 0.5 * (lo1 + hi1) - s0 < 0 else 1.0
+        # the domain's side of the vertex offset, by the side rule of _orientation
+        flip = -1.0 if pair.domain.reference_point() @ direction(theta) - s0 < 0 else 1.0
 
         def v1(r, s0=s0, flip=flip):
             return flip / (np.asarray(r, float) - s0)

@@ -410,8 +410,8 @@ class PairOperator:
         w = None if kernels is None else _kernel_samples(self.dets, kernels)
         self._unit_w = None if w is None else w / math.sqrt(np.add.reduce(w * w))
         x, y = image.center_xy
-        views = ((pair.first, det1), (pair.second, det2))
-        self._tables = two_threads(lambda view: _view_table(*view, x, y, dx, image.pixel_area), views)
+        self._tables = two_threads(lambda view: _view_table(*view, x, y, dx, image.pixel_area),
+                                   (pair.first, det1), (pair.second, det2))
 
     @property
     def shape(self) -> tuple[int, int]:

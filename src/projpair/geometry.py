@@ -49,7 +49,7 @@ REFERENCE_VERTEX_2 = (-80.0, 0.0)
 ATTENUATION_MU = -0.154
 HALF_FAN_ANGLE = math.atan2(5.0, 12.0)
 
-# Boundary points sampled by the admissibility checks and, by default, by
+# Boundary points sampled by the admissibility check and, by default, by
 # view_range.
 _BOUNDARY_SAMPLES = 1024
 
@@ -531,30 +531,24 @@ def view_range(geom, domain: ImageDomain, n_boundary: int = _BOUNDARY_SAMPLES) -
     return float(np.min(r)), float(np.max(r))
 
 
-def check_fan_admissible(geom: FanGeometry, domain: ImageDomain) -> AdmissibilityReport:
-    """Admissibility of a single fan over a domain.
+def _fan_margins(geom: FanGeometry, domain: ImageDomain, dist, r) -> dict[str, float]:
+    """The margins of one fan over a domain, from the distances ``dist`` of
+    its vertex to the boundary samples and their ray angles ``r`` (None when
+    a sample lies on the vertex, where no ray angle is defined).
 
-    Margins: ``vertex_clearance`` (distance from the vertex to the domain,
-    negative if the vertex is inside) and ``branch_clearance`` (signed
+    ``vertex_clearance`` is the distance from the vertex to the domain,
+    negative if the vertex is inside.  ``branch_clearance`` is the signed
     angular distance of the branch cut from the arc of the domain's ray
-    angles, negative when the cut crosses the arc).  The arc is the
-    complement of the largest circular gap between the boundary samples'
-    ray angles, so it does not depend on where the cut splits them.
+    angles, negative when the cut crosses the arc; it is ``-inf`` unless the
+    vertex clears the domain and the angles are given.  The arc is the
+    complement of the largest circular gap between the samples' ray angles,
+    so it does not depend on where the cut splits them.
     """
-    return AdmissibilityReport(_fan_margins(geom, domain, domain.boundary_points(_BOUNDARY_SAMPLES)))
-
-
-def _fan_margins(geom: FanGeometry, domain: ImageDomain, pts: np.ndarray, r=None) -> dict[str, float]:
-    """:func:`check_fan_admissible`'s margins from the boundary samples
-    ``pts`` and, when given, their ray angles ``r``; without them the angles
-    are taken only if the vertex clears the boundary."""
-    dist = float(np.min(np.hypot(*(pts - geom.vertex_xy).T)))
+    dist = float(np.min(dist))
     if domain.contains(geom.vertex_xy):
         dist = -dist
     branch = -math.inf
-    if dist > 0:
-        if r is None:
-            r, _ = geom.inverse(pts)
+    if dist > 0 and r is not None:
         u = np.sort(r) - geom.theta0  # cut at 0 and 2*pi
         gaps = np.diff(u, append=u[0] + 2.0 * math.pi)
         i = int(np.argmax(gaps))
@@ -609,7 +603,14 @@ def check_pair_admissible(pair: PairGeometry) -> AdmissibilityReport:
     the line through the two vertices (:func:`pair_orientation`) is folded
     into the margins, so admissibility never depends on the labeling order
     of the vertices.  The boundary is sampled once, and each family's ray
-    parameters are taken on it once.
+    parameters, and each fan's distances to the samples, are taken on it
+    once.  Each fan's margins are those of :func:`_fan_margins`, under the
+    keys ``fan_`` (the fan of a parallel-fan pair), ``fan1_`` and ``fan2_``.
+
+    A fan vertex within ``DENOM_TOL`` of a boundary sample has no ray angle
+    there, so the report fails instead of raising: that fan keeps its
+    ``vertex_clearance`` and gets ``branch_clearance = -inf``, and the
+    pair's own margins, which need the angles, are left out.
     """
     g1, g2, domain = pair.first, pair.second, pair.domain
     if pair.kind == "par-par":
@@ -617,16 +618,22 @@ def check_pair_admissible(pair: PairGeometry) -> AdmissibilityReport:
     if pair.kind == "fan-fan" and np.hypot(*(g2.vertex_xy - g1.vertex_xy)) < DENOM_TOL:
         raise ConfigurationError("fan vertices coincide")
     pts = domain.boundary_points(_BOUNDARY_SAMPLES)
-    (r1, _), (r2, _) = g1.inverse(pts), g2.inverse(pts)
+    fans = (("fan_", g2),) if pair.kind == "par-fan" else (("fan1_", g1), ("fan2_", g2))
+    fan_margins, angles = {}, []
+    for tag, geom in fans:
+        try:
+            r, dist = geom.inverse(pts)
+        except SingularPointError:
+            r, dist = None, np.hypot(*(pts - geom.vertex_xy).T)
+        fan_margins.update({tag + k: v for k, v in _fan_margins(geom, domain, dist, r).items()})
+        angles.append(r)
+    if any(r is None for r in angles):
+        return AdmissibilityReport(fan_margins)
     if pair.kind == "par-fan":
-        margins = _parfan_margins(g1, g2, r1, r2)
-        fans = (("fan_", g2, r2),)
+        margins = _parfan_margins(g1, g2, g1.inverse(pts)[0], *angles)
     else:
-        margins = _fanfan_margins(g1, g2, domain, pts, r1, r2)
-        fans = (("fan1_", g1, r1), ("fan2_", g2, r2))
-    for tag, geom, r in fans:
-        margins.update({tag + k: v for k, v in _fan_margins(geom, domain, pts, r).items()})
-    return AdmissibilityReport(margins)
+        margins = _fanfan_margins(g1, g2, domain, pts, *angles)
+    return AdmissibilityReport({**margins, **fan_margins})
 
 
 def pair_orientation(pair: PairGeometry) -> int:

@@ -140,20 +140,9 @@ def _radial_moment(p: float) -> float:
     return float(w @ (s * _bump_profile(s * s, p)))
 
 
-def mollifier_unit_mass() -> float:
-    """Integral of the unit bump (radius 1, amplitude 1) over the plane."""
-    return 2.0 * math.pi * _radial_moment(1.0)
-
-
 def mollifier_unit_l2sq() -> float:
     """Squared L2 norm of the unit bump."""
     return 2.0 * math.pi * _radial_moment(2.0)
-
-
-def phantom_mass(phantom: Phantom) -> float:
-    """Integral of the phantom over the plane (linear, so overlaps are fine)."""
-    u = mollifier_unit_mass()
-    return sum(b.amplitude * b.radius**2 * u for b in phantom.bumps)
 
 
 def _supports_disjoint(phantom: Phantom) -> bool:

@@ -73,12 +73,12 @@ def _unit_rule(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _chords(geom, bump, r, rays=None) -> tuple[np.ndarray, np.ndarray]:
+def _chords(geom, bump, r, rays) -> tuple[np.ndarray, np.ndarray]:
     """The rays of ``r`` that cross the bump's support, as ``(idx, chords)``:
     their indices in ``r`` and a (5, n) array of rows ``r``, ``b``, ``sq``,
     ``p`` and ``v0`` (the module docstring names them).  ``rays`` is
-    ``geom.ray(r)``, taken here when not given."""
-    origins, dirs = geom.ray(r) if rays is None else rays
+    ``geom.ray(r)``, taken once for all of a phantom's bumps."""
+    origins, dirs = rays
     cx, cy = bump.center
     ox, oy = origins[:, 0] - cx, origins[:, 1] - cy
     dx, dy = dirs[:, 0], dirs[:, 1]

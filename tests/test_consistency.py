@@ -99,6 +99,30 @@ def test_kernel_condition_residual_all_kinds():
         assert pp.kernel_condition_residual(pair, K, n=2048) < 1e-12
 
 
+def test_parfan_kernel_sign_is_the_domain_side_of_the_vertex_offset(monkeypatch):
+    """The par-fan kernels' sign follows the side of the vertex offset ``s0``
+    the domain lies on: the sign of the view-1 range midpoint minus ``s0``,
+    read here from the boundary samples, and by ``known_kernels`` from the
+    domain's reference point without sampling the boundary."""
+    pairs = []
+    for dom in (pp.ImageDomain.disc((2.0, -1.0), 16.0), L_SHAPE, pp.reference_domain()):
+        for theta, vertex in ((0.4, (-90.0, 10.0)), (0.4, (90.0, -10.0)), (2.0, (15.0, 95.0)), (-1.0, (-20.0, -90.0))):
+            fan = pp.FanGeometry(vertex, theta0=math.atan2(vertex[1], vertex[0]))
+            pair = pp.PairGeometry(pp.ParGeometry(theta), fan, dom)
+            assert pp.check_pair_admissible(pair).passed
+            s0 = float(fan.vertex_xy @ pp.direction(theta))
+            lo, hi = pp.view_range(pair.first, dom)
+            pairs.append((pair, s0, -1.0 if 0.5 * (lo + hi) - s0 < 0 else 1.0))
+    assert {flip for _, _, flip in pairs} == {-1.0, 1.0}
+
+    def no_sampling(self, n):
+        raise AssertionError("known_kernels sampled the boundary")
+
+    monkeypatch.setattr(pp.ImageDomain, "boundary_points", no_sampling)
+    for pair, s0, flip in pairs:
+        assert pp.known_kernels(pair).v1(s0 + 1.0) == flip
+
+
 @pytest.mark.parametrize("n", [0, -1, math.nan, math.inf, 2.5, 16.0])
 def test_kernel_condition_residual_needs_a_sample(n):
     pair = parpar_pair()

@@ -488,21 +488,21 @@ def test_coinciding_fan_vertices_are_refused():
         pp.check_pair_admissible(pair)
 
 
-def test_pair_fan_margins_equal_the_single_fan_check():
-    ref = pp.reference_pair()
-    parfan = pp.PairGeometry(pp.ParGeometry(0.0), ref.second, ref.domain)
-    for pair, fans in ((ref, {"fan1_": ref.first, "fan2_": ref.second}), (parfan, {"fan_": ref.second})):
-        margins = pp.check_pair_admissible(pair).margins
-        for tag, geom in fans.items():
-            for key, value in pp.check_fan_admissible(geom, pair.domain).margins.items():
-                assert margins[tag + key] == value
-
-
 def test_fan_vertex_on_a_boundary_sample_gets_margins():
+    """No ray angle is defined at a vertex on a boundary sample, so the pair
+    fails on that fan's margins, with no pair margins, and nothing raises."""
     dom = pp.ImageDomain.disc((0.0, 0.0), 10.0)
-    vertex = dom.boundary_points(1024)[0]
-    report = pp.check_fan_admissible(pp.FanGeometry(tuple(vertex)), dom)
-    assert report.margins == {"vertex_clearance": 0.0, "branch_clearance": -math.inf}
+    on_sample = pp.FanGeometry(tuple(dom.boundary_points(1024)[0]))
+    far = pp.FanGeometry((-60.0, 5.0), theta0=math.pi / 2)
+    report = pp.check_pair_admissible(pp.PairGeometry(pp.ParGeometry(0.3), on_sample, dom))
+    assert report.margins == {"fan_vertex_clearance": 0.0, "fan_branch_clearance": -math.inf}
+    assert not report.passed
+    report = pp.check_pair_admissible(pp.PairGeometry(on_sample, far, dom))
+    assert set(report.margins) == {"fan1_vertex_clearance", "fan1_branch_clearance",
+                                   "fan2_vertex_clearance", "fan2_branch_clearance"}
+    assert report.margins["fan1_vertex_clearance"] == 0.0
+    assert report.margins["fan1_branch_clearance"] == -math.inf
+    assert report.margins["fan2_vertex_clearance"] > 0 and report.margins["fan2_branch_clearance"] > 0
     assert not report.passed
 
 
@@ -539,6 +539,9 @@ def test_admissibility_flags_vertex_inside_domain():
         pp.FanGeometry((10.0, 0.0)), pp.FanGeometry((0.0, 90.0)), dom)
     report = pp.check_pair_admissible(pair)
     assert not report.passed
+    # a vertex inside gets no branch clearance, however its angles fall
+    assert report.margins["fan1_vertex_clearance"] < 0
+    assert report.margins["fan1_branch_clearance"] == -math.inf
 
 
 def test_admissibility_flags_branch_cut_through_domain():
@@ -548,14 +551,15 @@ def test_admissibility_flags_branch_cut_through_domain():
     dom = pp.ImageDomain.disc((0.0, 0.0), 14.0)
     half = math.asin(14.0 / 60.0)
     along = pp.FanGeometry((0.0, 60.0), theta0=-math.pi / 2)
-    report = pp.check_fan_admissible(along, dom)
+    report = pp.check_pair_admissible(pp.PairGeometry(pp.ParGeometry(math.pi / 2), along, dom))
     assert not report.passed
-    assert abs(report.margins["branch_clearance"] + half) < 1e-3
+    assert abs(report.margins["fan_branch_clearance"] + half) < 1e-3
     pair = pp.PairGeometry(along, pp.FanGeometry((-65.0, 5.0), theta0=-math.pi / 2), dom)
     assert not pp.check_pair_admissible(pair).passed
-    away = pp.check_fan_admissible(pp.FanGeometry((0.0, 60.0), theta0=math.pi / 2), dom)
-    assert away.passed
-    assert abs(away.margins["branch_clearance"] - (math.pi - half)) < 1e-3
+    away = pp.FanGeometry((0.0, 60.0), theta0=math.pi / 2)
+    report = pp.check_pair_admissible(pp.PairGeometry(pp.ParGeometry(math.pi / 2), away, dom))
+    assert report.passed
+    assert abs(report.margins["fan_branch_clearance"] - (math.pi - half)) < 1e-3
 
 
 def _mod_lift(a, theta0):

@@ -1,5 +1,6 @@
-"""The pair runner: item order, item 0 on the calling thread, the serial
-loop's error, no thread left behind, exactly two items."""
+"""The pair runner: its two items, passed as two arguments, come back in
+order, item 0 runs on the calling thread, the serial loop's error is
+raised, and no thread is left behind."""
 
 import threading
 
@@ -10,12 +11,12 @@ from projpair.parallel import two_threads
 
 def test_results_come_in_item_order():
     threads = threading.active_count()
-    assert two_threads(lambda i: i * i, [3, 4]) == [9, 16]
+    assert two_threads(lambda i: i * i, 3, 4) == (9, 16)
     assert threading.active_count() == threads
 
 
 def test_item_0_runs_on_the_calling_thread_and_item_1_on_a_worker():
-    got = two_threads(lambda _: threading.current_thread(), ["first", "second"])
+    got = two_threads(lambda _: threading.current_thread(), "first", "second")
     assert got[0] is threading.current_thread()
     assert got[1] is not threading.current_thread()
     assert not got[1].is_alive()
@@ -48,15 +49,7 @@ def test_raises_item_0s_error_first_after_both_items_finish(failing, message):
     run, finished = _failing(failing)
     threads = threading.active_count()
     with pytest.raises(ValueError, match=message):
-        two_threads(run, [0, 1])
+        two_threads(run, 0, 1)
     assert threading.active_count() == threads
     assert sorted(finished) == [0, 1]
 
-
-@pytest.mark.parametrize("n", [0, 1, 3, 7])
-def test_any_other_item_count_is_refused(n):
-    calls = []
-    threads = threading.active_count()
-    with pytest.raises(ValueError, match="exactly two items"):
-        two_threads(calls.append, list(range(n)))
-    assert calls == [] and threading.active_count() == threads

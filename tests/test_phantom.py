@@ -30,7 +30,7 @@ def unit_bump_mass_oracle(n: int = 400) -> float:
 def test_unit_bump_mass_regression():
     oracle = unit_bump_mass_oracle()
     assert abs(oracle - UNIT_BUMP_MASS) < 1e-8
-    assert abs(pp.mollifier_unit_mass() - UNIT_BUMP_MASS) < 1e-12
+    assert abs(2.0 * math.pi * pp.phantom._radial_moment(1.0) - UNIT_BUMP_MASS) < 1e-12
 
 
 def test_bump_center_value():
@@ -199,24 +199,6 @@ def test_bump_radius_square_must_be_positive_and_finite():
             pp.Bump((0.0, 0.0), radius)
     tiny = pp.Phantom((pp.Bump((0.0, 0.0), 1e-160),))
     assert pp.bump_eval(tiny, np.zeros((1, 2))).tolist() == [math.exp(-1.0)]
-
-
-def test_phantom_mass_scales_with_radius_and_amplitude():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        amp = rng.uniform(0.2, 3.0)
-        rad = rng.uniform(0.5, 9.0)
-        ph = pp.Phantom((pp.Bump(tuple(rng.uniform(-5, 5, 2)), rad, amp),))
-        assert abs(pp.phantom_mass(ph) - amp * rad**2 * UNIT_BUMP_MASS) < 1e-10
-
-
-def test_phantom_mass_additive():
-    b1 = pp.Bump((0.0, 0.0), 2.0, 1.0)
-    b2 = pp.Bump((10.0, 0.0), 3.0, 0.5)
-    m = pp.phantom_mass(pp.Phantom((b1, b2)))
-    m1 = pp.phantom_mass(pp.Phantom((b1,)))
-    m2 = pp.phantom_mass(pp.Phantom((b2,)))
-    assert abs(m - (m1 + m2)) < 1e-12
 
 
 def test_l2_norm_disjoint_vs_quadrature():

@@ -368,7 +368,7 @@ def test_mirrored_half_rule_equals_the_full_node_rule(family, panels):
     # mirrored half, so the two differ by roundoff only
     geom = FAMILIES[family]
     r = _rays(geom, np.linspace(-0.95, 0.95, 101))
-    idx, chords = projector._chords(geom, BUMP, r)
+    idx, chords = projector._chords(geom, BUMP, r, geom.ray(r))
     np.testing.assert_array_equal(idx, np.arange(r.size))
     np.testing.assert_array_equal(chords[4], -1.0)
     half = projector._chord_integrals(geom, panels, chords, True)
@@ -399,7 +399,7 @@ def _multi_bump_rays(geom, seed):
         r = (r + math.pi) % (2.0 * math.pi) - math.pi
     else:
         r = _rays(geom, rng.uniform(-1.6, 1.6, 257))
-    assert projector._chords(geom, MULTI_BUMP.bumps[-1], r)[0].size == 0
+    assert projector._chords(geom, MULTI_BUMP.bumps[-1], r, geom.ray(r))[0].size == 0
     return r
 
 
@@ -456,7 +456,7 @@ def test_multi_bump_values_equal_the_sum_of_one_bump_calls_bitwise(family):
     assert got.tobytes() == _reference_outcome(geom, MULTI_BUMP, r)
     # the chords the sums are made of: every bump but the far one meets rays,
     # some rays meet three, and the fan about CUT_VERTEX cuts chords
-    chords = [projector._chords(geom, bump, r) for bump in MULTI_BUMP.bumps]
+    chords = [projector._chords(geom, bump, r, geom.ray(r)) for bump in MULTI_BUMP.bumps]
     assert all(idx.size for idx, _ in chords[:-1])
     assert np.max(np.bincount(np.concatenate([idx for idx, _ in chords]))) >= 3
     assert np.any(np.concatenate([c[4] for _, c in chords]) != -1.0) == family.startswith("cut")
