@@ -241,24 +241,18 @@ def _build_domain(cfg: dict) -> ImageDomain:
     return ImageDomain.polygon(sec["vertices"])
 
 
-def _auto_theta0(vertex, domain: ImageDomain) -> float:
-    pts = domain.boundary_points(256)
-    d = pts - np.asarray(vertex, float)
-    ang = np.arctan2(d[:, 1], d[:, 0])
-    mean = np.angle(np.mean(np.exp(1j * ang)))
-    return float(mean - math.pi)
-
-
 def _build_pair(cfg: dict) -> PairGeometry:
     sec = cfg["geometry"]
     domain = _build_domain(cfg)
     if sec["kind"] == "fan-fan":
         return fan_pair(sec["vertex1"], sec["vertex2"], sec["mu"], domain)
     if sec["kind"] == "par-fan":
-        v2 = sec["vertex2"]
+        # the fan's branch cut points from its vertex away from the domain's
+        # reference point, so it misses a convex domain the vertex lies outside
+        (x, y), (rx, ry) = sec["vertex2"], domain.reference_point()
         return PairGeometry(
             first=ParGeometry(theta=math.radians(sec["theta1_deg"])),
-            second=FanGeometry(vertex=v2, theta0=_auto_theta0(v2, domain), mu=sec["mu"]),
+            second=FanGeometry(vertex=(x, y), theta0=math.atan2(ry - y, rx - x) - math.pi, mu=sec["mu"]),
             domain=domain,
         )
     return PairGeometry(
@@ -288,7 +282,7 @@ def _build_detectors(cfg: dict, pair: PairGeometry) -> tuple[DetectorGrid, Detec
                 if hi < lo:  # the range crosses the branch cut
                     hi += 2.0 * math.pi
         else:
-            lo, hi = view_range(geom, pair.domain, n_boundary=4096)
+            lo, hi = view_range(geom, pair.domain)
         grids.append(DetectorGrid(view, n, lo, hi))
     return grids[0], grids[1]
 
@@ -546,8 +540,6 @@ def _central_profile(op: PairOperator, f: np.ndarray, view: int) -> str:
 def cmd_solve(args) -> int:
     cfg, raw, resolved = _load_config(args.config, solver={"max_iter": args.max_iter, "tol": args.tol})
     pair = _build_pair(cfg)
-    if pair.kind != "fan-fan":
-        raise ConfigurationError("solve needs fan-fan geometry")
     dets = _build_detectors(cfg, pair)
     op = PairOperator(pair, _build_image(cfg, pair), *dets)
     target = _build_target(cfg, pair, dets, args.seed)

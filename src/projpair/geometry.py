@@ -49,9 +49,10 @@ REFERENCE_VERTEX_2 = (-80.0, 0.0)
 ATTENUATION_MU = -0.154
 HALF_FAN_ANGLE = math.atan2(5.0, 12.0)
 
-# Boundary points sampled by the admissibility check and, by default, by
-# view_range.
+# Boundary points sampled by the admissibility check, and by view_range on a
+# disc, whose range has no vertices to be read from.
 _BOUNDARY_SAMPLES = 1024
+_DISC_RANGE_SAMPLES = 4096
 
 
 def direction(angle):
@@ -244,13 +245,6 @@ def _polygon_area(verts: np.ndarray) -> tuple[float, float]:
     return area, len(verts) * np.finfo(float).eps * size * float(np.max(np.hypot(x, y)))
 
 
-def _finite_center(center) -> tuple[float, float]:
-    cx, cy = float(center[0]), float(center[1])
-    if not (math.isfinite(cx) and math.isfinite(cy)):
-        raise ConfigurationError("domain center must be finite")
-    return cx, cy
-
-
 @dataclass(frozen=True, eq=False)
 class ImageDomain:
     """Bounded open image domain: rectangle, disc, or simple polygon.
@@ -258,11 +252,13 @@ class ImageDomain:
     Construct through :meth:`rectangle`, :meth:`disc` or :meth:`polygon`.
     A disc is its ``center`` and ``radius``; every other domain is its
     ``vertices``, counterclockwise, from which its bounding box, boundary
-    samples and chords are taken, so a domain built directly with no
-    ``vertices`` and a ``kind`` other than ``"disc"`` is refused.  The
-    domain keeps a read-only copy of them.  A rectangle also keeps its ``half_widths`` for its membership
+    samples and chords are taken.  The domain keeps a read-only copy of
+    them.  A rectangle also keeps its ``half_widths`` for its membership
     rule, which is strict where a polygon's is half-open
-    (:meth:`contains_xy`).
+    (:meth:`contains_xy`).  Every construction, direct ones included, is
+    refused unless ``kind`` is one of those three, the center is finite, a
+    rectangle's half-widths and a disc's radius are positive and finite,
+    and a domain other than a disc has its ``vertices``.
     """
 
     kind: str
@@ -272,6 +268,16 @@ class ImageDomain:
     vertices: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.kind not in ("rectangle", "disc", "polygon"):
+            raise ConfigurationError(f"unknown domain kind {self.kind!r}")
+        if self.kind == "rectangle" and not all(0 < h < math.inf for h in self.half_widths):
+            raise ConfigurationError("rectangle half-widths must be positive and finite")
+        if self.kind == "disc" and not 0 < self.radius < math.inf:
+            raise ConfigurationError("disc radius must be positive and finite")
+        cx, cy = map(float, self.center)
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise ConfigurationError("domain center must be finite")
+        object.__setattr__(self, "center", (cx, cy))
         if self.kind != "disc" and self.vertices is None:
             raise ConfigurationError(f"a {self.kind!r} domain needs its vertices")
         if self.vertices is not None:
@@ -285,18 +291,14 @@ class ImageDomain:
     def rectangle(half_width: float, half_height: float, center=(0.0, 0.0)) -> "ImageDomain":
         """Open axis-aligned rectangle; its corners go counterclockwise from
         the bottom-left one."""
-        if not (0 < half_width < math.inf and 0 < half_height < math.inf):
-            raise ConfigurationError("rectangle half-widths must be positive and finite")
-        cx, cy = _finite_center(center)
+        cx, cy = map(float, center)
         hx, hy = float(half_width), float(half_height)
         corners = [[cx - hx, cy - hy], [cx + hx, cy - hy], [cx + hx, cy + hy], [cx - hx, cy + hy]]
         return ImageDomain(kind="rectangle", center=(cx, cy), half_widths=(hx, hy), vertices=corners)
 
     @staticmethod
     def disc(center, radius: float) -> "ImageDomain":
-        if not 0 < radius < math.inf:
-            raise ConfigurationError("disc radius must be positive and finite")
-        return ImageDomain(kind="disc", center=_finite_center(center), radius=float(radius))
+        return ImageDomain(kind="disc", center=center, radius=float(radius))
 
     @staticmethod
     def polygon(vertices) -> "ImageDomain":
@@ -519,14 +521,19 @@ class AdmissibilityReport:
             raise ConfigurationError(f"pair geometry is not admissible; failing margins: {bad}")
 
 
-def view_range(geom, domain: ImageDomain, n_boundary: int = _BOUNDARY_SAMPLES) -> tuple[float, float]:
-    """Range of the ray parameter over the domain, from boundary samples.
+def view_range(geom, domain: ImageDomain) -> tuple[float, float]:
+    """Range of the ray parameter over the domain.
 
     For a parallel family this is an offset interval; for a fan it is an
-    angular interval on the branch.  The parameter of any curve family
-    attains its extremes over the closure on the boundary.
+    angular interval on the branch.  The parameter attains its extremes
+    over the closure on the boundary, and over a polygon at a vertex: an
+    offset is linear along an edge, and a fan angle is monotone along an
+    edge that neither meets the vertex nor crosses the branch cut.  So the
+    range of a domain given by its vertices is their parameters' extremes,
+    exactly, and that of a disc is taken from ``_DISC_RANGE_SAMPLES``
+    boundary points.
     """
-    pts = domain.boundary_points(n_boundary)
+    pts = domain.boundary_points(_DISC_RANGE_SAMPLES) if domain.kind == "disc" else domain.vertices
     r, _ = geom.inverse(pts)
     return float(np.min(r)), float(np.max(r))
 
@@ -559,9 +566,9 @@ def _fan_margins(geom: FanGeometry, domain: ImageDomain, dist, r) -> dict[str, f
     return {"vertex_clearance": dist, "branch_clearance": branch}
 
 
-def _parfan_margins(g1: ParGeometry, g2: FanGeometry, r1, r2) -> dict[str, float]:
+def _parfan_margins(g1: ParGeometry, g2: FanGeometry, domain: ImageDomain, r2) -> dict[str, float]:
     s0 = float(g2.vertex_xy @ direction(g1.theta))
-    lo, hi = float(np.min(r1)), float(np.max(r1))
+    lo, hi = view_range(g1, domain)
     offset = min(abs(s0 - lo), abs(s0 - hi))
     if lo <= s0 <= hi:
         offset = -offset
@@ -598,12 +605,14 @@ def check_pair_admissible(pair: PairGeometry) -> AdmissibilityReport:
     """Check the range-condition admissibility inequalities for a pair.
 
     All inequalities are evaluated on a dense boundary sampling of the domain
-    (the relevant quantities attain their extremes there).  For fan-fan pairs
+    (the relevant quantities attain their extremes there), except that a
+    parallel-fan pair's offset clearance reads the parallel view's range
+    from :func:`view_range`.  For fan-fan pairs
     the orientation sign that makes the domain sit on the positive side of
     the line through the two vertices (:func:`pair_orientation`) is folded
     into the margins, so admissibility never depends on the labeling order
-    of the vertices.  The boundary is sampled once, and each family's ray
-    parameters, and each fan's distances to the samples, are taken on it
+    of the vertices.  The boundary is sampled once, and each fan's ray
+    angles and distances to the samples are taken on it
     once.  Each fan's margins are those of :func:`_fan_margins`, under the
     keys ``fan_`` (the fan of a parallel-fan pair), ``fan1_`` and ``fan2_``.
 
@@ -630,7 +639,7 @@ def check_pair_admissible(pair: PairGeometry) -> AdmissibilityReport:
     if any(r is None for r in angles):
         return AdmissibilityReport(fan_margins)
     if pair.kind == "par-fan":
-        margins = _parfan_margins(g1, g2, g1.inverse(pts)[0], *angles)
+        margins = _parfan_margins(g1, g2, domain, *angles)
     else:
         margins = _fanfan_margins(g1, g2, domain, pts, *angles)
     return AdmissibilityReport({**margins, **fan_margins})

@@ -426,6 +426,18 @@ def test_solve_profile_of_a_ray_that_misses_the_image(tmp_path):
     assert len((tmp_path / "o" / "profile_view2.csv").read_text().splitlines()) > 1
 
 
+def test_solve_profile_of_a_ray_along_the_image_square_outside_it(tmp_path):
+    # view 2's central ray points straight up from x = -80, outside the
+    # slab |x| <= 35 it runs along
+    cfg = write_config(
+        tmp_path,
+        "[image]\nnx = 24\nny = 24\n[solver]\nmax_iter = 5\n"
+        "[detectors]\nbins1 = 16\nbins2 = 16\nrange2_deg = 80 100\n",
+    )
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "profile_view2.csv").read_text() == "t,x,y,value\n"
+
+
 def _central_profile_loop(op, f, view):
     """The central-ray profile one sample at a time, with t clipped to the
     image square one axis at a time."""
@@ -511,6 +523,46 @@ def test_solve_rejects_parallel_geometry(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["par-fan", "par-par"])
+def test_solve_relays_the_operators_pair_kind_refusal(tmp_path, capsys, kind):
+    # the message project --mode discrete prints, before any file is written
+    cfg = write_config(tmp_path, f"[geometry]\nkind = {kind}\n")
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+    assert capsys.readouterr().err == "error: the discrete pair operator supports fan-fan pairs\n"
+    assert not (tmp_path / "o").exists()
+
+
+# view 2's range of these par-fan pairs when the branch cut was the circular
+# mean of 256 boundary angles and the range came from 4 096 boundary samples
+SAMPLED_PARFAN_RANGES = {
+    (-80.0, 0.0): (-0.39479111969976177, 0.39479111969976177),
+    (-60.0, 30.0): (-1.0968905599362295, 0.07795248458573756),
+    (10.0, -90.0): (1.1444288588624851, 2.134071185206249),
+}
+
+
+@pytest.mark.parametrize("vertex, theta1, tol", [
+    ((-80.0, 0.0), 0.0, 1e-15),
+    ((-60.0, 30.0), 0.0, 1e-4),
+    # s0 = 10 lies in (-35, 35) at theta1 = 0; the samples fell 2.6e-4 short
+    ((10.0, -90.0), 90.0, 3e-4),
+], ids=["default", "upper-left", "below"])
+def test_parfan_cut_points_from_the_vertex_away_from_the_domain(tmp_path, vertex, theta1, tol):
+    text = f"[geometry]\nkind = par-fan\ntheta1_deg = {theta1}\nvertex2 = {vertex[0]} {vertex[1]}\n"
+    cfg, _, _ = cli._load_config(write_config(tmp_path, text))
+    pair = cli._build_pair(cfg)
+    assert pp.check_pair_admissible(pair).passed
+    ref = pair.domain.reference_point()
+    assert pair.second.theta0 == math.atan2(ref[1] - vertex[1], ref[0] - vertex[0]) - math.pi
+    det = cli._build_detectors(cfg, pair)[1]
+    r, _ = pair.second.inverse(pair.domain.vertices)
+    assert (det.lo, det.hi) == (r.min(), r.max())
+    # on the branch the samples were on, and holding their range up to the
+    # rounding of the cut (the default pair's ends moved by 4.4e-16)
+    lo, hi = SAMPLED_PARFAN_RANGES[vertex]
+    assert -1e-15 < lo - det.lo < tol and -1e-15 < det.hi - hi < tol
+
+
 def test_missing_and_malformed_config(tmp_path, capsys):
     assert run(["check", "--config", str(tmp_path / "nope.ini"),
                 "--out", str(tmp_path / "o")]) == 5
@@ -564,9 +616,12 @@ def assert_configuration_error(tmp_path, capsys, command, text, options=()):
     ("project", "[phantom]\ncount = abc\n"),
     ("solve", "[phantom]\ncount = abc\n"),
     ("solve", "[domain]\nkind = reference\nvertices = 1 2 x\n"),
+    ("check", "[geometry]\nvertex2 = -80 0 5\n"),
+    ("check", "[domain]\nkind = polygon\nvertices = 0 0, 10 0, 10\n"),
 ], ids=["mu", "vertex1", "nx", "bins1", "extent-inf", "vertex1-inf", "check-mu-nan",
         "check-mu-percent", "solve-nx-interpolation", "pgm-window", "project-bump-row",
-        "project-phantom-count", "solve-unused-phantom-count", "solve-unused-vertices"])
+        "project-phantom-count", "solve-unused-phantom-count", "solve-unused-vertices",
+        "vertex2-three-numbers", "vertices-odd-count"])
 def test_malformed_number_is_a_configuration_error(tmp_path, capsys, command, text):
     assert_configuration_error(tmp_path, capsys, command, text)
 
@@ -604,6 +659,7 @@ ROUNDED_ZERO_AREA_POLYGON = "[domain]\nkind = polygon\nvertices = 1.1 0.6, 12.1 
     ("check", "[geometry]\nvertex1 = -80 0\nvertex2 = -80 0\n", ()),
     ("solve", "[geometry]\nvertex1 = -80 0\nvertex2 = -80 0\n", ()),
     ("separability", "[geometry]\nvertex1 = -80 0\nvertex2 = -80 0\n", ("--n1", "8", "--n2", "8")),
+    ("project", "[phantom]\nkind = list\n", ()),
 ], ids=["separability-n1", "separability-n2", "separability-option-n1-zero",
         "check-tol", "check-option-tol", "solve-tol", "solve-option-tol", "solve-pgm-window",
         "solve-max-iter", "solve-option-max-iter", "solve-nx-zero",
@@ -613,7 +669,7 @@ ROUNDED_ZERO_AREA_POLYGON = "[domain]\nkind = polygon\nvertices = 1.1 0.6, 12.1 
         "project-whole-turn-fan-range-below", "check-one-bin-views", "check-one-bin-view2",
         "project-bump-radius-square-overflows", "check-bump-radius-square-underflows",
         "check-coinciding-vertices", "solve-coinciding-vertices",
-        "separability-coinciding-vertices"])
+        "separability-coinciding-vertices", "project-empty-bump-list"])
 def test_out_of_range_value_is_a_configuration_error(tmp_path, capsys, command, text, options):
     assert_configuration_error(tmp_path, capsys, command, text, options)
 
@@ -639,7 +695,9 @@ def test_zero_tolerance_is_accepted(tmp_path):
     ("check", "[geometry]\nmu = 0\n[target]\nkind = files\nfile1 = {missing}\nfile2 = {missing}\n"),
     ("check", "[geometry]\nmu = 0\n[target]\nkind = files\nfile1 = {bad_csv}\nfile2 = {bad_csv}\n"),
     ("check", "[geometry]\nmu = 0\n[target]\nkind = files\nfile1 = {nan_csv}\nfile2 = {nan_csv}\n"),
-], ids=["phantom-file", "target-files", "csv-header", "nan-value"])
+    ("project", "[phantom]\nkind = file\n"),
+    ("check", "[geometry]\nmu = 0\n[target]\nkind = files\nfile1 = {bad_csv}\n"),
+], ids=["phantom-file", "target-files", "csv-header", "nan-value", "phantom-file-no-path", "target-files-no-file2"])
 def test_unreadable_input_file_is_a_configuration_error(tmp_path, capsys, command, text):
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("# view,n_bins,lo,hi\n# 1,x,0,1\nr,value\n0.5,1\n", encoding="ascii")

@@ -136,6 +136,32 @@ def test_kernel_condition_residual_takes_numpy_integers():
     assert pp.kernel_condition_residual(pair, K, n=np.int64(256)) == pp.kernel_condition_residual(pair, K, n=256)
 
 
+def test_kernel_condition_residual_refines_its_grid_on_a_thin_domain(monkeypatch):
+    # a sliver along the diagonal covers 2.4% of its bounding box, so the
+    # first grid holds too few domain points and is refined until it has n
+    sliver = pp.ImageDomain.polygon([[0.0, 0.0], [1.0, 0.0], [41.0, 40.0], [40.0, 40.0]])
+    pair = pp.PairGeometry(pp.ParGeometry(0.3), pp.ParGeometry(1.9), sliver)
+    sizes = []
+    grid_points = pp.ImageDomain.grid_points
+
+    def counting(self, nx, ny):
+        pts = grid_points(self, nx, ny)
+        sizes.append(len(pts))
+        return pts
+
+    monkeypatch.setattr(pp.ImageDomain, "grid_points", counting)
+    assert pp.kernel_condition_residual(pair, pp.known_kernels(pair), n=512) < 1e-12
+    assert len(sizes) > 1 and sizes[0] < 512 <= sizes[-1]
+
+
+def test_kernel_condition_residual_refuses_a_kernel_not_finite_on_the_domain():
+    pair = parpar_pair()
+    K = pp.known_kernels(pair)
+    nan_v1 = pp.KernelPair(v1=lambda r: np.full(np.shape(r), np.nan), v2=K.v2, label="nan")
+    with pytest.raises(pp.EvaluationError, match="non-finite"):
+        pp.kernel_condition_residual(pair, nan_v1, n=64)
+
+
 def test_kernel_condition_invariant_under_joint_scaling():
     pair = pp.reference_pair(mu=0.0)
     K = pp.known_kernels(pair)
@@ -425,6 +451,16 @@ def test_separability_needs_valid_quadruple():
     L = np.full((3, 3), np.nan)
     with pytest.raises(pp.ConfigurationError):
         pp.separability_test(L, np.arange(3.0), np.arange(3.0))
+
+
+@pytest.mark.parametrize("L, r1, r2, message", [
+    (np.zeros(9), np.arange(9.0), np.arange(1.0), "2-d array"),
+    (np.zeros((3, 4)), np.arange(3.0), np.arange(3.0), "match the shape"),
+    (np.zeros((3, 4)), np.arange(4.0), np.arange(3.0), "match the shape"),
+], ids=["one-d", "r2-short", "swapped"])
+def test_separability_refuses_axes_that_do_not_fit_L(L, r1, r2, message):
+    with pytest.raises(pp.ConfigurationError, match=message):
+        pp.separability_test(L, r1, r2)
 
 
 def test_separability_threshold_semantics():

@@ -1,6 +1,7 @@
 """Discrete pixel-driven operator: oracle match, adjointness, conservation, I/O."""
 
 import math
+import os
 import threading
 
 import numpy as np
@@ -784,6 +785,30 @@ def test_projection_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.values, data.values)
 
 
+@pytest.mark.parametrize("call", [
+    lambda op: op.forward(np.zeros(op.image.n_pixels + 1)),
+    lambda op: op.adjoint(np.zeros(op.shape[0] - 1)),
+    lambda op: pp.write_image(os.devnull, op.image, np.zeros(op.image.n_pixels - 1)),
+    lambda op: pp.ImageGrid(op.image.nx, op.image.ny, mask=np.ones(op.image.n_pixels + 1, dtype=bool)),
+], ids=["forward", "adjoint", "write-image", "image-grid-mask"])
+def test_vector_of_the_wrong_length_is_refused(call):
+    pair, image, d1, d2 = small_setup()
+    with pytest.raises(pp.ConfigurationError, match="length"):
+        call(pp.PairOperator(pair, image, d1, d2))
+
+
+@pytest.mark.parametrize("content, read, message", [
+    (b"P5\n8 6\n255\n", pp.read_image, "not an image file"),
+    (b"PPIMG 3 2 10\n" + bytes(5 * 8), pp.read_image, "truncated image file"),
+    (b"PPIMG 3 2 10\n", pp.read_projection_csv, "not a projection file"),
+], ids=["image-other-format", "image-truncated", "projection-other-format"])
+def test_file_of_another_format_is_refused(tmp_path, content, read, message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    with pytest.raises(pp.ConfigurationError, match=f"^{message}: "):
+        read(path)
+
+
 def test_pgm_writer(tmp_path):
     grid = pp.ImageGrid(8, 6, 10.0)
     vals = np.linspace(-1.0, 2.0, 48)
@@ -794,6 +819,15 @@ def test_pgm_writer(tmp_path):
     assert len(raw) == len(b"P5\n8 6\n255\n") + 48
     body = raw[len(b"P5\n8 6\n255\n"):]
     assert max(body) == 255 and min(body) == 0
+
+
+@pytest.mark.parametrize("values, window", [(np.full(48, 2.5), None), (np.linspace(-1.0, 2.0, 48), -3.0)],
+                         ids=["constant-image", "negative-window"])
+def test_pgm_writer_reads_a_window_of_at_most_zero_as_one(tmp_path, values, window):
+    grid = pp.ImageGrid(8, 6, 10.0)
+    pp.write_pgm(tmp_path / "a.pgm", grid, values, window=window, level=0.5)
+    pp.write_pgm(tmp_path / "b.pgm", grid, values, window=1.0, level=0.5)
+    assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
 
 
 def test_operator_refuses_a_kernel_not_finite_at_a_bin_center(monkeypatch):

@@ -359,6 +359,18 @@ def test_chord_that_ends_before_t_min_is_zero(dom):
     assert dom.chord_length(o, up, 40.0) == 0.0
 
 
+SQUARE = [[-10.0, -10.0], [10.0, -10.0], [10.0, 10.0], [-10.0, 10.0]]
+
+
+def test_chord_through_two_corners_is_the_diagonal():
+    # the line crosses each corner on both of its edges: the pieces of zero
+    # length between the repeated crossings are skipped
+    square = pp.ImageDomain.polygon(SQUARE)
+    o, d = np.array([-20.0, -20.0]), np.array([1.0, 1.0]) / math.sqrt(2.0)
+    assert square.chord_length(o, d) == pytest.approx(20.0 * math.sqrt(2.0), rel=1e-15)
+    assert square.chord_length(o, d, t_min=20.0 * math.sqrt(2.0)) == pytest.approx(10.0 * math.sqrt(2.0), rel=1e-15)
+
+
 def test_reference_domain_polygon_vertices():
     """The clipped square has eight corners; the two oblique cuts meet the
     square and each other where elementary line intersections put them."""
@@ -446,6 +458,22 @@ def test_domain_without_vertices_is_refused_unless_a_disc(kind):
     assert pp.ImageDomain(kind="disc", radius=10.0).bbox() == (-10.0, 10.0, -10.0, 10.0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: pp.ImageDomain(kind="triangle", vertices=SQUARE[:3]), "unknown domain kind 'triangle'"),
+    (lambda: pp.ImageDomain(kind="disc"), "disc radius must be positive and finite"),
+    (lambda: pp.ImageDomain(kind="rectangle", vertices=SQUARE), "rectangle half-widths must be positive and finite"),
+    (lambda: pp.ImageDomain(kind="disc", center=(math.nan, 0.0), radius=5.0), "domain center must be finite"),
+    (lambda: pp.ImageDomain.polygon(SQUARE[:2]), "polygon needs at least three"),
+    (lambda: pp.ImageDomain.polygon([[0.0, 0.0, 0.0]] * 3), "polygon needs at least three"),
+], ids=["unknown-kind", "disc-radius-zero", "rectangle-half-widths-zero", "disc-center-nan",
+        "polygon-two-vertices", "polygon-three-coordinates"])
+def test_invalid_domain_is_refused_however_it_is_built(build, message):
+    # a zero radius or half-width would contain nothing, and an unknown kind
+    # would be read as a polygon
+    with pytest.raises(pp.ConfigurationError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("n", [3.5, 2, math.inf])
 def test_boundary_points_needs_an_integer_count_of_at_least_three(n):
     with pytest.raises(pp.ConfigurationError):
@@ -511,10 +539,48 @@ def test_view_ranges_match_exact_wedges():
     (lo1, hi1), (lo2, hi2) = pp.reference_view_ranges()
     s1 = pp.view_range(pair.first, pair.domain)
     s2 = pp.view_range(pair.second, pair.domain)
-    # extreme rays contain whole polygon edges, so sampled extremes are exact
+    # the ranges are the vertices' extremes, and each extreme ray holds a
+    # whole edge of the octagon
     np.testing.assert_allclose(s1, (lo1, hi1), rtol=0, atol=1e-9)
     np.testing.assert_allclose(s2, (lo2, hi2), rtol=0, atol=1e-9)
     assert abs((hi1 - lo1) - 2 * ALPHA) < 1e-12
+
+
+def test_view_range_is_the_extremes_of_the_vertices():
+    # the offsets of a theta = 0.3 parallel view peak at vertices, where
+    # arc-length midpoints never land: 4 096 of them give lo = -38.9758,
+    # above the vertex offset -38.9778
+    dom, geom = pp.reference_domain(), pp.ParGeometry(0.3)
+    lo, hi = pp.view_range(geom, dom)
+    r, _ = geom.inverse(dom.vertices)
+    assert np.all((lo <= r) & (r <= hi))
+    assert (lo, hi) == (float(np.min(r)), float(np.max(r)))
+    assert abs(lo - -38.9778) < 1e-4
+
+
+L_SHAPE = pp.ImageDomain.polygon([(-20, -20), (20, -20), (20, 0), (0, 0), (0, 20), (-20, 20)])
+
+
+@pytest.mark.parametrize("dom", [pp.reference_domain(), L_SHAPE, RECT], ids=["octagon", "L", "off-centre-rectangle"])
+@pytest.mark.parametrize("view", ["par", "fan-left", "fan-below"])
+def test_view_range_holds_every_interior_point(dom, view):
+    if view == "par":
+        geom = pp.ParGeometry(0.3)
+    else:
+        v = (-90.0, 10.0) if view == "fan-left" else (15.0, -95.0)
+        ref = dom.reference_point()
+        geom = pp.FanGeometry(v, theta0=math.atan2(ref[1] - v[1], ref[0] - v[0]) - math.pi)
+    lo, hi = pp.view_range(geom, dom)
+    rng = np.random.default_rng(34)
+    xmin, xmax, ymin, ymax = dom.bbox()
+    pts = rng.uniform((xmin, ymin), (xmax, ymax), size=(20000, 2))
+    pts = pts[dom.contains(pts)]
+    assert len(pts) > 5000
+    r, _ = geom.inverse(pts)
+    assert lo <= r.min() and r.max() <= hi
+    # and the range is no wider than the domain: interior points come close
+    # to both ends
+    assert r.min() - lo < 0.01 * (hi - lo) and hi - r.max() < 0.01 * (hi - lo)
 
 
 def test_reference_pair_admissible():
@@ -560,6 +626,30 @@ def test_admissibility_flags_branch_cut_through_domain():
     report = pp.check_pair_admissible(pp.PairGeometry(pp.ParGeometry(math.pi / 2), away, dom))
     assert report.passed
     assert abs(report.margins["fan_branch_clearance"] - (math.pi - half)) < 1e-3
+
+
+@pytest.mark.parametrize("vertex, theta0, offset", [((0.0, 80.0), 0.5 * math.pi, -35.0),
+                                                    ((10.0, -90.0), -0.5 * math.pi, -25.0)],
+                         ids=["above", "below"])
+def test_parfan_margins_fail_when_a_fan_ray_runs_along_the_lines(vertex, theta0, offset):
+    # the vertex offset s0 lies inside view 1's range (-35, 35), so one fan
+    # ray through the domain is parallel to the lines and cos(theta - r2)
+    # changes sign over the domain's rays
+    pair = pp.PairGeometry(pp.ParGeometry(0.0), pp.FanGeometry(vertex, theta0=theta0), pp.reference_domain())
+    report = pp.check_pair_admissible(pair)
+    assert report.margins["offset_clearance"] == offset
+    assert report.margins["cos_clearance"] < 0
+    assert report.margins["fan_vertex_clearance"] > 0 and report.margins["fan_branch_clearance"] > 0
+    assert not report.passed
+
+
+@pytest.mark.parametrize("pair", [
+    pp.PairGeometry(pp.ParGeometry(0.0), pp.FanGeometry((-80.0, 0.0)), pp.reference_domain()),
+    pp.PairGeometry(pp.ParGeometry(0.0), pp.ParGeometry(1.0), pp.reference_domain()),
+], ids=["par-fan", "par-par"])
+def test_pair_orientation_is_for_fan_fan_pairs_only(pair):
+    with pytest.raises(pp.ConfigurationError, match="fan-fan pairs only"):
+        pp.pair_orientation(pair)
 
 
 def _mod_lift(a, theta0):

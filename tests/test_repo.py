@@ -176,4 +176,7 @@ def test_settable_value_counter_known_answer(tmp_path):
     # (not _private's k); D's w; E's run's v (E is no dataclass, so not n);
     # main's argv; the three _SCHEMA keys.  g is not exported.
     assert code_lines.settable_values(tmp_path) == 2 + 5 + 1 + 1 + 1 + 3
-    assert code_lines.settable_values(ROOT / "src" / "projpair") == 88
+    assert code_lines.settable_value_names(tmp_path) == [
+        "m.f(b)", "m.f(c)", "m.C.x", "m.C.y", "m.C.method(k)", "m.C.make(b)", "m.C.make(c)", "m.D.w",
+        "m.E.run(v)", "cli.main(argv)", "cli [a] k1", "cli [a] k2", "cli [b] k3"]
+    assert code_lines.settable_values(ROOT / "src" / "projpair") == 87

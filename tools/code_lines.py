@@ -17,7 +17,10 @@ prints one ``count  module`` line per module of ``src/projpair``, a
 and a ``settable values`` line: the defaulted parameters of the exported
 top-level functions, the annotated fields of the exported ``@dataclass``
 classes, the defaulted parameters of the exported classes' public methods,
-and the keys across the sections of ``cli._SCHEMA``.
+and the keys across the sections of ``cli._SCHEMA``.  One indented line per
+settable value follows it, naming the value as ``module.function(parameter)``,
+``module.Class.field``, ``module.Class.method(parameter)`` or
+``cli [section] key``.
 """
 
 from __future__ import annotations
@@ -58,8 +61,11 @@ def exported_names(source: str) -> int:
     return sum(len(node.names) for node in froms if node.module != "__future__")
 
 
-def _defaults(func: ast.FunctionDef) -> int:
-    return len(func.args.defaults) + sum(d is not None for d in func.args.kw_defaults)
+def _defaulted(func: ast.FunctionDef) -> list[str]:
+    """Names of the parameters of ``func`` that have a default."""
+    positional = func.args.posonlyargs + func.args.args
+    names = [arg.arg for arg in positional[len(positional) - len(func.args.defaults):]]
+    return names + [arg.arg for arg, d in zip(func.args.kwonlyargs, func.args.kw_defaults) if d is not None]
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -68,28 +74,36 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
                for d in cls.decorator_list)
 
 
-def settable_values(package: Path) -> int:
-    """Number of values a caller of the package ``package`` can set: see the
-    module docstring.  Every module ``__init__.py`` imports from is parsed,
-    not imported."""
+def settable_value_names(package: Path) -> list[str]:
+    """The values a caller of the package ``package`` can set, by name: see
+    the module docstring.  Every module ``__init__.py`` imports from is
+    parsed, not imported."""
     exported: dict[str, set[str]] = {}
     for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body:
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
             exported.setdefault(node.module, set()).update(alias.name for alias in node.names)
-    count = 0
-    for module, names in exported.items():
+    names = []
+    for module, exports in exported.items():
         for node in ast.parse((package / f"{module}.py").read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.FunctionDef) and node.name in names:
-                count += _defaults(node)
-            elif isinstance(node, ast.ClassDef) and node.name in names:
+            if isinstance(node, ast.FunctionDef) and node.name in exports:
+                names += [f"{module}.{node.name}({arg})" for arg in _defaulted(node)]
+            elif isinstance(node, ast.ClassDef) and node.name in exports:
+                prefix = f"{module}.{node.name}"
                 if _is_dataclass(node):
-                    count += sum(isinstance(item, ast.AnnAssign) for item in node.body)
-                count += sum(_defaults(item) for item in node.body
-                             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+                    names += [f"{prefix}.{item.target.id}" for item in node.body if isinstance(item, ast.AnnAssign)]
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        names += [f"{prefix}.{item.name}({arg})" for arg in _defaulted(item)]
     for node in ast.parse((package / "cli.py").read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_SCHEMA" for t in node.targets):
-            count += sum(len(section.keys) for section in node.value.values)
-    return count
+            for section, keys in zip(node.value.keys, node.value.values):
+                names += [f"cli [{section.value}] {key.value}" for key in keys.keys]
+    return names
+
+
+def settable_values(package: Path) -> int:
+    """Number of values a caller of the package ``package`` can set."""
+    return len(settable_value_names(package))
 
 
 def main() -> int:
@@ -101,7 +115,10 @@ def main() -> int:
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
     print(f"{exported_names((package / '__init__.py').read_text(encoding='utf-8')):6d}  exported names")
-    print(f"{settable_values(package):6d}  settable values")
+    names = settable_value_names(package)
+    print(f"{len(names):6d}  settable values")
+    for name in names:
+        print(f"        {name}")
     return 0
 
 
