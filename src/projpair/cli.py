@@ -42,7 +42,7 @@ from .discrete import (
     write_pgm,
     write_projection_csv,
 )
-from .errors import ConfigurationError, ProjPairError
+from .errors import ConfigurationError, ProjPairError, SingularPointError
 from .geometry import (
     ATTENUATION_MU,
     FanGeometry,
@@ -282,7 +282,13 @@ def _build_detectors(cfg: dict, pair: PairGeometry) -> tuple[DetectorGrid, Detec
                 if hi < lo:  # the range crosses the branch cut
                     hi += 2.0 * math.pi
         else:
-            lo, hi = view_range(geom, pair.domain)
+            try:
+                lo, hi = view_range(geom, pair.domain)
+            except SingularPointError:
+                # a fan vertex on a domain vertex: refuse the pair as check
+                # does, naming its failing margins, should it fail them
+                check_pair_admissible(pair).require()
+                raise
         grids.append(DetectorGrid(view, n, lo, hi))
     return grids[0], grids[1]
 
@@ -346,10 +352,9 @@ def _phantom_text(ph: Phantom) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, outdir: Path | None, name: str) -> None:
+def _emit(text: str, outdir: Path, name: str) -> None:
     sys.stdout.write(text)
-    if outdir is not None:
-        (outdir / name).write_text(text, encoding="ascii")
+    (outdir / name).write_text(text, encoding="ascii")
 
 
 # ---------------------------------------------------------------------------

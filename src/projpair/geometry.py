@@ -49,10 +49,8 @@ REFERENCE_VERTEX_2 = (-80.0, 0.0)
 ATTENUATION_MU = -0.154
 HALF_FAN_ANGLE = math.atan2(5.0, 12.0)
 
-# Boundary points sampled by the admissibility check, and by view_range on a
-# disc, whose range has no vertices to be read from.
+# Boundary points sampled by the admissibility check.
 _BOUNDARY_SAMPLES = 1024
-_DISC_RANGE_SAMPLES = 4096
 
 
 def direction(angle):
@@ -419,48 +417,43 @@ class ImageDomain:
         # np.take gives the rows verts[idx] gives, about 4x faster at 4 096
         return np.take(verts, idx, axis=0) + frac[:, None] * np.take(seg, idx, axis=0)
 
-    def chord_length(self, origin, dir_vec, t_min: float = -math.inf) -> float:
+    def chord_length(self, origin, dir_vec, t_min: float = -math.inf) -> float | np.ndarray:
         """Total length of ``{t : origin + t*dir_vec in domain, t > t_min}``.
 
-        ``dir_vec`` must be a unit vector for the result to be a length.  The
-        line's crossings with the boundary, sorted, cut it into pieces; a piece
-        counts, from ``t_min`` on, when its midpoint lies inside.
+        ``origin`` and ``dir_vec`` broadcast as arrays of shape ``(..., 2)``,
+        one line per entry of the leading axes, and give one length per line;
+        a single line gives a float.  ``dir_vec`` must be a unit vector for
+        the result to be a length.  A line's crossings with the boundary (a
+        disc's two roots, or one per polygon edge, NaN where it misses),
+        sorted, cut it into pieces; a piece counts, from ``t_min`` on, when
+        its midpoint lies inside, and the pieces are added in order along the
+        line, from 0.0.
         """
-        o = np.asarray(origin, dtype=float)
-        d = np.asarray(dir_vec, dtype=float)
-        ts = []  # where the line crosses the boundary
+        o, d = np.broadcast_arrays(np.asarray(origin, dtype=float), np.asarray(dir_vec, dtype=float))
+        o_, d_ = o[..., None, :], d[..., None, :]  # each line against its crossings
         if self.kind == "disc":
             oc = o - np.array(self.center)
-            b = float(oc @ d)
-            c = float(oc @ oc) - self.radius**2
-            disc = b * b - c
-            if disc > 0:
-                ts = [-b - math.sqrt(disc), -b + math.sqrt(disc)]
+            b = np.vecdot(oc, d)
+            disc = b * b - (np.vecdot(oc, oc) - self.radius**2)
+            root = np.sqrt(np.where(disc > 0, disc, np.nan))
+            ts = np.stack([-b - root, -b + root], axis=-1)
         else:
-            verts = self.vertices
-            for p, q in zip(verts, np.roll(verts, -1, axis=0)):
-                e = q - p
-                den = cross2(d, e)
-                if abs(den) < 1e-300:
-                    continue
-                s = cross2(p - o, e) / den
-                u = cross2(p - o, d) / den
-                if -1e-12 <= u <= 1.0 + 1e-12:
-                    ts.append(s)
-        if len(ts) < 2:
-            return 0.0
-        ts = sorted(ts)
-        total = 0.0
-        for a, b in zip(ts[:-1], ts[1:]):
-            if b <= t_min:
-                continue
-            a = max(a, t_min)
-            if b - a < 1e-14:
-                continue
-            mid = o + 0.5 * (a + b) * d
-            if self.contains(mid):
-                total += b - a
-        return total
+            # the line meets edge p -> p + e at u along it (kept in [0, 1] up to
+            # 1e-12), cross2(po, e) / den along the line
+            p = self.vertices
+            e = np.roll(p, -1, axis=0) - p
+            po = p - o_
+            den = cross2(d_, e)
+            den = np.where(np.abs(den) < 1e-300, np.nan, den)
+            u = cross2(po, d_) / den
+            ts = np.where((-1e-12 <= u) & (u <= 1.0 + 1e-12), cross2(po, e) / den, np.nan)
+        ts = np.sort(ts, axis=-1)  # NaN last
+        a, b = np.maximum(ts[..., :-1], t_min), ts[..., 1:]
+        mid = o_ + (0.5 * (a + b))[..., None] * d_
+        keep = (b > t_min) & (b - a >= 1e-14) & self.contains(mid)
+        # cumsum adds in order, as a loop of total += piece would; sum would not
+        total = np.cumsum(np.where(keep, b - a, 0.0), axis=-1)[..., -1]
+        return float(total) if total.ndim == 0 else total
 
     def grid_points(self, nx: int, ny: int) -> np.ndarray:
         """Interior points of a regular nx-by-ny grid over the bounding box."""
@@ -530,12 +523,23 @@ def view_range(geom, domain: ImageDomain) -> tuple[float, float]:
     offset is linear along an edge, and a fan angle is monotone along an
     edge that neither meets the vertex nor crosses the branch cut.  So the
     range of a domain given by its vertices is their parameters' extremes,
-    exactly, and that of a disc is taken from ``_DISC_RANGE_SAMPLES``
-    boundary points.
+    exactly.  A disc's range is its centre's parameter ``c`` plus or minus
+    the radius ``R`` for a parallel view, and plus or minus
+    ``asin(R / |centre - vertex|)`` for a fan; a fan vertex in the closed
+    disc has no such half-angle and gets the whole branch
+    ``[theta0, theta0 + 2*pi]``.
     """
-    pts = domain.boundary_points(_DISC_RANGE_SAMPLES) if domain.kind == "disc" else domain.vertices
-    r, _ = geom.inverse(pts)
-    return float(np.min(r)), float(np.max(r))
+    if domain.kind != "disc":
+        r, _ = geom.inverse(domain.vertices)
+        return float(np.min(r)), float(np.max(r))
+    half = domain.radius
+    if isinstance(geom, FanGeometry):
+        dist = math.dist(domain.center, geom.vertex)
+        if dist <= domain.radius:
+            return geom.theta0, geom.theta0 + 2.0 * math.pi
+        half = math.asin(domain.radius / dist)
+    c, _ = geom.inverse(domain.center)
+    return float(c) - half, float(c) + half
 
 
 def _fan_margins(geom: FanGeometry, domain: ImageDomain, dist, r) -> dict[str, float]:

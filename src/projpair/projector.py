@@ -221,10 +221,11 @@ def continuity_bound_check(geom, f: Phantom, domain: ImageDomain) -> tuple[float
     """Evaluate both sides of the L2 continuity bound ``||Pf|| <= c ||f||``.
 
     The constant is ``sqrt(sup_r |T(r)| * sup |det D(inverse)|) * sup weight``
-    with suprema taken over the domain: chord lengths over 257 rays spread
-    over the view range, and ``jacobian_inv`` and ``weight`` over densely
-    sampled boundary points, where they attain their extremes.  ``||Pf||``
-    is a 48-panel, 16-point Gauss-Legendre rule over the view range.
+    with suprema taken over the domain: chord lengths of 257 rays spread
+    over the view range, in one ``chord_length`` call, and ``jacobian_inv``
+    and ``weight`` over densely sampled boundary points, where they attain
+    their extremes.  ``||Pf||`` is a 48-panel, 16-point Gauss-Legendre rule
+    over the view range.
     Returns ``(lhs, rhs)``; the bound holds when ``lhs <= rhs`` up to
     quadrature accuracy.
     """
@@ -239,7 +240,7 @@ def continuity_bound_check(geom, f: Phantom, domain: ImageDomain) -> tuple[float
 
     # rhs: the continuity constant times the phantom norm.
     origins, dirs = geom.ray(np.linspace(lo, hi, 257))
-    chord = max(domain.chord_length(o, e, geom.t_min) for o, e in zip(origins, dirs))
+    chord = float(np.max(domain.chord_length(origins, dirs, geom.t_min)))
     bpts = domain.boundary_points(2048)
     sup_jac = float(np.max(geom.jacobian_inv(bpts)))
     sup_weight = float(np.max(geom.weight(*geom.inverse(bpts))))

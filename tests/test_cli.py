@@ -802,6 +802,23 @@ def test_separability_rejects_inadmissible_pair(tmp_path, capsys):
                                ("--n1", "8", "--n2", "8"))
 
 
+@pytest.mark.parametrize("command", [("solve",), ("project", "--mode", "continuous"), ("project", "--mode", "discrete")],
+                         ids=["solve", "project-continuous", "project-discrete"])
+@pytest.mark.parametrize("geometry", ["vertex2 = 35 -35\n", "kind = par-fan\ntheta1_deg = 90\nvertex2 = 35 -35\n"],
+                         ids=["fan-fan", "par-fan"])
+def test_fan_vertex_on_a_domain_vertex_is_refused_as_check_refuses_it(tmp_path, capsys, command, geometry):
+    # the fan has no ray angle at the domain vertex (35, -35), so its view
+    # range has none: every command names the pair's failing margins
+    cfg = write_config(tmp_path, f"[geometry]\n{geometry}")
+    assert run(["check", "--config", cfg, "--out", str(tmp_path / "c")]) == 5
+    message = capsys.readouterr().err
+    assert message.startswith("error: pair geometry is not admissible; failing margins:")
+    assert message.count("\n") == 1
+    assert run([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()
+
+
 # the check geometries at 2 x 4096 bins, and the weighted reference pair
 PAIR_GEOMETRIES = {
     "par-par": "kind = par-par\ntheta1_deg = 0\ntheta2_deg = 90\n",

@@ -561,7 +561,11 @@ def test_view_range_is_the_extremes_of_the_vertices():
 L_SHAPE = pp.ImageDomain.polygon([(-20, -20), (20, -20), (20, 0), (0, 0), (0, 20), (-20, 20)])
 
 
-@pytest.mark.parametrize("dom", [pp.reference_domain(), L_SHAPE, RECT], ids=["octagon", "L", "off-centre-rectangle"])
+DISC = pp.ImageDomain.disc((5.0, -3.0), 28.0)
+
+
+@pytest.mark.parametrize("dom", [pp.reference_domain(), L_SHAPE, RECT, DISC],
+                         ids=["octagon", "L", "off-centre-rectangle", "disc"])
 @pytest.mark.parametrize("view", ["par", "fan-left", "fan-below"])
 def test_view_range_holds_every_interior_point(dom, view):
     if view == "par":
@@ -581,6 +585,107 @@ def test_view_range_holds_every_interior_point(dom, view):
     # and the range is no wider than the domain: interior points come close
     # to both ends
     assert r.min() - lo < 0.01 * (hi - lo) and hi - r.max() < 0.01 * (hi - lo)
+
+
+def test_disc_view_range_is_its_closed_form():
+    # a parallel view's offsets over the disc are c.d -/+ R; 4 096 boundary
+    # samples fell 8.2e-6 short of both ends
+    assert pp.view_range(pp.ParGeometry(0.0), DISC) == (-23.0, 33.0)
+    assert pp.view_range(pp.ParGeometry(0.5 * math.pi), DISC) == pytest.approx((-31.0, 25.0), rel=0, abs=1e-14)
+    fan = pp.FanGeometry((-90.0, 10.0), theta0=math.atan2(-13.0, 95.0) - math.pi)
+    half = math.asin(28.0 / math.hypot(95.0, -13.0))
+    want = (math.atan2(-13.0, 95.0) - half, math.atan2(-13.0, 95.0) + half)
+    assert pp.view_range(fan, DISC) == pytest.approx(want, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("geom", [
+    pp.ParGeometry(0.0), pp.ParGeometry(0.3), pp.ParGeometry(0.5 * math.pi),
+    pp.FanGeometry((-90.0, 10.0), theta0=math.atan2(-13.0, 95.0) - math.pi),
+    pp.FanGeometry((15.0, -95.0), theta0=-0.5 * math.pi),
+], ids=["par-0", "par-0.3", "par-90", "fan-left", "fan-below"])
+def test_disc_view_range_holds_every_boundary_sample(geom):
+    # samples at k * 2*pi / 4096 from the +x axis: the parallel views at 0
+    # and 90 degrees meet their extremes at samples
+    pts = np.array(DISC.center) + DISC.radius * pp.direction(2.0 * math.pi * np.arange(4096) / 4096)
+    lo, hi = pp.view_range(geom, DISC)
+    r, _ = geom.inverse(pts)
+    assert lo <= r.min() and r.max() <= hi
+    assert r.min() - lo < 1e-5 * (hi - lo) and hi - r.max() < 1e-5 * (hi - lo)
+
+
+@pytest.mark.parametrize("vertex", [(5.0, -3.0), (20.0, 10.0), (33.0, -3.0)], ids=["centre", "inside", "on-the-circle"])
+@pytest.mark.parametrize("theta0", [-math.pi, 0.75 * math.pi])
+def test_fan_vertex_in_a_closed_disc_gets_the_whole_branch(vertex, theta0):
+    geom = pp.FanGeometry(vertex, theta0=theta0)
+    assert pp.view_range(geom, DISC) == (theta0, theta0 + 2.0 * math.pi)
+
+
+def per_edge_chord_length(dom, o, d, t_min=-math.inf):
+    """The per-edge, per-piece loop ``chord_length`` once was, as an oracle
+    for one line."""
+    ts = []
+    if dom.kind == "disc":
+        oc = o - np.array(dom.center)
+        b = float(oc @ d)
+        c = float(oc @ oc) - dom.radius**2
+        disc = b * b - c
+        if disc > 0:
+            ts = [-b - math.sqrt(disc), -b + math.sqrt(disc)]
+    else:
+        verts = dom.vertices
+        for p, q in zip(verts, np.roll(verts, -1, axis=0)):
+            e = q - p
+            den = pp.cross2(d, e)
+            if abs(den) < 1e-300:
+                continue
+            s = pp.cross2(p - o, e) / den
+            u = pp.cross2(p - o, d) / den
+            if -1e-12 <= u <= 1.0 + 1e-12:
+                ts.append(s)
+    if len(ts) < 2:
+        return 0.0
+    ts = sorted(ts)
+    total = 0.0
+    for a, b in zip(ts[:-1], ts[1:]):
+        if b <= t_min:
+            continue
+        a = max(a, t_min)
+        if b - a < 1e-14:
+            continue
+        if dom.contains(o + 0.5 * (a + b) * d):
+            total += b - a
+    return total
+
+
+CHORD_DOMAINS = {"octagon": pp.reference_domain(), "off-centre-rectangle": RECT, "comb": COMB, "L": L_SHAPE,
+                 "disc": DISC}
+
+
+@pytest.mark.parametrize("t_min", [-math.inf, 0.0, 5.0, 40.0])
+@pytest.mark.parametrize("name", CHORD_DOMAINS)
+def test_chord_length_of_many_lines_equals_single_calls_and_the_per_edge_loop(name, t_min):
+    dom = CHORD_DOMAINS[name]
+    rng = np.random.default_rng(35)
+    n = 400
+    d = pp.direction(rng.uniform(0.0, 2.0 * math.pi, n))
+    o = rng.uniform(-50.0, 50.0, (n, 2))
+    if dom.kind != "disc":  # a fifth of the lines through a vertex
+        k = n // 5
+        o[:k] = dom.vertices[rng.integers(0, len(dom.vertices), k)] - rng.uniform(-60.0, 60.0, (k, 1)) * d[:k]
+    got = dom.chord_length(o, d, t_min)
+    assert got.shape == (n,)
+    singles = [dom.chord_length(oo, dd, t_min) for oo, dd in zip(o, d)]
+    assert all(type(v) is float for v in singles)
+    assert got.tobytes() == np.array(singles).tobytes()
+    # one origin broadcast against every direction
+    assert dom.chord_length(o[0], d, t_min).tobytes() == np.array(
+        [dom.chord_length(o[0], dd, t_min) for dd in d]).tobytes()
+    want = np.array([per_edge_chord_length(dom, oo, dd, t_min) for oo, dd in zip(o, d)])
+    assert np.count_nonzero(want) > n // 8
+    if dom.kind == "disc":  # oc @ d may round otherwise than a batched dot
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_reference_pair_admissible():

@@ -646,3 +646,22 @@ def test_each_doubling_integrates_only_the_chord_kinds_present(monkeypatch, case
     np.testing.assert_array_equal(pp.project_values(geom, phantom, r), want)
     assert {mirrored for mirrored, _ in calls} == kinds
     assert min(n for _, n in calls) > 0
+
+
+@pytest.mark.parametrize("geom, domain", [
+    (pp.reference_pair(0.0).first, pp.reference_domain()),
+    (pp.ParGeometry(0.3), pp.ImageDomain.disc((5.0, -3.0), 28.0)),
+], ids=["fan-octagon", "par-disc"])
+def test_continuity_bound_takes_its_chords_in_one_call(monkeypatch, geom, domain):
+    ph = pp.random_phantom(np.random.default_rng(5), domain, n_bumps=2)
+    want = pp.continuity_bound_check(geom, ph, domain)
+    shapes = []
+    chord_length = pp.ImageDomain.chord_length
+
+    def counting(self, origin, dir_vec, t_min=-math.inf):
+        shapes.append(np.broadcast_shapes(np.shape(origin), np.shape(dir_vec)))
+        return chord_length(self, origin, dir_vec, t_min)
+
+    monkeypatch.setattr(pp.ImageDomain, "chord_length", counting)
+    assert pp.continuity_bound_check(geom, ph, domain) == want
+    assert shapes == [(257, 2)]
