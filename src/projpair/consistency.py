@@ -180,7 +180,8 @@ def kernel_condition_residual(pair: PairGeometry, kernels: KernelPair, n: int = 
     Each such point ``x`` is where the ray ``r1`` of the first family meets
     the ray ``r2`` of the second, with ``r1`` and ``r2`` from each family's
     ``inverse`` at ``x``.  The left side is the ratio of the two families'
-    ``weight * jacobian_inv`` factors at ``x``; the right side is
+    ``weight * jacobian_inv`` factors at ``x``, its weights' part formed as
+    ``exp(log_weight1 - log_weight2)``; the right side is
     ``V2(r2) / V1(r1)``.  ``n`` must be an integer of at least 1: a
     residual over no sample would certify nothing.
     """
@@ -193,9 +194,10 @@ def kernel_condition_residual(pair: PairGeometry, kernels: KernelPair, n: int = 
         pts = pair.domain.grid_points(m, m)
     r1, t1 = pair.first.inverse(pts)
     r2, t2 = pair.second.inverse(pts)
-    lhs = (pair.first.weight(r1, t1) * pair.first.jacobian_inv(pts)) / (
-        pair.second.weight(r2, t2) * pair.second.jacobian_inv(pts)
-    )
+    # the weights' ratio from their logs: at a far vertex each weight alone
+    # can underflow to 0, and 0 / 0 would stand for a ratio of order 1
+    lhs = (np.exp(pair.first.log_weight(r1, t1) - pair.second.log_weight(r2, t2))
+           * pair.first.jacobian_inv(pts) / pair.second.jacobian_inv(pts))
     rhs = kernels.v2(r2) / kernels.v1(r1)
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         raise EvaluationError("kernel condition produced a non-finite value")

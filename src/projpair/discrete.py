@@ -105,8 +105,8 @@ class ImageGrid:
         Its :attr:`center_xy` are this grid's columns where ``keep``, the
         same floats in the same order as it would form them, without a
         pass over the whole grid: set as the cached value."""
-        mask = np.zeros(self.n_pixels, dtype=bool)
-        mask[np.flatnonzero(self.mask)[keep]] = True
+        mask = self.mask.copy()
+        mask[self.mask] = keep
         grid = ImageGrid(nx=self.nx, ny=self.ny, extent=self.extent, mask=mask)
         xy = self.center_xy.compress(keep, axis=1)
         xy.flags.writeable = False
@@ -334,6 +334,11 @@ class PairOperator:
     bins, then view 2's.  :meth:`forward` returns it and :meth:`adjoint`
     takes it, so the operator plugs into :func:`cgne_solve` as it is.
 
+    The pixels it covers are those ``image.mask`` keeps, and it keeps no
+    other record of them: :meth:`forward` gathers ``f[image.mask]`` and
+    :meth:`adjoint` scatters into ``f[image.mask]``, both in flat order,
+    the order of :attr:`ImageGrid.center_xy` and of the tables' columns.
+
     The columns are built once, at construction, into one window table per
     view: ``start`` gives each masked pixel's first bin and ``weights``, of
     shape ``(width, n_masked)``, its deposits into bins ``start + 0`` to
@@ -403,8 +408,8 @@ class PairOperator:
         self.pair = pair
         self.image = image
         self.dets = (det1, det2)
-        self._idx = np.flatnonzero(image.mask)
-        if self._idx.size == 0:
+        self.shape = (det1.n_bins + det2.n_bins, image.n_pixels)
+        if not image.mask.any():
             raise ConfigurationError("the image mask keeps no pixel inside the domain")
         kernels = known_kernels(pair)
         w = None if kernels is None else _kernel_samples(self.dets, kernels)
@@ -412,11 +417,6 @@ class PairOperator:
         x, y = image.center_xy
         self._tables = two_threads(lambda view: _view_table(*view, x, y, dx, image.pixel_area),
                                    (pair.first, det1), (pair.second, det2))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n_data = sum(d.n_bins for d in self.dets)
-        return n_data, self.image.n_pixels
 
     def forward(self, f: np.ndarray) -> np.ndarray:
         """Apply the discrete projection to a flat image vector.
@@ -426,9 +426,10 @@ class PairOperator:
         f = np.asarray(f, dtype=float).ravel()
         if f.size != self.image.n_pixels:
             raise ConfigurationError("image vector has the wrong length")
-        fm = f[self._idx]
+        fm = f[self.image.mask]
         g = np.zeros(self.shape[0])
-        for gv, (start, weights) in zip(np.split(g, [self.dets[0].n_bins]), self._tables):
+        n1 = self.dets[0].n_bins
+        for gv, (start, weights) in zip((g[:n1], g[n1:]), self._tables):
             for off, row in enumerate(weights):
                 # start <= n_bins - width, so the count has exactly n_bins - off bins
                 gv[off:] += np.bincount(start, weights=fm * row, minlength=gv.size - off)
@@ -447,12 +448,13 @@ class PairOperator:
         if g.size != self.shape[0]:
             raise ConfigurationError("data vector has the wrong length")
         g = self._project(g)
-        acc = np.zeros(self._idx.size)
-        for gv, (start, weights) in zip(np.split(g, [self.dets[0].n_bins]), self._tables):
+        acc = np.zeros(self.image.center_xy.shape[1])  # one entry per masked pixel
+        n1 = self.dets[0].n_bins
+        for gv, (start, weights) in zip((g[:n1], g[n1:]), self._tables):
             for off, row in enumerate(weights):
                 acc += row * gv[off:][start]
         f = np.zeros(self.image.n_pixels)
-        f[self._idx] = acc
+        f[self.image.mask] = acc
         return f
 
 

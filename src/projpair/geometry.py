@@ -90,10 +90,16 @@ class _Family:
         origin, e = self.ray(r)
         return origin + t[..., None] * e
 
+    def log_weight(self, r, t):
+        """``mu * t``, the log of :meth:`weight`, broadcast over ``r`` and
+        ``t``.  Finite where the weight itself under- or overflows, so a
+        ratio of two families' weights is taken as a difference of these."""
+        r, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(t, float))
+        return self.mu * t
+
     def weight(self, r, t):
         """``exp(mu * t)``, broadcast over ``r`` and ``t``."""
-        r, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(t, float))
-        return np.exp(self.mu * t)
+        return np.exp(self.log_weight(r, t))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,25 @@ def test_kernel_condition_invariant_under_joint_scaling():
             v2=lambda r, c=c: c * K.v2(r),
             label="scaled")
         assert pp.kernel_condition_residual(pair, scaled, n=512) < 1e-12
+
+
+def test_kernel_condition_residual_at_far_vertices():
+    # vertices (0, d) and (-d, 0) around a disc of radius 20 at the origin,
+    # against the unweighted kernels: at d = 5120 and mu = -0.154 each
+    # weight exp(mu * t) underflows to 0, yet their ratio is of order 1
+    dom = pp.ImageDomain.disc((0.0, 0.0), 20.0)
+
+    def residual(distance, mu):
+        vertices = (0.0, distance), (-distance, 0.0)
+        kernels = pp.known_kernels(pp.geometry.fan_pair(*vertices, 0.0, dom))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return pp.kernel_condition_residual(pp.geometry.fan_pair(*vertices, mu, dom), kernels, n=256)
+
+    assert math.isfinite(residual(5120.0, MU))
+    assert residual(5120.0, 0.0) <= 1e-12
+    assert residual(80.0, MU) == pytest.approx(0.9866018317644906, rel=1e-12, abs=0.0)
+    assert residual(1280.0, MU) == pytest.approx(0.98630589942451, rel=1e-12, abs=0.0)
 
 
 def test_pprc_scales_linearly_with_kernels():

@@ -131,6 +131,29 @@ def test_roundoff_annihilated_target_stops_on_floor():
     assert np.linalg.norm(st.iterate) <= (1.0 + 1e-8) * np.linalg.norm(x_ls)
 
 
+def test_consistent_target_stops_once_the_residual_is_roundoff():
+    # tol = 0 never stops the solve; after two steps the residual of the
+    # diagonal system is roundoff of the target, and S1 ends it there
+    st = pp.cgne_solve(np.diag([1.0, 2.0]), np.array([3.0, 4.0]), max_iter=10)
+    assert st.stop_reason == "residual_roundoff"
+    assert st.iterations == 2
+    assert np.allclose(st.iterate, [3.0, 2.0], atol=1e-12)
+
+
+def test_desk_reference_solve_stops_where_recurrence_and_true_residual_agree():
+    # past the roundoff stop the recurrence residual goes on falling while
+    # the true one stays put, so at 2 000 iterations they differ by some 130
+    # orders of magnitude; at the stop they agree
+    op = pp.reference_operator(nx=200, n_bins=100, mu=pp.ATTENUATION_MU)
+    g = np.concatenate([view.values for view in pp.reference_target(*pp.reference_grids(100))])
+    st = pp.cgne_solve(op, g, max_iter=2000, tol=0.0)
+    assert st.stop_reason == "residual_roundoff"
+    assert st.iterations < 300
+    true = np.linalg.norm(op.forward(st.iterate) - g) / np.linalg.norm(g)
+    assert true <= 1e-11
+    assert abs(true - st.final_residual) <= 1e-3 * st.final_residual
+
+
 # --- residual floor -----------------------------------------------------------
 
 
